@@ -461,61 +461,6 @@ fn bench_check_shim(c: &mut Criterion) {
     group.finish();
 }
 
-/// A/B of the locality layer on the threaded stack-stealing skeleton: the
-/// same irregular instance at 8 workers split into 4 localities, with
-/// steal routing + work pushing off versus on.  The off arm is the blind
-/// baseline; the on arm pays the gauge loads, routed scans and mailbox
-/// checks — this group bounds that overhead on real threads (the virtual
-/// 8x15 cluster's behaviour is BENCH_9's job, not criterion's).  A third
-/// row prices the raw gauge update pair the hot paths lean on.
-fn bench_steal_routing(c: &mut Criterion) {
-    use yewpar::workpool::LocalityGauges;
-
-    let mut group = c.benchmark_group("components/steal_routing");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    let problem = Irregular::new(11, 1);
-    let run = |routing: bool, pushing: bool| {
-        let cfg = SearchConfig {
-            coordination: Coordination::stack_stealing_chunked(),
-            workers: 8,
-            localities: 4,
-            steal_routing: routing,
-            work_pushing: pushing,
-            ..SearchConfig::default()
-        };
-        Skeleton::from_config(cfg).enumerate(&problem).value.0
-    };
-    let expected = run(false, false);
-    group.bench_function("stack_stealing_8w4l_blind", |bench| {
-        bench.iter(|| {
-            let n = run(false, false);
-            assert_eq!(n, expected);
-            n
-        })
-    });
-    group.bench_function("stack_stealing_8w4l_routed_pushed", |bench| {
-        bench.iter(|| {
-            let n = run(true, true);
-            assert_eq!(n, expected);
-            n
-        })
-    });
-    group.bench_function("gauge_update_pair", |bench| {
-        let gauges = LocalityGauges::new(4);
-        bench.iter(|| {
-            for l in 0..4 {
-                gauges.tasks_queued(l, 1);
-                gauges.tasks_taken(l, 1);
-            }
-            gauges.queued(3)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_bitset,
@@ -525,7 +470,6 @@ criterion_group!(
     bench_runtime_multiplexing,
     bench_elastic_regrant,
     bench_trace,
-    bench_check_shim,
-    bench_steal_routing
+    bench_check_shim
 );
 criterion_main!(benches);

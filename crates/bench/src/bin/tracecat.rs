@@ -19,7 +19,7 @@
 //!   CI uses this to pin the strip-mining reconstruction.
 //! * `--forbid KIND` — the mirror assertion: exit non-zero if *any* file
 //!   reports a finding of the given kind.  CI uses this to pin that the
-//!   routed default produces no strip-mining pattern.
+//!   default blind remote stealing produces no strip-mining pattern.
 //!
 //! Parsing is strict: a malformed line fails the whole run with a non-zero
 //! exit and a `file:line: message` diagnostic, so CI catches exporter

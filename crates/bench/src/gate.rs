@@ -67,24 +67,14 @@ fn instance_makespans(
 /// `workers_per_locality` match the Table 2 cluster shape (8 × 15 for the
 /// recorded baselines).
 pub fn irregular_worst_speedups(localities: usize, workers_per_locality: usize) -> Vec<GateRow> {
-    // `locality_layer: false` pins the *blind* stack-stealing arm too: the
-    // routed engine falls back to exactly the unrouted schedule (same RNG
-    // draws) whenever no gauge signal exists, so a regression of the blind
-    // arm is a bug in that compatibility path, not a tuning choice.
-    let cfg_of = |coord: Coordination, locality_layer: bool| {
-        let mut cfg = SimConfig::new(coord, localities, workers_per_locality);
-        cfg.steal_routing &= locality_layer;
-        cfg.work_pushing &= locality_layer;
-        cfg
-    };
-    let sweeps: Vec<(&str, Vec<Coordination>, bool)> = vec![
+    let cfg_of = |coord: Coordination| SimConfig::new(coord, localities, workers_per_locality);
+    let sweeps: Vec<(&str, Vec<Coordination>)> = vec![
         (
             "Depth-Bounded",
             [1usize, 2, 4, 6]
                 .iter()
                 .map(|&d| Coordination::depth_bounded(d))
                 .collect(),
-            true,
         ),
         (
             "Stack-Stealing",
@@ -92,15 +82,6 @@ pub fn irregular_worst_speedups(localities: usize, workers_per_locality: usize) 
                 Coordination::stack_stealing(),
                 Coordination::stack_stealing_chunked(),
             ],
-            true,
-        ),
-        (
-            "Stack-Stealing (blind)",
-            vec![
-                Coordination::stack_stealing(),
-                Coordination::stack_stealing_chunked(),
-            ],
-            false,
         ),
         (
             "Budget",
@@ -108,7 +89,6 @@ pub fn irregular_worst_speedups(localities: usize, workers_per_locality: usize) 
                 .iter()
                 .map(|&b| Coordination::budget(b))
                 .collect(),
-            true,
         ),
         (
             "Ordered",
@@ -116,17 +96,16 @@ pub fn irregular_worst_speedups(localities: usize, workers_per_locality: usize) 
                 .iter()
                 .map(|&d| Coordination::ordered(d))
                 .collect(),
-            true,
         ),
     ];
     sweeps
         .into_iter()
-        .map(|(skeleton, params, locality_layer)| {
+        .map(|(skeleton, params)| {
             // Per instance (outer index), the minimum speedup over the
             // parameter sweep; then the geometric mean across instances.
             let per_param: Vec<Vec<f64>> = params
                 .iter()
-                .map(|coord| instance_makespans(|c| cfg_of(c, locality_layer), coord))
+                .map(|coord| instance_makespans(cfg_of, coord))
                 .collect();
             let n_instances = per_param[0].len();
             let worst_per_instance: Vec<f64> = (0..n_instances)
@@ -273,13 +252,7 @@ mod tests {
         let names: Vec<&str> = a.iter().map(|r| r.skeleton.as_str()).collect();
         assert_eq!(
             names,
-            [
-                "Depth-Bounded",
-                "Stack-Stealing",
-                "Stack-Stealing (blind)",
-                "Budget",
-                "Ordered"
-            ]
+            ["Depth-Bounded", "Stack-Stealing", "Budget", "Ordered"]
         );
         for row in &a {
             assert!(

@@ -14,7 +14,6 @@
 
 pub mod cancel;
 pub mod grant;
-pub mod mailbox;
 pub mod ordered_pool;
 pub mod termination;
 pub mod trace_ring;
@@ -37,7 +36,6 @@ pub fn suite() -> Vec<Report> {
         termination::check_latch(termination::Mutation::None, Strategy::Dfs, &unbounded),
         grant::check(grant::Mutation::None, Strategy::Dfs, &bounded()),
         cancel::check(cancel::Mutation::None, Strategy::Dfs, &unbounded),
-        mailbox::check(mailbox::Mutation::None, Strategy::Dfs, &unbounded),
         trace_ring::check(trace_ring::Mutation::None, Strategy::Dfs, &unbounded),
         ordered_pool::check(ordered_pool::Mutation::None, Strategy::Dfs, &bounded()),
     ]

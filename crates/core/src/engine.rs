@@ -93,15 +93,8 @@ pub trait WorkSource<P: SearchProblem>: Sync {
     /// spawn buffer per worker for every generator burst, so the eager
     /// spawn path allocates nothing in steady state; implementations must
     /// leave the vector empty (e.g. via `drain(..)` or a batched pool
-    /// push).  `metrics` lets locality-aware sources account for release
-    /// bursts diverted to starved localities
-    /// ([`WorkerMetrics::pushed_tasks`]).
-    fn release(
-        &self,
-        local: &mut Self::Local,
-        tasks: &mut Vec<Task<P::Node>>,
-        metrics: &mut WorkerMetrics,
-    );
+    /// push).
+    fn release(&self, local: &mut Self::Local, tasks: &mut Vec<Task<P::Node>>);
 
     /// Per-expansion-step hook, called with the live generator stack of the
     /// executing task. Sources that hand out work on demand (stack
@@ -304,7 +297,7 @@ impl<P: SearchProblem, S: WorkSource<P>> StepEnv<'_, P, S> {
         self.term.task_spawned(tasks.len() as u64);
         self.metrics.spawns += tasks.len() as u64;
         self.metrics.batch_pushes += 1;
-        self.source.release(self.local, tasks, self.metrics);
+        self.source.release(self.local, tasks);
     }
 }
 
@@ -693,7 +686,7 @@ where
                         term.task_spawned(tasks.len() as u64);
                         metrics.spawns += tasks.len() as u64;
                         metrics.batch_pushes += 1;
-                        source.release(local, &mut tasks, metrics);
+                        source.release(local, &mut tasks);
                     }
                     return Flow::Completed;
                 }
@@ -746,10 +739,8 @@ where
 // Shared sources
 // ---------------------------------------------------------------------------
 
-use crate::workpool::{Mailbox, ShardedPool, POP_BATCH, PUSH_BATCH, STEAL_BATCH};
+use crate::workpool::{ShardedPool, POP_BATCH, STEAL_BATCH};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 /// The degenerate source of the Sequential coordination: a single shared
@@ -788,12 +779,7 @@ impl<P: SearchProblem> WorkSource<P> for RootSource<P::Node> {
         None
     }
 
-    fn release(
-        &self,
-        _local: &mut Self::Local,
-        tasks: &mut Vec<Task<P::Node>>,
-        _metrics: &mut WorkerMetrics,
-    ) {
+    fn release(&self, _local: &mut Self::Local, tasks: &mut Vec<Task<P::Node>>) {
         // Only reachable if a spawning policy is paired with this source;
         // keep every task (in heuristic order) so none is lost while
         // registered with the termination counter.
@@ -827,40 +813,26 @@ impl<P: SearchProblem> WorkSource<P> for RootSource<P::Node> {
 /// every exit path.
 pub(crate) struct PoolSource<N> {
     pool: ShardedPool<N>,
-    /// One starvation mailbox per locality, drained by that locality's
-    /// workers in `acquire` before any steal scan.
-    mailboxes: Vec<Mailbox<N>>,
-    /// Gauge-directed remote steals (off: blind global hint ranking).
-    routing: bool,
-    /// Divert release bursts to starved remote localities.
-    pushing: bool,
-    /// Victim-rotation seed for the blind within-locality pick.
-    seed: u64,
     tracer: Tracer,
 }
 
-/// Per-worker state of [`PoolSource`]: the worker's shard index and
-/// locality, its batched pop stash, its share of the pool's
-/// lock-acquisition count (drained into metrics at loop exit), its
-/// idle-gauge flag, the rotation generator for blind remote victim picks,
-/// and its flight-recorder handle (`None` when tracing is off).
+/// Per-worker state of [`PoolSource`]: the worker's shard index, its batched
+/// pop stash, its share of the pool's lock-acquisition count (drained into
+/// metrics at loop exit), and its flight-recorder handle (`None` when
+/// tracing is off).
 pub(crate) struct PoolLocal<N> {
     shard: usize,
-    locality: usize,
     stash: VecDeque<Task<N>>,
     locks: u64,
-    /// True while this worker is counted in its locality's idle gauge.
-    idle: bool,
-    rng: SmallRng,
     trace: Option<TraceHandle>,
 }
 
 impl<N> PoolSource<N> {
-    /// An untraced, single-locality pool source (unit tests; the
-    /// coordinations always go through [`configured`](PoolSource::configured)).
+    /// An untraced pool source (unit tests; the coordinations always go
+    /// through [`traced`](PoolSource::traced)).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn new(workers: usize) -> Self {
-        Self::configured(workers, 1, true, true, 0, Tracer::off())
+        Self::traced(workers, Tracer::off())
     }
 
     /// A pool source whose steal outcomes are recorded by `tracer`.  Steal
@@ -868,46 +840,10 @@ impl<N> PoolSource<N> {
     /// rather than generically in the worker loop — so events and the
     /// `steals`/`failed_steals` counters can never disagree (sources like
     /// [`RootSource`] return `None` from `acquire` without counting).
-    ///
-    /// `localities` groups the shards into contiguous localities with
-    /// per-locality load gauges; `routing` steers remote steals to the
-    /// least-loaded non-empty locality (blind victim within it) and
-    /// `pushing` diverts release bursts into starved localities'
-    /// mailboxes.  Both are no-ops at one locality.
-    pub(crate) fn configured(
-        workers: usize,
-        localities: usize,
-        routing: bool,
-        pushing: bool,
-        seed: u64,
-        tracer: Tracer,
-    ) -> Self {
-        let pool = ShardedPool::with_localities(workers, localities);
-        let mailboxes = (0..pool.localities()).map(|_| Mailbox::new()).collect();
+    pub(crate) fn traced(workers: usize, tracer: Tracer) -> Self {
         PoolSource {
-            pool,
-            mailboxes,
-            routing,
-            pushing,
-            seed,
+            pool: ShardedPool::new(workers),
             tracer,
-        }
-    }
-
-    /// Mark the worker idle on its locality gauge (idempotent per
-    /// idle episode; the flag keeps gauge traffic off the busy path).
-    fn mark_idle(&self, local: &mut PoolLocal<N>) {
-        if !local.idle {
-            self.pool.gauges().worker_idle(local.locality);
-            local.idle = true;
-        }
-    }
-
-    /// Mark the worker busy again, paired with [`mark_idle`](Self::mark_idle).
-    fn mark_busy(&self, local: &mut PoolLocal<N>) {
-        if local.idle {
-            self.pool.gauges().worker_busy(local.locality);
-            local.idle = false;
         }
     }
 }
@@ -916,16 +852,10 @@ impl<P: SearchProblem> WorkSource<P> for PoolSource<P::Node> {
     type Local = PoolLocal<P::Node>;
 
     fn register(&self, worker: usize) -> Self::Local {
-        let shard = worker % self.pool.shards();
         PoolLocal {
-            shard,
-            locality: self.pool.locality_of(shard),
+            shard: worker % self.pool.shards(),
             stash: VecDeque::with_capacity(POP_BATCH),
             locks: 0,
-            idle: false,
-            rng: SmallRng::seed_from_u64(
-                self.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
             trace: self.tracer.handle(worker as u32),
         }
     }
@@ -941,13 +871,7 @@ impl<P: SearchProblem> WorkSource<P> for PoolSource<P::Node> {
         local.locks += 1;
         self.pool
             .pop_batch_local(local.shard, POP_BATCH, &mut local.stash);
-        match local.stash.pop_front() {
-            Some(task) => {
-                self.mark_busy(local);
-                Some(task)
-            }
-            None => None,
-        }
+        local.stash.pop_front()
     }
 
     fn acquire(
@@ -956,118 +880,43 @@ impl<P: SearchProblem> WorkSource<P> for PoolSource<P::Node> {
         _term: &Termination,
         metrics: &mut WorkerMetrics,
     ) -> Option<Task<P::Node>> {
-        self.mark_idle(local);
-        // Starvation mailbox first: pushed batches are addressed to this
-        // locality specifically, so they beat any steal scan.
-        let mut pushed: Vec<Task<P::Node>> = Vec::new();
-        if self.mailboxes[local.locality].drain(&mut pushed) > 0 {
-            local.stash.extend(pushed);
-            self.mark_busy(local);
-            return local.stash.pop_front();
-        }
         local.locks += 1;
-        let stolen = if self.routing && self.pool.localities() > 1 {
-            let rot = local.rng.gen_range(0..self.pool.shards());
-            self.pool
-                .steal_routed(local.shard, STEAL_BATCH, &mut local.stash, rot)
+        let stolen = self
+            .pool
+            .steal_batch(local.shard, STEAL_BATCH, &mut local.stash);
+        if stolen > 0 {
+            metrics.steals += 1;
+            if let Some(t) = &local.trace {
+                // The sharded pool picks its victim shard internally, so the
+                // victim is not attributable to a worker id.
+                t.emit(TraceEvent::StealHit {
+                    victim: UNKNOWN_VICTIM,
+                    tasks: stolen as u32,
+                    remote: false,
+                });
+            }
+            local.stash.pop_front()
         } else {
-            let taken = self
-                .pool
-                .steal_batch(local.shard, STEAL_BATCH, &mut local.stash);
-            (taken > 0).then_some((taken, local.shard))
-        };
-        match stolen {
-            Some((taken, victim)) => {
-                let locality = self.pool.locality_of(victim);
-                let remote = locality != local.locality;
-                metrics.steals += 1;
-                if let Some(t) = &local.trace {
-                    // The sharded pool picks its victim shard internally, so
-                    // the victim is not attributable to a worker id.
-                    t.emit(TraceEvent::StealHit {
-                        victim: UNKNOWN_VICTIM,
-                        tasks: taken as u32,
-                        remote,
-                    });
-                }
-                if remote {
-                    // A gauge-directed cross-locality steal that landed.
-                    metrics.routed_steals += 1;
-                    if let Some(t) = &local.trace {
-                        t.emit(TraceEvent::StealRouted {
-                            locality: locality as u32,
-                            load: self.pool.gauges().queued(locality),
-                        });
-                    }
-                }
-                self.mark_busy(local);
-                local.stash.pop_front()
+            metrics.failed_steals += 1;
+            if let Some(t) = &local.trace {
+                t.emit(TraceEvent::StealMiss {
+                    victim: UNKNOWN_VICTIM,
+                });
             }
-            None => {
-                metrics.failed_steals += 1;
-                if let Some(t) = &local.trace {
-                    t.emit(TraceEvent::StealMiss {
-                        victim: UNKNOWN_VICTIM,
-                    });
-                }
-                None
-            }
+            None
         }
     }
 
-    fn release(
-        &self,
-        local: &mut Self::Local,
-        tasks: &mut Vec<Task<P::Node>>,
-        metrics: &mut WorkerMetrics,
-    ) {
-        // Work pushing: a release burst is the cheapest moment to patch a
-        // starved remote locality — the tasks are already off the stack and
-        // registered with the termination counter.  Divert a bounded tail
-        // of the burst (the deepest, least heuristically valuable tasks)
-        // into the first starved locality's mailbox; the occupancy flag
-        // bounds this to one in-flight batch per locality.
-        if self.pushing && self.pool.localities() > 1 && tasks.len() >= 2 {
-            let localities = self.pool.localities();
-            let start = local.rng.gen_range(0..localities);
-            for i in 0..localities {
-                let target = (start + i) % localities;
-                if target == local.locality
-                    || !self.pool.gauges().starved(target, 1)
-                    || self.mailboxes[target].is_occupied()
-                {
-                    continue;
-                }
-                let keep = tasks.len() - (tasks.len() / 2).min(PUSH_BATCH);
-                let mut diverted: Vec<Task<P::Node>> = tasks.split_off(keep);
-                metrics.pushed_tasks += diverted.len() as u64;
-                if let Some(t) = &local.trace {
-                    t.emit(TraceEvent::WorkPushed {
-                        locality: target as u32,
-                        tasks: diverted.len() as u32,
-                    });
-                }
-                self.mailboxes[target].push(&mut diverted);
-                break;
-            }
-        }
+    fn release(&self, local: &mut Self::Local, tasks: &mut Vec<Task<P::Node>>) {
         local.locks += 1;
         self.pool.push_batch(local.shard, tasks);
     }
 
     fn discard(&self) -> usize {
-        // Mailbox batches are registered, queued tasks exactly like pool
-        // tasks; drop them into the same accounting so `outstanding()`
-        // reaches zero on cancel/deadline/short-circuit exits.
-        let mailed: usize = self.mailboxes.iter().map(|m| m.clear()).sum();
-        self.pool.clear() + mailed
+        self.pool.clear()
     }
 
     fn drain_local(&self, local: &mut Self::Local) -> usize {
-        // Leave the idle gauge balanced so post-run reconciliation (and any
-        // concurrent survivor's starvation checks) never sees a phantom
-        // idle worker.
-        self.mark_busy(local);
         let stashed = local.stash.len();
         local.stash.clear();
         stashed
@@ -1078,7 +927,6 @@ impl<P: SearchProblem> WorkSource<P> for PoolSource<P::Node> {
     }
 
     fn retire(&self, local: &mut Self::Local) {
-        self.mark_busy(local);
         // Push the batched pop stash back into the worker's shard: the tasks
         // become visible to thieves again through the shard's depth hint, so
         // the survivors reach them without any extra signalling.

@@ -64,19 +64,6 @@ pub struct WorkerMetrics {
     /// small fraction of `nodes`; a regression here means the poll gate is
     /// back on the per-node path.
     pub poll_checks: u64,
-    /// Tasks this worker *pushed* into a starved remote locality's mailbox
-    /// (work pushing: idle ≥ threshold, queued ≈ 0 observed on the
-    /// per-locality load gauges).  Zero on single-locality runs.
-    pub pushed_tasks: u64,
-    /// Remote steal attempts whose target locality was chosen by the load
-    /// gauges (least-loaded-but-nonempty) rather than blind-random.  The
-    /// victim *within* the locality stays blind-random, so this counts
-    /// routing decisions, not steal hits.
-    pub routed_steals: u64,
-    /// Capped-exponential back-off naps taken after consecutive remote
-    /// steal misses against one locality.  A high count means thieves kept
-    /// probing drained localities — the gauges should have steered them.
-    pub backoff_naps: u64,
 }
 
 impl WorkerMetrics {
@@ -97,9 +84,6 @@ impl WorkerMetrics {
         self.lock_acquisitions += other.lock_acquisitions;
         self.batch_pushes += other.batch_pushes;
         self.poll_checks += other.poll_checks;
-        self.pushed_tasks += other.pushed_tasks;
-        self.routed_steals += other.routed_steals;
-        self.backoff_naps += other.backoff_naps;
     }
 }
 
@@ -221,9 +205,6 @@ impl Metrics {
             + w.lock_acquisitions
             + w.batch_pushes
             + w.poll_checks
-            + w.pushed_tasks
-            + w.routed_steals
-            + w.backoff_naps
     }
 
     /// A crude load-balance indicator: ratio of the busiest worker's
@@ -345,25 +326,6 @@ mod tests {
         assert_eq!(a.lock_acquisitions, 8);
         assert_eq!(a.batch_pushes, 3);
         assert_eq!(a.poll_checks, 11);
-    }
-
-    #[test]
-    fn merge_sums_locality_counters() {
-        let mut a = WorkerMetrics {
-            pushed_tasks: 6,
-            routed_steals: 2,
-            backoff_naps: 1,
-            ..WorkerMetrics::default()
-        };
-        a.merge(&WorkerMetrics {
-            pushed_tasks: 4,
-            routed_steals: 5,
-            backoff_naps: 3,
-            ..WorkerMetrics::default()
-        });
-        assert_eq!(a.pushed_tasks, 10);
-        assert_eq!(a.routed_steals, 7);
-        assert_eq!(a.backoff_naps, 4);
     }
 
     #[test]

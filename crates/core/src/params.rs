@@ -130,27 +130,6 @@ pub struct SearchConfig {
     /// Seed for randomised victim selection in work stealing, making runs
     /// reproducible when desired.
     pub steal_seed: u64,
-    /// Number of *localities* the workers are grouped into (contiguous
-    /// blocks of `ceil(workers / localities)` workers).  With more than
-    /// one locality the parallel coordinations maintain per-locality load
-    /// gauges, route remote steals to the least-loaded-but-nonempty
-    /// locality, and (when [`work_pushing`](SearchConfig::work_pushing) is
-    /// on) push work into starved localities' mailboxes.  The default of 1
-    /// is the historical single-locality behaviour: no gauges consulted,
-    /// no remote steals, no mailboxes.
-    pub localities: usize,
-    /// Route remote steals through the per-locality load gauges (pick the
-    /// least-loaded-but-nonempty remote locality, then a blind-random
-    /// victim within it, with capped exponential back-off per (thief,
-    /// locality) after consecutive misses).  Off = blind-random remote
-    /// victim selection, kept as the A/B baseline.  No effect with a
-    /// single locality.
-    pub steal_routing: bool,
-    /// Push bounded task batches into a starved remote locality's mailbox
-    /// (idle workers ≥ half the locality, queued ≈ 0) instead of waiting
-    /// for a blind probe to find the work.  No effect with a single
-    /// locality.
-    pub work_pushing: bool,
     /// Ordered coordination only: when `true` (the default), recording a
     /// pending decision witness purges queued tasks with later sequence keys
     /// and broadcasts the witness key so in-flight speculative tasks exit
@@ -173,13 +152,6 @@ pub struct SearchConfig {
     /// [`SearchStatus::DeadlineExceeded`]: crate::lifecycle::SearchStatus::DeadlineExceeded
     /// [`Runtime`]: crate::runtime::Runtime
     pub deadline: Option<Duration>,
-    /// Stack-Stealing coordination only: how long a thief waits for a
-    /// victim's reply before re-polling its own request channel and checking
-    /// for termination.  Purely a latency/CPU trade-off — correctness never
-    /// depends on it — but deadline tests on loaded CI machines want it
-    /// larger than the historical hard-coded 200 µs, which stays the
-    /// default.
-    pub steal_reply_timeout: Duration,
     /// Switch on the flight recorder: per-worker ring buffers of timestamped
     /// [`trace::TraceEvent`](crate::trace::TraceEvent)s (task spans, steal
     /// traffic, incumbent updates, speculation outcomes, lifecycle polls).
@@ -205,12 +177,8 @@ impl Default for SearchConfig {
             coordination: Coordination::Sequential,
             workers: 1,
             steal_seed: 0xC0FFEE,
-            localities: 1,
-            steal_routing: true,
-            work_pushing: true,
             cancel_speculation: true,
             deadline: None,
-            steal_reply_timeout: Duration::from_micros(200),
             trace: false,
             priority: crate::schedule::Priority::Normal,
         }
@@ -243,27 +211,7 @@ impl SearchConfig {
                 "worker count must be at least 1".into(),
             ));
         }
-        if self.localities == 0 {
-            return Err(Error::InvalidConfig(
-                "locality count must be at least 1".into(),
-            ));
-        }
-        if self.localities > self.workers {
-            return Err(Error::InvalidConfig(
-                "locality count cannot exceed the worker count".into(),
-            ));
-        }
         Ok(())
-    }
-
-    /// Workers per locality: `ceil(workers / localities)`.
-    pub fn workers_per_locality(&self) -> usize {
-        self.workers.div_ceil(self.localities.max(1))
-    }
-
-    /// The locality worker `worker` belongs to.
-    pub fn locality_of(&self, worker: usize) -> usize {
-        (worker / self.workers_per_locality()).min(self.localities.max(1) - 1)
     }
 }
 
@@ -347,37 +295,7 @@ mod tests {
             "speculation cancellation is on by default"
         );
         assert_eq!(cfg.deadline, None, "no deadline unless asked for");
-        assert_eq!(
-            cfg.steal_reply_timeout,
-            Duration::from_micros(200),
-            "the historical stack-stealing reply timeout stays the default"
-        );
         assert!(!cfg.trace, "the flight recorder is off by default");
-        assert_eq!(cfg.localities, 1, "single locality by default");
-        assert!(cfg.steal_routing, "routing is on (dormant with 1 locality)");
-        assert!(cfg.work_pushing, "pushing is on (dormant with 1 locality)");
-    }
-
-    #[test]
-    fn locality_validation_and_mapping() {
-        let mut cfg = SearchConfig {
-            workers: 8,
-            ..SearchConfig::default()
-        };
-        cfg.localities = 0;
-        assert!(cfg.validate().is_err(), "zero localities rejected");
-        cfg.localities = 9;
-        assert!(cfg.validate().is_err(), "more localities than workers");
-        cfg.localities = 4;
-        assert!(cfg.validate().is_ok());
-        assert_eq!(cfg.workers_per_locality(), 2);
-        assert_eq!(cfg.locality_of(0), 0);
-        assert_eq!(cfg.locality_of(3), 1);
-        assert_eq!(cfg.locality_of(7), 3);
-        // Uneven split: the last locality absorbs the remainder clamp.
-        cfg.localities = 3;
-        assert_eq!(cfg.workers_per_locality(), 3);
-        assert_eq!(cfg.locality_of(7), 2);
     }
 
     #[test]

@@ -63,14 +63,7 @@ where
         problem,
         driver,
         workers,
-        PoolSource::configured(
-            capacity,
-            config.localities,
-            config.steal_routing,
-            config.work_pushing,
-            config.steal_seed,
-            lifecycle.tracer.clone(),
-        ),
+        PoolSource::traced(capacity, lifecycle.tracer.clone()),
         BudgetPolicy { budget },
         term,
         lifecycle,

@@ -77,28 +77,6 @@ impl<N, S> OptimOutcome<N, S> {
     pub fn try_score(&self) -> Option<&S> {
         self.best.as_ref().map(|(_, s)| s)
     }
-
-    /// The witness node (panics if the search recorded no node).
-    #[deprecated(
-        since = "0.1.0",
-        note = "with anytime statuses an empty `best` is a reachable, legitimate state \
-                (cancelled before the root committed); use `try_node()` instead"
-    )]
-    pub fn node(&self) -> &N {
-        self.try_node()
-            .expect("optimisation search recorded no node (stopped before the root committed)")
-    }
-
-    /// The maximal objective value (panics if the search recorded no node).
-    #[deprecated(
-        since = "0.1.0",
-        note = "with anytime statuses an empty `best` is a reachable, legitimate state \
-                (cancelled before the root committed); use `try_score()` instead"
-    )]
-    pub fn score(&self) -> &S {
-        self.try_score()
-            .expect("optimisation search recorded no node (stopped before the root committed)")
-    }
 }
 
 /// Result of a decision search.
@@ -610,12 +588,6 @@ mod tests {
         let score = out.try_score().expect("complete search records the root");
         assert_eq!(p.objective(node), *score);
         assert!(out.status.is_complete());
-        // The deprecated panicking accessors still work on a non-empty best.
-        #[allow(deprecated)]
-        {
-            assert_eq!(out.node(), node);
-            assert_eq!(out.score(), score);
-        }
         let dec = Skeleton::new(Coordination::Sequential).decide(&p);
         assert_eq!(dec.found(), dec.witness.is_some());
         assert!(dec.status.is_complete());

@@ -390,12 +390,7 @@ impl<P: SearchProblem> WorkSource<P> for OrderedSource<P::Node> {
     /// Batched release: one generator burst becomes one insertion-shard lock
     /// acquisition, with child keys minted from the worker's recycling
     /// arena instead of fresh per-key allocations.
-    fn release(
-        &self,
-        local: &mut OrderedLocal,
-        tasks: &mut Vec<Task<P::Node>>,
-        _metrics: &mut WorkerMetrics,
-    ) {
+    fn release(&self, local: &mut OrderedLocal, tasks: &mut Vec<Task<P::Node>>) {
         if tasks.is_empty() {
             return;
         }

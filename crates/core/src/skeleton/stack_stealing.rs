@@ -29,16 +29,13 @@ use crate::params::SearchConfig;
 use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, TraceHandle, Tracer, UNKNOWN_VICTIM};
-use crate::workpool::{LocalityGauges, Mailbox, Task, PUSH_BATCH};
+use crate::workpool::Task;
 
-/// Cap on the back-off exponent: a locality that keeps missing is skipped
-/// for at most `2^BACKOFF_CAP` routing decisions before being retried.
-const BACKOFF_CAP: u32 = 5;
-
-/// How many expansion steps a busy worker waits between starvation scans
-/// (the work-pushing trigger).  Each scan reads two relaxed gauges per
-/// remote locality, so the stride keeps the per-node cost negligible.
-const PUSH_CHECK_STRIDE: u32 = 64;
+/// How long a waiting thief blocks on a victim's reply before re-answering
+/// its own request channel and re-checking for termination.  Purely a
+/// latency/CPU trade-off: correctness never depends on it, because a
+/// delivered request is always awaited until it resolves.
+const STEAL_REPLY_TIMEOUT: Duration = Duration::from_micros(200);
 
 /// A steal request carrying the channel on which the victim should reply.
 struct StealRequest<N> {
@@ -49,8 +46,6 @@ struct StealRequest<N> {
 /// victim-selection generator.
 pub(crate) struct StealLocal<N> {
     id: usize,
-    /// The locality this worker belongs to (`id / workers_per_locality`).
-    locality: usize,
     rx: Receiver<StealRequest<N>>,
     backlog: VecDeque<Task<N>>,
     rng: SmallRng,
@@ -64,24 +59,6 @@ pub(crate) struct StealLocal<N> {
     /// ([`UNKNOWN_VICTIM`] when no candidate was advertised), so the
     /// hit/miss events recorded in `acquire` carry the real victim id.
     last_victim: u32,
-    /// True while this worker is counted in its locality's idle gauge.
-    idle: bool,
-    /// Per-remote-locality consecutive-miss streaks (the back-off input).
-    miss_streak: Vec<u32>,
-    /// Per-remote-locality back-off budgets: while `skip[l] > 0`, routing
-    /// decisions skip locality `l` (decrementing), so a thief that keeps
-    /// missing a locality probes it exponentially less often.
-    skip: Vec<u32>,
-    /// Set when the most recent attempt was gauge-routed to a remote
-    /// locality: `(locality, observed load)` for the `StealRouted` event.
-    routed: Option<(u32, u64)>,
-    /// Set when routing found candidates but all were in back-off:
-    /// `(locality, misses)` of the best skipped one, for `StealBackoff`.
-    pending_backoff: Option<(u32, u32)>,
-    /// Reused buffer for mailbox drains.
-    mail_buf: Vec<Task<N>>,
-    /// Expansion-step counter gating the starvation scan in `poll`.
-    push_gate: u32,
     /// Flight-recorder handle for this worker (`None` when tracing is off).
     trace: Option<TraceHandle>,
 }
@@ -127,59 +104,12 @@ pub(crate) struct StealSource<N> {
     /// deterministic generator.
     seed: u64,
     chunked: bool,
-    /// How long a waiting thief blocks on a victim's reply before
-    /// re-answering its own request channel and re-checking termination
-    /// ([`SearchConfig::steal_reply_timeout`]; historically hard-coded to
-    /// 200 µs, hoisted so deadline tests on loaded CI machines can widen
-    /// it).
-    ///
-    /// [`SearchConfig::steal_reply_timeout`]: crate::params::SearchConfig::steal_reply_timeout
-    reply_timeout: Duration,
-    /// Number of localities the worker slots are grouped into (contiguous
-    /// blocks of `wpl` ids).  1 = the classic single-locality topology.
-    localities: usize,
-    /// Worker slots per locality.
-    wpl: usize,
-    /// Gauge-directed remote routing (off: blind global hint scan).
-    routing: bool,
-    /// Starvation-triggered work pushing into remote mailboxes.
-    pushing: bool,
-    /// Per-locality aggregate load gauges: `queued` counts workers of the
-    /// locality currently advertising a stealable stack (the remote
-    /// routing signal — per-worker *hints* stay locality-private), `idle`
-    /// counts workers probing for work (the starvation signal).
-    gauges: LocalityGauges,
-    /// One starvation mailbox per locality, drained by that locality's
-    /// workers in `acquire` before any steal attempt.
-    mailboxes: Vec<Mailbox<N>>,
     /// Flight recorder shared by every worker (off by default).
     tracer: Tracer,
 }
 
-/// The locality-layer knobs of `SearchConfig`, grouped so construction
-/// sites read as one unit.
-pub(crate) struct LocalityKnobs {
-    pub localities: usize,
-    pub routing: bool,
-    pub pushing: bool,
-}
-
 impl<N> StealSource<N> {
-    pub(crate) fn new(
-        workers: usize,
-        seed: u64,
-        chunked: bool,
-        reply_timeout: Duration,
-        knobs: LocalityKnobs,
-        tracer: Tracer,
-    ) -> Self {
-        let LocalityKnobs {
-            localities,
-            routing,
-            pushing,
-        } = knobs;
-        let localities = localities.clamp(1, workers.max(1));
-        let wpl = workers.max(1).div_ceil(localities);
+    pub(crate) fn new(workers: usize, seed: u64, chunked: bool, tracer: Tracer) -> Self {
         // Requests are bounded so thieves cannot pile up unbounded requests
         // on a busy victim.
         let mut senders = Vec::with_capacity(workers);
@@ -187,9 +117,7 @@ impl<N> StealSource<N> {
         for id in 0..workers {
             let (tx, rx) = bounded::<StealRequest<N>>(workers);
             senders.push(Mutex::new(tx));
-            locals.push(Some(Self::fresh_local(
-                id, rx, seed, workers, localities, wpl,
-            )));
+            locals.push(Some(Self::fresh_local(id, rx, seed, workers)));
         }
         StealSource {
             senders,
@@ -200,13 +128,6 @@ impl<N> StealSource<N> {
             parked: Mutex::new(VecDeque::new()),
             seed,
             chunked,
-            reply_timeout,
-            localities,
-            wpl,
-            routing,
-            pushing,
-            gauges: LocalityGauges::new(localities),
-            mailboxes: (0..localities).map(|_| Mailbox::new()).collect(),
             tracer,
         }
     }
@@ -216,73 +137,28 @@ impl<N> StealSource<N> {
         rx: Receiver<StealRequest<N>>,
         seed: u64,
         workers: usize,
-        localities: usize,
-        wpl: usize,
     ) -> StealLocal<N> {
         StealLocal {
             id,
-            locality: (id / wpl).min(localities - 1),
             rx,
             backlog: VecDeque::new(),
             rng: SmallRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E3779B97F4A7C15)),
             advertised: NO_WORK_HINT,
             scratch: Vec::with_capacity(workers),
             last_victim: UNKNOWN_VICTIM,
-            idle: false,
-            miss_streak: vec![0; localities],
-            skip: vec![0; localities],
-            routed: None,
-            pending_backoff: None,
-            mail_buf: Vec::new(),
-            push_gate: 0,
             trace: None,
         }
     }
 
-    /// The contiguous worker-slot span `[start, end)` of a locality.
-    fn locality_span(&self, locality: usize) -> (usize, usize) {
-        let start = locality * self.wpl;
-        let end = (start + self.wpl).min(self.senders.len());
-        (start, end)
-    }
-
     /// Publish or retract (`NO_WORK_HINT`) this worker's steal-depth hint
     /// (idempotent; the `advertised` cache keeps stores off the steady path —
-    /// the hint only changes between tasks).  Hint transitions feed the
-    /// locality's queued gauge: a worker advertising a stealable stack
-    /// counts as one unit of remotely visible work, incremented *before*
-    /// the hint becomes visible and decremented *after* it is retracted
-    /// (the over-approximation protocol of [`LocalityGauges`]).
+    /// the hint only changes between tasks).
     fn advertise(&self, local: &mut StealLocal<N>, depth: usize) {
         if local.advertised != depth {
-            if local.advertised == NO_WORK_HINT {
-                self.gauges.tasks_queued(local.locality, 1);
-            }
             // ordering: advisory steal hint — a stale value only sends a
             // thief to a worse victim; actual work moves over channels.
             self.hints[local.id].0.store(depth, Ordering::Relaxed);
-            if depth == NO_WORK_HINT {
-                self.gauges.tasks_taken(local.locality, 1);
-            }
             local.advertised = depth;
-        }
-    }
-
-    /// Count the worker into its locality's idle gauge (idempotent per
-    /// idle episode).
-    fn mark_idle(&self, local: &mut StealLocal<N>) {
-        if !local.idle {
-            self.gauges.worker_idle(local.locality);
-            local.idle = true;
-        }
-    }
-
-    /// Take the worker back out of the idle gauge, paired with
-    /// [`mark_idle`](Self::mark_idle).
-    fn mark_busy(&self, local: &mut StealLocal<N>) {
-        if local.idle {
-            self.gauges.worker_busy(local.locality);
-            local.idle = false;
         }
     }
 
@@ -294,18 +170,16 @@ impl<N> StealSource<N> {
         }
     }
 
-    /// Scan the hints of worker slots `[start, end)` for the *shallowest*
-    /// advertised victim (ties broken at random), excluding the thief
-    /// itself.  `None` when nobody in the span advertises work.
-    fn pick_shallowest(
-        &self,
-        local: &mut StealLocal<N>,
-        start: usize,
-        end: usize,
-    ) -> Option<usize> {
+    /// Pick the *shallowest* advertised victim (ties broken at random) and
+    /// ask it for work.  With no advertised victim the steal fails
+    /// immediately — no request, no timeout — which is what keeps idle
+    /// workers cheap while the search ramps up or drains.
+    fn attempt_steal(&self, local: &mut StealLocal<N>) -> Option<Vec<Task<N>>> {
+        let n = self.senders.len();
+        local.last_victim = UNKNOWN_VICTIM;
         local.scratch.clear();
         let mut best = NO_WORK_HINT;
-        for v in start..end {
+        for v in 0..n {
             if v == local.id {
                 continue;
             }
@@ -325,79 +199,7 @@ impl<N> StealSource<N> {
         if local.scratch.is_empty() {
             return None;
         }
-        Some(local.scratch[local.rng.gen_range(0..local.scratch.len())])
-    }
-
-    /// Pick a victim and ask it for work.  With one locality (or routing
-    /// off) this is the classic global hint scan: shallowest advertised
-    /// victim, ties random, failing immediately when nobody advertises —
-    /// which is what keeps idle workers cheap while the search ramps up or
-    /// drains.  With routing on, the scan is two-level: hints are consulted
-    /// only *within* the thief's own locality; a remote attempt instead
-    /// reads the per-locality load gauges, targets the least-loaded
-    /// non-empty remote locality (skipping any in back-off) and asks a
-    /// blind-random victim inside it — aggregates route, hints never leave
-    /// their locality, and the blind victim pick preserves the
-    /// anti-strip-mining invariant.
-    fn attempt_steal(&self, local: &mut StealLocal<N>) -> Option<Vec<Task<N>>> {
-        local.last_victim = UNKNOWN_VICTIM;
-        local.routed = None;
-        local.pending_backoff = None;
-        if !self.routing || self.localities <= 1 {
-            let victim = self.pick_shallowest(local, 0, self.senders.len())?;
-            return self.request_from(local, victim);
-        }
-        // Level 1: own locality, hint-ranked (cheap, cache-local).
-        let (start, end) = self.locality_span(local.locality);
-        if let Some(victim) = self.pick_shallowest(local, start, end) {
-            return self.request_from(local, victim);
-        }
-        // Level 2: gauge-routed remote locality, honouring back-off.
-        let mut best: Option<(u64, usize)> = None;
-        let mut skipped: Option<(u32, u32)> = None;
-        for l in 0..self.localities {
-            if l == local.locality {
-                continue;
-            }
-            let load = self.gauges.queued(l);
-            if load == 0 {
-                continue;
-            }
-            if local.skip[l] > 0 {
-                local.skip[l] -= 1;
-                if skipped.is_none() {
-                    skipped = Some((l as u32, local.miss_streak[l]));
-                }
-                continue;
-            }
-            if best.map_or(true, |(bl, bi)| (load, l) < (bl, bi)) {
-                best = Some((load, l));
-            }
-        }
-        let Some((load, target)) = best else {
-            // Every non-empty remote locality is in back-off: this probe
-            // becomes a nap, attributed in `acquire`.
-            local.pending_backoff = skipped;
-            return None;
-        };
-        let (rstart, rend) = self.locality_span(target);
-        let victim = rstart + local.rng.gen_range(0..rend - rstart);
-        local.routed = Some((target as u32, load));
-        let stolen = self.request_from(local, victim);
-        if stolen.is_some() {
-            local.miss_streak[target] = 0;
-        } else {
-            let streak = &mut local.miss_streak[target];
-            *streak = streak.saturating_add(1);
-            // Capped exponential back-off: skip this locality for the next
-            // 2^min(streak, CAP) routing decisions.
-            local.skip[target] = 1u32 << (*streak).min(BACKOFF_CAP);
-        }
-        stolen
-    }
-
-    /// Deliver a steal request to `victim` and await its resolution.
-    fn request_from(&self, local: &mut StealLocal<N>, victim: usize) -> Option<Vec<Task<N>>> {
+        let victim = local.scratch[local.rng.gen_range(0..local.scratch.len())];
         local.last_victim = victim as u32;
         if let Some(trace) = &local.trace {
             trace.emit(TraceEvent::StealRequest {
@@ -435,7 +237,7 @@ impl<N> StealSource<N> {
         // a disconnect, and `Termination::outstanding()` reaches zero even
         // for cancelled or timed-out Stack-Stealing runs.
         loop {
-            match reply_rx.recv_timeout(self.reply_timeout) {
+            match reply_rx.recv_timeout(STEAL_REPLY_TIMEOUT) {
                 Ok(tasks) if tasks.is_empty() => return None,
                 Ok(tasks) => return Some(tasks),
                 Err(RecvTimeoutError::Disconnected) => return None,
@@ -467,7 +269,7 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
                 let workers = self.senders.len();
                 let (tx, rx) = bounded::<StealRequest<P::Node>>(workers);
                 *self.senders[worker].lock() = tx;
-                Self::fresh_local(worker, rx, self.seed, workers, self.localities, self.wpl)
+                Self::fresh_local(worker, rx, self.seed, workers)
             }
         };
         local.trace = self.tracer.handle(worker as u32);
@@ -485,13 +287,7 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
     }
 
     fn pop(&self, local: &mut Self::Local) -> Option<Task<P::Node>> {
-        match local.backlog.pop_front() {
-            Some(task) => {
-                self.mark_busy(local);
-                Some(task)
-            }
-            None => None,
-        }
+        local.backlog.pop_front()
     }
 
     fn acquire(
@@ -500,13 +296,10 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
         _term: &Termination,
         metrics: &mut WorkerMetrics,
     ) -> Option<Task<P::Node>> {
-        // Idle: retract the work hint, count into the locality's idle gauge
-        // (the starvation signal pushers react to), answer any pending
-        // requests with "no work", then adopt any backlog parked by a
-        // retired worker and drain the locality mailbox before bothering a
-        // victim (single worker: no one to steal from).
+        // Idle: retract the work hint, answer any pending requests with "no
+        // work", then adopt any backlog parked by a retired worker before
+        // bothering a victim (single worker: no one to steal from).
         self.advertise(local, NO_WORK_HINT);
-        self.mark_idle(local);
         Self::drain_requests_empty(&local.rx);
         {
             let mut parked = self.parked.lock();
@@ -514,18 +307,7 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
                 local.backlog.extend(parked.drain(..));
             }
         }
-        if self.mailboxes[local.locality].drain(&mut local.mail_buf) > 0 {
-            // Pushed work arrived addressed to this locality: adopting it
-            // also resets the remote back-off — the cluster's load picture
-            // just changed.
-            local.backlog.extend(local.mail_buf.drain(..));
-            for l in 0..self.localities {
-                local.skip[l] = 0;
-                local.miss_streak[l] = 0;
-            }
-        }
         if let Some(task) = local.backlog.pop_front() {
-            self.mark_busy(local);
             return Some(task);
         }
         if self.senders.len() <= 1 {
@@ -538,17 +320,9 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
                     trace.emit(TraceEvent::StealHit {
                         victim: local.last_victim,
                         tasks: tasks.len() as u32,
-                        remote: local.routed.is_some(),
+                        remote: false,
                     });
                 }
-                if let Some((locality, load)) = local.routed.take() {
-                    // A gauge-directed cross-locality steal that landed.
-                    metrics.routed_steals += 1;
-                    if let Some(trace) = &local.trace {
-                        trace.emit(TraceEvent::StealRouted { locality, load });
-                    }
-                }
-                self.mark_busy(local);
                 local.backlog.extend(tasks);
                 local.backlog.pop_front()
             }
@@ -559,25 +333,12 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
                         victim: local.last_victim,
                     });
                 }
-                if let Some((locality, misses)) = local.pending_backoff.take() {
-                    // Routing saw work but every candidate was in back-off:
-                    // this idle round is a deliberate nap, not a miss.
-                    metrics.backoff_naps += 1;
-                    if let Some(trace) = &local.trace {
-                        trace.emit(TraceEvent::StealBackoff { locality, misses });
-                    }
-                }
                 None
             }
         }
     }
 
-    fn release(
-        &self,
-        local: &mut Self::Local,
-        tasks: &mut Vec<Task<P::Node>>,
-        _metrics: &mut WorkerMetrics,
-    ) {
+    fn release(&self, local: &mut Self::Local, tasks: &mut Vec<Task<P::Node>>) {
         local.backlog.extend(tasks.drain(..));
     }
 
@@ -593,47 +354,6 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
         // once per task, since the base frame is fixed for the task's
         // lifetime).
         self.advertise(local, stack.base_depth().unwrap_or(NO_WORK_HINT));
-        // Work pushing: every PUSH_CHECK_STRIDE expansion steps, a busy
-        // worker scans the gauges for a starved remote locality (idle
-        // workers, zero queued signal, empty mailbox) and proactively
-        // pushes a bounded chunk of its own lowest-depth subtrees into that
-        // locality's mailbox — the victim-initiated dual of a steal, which
-        // closes the ramp-up gap where a blind remote probe would only find
-        // the work with probability 1/workers.
-        if self.pushing && self.localities > 1 {
-            local.push_gate = local.push_gate.wrapping_add(1);
-            if local.push_gate % PUSH_CHECK_STRIDE == 0 {
-                let start = local.rng.gen_range(0..self.localities);
-                for i in 0..self.localities {
-                    let target = (start + i) % self.localities;
-                    if target == local.locality
-                        || !self.gauges.starved(target, 1)
-                        || self.mailboxes[target].is_occupied()
-                    {
-                        continue;
-                    }
-                    let mut burst = stack.split_lowest(true);
-                    if burst.is_empty() {
-                        break;
-                    }
-                    // Bound the pushed batch; overflow stays local (it is
-                    // registered either way).
-                    let overflow = burst.split_off(burst.len().min(PUSH_BATCH));
-                    term.task_spawned((burst.len() + overflow.len()) as u64);
-                    metrics.spawns += (burst.len() + overflow.len()) as u64;
-                    metrics.pushed_tasks += burst.len() as u64;
-                    if let Some(trace) = &local.trace {
-                        trace.emit(TraceEvent::WorkPushed {
-                            locality: target as u32,
-                            tasks: burst.len() as u32,
-                        });
-                    }
-                    self.mailboxes[target].push(&mut burst);
-                    local.backlog.extend(overflow);
-                    break;
-                }
-            }
-        }
         // Serve at most one steal request per expansion step (mirrors the
         // per-iteration check in Listing 3).
         let request = match local.rx.try_recv() {
@@ -664,24 +384,19 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
     /// from the outstanding counter as the worker exits.
     fn drain_local(&self, local: &mut Self::Local) -> usize {
         self.advertise(local, NO_WORK_HINT);
-        // Leave the idle gauge balanced on exit so no phantom idle worker
-        // keeps attracting pushed work.
-        self.mark_busy(local);
         let n = local.backlog.len();
         local.backlog.clear();
         n
     }
 
-    /// Tasks parked by retired workers and never adopted — plus mailbox
-    /// batches no worker drained — are dropped when the search stops (the
-    /// engine calls this after the join and on short-circuits), keeping the
-    /// outstanding counter exact on cancel/deadline exits too.
+    /// Tasks parked by retired workers and never adopted are drained when
+    /// the search stops (the engine calls this after the join and on
+    /// short-circuits), keeping the outstanding counter exact.
     fn discard(&self) -> usize {
-        let mailed: usize = self.mailboxes.iter().map(|m| m.clear()).sum();
         let mut parked = self.parked.lock();
         let n = parked.len();
         parked.clear();
-        n + mailed
+        n
     }
 
     /// Cooperative revocation: retract the hint (thieves stop targeting this
@@ -689,7 +404,6 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
     /// — the tasks stay registered with the termination counter throughout.
     fn retire(&self, local: &mut Self::Local) {
         self.advertise(local, NO_WORK_HINT);
-        self.mark_busy(local);
         Self::drain_requests_empty(&local.rx);
         if !local.backlog.is_empty() {
             self.parked.lock().extend(local.backlog.drain(..));
@@ -722,12 +436,6 @@ where
             capacity,
             config.steal_seed,
             chunked,
-            config.steal_reply_timeout,
-            LocalityKnobs {
-                localities: config.localities,
-                routing: config.steal_routing,
-                pushing: config.work_pushing,
-            },
             lifecycle.tracer.clone(),
         ),
         NoSpawn,

@@ -127,35 +127,6 @@ pub enum TraceEvent {
         /// The probed victim's worker id, or [`UNKNOWN_VICTIM`].
         victim: u32,
     },
-    /// A thief's remote steal was *routed*: the per-locality load gauges
-    /// chose the least-loaded-but-nonempty remote locality (the victim
-    /// within it stays blind-random, preserving the PR 6 anti-strip-mining
-    /// invariant) — fires exactly where the worker's `routed_steals`
-    /// counter increments.
-    StealRouted {
-        /// The routed-to locality id.
-        locality: u32,
-        /// The locality's queued-task gauge reading at decision time.
-        load: u64,
-    },
-    /// A worker observed a starved remote locality and pushed a bounded
-    /// batch of tasks into its mailbox instead of waiting to be found —
-    /// fires exactly where the worker's `pushed_tasks` counter increments.
-    WorkPushed {
-        /// The destination locality id.
-        locality: u32,
-        /// Number of tasks pushed into the mailbox.
-        tasks: u32,
-    },
-    /// A thief backed off from a remote locality after consecutive steal
-    /// misses (capped exponential per (thief, locality)) — fires exactly
-    /// where the worker's `backoff_naps` counter increments.
-    StealBackoff {
-        /// The locality being backed off from.
-        locality: u32,
-        /// The consecutive-miss count that triggered this nap.
-        misses: u32,
-    },
     /// An optimisation/decision driver strengthened the global incumbent.
     IncumbentUpdate {
         /// The incumbent's version counter after the update.
@@ -257,9 +228,6 @@ impl TraceEvent {
             TraceEvent::StealRequest { .. } => "steal_request",
             TraceEvent::StealHit { .. } => "steal_hit",
             TraceEvent::StealMiss { .. } => "steal_miss",
-            TraceEvent::StealRouted { .. } => "steal_routed",
-            TraceEvent::WorkPushed { .. } => "work_pushed",
-            TraceEvent::StealBackoff { .. } => "steal_backoff",
             TraceEvent::IncumbentUpdate { .. } => "incumbent_update",
             TraceEvent::SpeculationCommit { .. } => "speculation_commit",
             TraceEvent::SpeculationDiscard { .. } => "speculation_discard",

@@ -46,7 +46,7 @@ pub struct AnalyzeConfig {
     /// Workers per locality, for the
     /// [`LocalityImbalance`](FindingKind::LocalityImbalance) rule: worker
     /// `w` belongs to locality `w / workers_per_locality` (the simulator's
-    /// and threaded engine's contiguous-block mapping).  The trace itself
+    /// contiguous-block mapping).  The trace itself
     /// carries no locality topology, so the rule is **disabled** at the
     /// default of 0.
     pub workers_per_locality: usize,
@@ -96,9 +96,8 @@ pub enum FindingKind {
     /// join/leave churn instead of doing search work.
     GrantThrash,
     /// One locality's workers sat idle far above the fleet mean while
-    /// another locality stayed saturated with work: remote work
-    /// distribution (steal routing / work pushing) failed to level the
-    /// load across localities.  Requires
+    /// another locality stayed saturated with work: remote stealing
+    /// failed to level the load across localities.  Requires
     /// [`AnalyzeConfig::workers_per_locality`] to map workers onto
     /// localities.
     LocalityImbalance,

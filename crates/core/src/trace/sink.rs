@@ -77,15 +77,6 @@ fn push_event_fields(line: &mut String, event: &TraceEvent) {
         TraceEvent::StealMiss { victim } => {
             let _ = write!(line, ",\"victim\":{victim}");
         }
-        TraceEvent::StealRouted { locality, load } => {
-            let _ = write!(line, ",\"locality\":{locality},\"load\":{load}");
-        }
-        TraceEvent::WorkPushed { locality, tasks } => {
-            let _ = write!(line, ",\"locality\":{locality},\"tasks\":{tasks}");
-        }
-        TraceEvent::StealBackoff { locality, misses } => {
-            let _ = write!(line, ",\"locality\":{locality},\"misses\":{misses}");
-        }
         TraceEvent::IncumbentUpdate { version } => {
             let _ = write!(line, ",\"version\":{version}");
         }
@@ -372,18 +363,6 @@ fn parse_line(line: &str) -> Result<TraceRecord, String> {
         "steal_miss" => TraceEvent::StealMiss {
             victim: num(&fields, "victim")?,
         },
-        "steal_routed" => TraceEvent::StealRouted {
-            locality: num(&fields, "locality")?,
-            load: num(&fields, "load")?,
-        },
-        "work_pushed" => TraceEvent::WorkPushed {
-            locality: num(&fields, "locality")?,
-            tasks: num(&fields, "tasks")?,
-        },
-        "steal_backoff" => TraceEvent::StealBackoff {
-            locality: num(&fields, "locality")?,
-            misses: num(&fields, "misses")?,
-        },
         "incumbent_update" => TraceEvent::IncumbentUpdate {
             version: num(&fields, "version")?,
         },
@@ -475,18 +454,6 @@ mod tests {
             },
             TraceEvent::StealMiss {
                 victim: CONTROL_WORKER,
-            },
-            TraceEvent::StealRouted {
-                locality: 5,
-                load: 17,
-            },
-            TraceEvent::WorkPushed {
-                locality: 2,
-                tasks: 3,
-            },
-            TraceEvent::StealBackoff {
-                locality: 5,
-                misses: 4,
             },
             TraceEvent::IncumbentUpdate { version: 9 },
             TraceEvent::SpeculationCommit { nodes: 100 },

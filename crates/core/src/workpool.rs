@@ -45,29 +45,6 @@
 //! shards cost one relaxed load instead of a lock acquisition — with 64
 //! shards and one victim, a steal is two lock acquisitions (the victim's pop
 //! plus at most one fall-through probe), not 64.
-//!
-//! # The locality layer
-//!
-//! When shards are grouped into *localities*
-//! ([`ShardedPool::with_localities`]), the pool additionally maintains
-//! [`LocalityGauges`]: cache-padded per-locality aggregates (queued-task
-//! estimate + idle-worker count) updated with relaxed operations at the
-//! existing push/pop/steal sites.  Per-worker depth *hints* must never be
-//! shared across localities — PR 6 showed hint-directed remote stealing
-//! strip-mines the first busy frontier — but per-locality *aggregates*
-//! carry no placement information, so thieves may legitimately route on
-//! them: pick the least-loaded-but-nonempty remote locality, then a
-//! blind-random victim within it.  The gauges follow an
-//! increment-before-insert / decrement-after-remove protocol, making every
-//! reading an over-approximation of true occupancy (exact at quiescence):
-//! a zero gauge *proves* the locality is drained, so the steal scan skips
-//! all of its shards without reading a hint or taking a lock.
-//!
-//! [`Mailbox`] is the push half of the locality layer: a bounded task
-//! hand-off (single mutex + occupancy flag) that a worker observing a
-//! starved remote locality fills with a burst of its own tasks, and that
-//! the locality's workers drain *before* scanning for steals.  The
-//! occupancy flag makes an empty mailbox cost one atomic load per scan.
 
 pub mod arena;
 pub mod ordered;
@@ -75,7 +52,7 @@ pub mod ordered;
 pub use arena::KeyArena;
 pub use ordered::{OrderedPool, SeqKey};
 
-use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -88,12 +65,6 @@ pub const POP_BATCH: usize = 4;
 /// [`ShardedPool::steal_batch`]).  Smaller than [`POP_BATCH`]: stolen tasks
 /// vanish from every other thief's view, so steals stay conservative.
 pub const STEAL_BATCH: usize = 2;
-
-/// How many tasks a release burst may divert into a starved locality's
-/// [`Mailbox`] at once.  Small for the same reason as [`STEAL_BATCH`]:
-/// pushed tasks leave the pusher's heuristic order, so the batch is a
-/// starvation patch, not a load-balancing channel.
-pub const PUSH_BATCH: usize = 4;
 
 /// A task tagged with the tree depth of its root node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -331,230 +302,6 @@ impl<N> DepthPool<N> {
     }
 }
 
-/// One locality's aggregate load gauge, padded to its own cache line so
-/// relaxed updates from one locality's workers never false-share with
-/// another locality's gauge.
-#[repr(align(64))]
-#[derive(Debug)]
-struct LocalityGauge {
-    /// Queued-task estimate: incremented *before* a task becomes visible,
-    /// decremented *after* it is removed, so the reading over-approximates
-    /// true occupancy and is exact at quiescence.  Zero proves drained.
-    queued: AtomicU64,
-    /// Idle-worker count: workers report their own idle/busy transitions.
-    idle: AtomicU64,
-}
-
-/// Cache-padded per-locality load aggregates: a queued-task estimate and an
-/// idle-worker count per locality, shared across localities for steal
-/// *routing* and work-*pushing* decisions.
-///
-/// Unlike per-worker depth hints (which PR 6 proved must stay
-/// locality-private — directing remote thieves at the best hint
-/// strip-mines one victim), aggregates carry no placement information:
-/// a thief routed to the least-loaded-but-nonempty locality still picks a
-/// blind-random victim within it.
-///
-/// # Update protocol
-///
-/// `tasks_queued` must be called **before** the tasks are inserted and
-/// `tasks_taken` **after** they are removed.  Removal happens-after
-/// insertion (the pool mutex), and each call is ordered after its
-/// counterpart in its own thread, so the counter's modification order
-/// never dips below zero and every reading is an over-approximation of
-/// true occupancy — exact once producers and consumers quiesce.  The
-/// idle counter relies on each worker alternating `worker_idle` /
-/// `worker_busy`, which gives the same never-negative guarantee.
-#[derive(Debug)]
-pub struct LocalityGauges {
-    gauges: Vec<LocalityGauge>,
-}
-
-impl LocalityGauges {
-    /// Gauges for `localities` localities (at least one).
-    pub fn new(localities: usize) -> Self {
-        LocalityGauges {
-            gauges: (0..localities.max(1))
-                .map(|_| LocalityGauge {
-                    queued: AtomicU64::new(0),
-                    idle: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of localities.
-    pub fn localities(&self) -> usize {
-        self.gauges.len()
-    }
-
-    /// Record `n` tasks about to be queued on `locality`.  Call **before**
-    /// making the tasks visible.
-    pub fn tasks_queued(&self, locality: usize, n: u64) {
-        if n > 0 {
-            // ordering: heuristic aggregate — the inc-before-insert
-            // protocol alone keeps the counter non-negative; readers
-            // tolerate staleness (a stale-high gauge costs one wasted
-            // probe, never correctness).
-            self.gauges[locality].queued.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Record `n` tasks removed from `locality`.  Call **after** the tasks
-    /// have actually been taken.
-    pub fn tasks_taken(&self, locality: usize, n: u64) {
-        if n > 0 {
-            // ordering: paired with tasks_queued, which happens-before via
-            // the pool lock; see the protocol doc above.
-            self.gauges[locality].queued.fetch_sub(n, Ordering::Relaxed);
-        }
-    }
-
-    /// A worker of `locality` became idle (no local work, probing).
-    pub fn worker_idle(&self, locality: usize) {
-        // ordering: heuristic aggregate, per-worker alternation keeps it
-        // non-negative; staleness only delays a push decision.
-        self.gauges[locality].idle.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker of `locality` obtained work again.
-    pub fn worker_busy(&self, locality: usize) {
-        // ordering: paired with worker_idle in the same worker's program
-        // order, so the counter never goes negative.
-        self.gauges[locality].idle.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The locality's queued-task estimate (over-approximation; exact at
-    /// quiescence, zero proves drained).
-    pub fn queued(&self, locality: usize) -> u64 {
-        // ordering: heuristic read; callers tolerate a stale value.
-        self.gauges[locality].queued.load(Ordering::Relaxed)
-    }
-
-    /// The locality's idle-worker count.
-    pub fn idle(&self, locality: usize) -> u64 {
-        // ordering: heuristic read; callers tolerate a stale value.
-        self.gauges[locality].idle.load(Ordering::Relaxed)
-    }
-
-    /// The least-loaded remote locality that still has queued work:
-    /// `(locality, queued)` minimising `queued` over localities other than
-    /// `exclude` with a non-zero gauge.  Ties resolve to the lowest id —
-    /// callers wanting tie diversity can rotate `exclude`-relative, but the
-    /// victim *within* the locality must stay blind-random regardless.
-    pub fn least_loaded_nonempty(&self, exclude: usize) -> Option<(usize, u64)> {
-        self.gauges
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != exclude)
-            .filter_map(|(i, g)| {
-                // ordering: heuristic read, as `queued`.
-                let queued = g.queued.load(Ordering::Relaxed);
-                (queued > 0).then_some((i, queued))
-            })
-            .min_by_key(|&(i, queued)| (queued, i))
-    }
-
-    /// Is `locality` starved: at least `idle_threshold` idle workers and no
-    /// queued work?  The work-pushing trigger.
-    pub fn starved(&self, locality: usize, idle_threshold: u64) -> bool {
-        self.idle(locality) >= idle_threshold && self.queued(locality) == 0
-    }
-}
-
-/// A per-locality work mailbox: the *push* half of the locality layer.
-///
-/// A worker that observes a starved remote locality on the
-/// [`LocalityGauges`] pushes a bounded batch of its own tasks here instead
-/// of waiting for a blind remote probe to find it; the locality's workers
-/// drain the mailbox *before* scanning for steals.  One mutex plus an
-/// occupancy flag: the flag is set under the lock after inserting and
-/// cleared under the lock at drain, so an empty mailbox costs exactly one
-/// `Acquire` load per scan and no task is ever stranded behind a stale
-/// flag (model-checked: `models/mailbox.rs`, whose flag-reorder mutations
-/// produce lost-task counterexamples).
-#[derive(Debug)]
-pub struct Mailbox<N> {
-    inner: Mutex<Vec<Task<N>>>,
-    /// True whenever `inner` is non-empty; written only under the lock.
-    occupied: AtomicBool,
-}
-
-impl<N> Default for Mailbox<N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<N> Mailbox<N> {
-    /// An empty mailbox.
-    pub fn new() -> Self {
-        Mailbox {
-            inner: Mutex::new(Vec::new()),
-            occupied: AtomicBool::new(false),
-        }
-    }
-
-    /// Does the mailbox hold tasks?  The lock-free pre-scan: `false` means
-    /// drain would find nothing (the flag is maintained under the lock).
-    pub fn is_occupied(&self) -> bool {
-        // ordering: pairs with the Release store under the lock so a true
-        // reading is followed by a drain that observes the tasks.
-        self.occupied.load(Ordering::Acquire)
-    }
-
-    /// Deposit `tasks` (draining the caller's buffer, which keeps its
-    /// capacity) and raise the occupancy flag under the same lock.
-    pub fn push(&self, tasks: &mut Vec<Task<N>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.append(tasks);
-        // ordering: Release under the lock, after the insert — a thief's
-        // Acquire fast-path read that sees `true` will find the tasks.
-        self.occupied.store(true, Ordering::Release);
-    }
-
-    /// Move every deposited task into `out`, returning how many.  Clears
-    /// the occupancy flag under the lock *before* unlocking, so a racing
-    /// push re-raises it and no task is stranded invisible.
-    pub fn drain(&self, out: &mut Vec<Task<N>>) -> usize {
-        if !self.is_occupied() {
-            return 0;
-        }
-        let mut inner = self.inner.lock();
-        // ordering: cleared under the lock; a concurrent push serialises
-        // behind us and re-raises the flag for its own tasks.
-        self.occupied.store(false, Ordering::Release);
-        let taken = inner.len();
-        out.append(&mut inner);
-        taken
-    }
-
-    /// Number of deposited tasks (snapshot).
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// True when no tasks are deposited.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discard every deposited task, returning exactly how many were
-    /// dropped.  Used on cancel/deadline/short-circuit exits so the
-    /// termination counter's outstanding count reaches zero.
-    pub fn clear(&self) -> usize {
-        let mut inner = self.inner.lock();
-        // ordering: as in drain — cleared under the lock.
-        self.occupied.store(false, Ordering::Release);
-        let dropped = inner.len();
-        inner.clear();
-        dropped
-    }
-}
-
 /// A per-worker sharding of [`DepthPool`] with a shallowest-first steal path.
 ///
 /// Owners interact only with their own shard ([`push`](Self::push),
@@ -570,33 +317,13 @@ impl<N> Mailbox<N> {
 #[derive(Debug)]
 pub struct ShardedPool<N> {
     shards: Vec<DepthPool<N>>,
-    /// Shards per locality (== `shards.len()` for a single locality).
-    shards_per_locality: usize,
-    /// Per-locality queued-task aggregates, maintained at every push/pop/
-    /// steal site below.
-    gauges: LocalityGauges,
 }
 
 impl<N> ShardedPool<N> {
-    /// A pool with one shard per worker (at least one), all in a single
-    /// locality.
+    /// A pool with one shard per worker (at least one).
     pub fn new(shards: usize) -> Self {
-        Self::with_localities(shards, 1)
-    }
-
-    /// A pool whose shards are grouped into `localities` contiguous
-    /// localities: shard `s` belongs to locality `s / ceil(shards /
-    /// localities)`.  The pool maintains [`LocalityGauges`] at every
-    /// mutation site, and the steal scan skips localities whose gauge
-    /// reads zero without touching their shards.
-    pub fn with_localities(shards: usize, localities: usize) -> Self {
-        let shards = shards.max(1);
-        let localities = localities.clamp(1, shards);
-        let shards_per_locality = shards.div_ceil(localities);
         ShardedPool {
-            shards: (0..shards).map(|_| DepthPool::new()).collect(),
-            shards_per_locality,
-            gauges: LocalityGauges::new(localities),
+            shards: (0..shards.max(1)).map(|_| DepthPool::new()).collect(),
         }
     }
 
@@ -605,87 +332,44 @@ impl<N> ShardedPool<N> {
         self.shards.len()
     }
 
-    /// Number of localities the shards are grouped into.
-    pub fn localities(&self) -> usize {
-        self.gauges.localities()
-    }
-
-    /// The locality `shard` belongs to.
-    pub fn locality_of(&self, shard: usize) -> usize {
-        (shard / self.shards_per_locality).min(self.gauges.localities() - 1)
-    }
-
-    /// The pool's per-locality load gauges (for routing and work-pushing
-    /// decisions outside the pool).
-    pub fn gauges(&self) -> &LocalityGauges {
-        &self.gauges
-    }
-
     /// Queue a task on `shard` (the calling worker's own shard).
     pub fn push(&self, shard: usize, task: Task<N>) {
-        // Gauge before insert: see the LocalityGauges protocol doc.
-        self.gauges.tasks_queued(self.locality_of(shard), 1);
         self.shards[shard].push(task);
     }
 
     /// Queue several tasks on `shard`, preserving their heuristic order,
     /// under one lock acquisition.
     pub fn push_all(&self, shard: usize, tasks: impl IntoIterator<Item = Task<N>>) {
-        let tasks: Vec<Task<N>> = tasks.into_iter().collect();
-        self.gauges
-            .tasks_queued(self.locality_of(shard), tasks.len() as u64);
         self.shards[shard].push_all(tasks);
     }
 
     /// Drain `tasks` onto `shard` under one lock acquisition, preserving
     /// heuristic order and the caller's buffer capacity.
     pub fn push_batch(&self, shard: usize, tasks: &mut Vec<Task<N>>) {
-        self.gauges
-            .tasks_queued(self.locality_of(shard), tasks.len() as u64);
         self.shards[shard].push_batch(tasks);
     }
 
     /// Pop the highest-priority task of the worker's own shard.
     pub fn pop_local(&self, shard: usize) -> Option<Task<N>> {
-        let task = self.shards[shard].pop();
-        if task.is_some() {
-            self.gauges.tasks_taken(self.locality_of(shard), 1);
-        }
-        task
+        self.shards[shard].pop()
     }
 
     /// Move up to `max` tasks from the worker's own shard into `out` under
     /// one lock acquisition, returning how many were taken.
     pub fn pop_batch_local(&self, shard: usize, max: usize, out: &mut VecDeque<Task<N>>) -> usize {
-        let taken = self.shards[shard].pop_batch(max, out);
-        self.gauges
-            .tasks_taken(self.locality_of(shard), taken as u64);
-        taken
+        self.shards[shard].pop_batch(max, out)
     }
 
     /// Victim shards for `thief`, best (shallowest hint) first, built from
-    /// the atomic hints alone — no shard locks.  Whole localities whose
-    /// queued-task gauge reads zero are skipped before any hint is read:
-    /// the gauges over-approximate occupancy, so a zero reading proves the
-    /// locality is drained (a fully-drained remote locality costs one
-    /// relaxed gauge load per scan, not a hint read per shard).
+    /// the atomic hints alone — no shard locks.
     fn candidates(&self, thief: usize) -> Vec<(usize, usize)> {
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for locality in 0..self.gauges.localities() {
-            if self.gauges.queued(locality) == 0 {
-                continue;
-            }
-            let start = locality * self.shards_per_locality;
-            let end = (start + self.shards_per_locality).min(self.shards.len());
-            for i in start..end {
-                if i == thief {
-                    continue;
-                }
-                if let Some(depth) = self.shards[i].min_depth_hint() {
-                    candidates.push((depth, i));
-                }
-            }
-        }
+        let mut candidates: Vec<(usize, usize)> = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != thief)
+            .filter_map(|(i, shard)| shard.min_depth_hint().map(|depth| (depth, i)))
+            .collect();
         candidates.sort_unstable();
         candidates
     }
@@ -699,13 +383,9 @@ impl<N> ShardedPool<N> {
     /// should retry after checking termination, since concurrent pushes may
     /// repopulate the shards.
     pub fn steal(&self, thief: usize) -> Option<Task<N>> {
-        for (_, victim) in self.candidates(thief) {
-            if let Some(task) = self.shards[victim].pop() {
-                self.gauges.tasks_taken(self.locality_of(victim), 1);
-                return Some(task);
-            }
-        }
-        None
+        self.candidates(thief)
+            .into_iter()
+            .find_map(|(_, victim)| self.shards[victim].pop())
     }
 
     /// Steal up to `max` tasks for `thief` from a single victim shard — the
@@ -717,90 +397,16 @@ impl<N> ShardedPool<N> {
         for (_, victim) in self.candidates(thief) {
             let taken = self.shards[victim].pop_batch(max, out);
             if taken > 0 {
-                self.gauges
-                    .tasks_taken(self.locality_of(victim), taken as u64);
                 return taken;
             }
         }
         0
     }
 
-    /// Locality-routed batch steal for `thief`: try the thief's own
-    /// locality first (hint-ranked, shallowest shard first — the cheap,
-    /// cache-local transfer), then route to the least-loaded *remote*
-    /// locality whose queued-task gauge is non-zero and take from a blind
-    /// pseudo-random shard inside it (`rot` supplies the caller's
-    /// randomness).  Routing is deliberately two-level: the aggregate gauge
-    /// picks the locality (aggregates are legitimately shareable), but the
-    /// victim *within* it stays blind so thieves can never strip-mine the
-    /// locality's shallowest shard.  Returns `(taken, victim_shard)`, or
-    /// `None` when every candidate was empty by the time it was tried.
-    pub fn steal_routed(
-        &self,
-        thief: usize,
-        max: usize,
-        out: &mut VecDeque<Task<N>>,
-        rot: usize,
-    ) -> Option<(usize, usize)> {
-        let home = self.locality_of(thief);
-        if self.gauges.queued(home) > 0 {
-            let start = home * self.shards_per_locality;
-            let end = (start + self.shards_per_locality).min(self.shards.len());
-            let mut ranked: Vec<(usize, usize)> = Vec::new();
-            for i in start..end {
-                if i == thief {
-                    continue;
-                }
-                if let Some(depth) = self.shards[i].min_depth_hint() {
-                    ranked.push((depth, i));
-                }
-            }
-            ranked.sort_unstable();
-            for (_, victim) in ranked {
-                let taken = self.shards[victim].pop_batch(max, out);
-                if taken > 0 {
-                    self.gauges.tasks_taken(home, taken as u64);
-                    return Some((taken, victim));
-                }
-            }
-        }
-        let mut remote: Vec<(u64, usize)> = (0..self.localities())
-            .filter(|&l| l != home)
-            .filter_map(|l| {
-                let queued = self.gauges.queued(l);
-                (queued > 0).then_some((queued, l))
-            })
-            .collect();
-        remote.sort_unstable();
-        for (_, locality) in remote {
-            let start = locality * self.shards_per_locality;
-            let end = (start + self.shards_per_locality).min(self.shards.len());
-            let width = end - start;
-            for probe in 0..width {
-                let victim = start + (rot + probe) % width;
-                if self.shards[victim].min_depth_hint().is_none() {
-                    continue;
-                }
-                let taken = self.shards[victim].pop_batch(max, out);
-                if taken > 0 {
-                    self.gauges.tasks_taken(locality, taken as u64);
-                    return Some((taken, victim));
-                }
-            }
-        }
-        None
-    }
-
     /// Total queued tasks across all shards (a racy snapshot under
     /// concurrency).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Queued tasks on one shard (a racy snapshot; exact at quiescence —
-    /// the gauge-reconciliation tests sum it per locality).
-    pub fn shard_len(&self, shard: usize) -> usize {
-        self.shards[shard].len()
     }
 
     /// True when every shard looked empty.
@@ -813,30 +419,13 @@ impl<N> ShardedPool<N> {
         self.shards.iter().map(|s| s.lock_acquisitions()).sum()
     }
 
-    /// Lock acquisitions summed over the shards of one locality — the
-    /// locality-skip regression test reads this.
-    pub fn locality_lock_acquisitions(&self, locality: usize) -> u64 {
-        let start = locality * self.shards_per_locality;
-        let end = (start + self.shards_per_locality).min(self.shards.len());
-        self.shards[start..end]
-            .iter()
-            .map(|s| s.lock_acquisitions())
-            .sum()
-    }
-
     /// Discard every queued task in every shard, returning exactly how many
     /// were dropped in total.  Each shard's count is taken under that
     /// shard's lock, so tasks popped concurrently by workers (e.g. during a
     /// decision short-circuit) are never double-counted: over the whole run,
     /// `pops + cleared == pushes`.
     pub fn clear(&self) -> usize {
-        let mut total = 0;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let dropped = shard.clear();
-            self.gauges.tasks_taken(self.locality_of(i), dropped as u64);
-            total += dropped;
-        }
-        total
+        self.shards.iter().map(|s| s.clear()).sum()
     }
 }
 
@@ -1007,203 +596,6 @@ mod tests {
         let before = pool.lock_acquisitions();
         assert!(pool.steal(0).is_none());
         assert_eq!(pool.lock_acquisitions() - before, 0);
-    }
-
-    /// Satellite of the locality PR: a fully-drained remote *locality*
-    /// costs zero lock acquisitions per steal scan — its queued-task gauge
-    /// reads zero, which proves it is empty, so the scan skips all of its
-    /// shards before reading a hint or touching a lock.
-    #[test]
-    fn steal_skips_drained_localities_without_locking() {
-        // 4 localities × 16 shards; only the thief's own locality has work
-        // (in a sibling shard), every remote locality is drained.
-        let pool: ShardedPool<u32> = ShardedPool::with_localities(64, 4);
-        assert_eq!(pool.localities(), 4);
-        pool.push(1, Task::new(7, 3));
-        let remote_before: Vec<u64> = (1..4).map(|l| pool.locality_lock_acquisitions(l)).collect();
-        let stolen = pool.steal(0);
-        assert_eq!(stolen.unwrap().node, 7);
-        for (i, before) in remote_before.iter().enumerate() {
-            assert_eq!(
-                pool.locality_lock_acquisitions(i + 1) - before,
-                0,
-                "drained remote locality {} must cost zero locks per scan",
-                i + 1
-            );
-        }
-        // With the whole pool drained the scan takes no locks at all.
-        let before = pool.lock_acquisitions();
-        assert!(pool.steal(0).is_none());
-        assert_eq!(pool.lock_acquisitions() - before, 0);
-    }
-
-    #[test]
-    fn gauges_track_push_pop_and_steal_sites() {
-        let pool: ShardedPool<u32> = ShardedPool::with_localities(4, 2);
-        assert_eq!(pool.locality_of(0), 0);
-        assert_eq!(pool.locality_of(1), 0);
-        assert_eq!(pool.locality_of(2), 1);
-        assert_eq!(pool.locality_of(3), 1);
-        pool.push(0, Task::new(1, 0));
-        pool.push_all(2, (0..3).map(|i| Task::new(i, 1)));
-        let mut burst = vec![Task::new(9, 2), Task::new(10, 2)];
-        pool.push_batch(3, &mut burst);
-        assert_eq!(pool.gauges().queued(0), 1);
-        assert_eq!(pool.gauges().queued(1), 5);
-        assert!(pool.pop_local(0).is_some());
-        assert_eq!(pool.gauges().queued(0), 0);
-        // A thief in locality 0 steals from locality 1.
-        assert!(pool.steal(0).is_some());
-        assert_eq!(pool.gauges().queued(1), 4);
-        let mut out = VecDeque::new();
-        assert_eq!(pool.steal_batch(0, 2, &mut out), 2);
-        assert_eq!(pool.gauges().queued(1), 2);
-        assert_eq!(pool.clear(), 2);
-        assert_eq!(pool.gauges().queued(1), 0);
-        assert_eq!(
-            pool.gauges().least_loaded_nonempty(0),
-            None,
-            "drained gauges route nowhere"
-        );
-    }
-
-    #[test]
-    fn least_loaded_routing_excludes_self_and_empties() {
-        let gauges = LocalityGauges::new(4);
-        gauges.tasks_queued(0, 9);
-        gauges.tasks_queued(2, 5);
-        gauges.tasks_queued(3, 2);
-        assert_eq!(gauges.least_loaded_nonempty(3), Some((2, 5)));
-        assert_eq!(gauges.least_loaded_nonempty(0), Some((3, 2)));
-        gauges.tasks_taken(3, 2);
-        assert_eq!(gauges.least_loaded_nonempty(0), Some((2, 5)));
-    }
-
-    #[test]
-    fn starvation_needs_idle_workers_and_an_empty_queue() {
-        let gauges = LocalityGauges::new(2);
-        assert!(!gauges.starved(1, 1), "no idle workers yet");
-        gauges.worker_idle(1);
-        gauges.worker_idle(1);
-        assert!(gauges.starved(1, 2));
-        gauges.tasks_queued(1, 1);
-        assert!(!gauges.starved(1, 2), "queued work is not starvation");
-        gauges.tasks_taken(1, 1);
-        gauges.worker_busy(1);
-        assert!(!gauges.starved(1, 2), "one idle worker is below threshold");
-        assert!(gauges.starved(1, 1));
-    }
-
-    /// Property (threaded): the queued-task gauges reconcile with actual
-    /// pool occupancy at quiescence — the inc-before-insert /
-    /// dec-after-remove protocol means concurrent pushes, pops and steals
-    /// can only ever leave the gauge an over-approximation, and once every
-    /// worker has joined it is exact.
-    #[test]
-    fn gauges_reconcile_with_occupancy_at_quiescence() {
-        use std::sync::Arc;
-        for _ in 0..20 {
-            let pool: Arc<ShardedPool<usize>> = Arc::new(ShardedPool::with_localities(8, 4));
-            std::thread::scope(|s| {
-                for t in 0..4usize {
-                    let pool = Arc::clone(&pool);
-                    s.spawn(move || {
-                        let shard = t * 2;
-                        let mut burst = Vec::new();
-                        let mut out = VecDeque::new();
-                        for round in 0..50usize {
-                            burst.extend((0..3).map(|i| Task::new(i, (round + i) % 5)));
-                            pool.push_batch(shard, &mut burst);
-                            pool.pop_local(shard);
-                            pool.steal(shard);
-                            pool.steal_batch(shard, 2, &mut out);
-                            pool.pop_batch_local(shard, 2, &mut out);
-                        }
-                    });
-                }
-            });
-            for locality in 0..4 {
-                let occupancy: usize = (0..8)
-                    .filter(|s| pool.locality_of(*s) == locality)
-                    .map(|s| pool.shard_len(s))
-                    .sum();
-                assert_eq!(
-                    pool.gauges().queued(locality),
-                    occupancy as u64,
-                    "gauge and occupancy must agree at quiescence"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mailbox_round_trips_and_clears() {
-        let mailbox: Mailbox<u32> = Mailbox::new();
-        assert!(!mailbox.is_occupied());
-        assert!(mailbox.is_empty());
-        let mut batch = vec![Task::new(1, 0), Task::new(2, 1)];
-        mailbox.push(&mut batch);
-        assert!(batch.is_empty(), "push drains the caller's buffer");
-        assert!(mailbox.is_occupied());
-        assert_eq!(mailbox.len(), 2);
-        let mut out = Vec::new();
-        assert_eq!(mailbox.drain(&mut out), 2);
-        assert!(!mailbox.is_occupied());
-        assert_eq!(out.len(), 2);
-        assert_eq!(mailbox.drain(&mut out), 0, "drained mailbox yields nothing");
-        let mut batch = vec![Task::new(3, 2)];
-        mailbox.push(&mut batch);
-        assert_eq!(mailbox.clear(), 1, "clear reports dropped tasks exactly");
-        assert!(!mailbox.is_occupied());
-    }
-
-    #[test]
-    fn empty_mailbox_push_does_not_raise_the_flag() {
-        let mailbox: Mailbox<u32> = Mailbox::new();
-        let mut empty = Vec::new();
-        mailbox.push(&mut empty);
-        assert!(!mailbox.is_occupied());
-    }
-
-    /// Concurrent pushes and drains never lose a task and never strand one
-    /// behind a lowered occupancy flag (the model-checked protocol, raced
-    /// natively here).
-    #[test]
-    fn mailbox_never_strands_tasks_under_concurrency() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let mailbox: Arc<Mailbox<usize>> = Arc::new(Mailbox::new());
-        let drained = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for t in 0..2 {
-                let mailbox = Arc::clone(&mailbox);
-                s.spawn(move || {
-                    let mut batch = Vec::new();
-                    for i in 0..200usize {
-                        batch.push(Task::new(t * 1000 + i, i % 4));
-                        mailbox.push(&mut batch);
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let mailbox = Arc::clone(&mailbox);
-                let drained = Arc::clone(&drained);
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    for _ in 0..5_000 {
-                        drained.fetch_add(mailbox.drain(&mut out), Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        let mut out = Vec::new();
-        let rest = mailbox.drain(&mut out);
-        assert_eq!(
-            drained.load(Ordering::SeqCst) + rest,
-            400,
-            "every pushed task is drained exactly once"
-        );
-        assert!(!mailbox.is_occupied());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use yewpar::monoid::Monoid;
 use yewpar::objective::PruneLevel;
 use yewpar::params::Coordination;
 use yewpar::trace::{TraceEvent, TraceRecord, CONTROL_WORKER, UNKNOWN_VICTIM};
-use yewpar::workpool::{DepthPool, OrderedPool, SeqKey, Task, POP_BATCH, PUSH_BATCH, STEAL_BATCH};
+use yewpar::workpool::{DepthPool, OrderedPool, SeqKey, Task, POP_BATCH, STEAL_BATCH};
 use yewpar::{Decide, Enumerate, Optimise, SearchProblem, SearchStatus};
 
 /// Virtual-time costs of the simulated operations, in abstract "ticks".
@@ -77,30 +77,6 @@ impl CostModel {
     }
 }
 
-/// Cap on the steal back-off state per (thief, locality).  A routed probe
-/// that misses gates its target locality out of the thief's routing table
-/// for the next `1 << streak` routing decisions (saturating at
-/// `1 << BACKOFF_CAP`), steering subsequent probes to the next-best
-/// candidate.  When *every* candidate is gated the thief additionally waits
-/// `min(streak, BACKOFF_CAP) * idle_poll` before its still-issued probe —
-/// a linear nap, deliberately shallow: with the default model it tops out
-/// at 600 ticks, well under one remote transfer window, so a backed-off
-/// thief is throttled but never parked while work is visible.
-const BACKOFF_CAP: u32 = 3;
-
-/// Busy steps between starvation scans of the work-pushing path, mirroring
-/// the threaded engine's stride-gated check: the scan reads every worker's
-/// state, so it must stay off the per-node fast path.
-const PUSH_CHECK_STRIDE: u32 = 2;
-
-/// Maximum tasks (in flight + undrained) a locality's mailbox may hold
-/// before pushers stop selecting it.  Bounds the work a starved locality
-/// can hoard while still letting several shipments overlap one transfer
-/// window — with a single-shipment cap the push channel moves at most
-/// `PUSH_BATCH` tasks per `remote_steal_latency`, too slow to relieve a
-/// whole starved locality.
-const MAILBOX_DEPTH: usize = 32;
-
 /// Configuration of one simulated execution.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -147,26 +123,6 @@ pub struct SimConfig {
     /// rule can be exercised against a known-bad schedule.  Off by default;
     /// ignored by every other coordination.
     pub hint_directed_remote_steals: bool,
-    /// Locality-aware steal routing, mirroring the threaded engine's
-    /// `SearchConfig::steal_routing`: an idle worker consults the
-    /// per-locality load gauges and probes the *least-loaded-but-nonempty*
-    /// remote locality — with a blind-random victim *within* it, preserving
-    /// the anti-strip-mining invariant — instead of gambling on a uniformly
-    /// random remote worker.  Consecutive misses against one locality back
-    /// the thief off exponentially (see [`TraceEvent::StealBackoff`]).  On
-    /// by default; forced off by `hint_directed_remote_steals`, whose whole
-    /// point is re-creating the unrouted pathology.
-    pub steal_routing: bool,
-    /// Starvation-triggered work pushing, mirroring the threaded engine's
-    /// `SearchConfig::work_pushing`: a busy worker that observes a starved
-    /// remote locality (≥1 idle worker, nothing queued or stealable, no
-    /// batch already in flight) ships it a bounded burst of lowest-depth
-    /// subtrees through a per-locality mailbox.  The batch becomes visible
-    /// after the remote transfer latency — one shipment buys up to
-    /// [`PUSH_BATCH`] tasks instead of one expensive round-trip per steal —
-    /// and idle workers drain their locality's mailbox before any steal
-    /// scan.  On by default; forced off by `hint_directed_remote_steals`.
-    pub work_pushing: bool,
 }
 
 impl SimConfig {
@@ -183,8 +139,6 @@ impl SimConfig {
             deadline_ticks: None,
             trace: false,
             hint_directed_remote_steals: false,
-            steal_routing: true,
-            work_pushing: true,
         }
     }
 
@@ -211,17 +165,6 @@ pub struct SimOutcome<R> {
     pub spawns: u64,
     /// Successful steals (remote or local).
     pub steals: u64,
-    /// Remote steal hits obtained through gauge-routed locality selection
-    /// (a subset of [`steals`](SimOutcome::steals)); zero with
-    /// [`SimConfig::steal_routing`] off.
-    pub routed_steals: u64,
-    /// Tasks shipped into remote-locality mailboxes by the
-    /// starvation-triggered work-pushing path; zero with
-    /// [`SimConfig::work_pushing`] off.
-    pub pushed_tasks: u64,
-    /// Exponential back-off naps taken after consecutive routed-steal
-    /// misses against one locality.
-    pub backoff_naps: u64,
     /// Tasks spawned with a sequence key (Ordered coordination only).
     pub ordered_spawns: u64,
     /// Ordered pops that ran ahead of the sequential frontier (a smaller
@@ -462,23 +405,6 @@ struct SimWorker<'p, P: SearchProblem> {
     task_prunes: u64,
     /// Backtracks performed by the current task.
     task_backtracks: u64,
-    /// Consecutive routed-steal misses against each remote locality — the
-    /// per-(thief, locality) back-off state.
-    miss_streak: Vec<u32>,
-    /// Routing decisions left before each locality is probed again
-    /// (`1 << min(streak, BACKOFF_CAP)` after a miss): a gated locality is
-    /// skipped in favour of the next-best candidate, and only when *every*
-    /// nonempty candidate is gated does the thief take an exponential nap.
-    skip: Vec<u32>,
-    /// Busy steps since the start of the run, gating the starvation scan of
-    /// the work-pushing path to every [`PUSH_CHECK_STRIDE`] steps.
-    push_gate: u32,
-    /// True while this worker is stalled inside a remote steal transfer:
-    /// the stolen task already sits in `backlog` (it left the victim at
-    /// probe time) but the worker cannot touch it until the transfer
-    /// window elapses.  Starvation gauges must count such a worker as
-    /// starved — its backlog is in flight, not feeding anyone.
-    in_remote_fetch: bool,
 }
 
 /// Aggregate counters of a simulation run.
@@ -488,9 +414,6 @@ struct SimStats {
     prunes: u64,
     spawns: u64,
     steals: u64,
-    routed_steals: u64,
-    pushed_tasks: u64,
-    backoff_naps: u64,
     makespan: u64,
     total_work: u64,
     ordered_spawns: u64,
@@ -610,9 +533,6 @@ fn outcome<R>(
         prunes: stats.prunes,
         spawns: stats.spawns,
         steals: stats.steals,
-        routed_steals: stats.routed_steals,
-        pushed_tasks: stats.pushed_tasks,
-        backoff_naps: stats.backoff_naps,
         ordered_spawns: stats.ordered_spawns,
         priority_inversions: stats.priority_inversions,
         speculative_nodes: stats.speculative_nodes,
@@ -665,23 +585,8 @@ where
             task_nodes: 0,
             task_prunes: 0,
             task_backtracks: 0,
-            miss_streak: vec![0; n_localities],
-            skip: vec![0; n_localities],
-            push_gate: 0,
-            in_remote_fetch: false,
         })
         .collect();
-
-    // The locality layer: steal routing and work pushing are both disabled
-    // by the strip-mining knob — its whole point is re-creating the
-    // unrouted, unpushed pathology for the anomaly analyzer.
-    let routing = config.steal_routing && !config.hint_directed_remote_steals && n_localities > 1;
-    let pushing = config.work_pushing && !config.hint_directed_remote_steals && n_localities > 1;
-    // Per-locality mailboxes for pushed batches: `(visible_at, task)`
-    // entries in shipment order (visibility times are non-decreasing, so
-    // draining from the front never skips a visible entry).
-    let mut mailboxes: Vec<VecDeque<(u64, Task<P::Node>)>> =
-        (0..n_localities).map(|_| VecDeque::new()).collect();
 
     // The root task starts at locality 0 (worker 0's backlog for
     // stack-stealing; locality 0's pool otherwise).
@@ -717,124 +622,20 @@ where
             break;
         }
         let mut next_time = now;
-        // This worker's event has arrived: any remote transfer it was
-        // stalled in has completed.
-        workers[w].in_remote_fetch = false;
 
         // ---- Busy worker: one traversal step of its current task ----------
         if !workers[w].stack.is_empty() {
-            // Starvation-triggered work pushing (stack-stealing): every
-            // PUSH_CHECK_STRIDE busy steps, scan for a remote locality that
-            // is starving (more idle workers than stealable stacks) with no
-            // shipment already in flight, and push it this worker's lowest
-            // frontier frame.  The mailbox batch becomes visible after the
-            // remote transfer latency — one shipment feeds several starved
-            // workers for the price of a single steal round-trip.
-            if pushing
-                && now >= costs.remote_steal_latency
-                && matches!(coordination, Coordination::StackStealing { .. })
-            {
-                workers[w].push_gate = workers[w].push_gate.wrapping_add(1);
-                if workers[w].push_gate % PUSH_CHECK_STRIDE == 0 {
-                    let loc = workers[w].locality;
-                    // Only the locality's best holder ships, and only its
-                    // best frame: the starved side needs one payload worth
-                    // a transfer window, not a scatter of scraps, and
-                    // limiting the source to the frontier holder keeps the
-                    // other local stacks intact for intra-locality steals.
-                    let my_frontier = workers[w].stack.steal_depth();
-                    let rich = my_frontier
-                        .is_some_and(|d| Some(d) == locality_frontier(&mut workers, loc));
-                    // Target the first locality that is demonstrably
-                    // starving: more workers idle (or stalled mid-fetch)
-                    // than it has stealable stacks left, with an empty
-                    // mailbox so at most one shipment is in flight per
-                    // target — pacing that stops a burst of pushers from
-                    // shredding the source locality to feed one drain.
-                    let target = rich
-                        .then(|| {
-                            (1..n_localities)
-                                .map(|o| (loc + o) % n_localities)
-                                .find(|&l| {
-                                    mailboxes[l].is_empty()
-                                        && idle_workers(&workers, l)
-                                            > stealable_stacks(&mut workers, l)
-                                })
-                        })
-                        .flatten();
-                    if let Some(target) = target {
-                        // Ship exactly one frontier frame.  Larger payloads
-                        // (multi-frame steal-half bursts) measurably hurt:
-                        // they strip the best holder past its frontier and
-                        // the source locality drains sooner than the target
-                        // recovers.
-                        let burst = workers[w].stack.split_lowest(true);
-                        if !burst.is_empty() {
-                            let total = burst.len() as u64;
-                            outstanding += total;
-                            stats.spawns += total;
-                            stats.batch_pushes += 1;
-                            stats.lock_acquisitions += 1;
-                            next_time += costs.batched_spawn_cost(total as usize);
-                            stats.pushed_tasks += total;
-                            trace.emit(
-                                next_time,
-                                w as u32,
-                                TraceEvent::WorkPushed {
-                                    locality: target as u32,
-                                    tasks: burst.len() as u32,
-                                },
-                            );
-                            let visible = next_time + costs.remote_steal_latency;
-                            mailboxes[target].extend(burst.into_iter().map(|t| (visible, t)));
-                        }
-                    }
-                }
-            }
             // Budget coordination: split before the next step if the budget
             // is exhausted.
             if let Coordination::Budget { backtracks } = coordination {
                 if workers[w].backtracks_since_split >= backtracks {
-                    let mut offload = workers[w].stack.split_lowest(true);
+                    let offload = workers[w].stack.split_lowest(true);
                     if !offload.is_empty() {
                         outstanding += offload.len() as u64;
                         stats.spawns += offload.len() as u64;
                         stats.batch_pushes += 1;
                         stats.lock_acquisitions += 1;
                         next_time += costs.batched_spawn_cost(offload.len());
-                        // Starvation divert, mirroring the threaded
-                        // PoolSource::release: a burst of ≥2 tasks may route
-                        // up to half (capped at PUSH_BATCH) into a starved
-                        // remote locality's mailbox instead of the local
-                        // pool; the shipment becomes visible after the
-                        // remote transfer latency.
-                        if pushing && now >= costs.remote_steal_latency && offload.len() >= 2 {
-                            let loc = workers[w].locality;
-                            let target =
-                                (1..n_localities)
-                                    .map(|o| (loc + o) % n_localities)
-                                    .find(|&l| {
-                                        mailboxes[l].len() < MAILBOX_DEPTH
-                                            && pools[l].is_empty()
-                                            && idle_workers(&workers, l) >= 1
-                                    });
-                            if let Some(target) = target {
-                                let keep = offload.len() - (offload.len() / 2).min(PUSH_BATCH);
-                                let diverted = offload.split_off(keep);
-                                stats.pushed_tasks += diverted.len() as u64;
-                                trace.emit(
-                                    next_time,
-                                    w as u32,
-                                    TraceEvent::WorkPushed {
-                                        locality: target as u32,
-                                        tasks: diverted.len() as u32,
-                                    },
-                                );
-                                let visible = next_time + costs.remote_steal_latency;
-                                mailboxes[target]
-                                    .extend(diverted.into_iter().map(|t| (visible, t)));
-                            }
-                        }
                         pools[workers[w].locality].push_all(offload);
                     }
                     workers[w].backtracks_since_split = 0;
@@ -939,96 +740,47 @@ where
                     stats.lock_acquisitions += 1;
                     next_time += costs.pop_cost;
                     workers[w].backlog.extend(grabbed);
-                } else if drain_mailbox(&mut mailboxes[my_locality], now, &mut workers[w].backlog)
-                    > 0
-                {
-                    // Pushed batches are drained before any remote probe —
-                    // they are already local, one pool operation away.
-                    stats.lock_acquisitions += 1;
-                    next_time += costs.pop_cost;
                 } else if n_localities > 1 {
-                    // Victim locality: with routing on, the load gauges send
-                    // the probe to the *most-loaded* remote pool (ties to
-                    // the highest id — deterministic), skipping the probe
-                    // entirely when every remote gauge reads empty — the
-                    // gauge-gated fast path of the sharded pool.  With
-                    // routing off (or during the warm-up window, before any
-                    // remote transfer can have completed) the probe stays
-                    // blind-random.
-                    let pick = if routing && now >= costs.remote_steal_latency {
-                        (0..n_localities)
-                            .filter(|&l| l != my_locality)
-                            .map(|l| (pools[l].len(), l))
-                            .filter(|&(len, _)| len > 0)
-                            .max()
-                            .map(|(len, l)| (l, Some(len as u64)))
-                    } else {
-                        let mut victim = rng.gen_range(0..n_localities - 1);
-                        if victim >= my_locality {
-                            victim += 1;
-                        }
-                        Some((victim, None))
-                    };
-                    if let Some((victim, load)) = pick {
-                        // Victim-side rationing: never ship more than half
-                        // the victim pool's tasks, so a scarce frontier is
-                        // spread across stealing localities instead of
-                        // hoarded by the first thief to land.
-                        let cap = STEAL_BATCH.min(pools[victim].len().div_ceil(2)).max(1);
-                        // Pool-coordination steal events name the victim
-                        // *locality* (the pool is the unit stolen from, as
-                        // in the threaded sharded pool's cross-shard steal).
+                    let mut victim = rng.gen_range(0..n_localities - 1);
+                    if victim >= my_locality {
+                        victim += 1;
+                    }
+                    // Victim-side rationing: never ship more than half the
+                    // victim pool's tasks, so a scarce frontier is spread
+                    // across stealing localities instead of hoarded by the
+                    // first thief to land.
+                    let cap = STEAL_BATCH.min(pools[victim].len().div_ceil(2)).max(1);
+                    // Pool-coordination steal events name the victim
+                    // *locality* (the pool is the unit stolen from, as in
+                    // the threaded sharded pool's cross-shard steal).
+                    trace.emit(
+                        now,
+                        w as u32,
+                        TraceEvent::StealRequest {
+                            victim: victim as u32,
+                        },
+                    );
+                    let got = pools[victim].pop_batch(cap, &mut grabbed);
+                    if got > 0 {
+                        stats.lock_acquisitions += 1;
+                        stats.steals += 1;
                         trace.emit(
                             now,
                             w as u32,
-                            TraceEvent::StealRequest {
+                            TraceEvent::StealHit {
                                 victim: victim as u32,
+                                tasks: got as u32,
+                                remote: true,
                             },
                         );
-                        let got = pools[victim].pop_batch(cap, &mut grabbed);
-                        if got > 0 {
-                            stats.lock_acquisitions += 1;
-                            stats.steals += 1;
-                            trace.emit(
-                                now,
-                                w as u32,
-                                TraceEvent::StealHit {
-                                    victim: victim as u32,
-                                    tasks: got as u32,
-                                    remote: true,
-                                },
-                            );
-                            if let Some(load) = load {
-                                stats.routed_steals += 1;
-                                trace.emit(
-                                    now,
-                                    w as u32,
-                                    TraceEvent::StealRouted {
-                                        locality: victim as u32,
-                                        load,
-                                    },
-                                );
-                            }
-                            next_time += costs.remote_steal_latency;
-                            workers[w].backlog.extend(grabbed);
-                        } else {
-                            trace.emit(
-                                now,
-                                w as u32,
-                                TraceEvent::StealMiss {
-                                    victim: victim as u32,
-                                },
-                            );
-                            next_time += costs.idle_poll;
-                        }
+                        next_time += costs.remote_steal_latency;
+                        workers[w].backlog.extend(grabbed);
                     } else {
-                        // Every remote gauge reads empty: fail fast for one
-                        // idle poll without touching a single pool lock.
                         trace.emit(
                             now,
                             w as u32,
                             TraceEvent::StealMiss {
-                                victim: UNKNOWN_VICTIM,
+                                victim: victim as u32,
                             },
                         );
                         next_time += costs.idle_poll;
@@ -1070,26 +822,9 @@ where
                 //   `SimConfig::hint_directed_remote_steals` deliberately
                 //   re-opens that valve so the anomaly analyzer can be
                 //   exercised against the pathology.)
-                // Mailbox first: a pushed batch that has arrived is this
-                // locality's cheapest work — one pool operation away, no
-                // steal round-trip.  Draining also resets the thief's
-                // back-off state: fresh work arriving means the cluster
-                // load has shifted and stale miss streaks would misroute.
-                if drain_mailbox(&mut mailboxes[my_locality], now, &mut workers[w].backlog) > 0 {
-                    stats.lock_acquisitions += 1;
-                    for l in 0..n_localities {
-                        workers[w].miss_streak[l] = 0;
-                        workers[w].skip[l] = 0;
-                    }
-                    next_time += costs.pop_cost;
-                    events.push(Reverse((next_time, w)));
-                    continue;
-                }
                 let mut stolen = Vec::new();
                 let mut latency = costs.idle_poll;
-                let mut backoff_wait = 0u64;
                 let mut remote = false;
-                let mut routed: Option<(usize, u64)> = None;
                 let mut chosen: Option<usize> = None;
                 let mut best_depth = usize::MAX;
                 let mut best: Vec<usize> = Vec::new();
@@ -1147,83 +882,6 @@ where
                         }
                         (!candidates.is_empty())
                             .then(|| candidates[rng.gen_range(0..candidates.len())])
-                    } else if routing && now >= costs.remote_steal_latency {
-                        // Gauge-routed: steer the probe toward the remote
-                        // locality advertising the *shallowest* stealable
-                        // frontier, then pick a *blind-random* victim inside
-                        // it.  Frontier depth is the load signal the gauges
-                        // publish — the tree is consumed bottom-up, so a
-                        // shallow unexplored frame marks a heuristically
-                        // large subtree that repays the transfer window,
-                        // while uniformly deep frontiers are scraps.  The
-                        // blind pick *within* the locality preserves the
-                        // anti-strip-mining invariant at worker level: the
-                        // gauges narrow probes to a locality, never to a
-                        // specific victim's stack.  A locality the thief
-                        // recently missed in is skip-gated (capped
-                        // exponential per (thief, locality)): the next
-                        // probes go to the other candidates.  When *every*
-                        // candidate is gated the thief naps a capped-linear
-                        // back-off and then probes the shallowest gated
-                        // candidate anyway — back-off redirects and
-                        // throttles probes, it never parks the thief while
-                        // work is visible (the endgame tail is exactly one
-                        // busy locality and a hundred gated thieves).  No
-                        // remote frontier at all → fall through to one
-                        // blind-random probe, consuming exactly the RNG
-                        // draws the unrouted engine would.  Routing never
-                        // engages inside the warm-up window
-                        // (`now < remote_steal_latency`): no remote transfer
-                        // can have completed yet, so the gauges carry no
-                        // actionable signal and short runs (decision
-                        // searches that end inside one transfer window) must
-                        // see the exact baseline schedule of the blind
-                        // engine, RNG draw for RNG draw.
-                        let span = config.workers_per_locality;
-                        let mut best: Option<(usize, usize)> = None;
-                        let mut best_gated: Option<(usize, usize)> = None;
-                        for l in 0..n_localities {
-                            if l == my_locality {
-                                continue;
-                            }
-                            let depth = match locality_frontier(&mut workers, l) {
-                                Some(d) => d,
-                                None => continue,
-                            };
-                            if workers[w].skip[l] > 0 {
-                                workers[w].skip[l] -= 1;
-                                if best_gated.map_or(true, |(d, _)| depth < d) {
-                                    best_gated = Some((depth, l));
-                                }
-                                continue;
-                            }
-                            if best.map_or(true, |(d, _)| depth < d) {
-                                best = Some((depth, l));
-                            }
-                        }
-                        if let Some((depth, t)) = best {
-                            routed = Some((t, depth as u64));
-                            Some(t * span + rng.gen_range(0..span))
-                        } else if let Some((depth, t)) = best_gated {
-                            let misses = workers[w].miss_streak[t];
-                            backoff_wait = u64::from(misses.min(BACKOFF_CAP)) * costs.idle_poll;
-                            stats.backoff_naps += 1;
-                            trace.emit(
-                                now,
-                                w as u32,
-                                TraceEvent::StealBackoff {
-                                    locality: t as u32,
-                                    misses,
-                                },
-                            );
-                            routed = Some((t, depth as u64));
-                            Some(t * span + rng.gen_range(0..span))
-                        } else {
-                            let remote_victims: Vec<usize> = (0..n_workers)
-                                .filter(|&v| workers[v].locality != my_locality)
-                                .collect();
-                            Some(remote_victims[rng.gen_range(0..remote_victims.len())])
-                        }
                     } else {
                         let remote_victims: Vec<usize> = (0..n_workers)
                             .filter(|&v| workers[v].locality != my_locality)
@@ -1244,7 +902,6 @@ where
                             stolen = split;
                             latency = costs.remote_steal_latency;
                             remote = true;
-                            workers[w].in_remote_fetch = true;
                         }
                     }
                 }
@@ -1261,20 +918,6 @@ where
                             remote,
                         },
                     );
-                    if let Some((target, load)) = routed {
-                        // A routed hit clears the thief's miss streak
-                        // against that locality.
-                        workers[w].miss_streak[target] = 0;
-                        stats.routed_steals += 1;
-                        trace.emit(
-                            now,
-                            w as u32,
-                            TraceEvent::StealRouted {
-                                locality: target as u32,
-                                load,
-                            },
-                        );
-                    }
                     workers[w].backlog.extend(stolen);
                 } else {
                     trace.emit(
@@ -1284,18 +927,8 @@ where
                             victim: chosen.map(|v| v as u32).unwrap_or(UNKNOWN_VICTIM),
                         },
                     );
-                    if let Some((target, _)) = routed {
-                        // A routed probe that missed gates that locality
-                        // out of the thief's routing table for the next
-                        // `1 << streak` decisions — the next acquire probes
-                        // the next-best candidate instead of hammering the
-                        // same one.
-                        let streak = workers[w].miss_streak[target].saturating_add(1);
-                        workers[w].miss_streak[target] = streak;
-                        workers[w].skip[target] = 1 << streak.min(BACKOFF_CAP);
-                    }
                 }
-                next_time += latency + backoff_wait;
+                next_time += latency;
             }
         }
         events.push(Reverse((next_time, w)));
@@ -1307,15 +940,6 @@ where
         stats.makespan = stats.nodes * costs.node_cost / n_workers.max(1) as u64;
     }
     stats.total_work = workers.iter().map(|w| w.work).sum();
-    // Mailbox/outstanding reconciliation: every pushed batch is counted in
-    // `outstanding` when it ships, so a completed run (outstanding == 0)
-    // proves every mailbox drained — no task may finish the search stranded
-    // in transit.  (Deadline and short-circuit exits legitimately abandon
-    // in-flight shipments, mirroring the threaded `discard` drain.)
-    debug_assert!(
-        outstanding != 0 || mailboxes.iter().all(VecDeque::is_empty),
-        "completed simulation stranded pushed tasks in a mailbox"
-    );
     stats
 }
 
@@ -1709,79 +1333,6 @@ where
     stats
 }
 
-/// Workers in `locality` currently advertising a stealable stack — the
-/// simulator's per-locality queued-work gauge for the stack-stealing
-/// coordination.  The threaded engine keeps the same aggregate in
-/// `LocalityGauges` as relaxed counters; here it is computed on demand,
-/// which makes it exact rather than an over-approximation.
-fn stealable_stacks<P: SearchProblem>(workers: &mut [SimWorker<'_, P>], locality: usize) -> usize {
-    workers
-        .iter_mut()
-        .filter(|v| v.locality == locality)
-        .filter_map(|v| v.stack.steal_depth())
-        .count()
-}
-
-/// Shallowest steal depth advertised by any worker in `locality` — the
-/// simulator's frontier gauge.  Depth is the simulator's (and the paper's)
-/// proxy for subtree size: a locality whose frontier sits near the root
-/// holds heuristically huge unexplored subtrees, one worth a remote
-/// transfer window; a locality advertising only deep frames holds scraps
-/// that are cheaper to leave alone.  The threaded engine publishes the
-/// same signal per worker as the `base_depth` work hint.
-fn locality_frontier<P: SearchProblem>(
-    workers: &mut [SimWorker<'_, P>],
-    locality: usize,
-) -> Option<usize> {
-    workers
-        .iter_mut()
-        .filter(|v| v.locality == locality)
-        .filter_map(|v| v.stack.steal_depth())
-        .min()
-}
-
-/// Workers in `locality` with nothing runnable — the idle-worker gauge
-/// feeding the starvation test of the work-pushing path.  A worker stalled
-/// mid-remote-transfer counts as starved even though its backlog already
-/// holds the stolen task: that task is in flight, not feeding anyone, and
-/// treating such a locality as fed is what used to blind the push path to
-/// exactly the localities that need relief most (a drained locality's
-/// workers all stall in parallel solo fetches).
-fn idle_workers<P: SearchProblem>(workers: &[SimWorker<'_, P>], locality: usize) -> usize {
-    workers
-        .iter()
-        .filter(|v| {
-            v.locality == locality
-                && v.stack.is_empty()
-                && (v.backlog.is_empty() || v.in_remote_fetch)
-        })
-        .count()
-}
-
-/// Take *one* mailbox entry whose shipment has arrived (`visible_at ≤
-/// now`) into `backlog`, returning how many tasks were taken (0 or 1).
-/// One task per poll spreads a shipment across the locality's idle
-/// pollers instead of letting the first drainer hoard the whole batch and
-/// work it off sequentially while its neighbours starve.  Entries are
-/// pushed with (near) non-decreasing visibility times, so stopping at the
-/// first still-in-flight entry never strands a visible one for long.
-fn drain_mailbox<N>(
-    mailbox: &mut VecDeque<(u64, Task<N>)>,
-    now: u64,
-    backlog: &mut Vec<Task<N>>,
-) -> usize {
-    if mailbox
-        .front()
-        .is_some_and(|&(visible_at, _)| visible_at <= now)
-    {
-        if let Some((_, task)) = mailbox.pop_front() {
-            backlog.push(task);
-            return 1;
-        }
-    }
-    0
-}
-
 fn pop_backlog<P: SearchProblem>(worker: &mut SimWorker<'_, P>) -> Option<Task<P::Node>> {
     if worker.backlog.is_empty() {
         None
@@ -2049,13 +1600,18 @@ mod tests {
         for coord in [
             Coordination::Sequential,
             Coordination::depth_bounded(2),
+            Coordination::stack_stealing(),
             Coordination::stack_stealing_chunked(),
             Coordination::budget(30),
             Coordination::ordered(2),
         ] {
-            let out = simulate_enumerate(&p, &sim(coord, 2, 3));
-            assert_eq!(out.result, reference, "{coord}");
-            assert_eq!(out.nodes, reference.0);
+            // From one fat locality to eight one-worker localities, where
+            // every steal is remote.
+            for (localities, wpl) in [(2usize, 3usize), (1, 4), (4, 2), (8, 1)] {
+                let out = simulate_enumerate(&p, &sim(coord, localities, wpl));
+                assert_eq!(out.result, reference, "{coord} {localities}x{wpl}");
+                assert_eq!(out.nodes, reference.0, "{coord} {localities}x{wpl}");
+            }
         }
     }
 
@@ -2137,17 +1693,15 @@ mod tests {
         assert!(seq.result.is_some());
         for cancel in [true, false] {
             let mut reference = None;
-            for (localities, wpl) in [(1, 1), (1, 2), (2, 2), (2, 4)] {
+            for (localities, wpl) in [(1, 1), (1, 2), (2, 2), (2, 4), (4, 2)] {
                 let mut cfg = sim(Coordination::ordered(3), localities, wpl);
                 cfg.cancel_speculation = cancel;
                 let out = simulate_decide(&p, &cfg);
                 assert_eq!(out.result.is_some(), seq.result.is_some());
                 let committed = *reference.get_or_insert(out.nodes);
                 assert_eq!(
-                    out.nodes,
-                    committed,
-                    "cancel={cancel} workers={}: committed count diverged",
-                    localities * wpl
+                    out.nodes, committed,
+                    "cancel={cancel} {localities}x{wpl}: committed count diverged"
                 );
             }
             // A single ordered worker replays the sequential search exactly
@@ -2312,87 +1866,5 @@ mod tests {
         assert_eq!(out.total_work, out.nodes * CostModel::default().node_cost);
         assert_eq!(out.spawns, 0);
         assert_eq!(out.steals, 0);
-    }
-
-    /// The locality layer's equivalence sweep: every routing/pushing knob
-    /// combination, across topologies from one fat locality to eight thin
-    /// ones, enumerates exactly the sequential node count — steered probes,
-    /// back-off naps and mailbox shipments move tasks, never drop or
-    /// duplicate them — and stays deterministic run to run.
-    #[test]
-    fn steal_routing_and_work_pushing_preserve_counts_across_topologies() {
-        let p = Fib { depth: 11 };
-        let reference = simulate_enumerate(&p, &sim(Coordination::Sequential, 1, 1));
-        for coord in [
-            Coordination::stack_stealing(),
-            Coordination::stack_stealing_chunked(),
-        ] {
-            for (localities, wpl) in [(1usize, 4usize), (2, 2), (4, 2), (8, 1)] {
-                for (routing, pushing) in
-                    [(false, false), (true, false), (false, true), (true, true)]
-                {
-                    let mut cfg = sim(coord, localities, wpl);
-                    cfg.steal_routing = routing;
-                    cfg.work_pushing = pushing;
-                    let out = simulate_enumerate(&p, &cfg);
-                    assert_eq!(
-                        out.result, reference.result,
-                        "{coord} {localities}x{wpl} r={routing} p={pushing} diverged"
-                    );
-                    let again = simulate_enumerate(&p, &cfg);
-                    assert_eq!(
-                        out.makespan, again.makespan,
-                        "{coord} {localities}x{wpl} r={routing} p={pushing} nondeterministic"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Ordered replicability survives the locality layer: the committed
-    /// node count is a pure function of the instance whatever the worker
-    /// count and whatever the routing/pushing knobs say (the Ordered
-    /// coordination never takes the mailbox path, and routing must not
-    /// perturb its speculation-commit rule).
-    #[test]
-    fn ordered_replicability_is_unaffected_by_routing_and_pushing() {
-        let p = Fib { depth: 10 };
-        let mut committed: Option<u64> = None;
-        for (localities, wpl) in [(1usize, 1usize), (1, 2), (2, 2), (4, 2)] {
-            for (routing, pushing) in [(false, false), (true, true)] {
-                let mut cfg = sim(Coordination::ordered(2), localities, wpl);
-                cfg.steal_routing = routing;
-                cfg.work_pushing = pushing;
-                let out = simulate_decide(&p, &cfg);
-                let c = committed.get_or_insert(out.nodes);
-                assert_eq!(
-                    *c, out.nodes,
-                    "{localities}x{wpl} r={routing} p={pushing} broke replicability"
-                );
-            }
-        }
-    }
-
-    /// Work pushing keeps the task ledger exact on every exit path: a
-    /// completed run commits every pushed task (the engine's quiescence
-    /// debug-assert backs this), and a deadline that lands while shipments
-    /// are in flight still exits cleanly with partial results.
-    #[test]
-    fn pushed_tasks_are_accounted_on_completed_and_deadline_exits() {
-        let p = Fib { depth: 12 };
-        let reference = simulate_enumerate(&p, &sim(Coordination::Sequential, 1, 1));
-        let cfg = sim(Coordination::stack_stealing(), 4, 2);
-        let full = simulate_enumerate(&p, &cfg);
-        assert_eq!(full.result, reference.result);
-        assert!(full.status.is_complete());
-        // Cut the run at several points around the push-heavy midgame so
-        // some deadline lands with a shipment still in a mailbox.
-        for quarter in 1..4 {
-            let mut cut = cfg.clone();
-            cut.deadline_ticks = Some(full.makespan * quarter / 4);
-            let partial = simulate_enumerate(&p, &cut);
-            assert_eq!(partial.status, SearchStatus::DeadlineExceeded);
-            assert!(partial.nodes <= full.nodes);
-        }
     }
 }

@@ -383,7 +383,7 @@ fn external_cancel_unwinds_every_coordination_and_search_type() {
 /// A zero deadline (or a token pulled before submission) stops the search
 /// before any worker runs: the seeded root must still be drained and the
 /// outcome must be well-formed — `best` may legitimately be empty, which
-/// is exactly why the panicking accessors were deprecated.
+/// is why the outcome only offers the fallible `try_node`/`try_score`.
 #[test]
 fn pre_expired_deadline_exits_cleanly_with_an_empty_best() {
     for coordination in every_coordination() {
@@ -400,66 +400,95 @@ fn pre_expired_deadline_exits_cleanly_with_an_empty_best() {
     }
 }
 
-/// Truncated-vs-complete agreement: on an instance small enough to finish,
-/// a deadline-truncated optimisation's partial incumbent can never exceed
-/// the sequential optimum of the same instance.
-#[test]
-fn partial_incumbent_never_exceeds_the_sequential_optimum() {
-    use yewpar_apps::irregular::Irregular;
-    let instance = Irregular::new(13, 7);
-    let reference = Skeleton::new(Coordination::Sequential).maximise(&instance);
-    assert!(reference.status.is_complete());
-    let optimum = *reference.try_score().expect("complete run has a best");
-    for coordination in every_coordination() {
-        let out = Skeleton::new(coordination)
-            .workers(4)
-            .deadline(Duration::from_millis(2))
-            .maximise(&instance);
-        // The run may or may not hit the 2 ms budget depending on machine
-        // speed — both outcomes must be coherent.
-        match out.status {
-            SearchStatus::Complete => {
-                assert_eq!(*out.try_score().unwrap(), optimum, "{coordination}")
-            }
-            SearchStatus::DeadlineExceeded => {
-                let partial = *out
-                    .try_score()
-                    .expect("the root commits before any 2 ms deadline");
-                assert!(
-                    partial <= optimum,
-                    "{coordination}: partial incumbent {partial} beats the optimum {optimum}"
-                );
-            }
-            SearchStatus::Cancelled => {
-                panic!("{coordination}: no token was attached, cancel impossible")
-            }
+/// An instance wrapper that truncates a search by construction: its `k`-th
+/// expansion parks the expanding worker for one whole deadline budget.  The
+/// deadline clock starts before the first expansion, so the budget has
+/// provably run out when the worker resumes, and that worker observes it at
+/// its next poll (at most one poll stride later, or between tasks) — the
+/// outcome is `DeadlineExceeded` however fast the machine is.
+struct ParkAtExpansion<P> {
+    inner: P,
+    park_at: u64,
+    budget: Duration,
+    expansions: std::sync::atomic::AtomicU64,
+}
+
+impl<P> ParkAtExpansion<P> {
+    fn new(inner: P, park_at: u64, budget: Duration) -> Self {
+        ParkAtExpansion {
+            inner,
+            park_at,
+            budget,
+            expansions: std::sync::atomic::AtomicU64::new(0),
         }
-        assert_eq!(out.metrics.outstanding_tasks, 0, "{coordination}");
     }
 }
 
-/// The hoisted stack-stealing reply timeout is honoured end-to-end: a
-/// widened timeout still completes and still cancels cleanly.
+impl<P: yewpar::SearchProblem> yewpar::SearchProblem for ParkAtExpansion<P> {
+    type Node = P::Node;
+    type Gen<'a>
+        = P::Gen<'a>
+    where
+        P: 'a;
+    fn root(&self) -> P::Node {
+        self.inner.root()
+    }
+    fn generator(&self, node: &P::Node) -> Self::Gen<'_> {
+        let nth = self
+            .expansions
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            + 1;
+        if nth == self.park_at {
+            std::thread::sleep(self.budget);
+        }
+        self.inner.generator(node)
+    }
+}
+
+impl<P: yewpar::Optimise> yewpar::Optimise for ParkAtExpansion<P> {
+    type Score = P::Score;
+    fn objective(&self, node: &P::Node) -> P::Score {
+        self.inner.objective(node)
+    }
+    fn bound(&self, node: &P::Node) -> Option<P::Score> {
+        self.inner.bound(node)
+    }
+    fn prune_level(&self) -> yewpar::PruneLevel {
+        self.inner.prune_level()
+    }
+}
+
+/// Truncated-vs-complete agreement: a deadline-truncated optimisation's
+/// partial incumbent can never exceed the sequential optimum of the same
+/// instance.  The truncation is constructed (see [`ParkAtExpansion`]), so
+/// every coordination really is cut short after its first 64 expansions.
 #[test]
-fn configurable_steal_reply_timeout_is_honoured() {
+fn partial_incumbent_never_exceeds_the_sequential_optimum() {
     use yewpar_apps::irregular::Irregular;
-    let instance = Irregular::new(10, 3);
-    let reference = Skeleton::new(Coordination::Sequential).enumerate(&instance);
-    let mut config = SearchConfig {
-        coordination: Coordination::stack_stealing_chunked(),
-        workers: 4,
-        steal_reply_timeout: Duration::from_millis(2),
-        ..SearchConfig::default()
-    };
-    let out = Skeleton::from_config(config.clone()).enumerate(&instance);
-    assert_eq!(out.value, reference.value);
-    assert!(out.status.is_complete());
-    // And under a deadline, the wider reply timeout must not wedge the
-    // unwinding (thieves waiting on replies resolve via victim exit).
-    config.deadline = Some(Duration::from_millis(10));
-    let out = Skeleton::from_config(config).enumerate(&Endless);
-    assert_eq!(out.status, SearchStatus::DeadlineExceeded);
-    assert_eq!(out.metrics.outstanding_tasks, 0);
+    let reference = Skeleton::new(Coordination::Sequential).maximise(&Irregular::new(13, 7));
+    assert!(reference.status.is_complete());
+    let optimum = *reference.try_score().expect("complete run has a best");
+    let budget = Duration::from_millis(100);
+    for coordination in every_coordination() {
+        let instance = ParkAtExpansion::new(Irregular::new(13, 7), 64, budget);
+        let out = Skeleton::new(coordination)
+            .workers(4)
+            .deadline(budget)
+            .maximise(&instance);
+        assert_eq!(
+            out.status,
+            SearchStatus::DeadlineExceeded,
+            "{coordination}: the parked expansion outlasts the deadline"
+        );
+        let partial = *out
+            .try_score()
+            .unwrap_or_else(|| panic!("{coordination}: the root is scored before expansion 64"));
+        assert!(
+            partial <= optimum,
+            "{coordination}: partial incumbent {partial} beats the optimum {optimum}"
+        );
+        assert_eq!(out.metrics.outstanding_tasks, 0, "{coordination}");
+    }
 }
 
 /// Task accounting stays exact when `purge_after` races batched pushes: the
