@@ -81,7 +81,7 @@ impl Enumerate for Irregular {
 /// 1000, the bound is the trivial constant 1000 — so a decision search never
 /// prunes (node-level pruning only) and its committed expansion count equals
 /// the Sequential skeleton's, which makes this family the quick replicable
-/// decision workload for `table2` and the Ordered cancellation A/B sweeps.
+/// decision workload for `table2`'s Ordered sweeps.
 impl Optimise for Irregular {
     type Score = u64;
 

@@ -28,18 +28,14 @@ fn bench_fig4(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300));
-    // "ordered-nocancel" is the speculation-cancellation A/B partner of
-    // "ordered": identical committed work, PR 2's run-until-commit waste.
     for (label, coord) in [
         ("depth-bounded", Coordination::depth_bounded(2)),
         ("stack-stealing", Coordination::stack_stealing_chunked()),
         ("budget", Coordination::budget(1000)),
         ("ordered", Coordination::ordered(2)),
-        ("ordered-nocancel", Coordination::ordered(2)),
     ] {
         for localities in [1usize, 8, 17] {
-            let mut cfg = SimConfig::new(coord, localities, 15);
-            cfg.cancel_speculation = label != "ordered-nocancel";
+            let cfg = SimConfig::new(coord, localities, 15);
             group.bench_with_input(
                 BenchmarkId::new(label, format!("{localities}loc")),
                 &cfg,

@@ -17,15 +17,11 @@ use yewpar_instances::registry;
 use yewpar_sim::{simulate_decide, simulate_enumerate, simulate_maximise, SimConfig};
 
 fn coordinations() -> Vec<(&'static str, Coordination)> {
-    // "ordered-nocancel" rides along as the cancellation A/B partner: same
-    // coordination, speculation left running until the commit (PR 2's
-    // behaviour) — only the decision cell (SIP) can differ.
     vec![
         ("depth-bounded", Coordination::depth_bounded(2)),
         ("stack-stealing", Coordination::stack_stealing_chunked()),
         ("budget", Coordination::budget(100)),
         ("ordered", Coordination::ordered(2)),
-        ("ordered-nocancel", Coordination::ordered(2)),
     ]
 }
 
@@ -44,8 +40,7 @@ fn bench_table2(c: &mut Criterion) {
     let uts = Uts::geometric_small(11);
 
     for (label, coord) in coordinations() {
-        let mut cfg = SimConfig::new(coord, 8, 15);
-        cfg.cancel_speculation = label != "ordered-nocancel";
+        let cfg = SimConfig::new(coord, 8, 15);
         group.bench_with_input(BenchmarkId::new("maxclique", label), &cfg, |b, cfg| {
             b.iter(|| simulate_maximise(&clique, cfg).makespan)
         });

@@ -23,9 +23,6 @@
 //!   (e.g. `YEWPAR_T2_APPS=Irregular` runs only the synthetic Irregular
 //!   tree, the quick baseline recorded in `BENCH_0.json` / `BENCH_1.json` /
 //!   `BENCH_2.json`);
-//! * `YEWPAR_T2_ORDERED_CANCEL` — set to `0`/`off`/`false` to disable the
-//!   Ordered coordination's speculation cancellation for the main sweep
-//!   (the A/B smoke knob; the dedicated A/B section below always runs both);
 //! * `--coordination <name>[,<name>…]` — filter of skeleton names
 //!   (e.g. `--coordination ordered` is the CI smoke invocation);
 //! * `--deadline-ms <n>` — anytime smoke: give every simulated run a
@@ -51,12 +48,11 @@
 //!   runtime asserts the ordering (the urgent search completes while the
 //!   background is still running).  The JSON report gains an `elastic`
 //!   section (recorded in `BENCH_7.json`).
-//! * `--trace-dir <dir>` — flight-recorder smoke: records three traced
-//!   Irregular runs (a threaded stack-stealing search, its virtual-time
-//!   mirror, and the PR 6 strip-mining reconstruction with hint-directed
-//!   remote steals re-enabled), exports each as canonical JSONL plus a
-//!   Chrome-trace file under `dir`, runs the search-anomaly analyzer on
-//!   every trace, and adds a `trace` section to the JSON report.
+//! * `--trace-dir <dir>` — flight-recorder smoke: records two traced
+//!   Irregular runs (a threaded stack-stealing search and its virtual-time
+//!   mirror), exports each as canonical JSONL plus a Chrome-trace file under
+//!   `dir`, runs the search-anomaly analyzer on every trace, and adds a
+//!   `trace` section to the JSON report.
 
 use std::collections::BTreeMap;
 
@@ -101,12 +97,9 @@ impl RunStats {
 }
 
 /// A named instance reduced to "run this search under this config and give
-/// me the stats".  `decision` marks decision (short-circuiting) searches —
-/// the only kind with speculation to cancel, and therefore the instances the
-/// Ordered cancellation A/B section sweeps.
+/// me the stats".
 struct Workload {
     name: String,
-    decision: bool,
     run: Box<dyn Fn(&SimConfig) -> RunStats>,
 }
 
@@ -117,7 +110,6 @@ fn clique_workloads() -> Vec<Workload> {
             let problem = MaxClique::new(named.graph);
             Workload {
                 name: named.name,
-                decision: false,
                 run: Box::new(move |cfg| RunStats::of(simulate_maximise(&problem, cfg))),
             }
         })
@@ -131,7 +123,6 @@ fn tsp_workloads() -> Vec<Workload> {
             let problem = Tsp::new(inst);
             Workload {
                 name,
-                decision: false,
                 run: Box::new(move |cfg| RunStats::of(simulate_maximise(&problem, cfg))),
             }
         })
@@ -145,7 +136,6 @@ fn knapsack_workloads() -> Vec<Workload> {
             let problem = Knapsack::new(inst);
             Workload {
                 name,
-                decision: false,
                 run: Box::new(move |cfg| RunStats::of(simulate_maximise(&problem, cfg))),
             }
         })
@@ -159,7 +149,6 @@ fn sip_workloads() -> Vec<Workload> {
             let problem = Sip::new(inst);
             Workload {
                 name,
-                decision: true,
                 run: Box::new(move |cfg| RunStats::of(simulate_decide(&problem, cfg))),
             }
         })
@@ -173,7 +162,6 @@ fn semigroup_workloads() -> Vec<Workload> {
             let problem = Semigroups::new(genus);
             Workload {
                 name: format!("ns-genus-{genus}"),
-                decision: false,
                 run: Box::new(move |cfg| RunStats::of(simulate_enumerate(&problem, cfg))),
             }
         })
@@ -193,7 +181,6 @@ fn uts_workloads() -> Vec<Workload> {
             );
             Workload {
                 name: "uts-geo-11".into(),
-                decision: false,
                 run: Box::new(move |cfg| RunStats::of(simulate_enumerate(&problem, cfg))),
             }
         },
@@ -209,7 +196,6 @@ fn uts_workloads() -> Vec<Workload> {
             );
             Workload {
                 name: "uts-bin-17".into(),
-                decision: false,
                 run: Box::new(move |cfg| RunStats::of(simulate_enumerate(&problem, cfg))),
             }
         },
@@ -223,19 +209,17 @@ fn irregular_workloads() -> Vec<Workload> {
             let problem = Irregular::new(depth, seed);
             Workload {
                 name: format!("irregular-d{depth}-s{seed}"),
-                decision: false,
                 run: Box::new(move |cfg| RunStats::of(simulate_enumerate(&problem, cfg))),
             }
         })
         .collect();
     // Decision variants of the same family (target 990 over `state % 1000`,
-    // node-level pruning only): the quick replicable decision workload the
-    // Ordered cancellation A/B section sweeps.
+    // node-level pruning only): the quick replicable decision workload with
+    // Ordered speculation to cancel.
     workloads.extend([(12usize, 1u64), (13, 7)].into_iter().map(|(depth, seed)| {
         let problem = Irregular::new(depth, seed);
         Workload {
             name: format!("irregular-decide-d{depth}-s{seed}"),
-            decision: true,
             run: Box::new(move |cfg| RunStats::of(simulate_decide(&problem, cfg))),
         }
     }));
@@ -331,48 +315,11 @@ fn trace_dir_flag(args: &[String]) -> Option<std::path::PathBuf> {
     Some(std::path::PathBuf::from(value))
 }
 
-/// A single wide root frontier over binary bushes: the tree shape on which
-/// hint-directed remote steals deterministically collapse onto one victim
-/// (worker 0's depth-1 frame stays the shallowest advertised frontier for
-/// the whole run).  The strip-mining trace the smoke exports is recorded on
-/// this shape so the anomaly is guaranteed, not instance-dependent.
-struct WideRoot {
-    arms: usize,
-    bush_depth: u8,
-}
-
-impl yewpar::SearchProblem for WideRoot {
-    /// `None` is the root; `Some(b)` a bush node with `b` binary levels
-    /// left below it.
-    type Node = Option<u8>;
-    type Gen<'a> = std::vec::IntoIter<Option<u8>>;
-    fn root(&self) -> Option<u8> {
-        None
-    }
-    fn generator(&self, node: &Option<u8>) -> Self::Gen<'_> {
-        match *node {
-            None => vec![Some(self.bush_depth); self.arms].into_iter(),
-            Some(b) if b > 0 => vec![Some(b - 1); 2].into_iter(),
-            Some(_) => vec![].into_iter(),
-        }
-    }
-}
-
-impl yewpar::Enumerate for WideRoot {
-    type Value = yewpar::monoid::Sum<u64>;
-    fn value(&self, _n: &Option<u8>) -> yewpar::monoid::Sum<u64> {
-        yewpar::monoid::Sum(1)
-    }
-}
-
-/// The `--trace-dir DIR` smoke: flight-recorder end-to-end.  Three traced
-/// runs — a threaded stack-stealing Irregular search (nanosecond clock),
-/// its virtual-time simulator mirror, and the PR 6 strip-mining
-/// reconstruction (`hint_directed_remote_steals` with single-task splits,
-/// one worker per locality, on the [`WideRoot`] shape) — are each exported
-/// as canonical JSONL plus a Chrome-trace file under `dir` and fed to the
-/// search-anomaly analyzer with the run's own sequential node count as the
-/// work-inflation baseline.
+/// The `--trace-dir DIR` smoke: flight-recorder end-to-end.  Two traced
+/// runs — a threaded stack-stealing Irregular search (nanosecond clock) and
+/// its virtual-time simulator mirror — are each exported as canonical JSONL
+/// plus a Chrome-trace file under `dir` and fed to the search-anomaly
+/// analyzer with the sequential node count as the work-inflation baseline.
 fn trace_section(
     dir: &std::path::Path,
     localities: usize,
@@ -395,11 +342,7 @@ fn trace_section(
 
     // JsonlSink and ChromeTraceSink use different extensions, so one stem
     // yields the `name.jsonl` / `name.json` pair side by side.
-    let record = |name: &str,
-                  records: Vec<TraceRecord>,
-                  dropped: u64,
-                  baseline_nodes: u64|
-     -> serde_json::Value {
+    let record = |name: &str, records: Vec<TraceRecord>, dropped: u64| -> serde_json::Value {
         let jsonl = write_trace_file(dir, name, &JsonlSink, &records)
             .unwrap_or_else(|e| panic!("writing {name}.jsonl under {}: {e}", dir.display()));
         let chrome = write_trace_file(dir, name, &ChromeTraceSink, &records)
@@ -445,7 +388,6 @@ fn trace_section(
         "threaded_stack_stealing",
         skeleton.take_trace(),
         skeleton.trace_dropped(),
-        baseline_nodes,
     ));
 
     // ---- Virtual-time mirror of the same coordination -------------------
@@ -460,35 +402,7 @@ fn trace_section(
         sim_out.result, outcome.value,
         "sim/threaded result mismatch"
     );
-    runs.push(record(
-        "sim_stack_stealing",
-        sim_out.trace,
-        0,
-        baseline_nodes,
-    ));
-
-    // ---- PR 6 strip-mining reconstruction -------------------------------
-    // Single-task splits and one worker per locality keep every steal
-    // remote, and the hint valve re-opens the shallowest-victim targeting
-    // that PR 6 removed: on the wide-root shape every thief converges on
-    // worker 0's frontier, so the exported trace deterministically carries
-    // a steal_strip_mining finding (CI pins this with `tracecat --expect`).
-    let wide = WideRoot {
-        arms: 60,
-        bush_depth: 6,
-    };
-    let wide_baseline =
-        simulate_enumerate(&wide, &SimConfig::new(Coordination::Sequential, 1, 1)).nodes;
-    let mut strip_cfg = SimConfig::new(Coordination::stack_stealing(), localities.max(2), 1);
-    strip_cfg.trace = true;
-    strip_cfg.hint_directed_remote_steals = true;
-    let strip_out = simulate_enumerate(&wide, &strip_cfg);
-    runs.push(record(
-        "sim_strip_mining",
-        strip_out.trace,
-        0,
-        wide_baseline,
-    ));
+    runs.push(record("sim_stack_stealing", sim_out.trace, 0));
 
     serde_json::json!({
         "dir": dir.display().to_string(),
@@ -783,16 +697,6 @@ fn elastic_section(pool_workers: usize) -> serde_json::Value {
     })
 }
 
-/// Parse `YEWPAR_T2_ORDERED_CANCEL` (default: on).
-fn ordered_cancel_knob() -> bool {
-    !std::env::var("YEWPAR_T2_ORDERED_CANCEL")
-        .map(|v| {
-            let v = v.trim().to_ascii_lowercase();
-            v == "0" || v == "off" || v == "false"
-        })
-        .unwrap_or(false)
-}
-
 fn main() {
     let localities: usize = std::env::var("YEWPAR_T2_LOCALITIES")
         .ok()
@@ -800,7 +704,6 @@ fn main() {
         .unwrap_or(8);
     let workers_per_locality = 15;
     let workers = localities * workers_per_locality;
-    let ordered_cancel = ordered_cancel_knob();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let deadline_ticks = deadline_flag(&args);
     let concurrent = concurrent_flag(&args);
@@ -808,10 +711,6 @@ fn main() {
     let trace_dir = trace_dir_flag(&args);
     println!("Table 2: alternate application parallelisations — mean speedup on {workers} simulated workers");
     println!("({localities} localities x {workers_per_locality} workers; speedup vs the simulated Sequential skeleton)");
-    println!(
-        "(Ordered speculation cancellation: {})",
-        if ordered_cancel { "on" } else { "off" }
-    );
     if let Some(ticks) = deadline_ticks {
         println!(
             "(anytime mode: every run carries a virtual deadline of {} ms = {ticks} ticks; \
@@ -919,7 +818,6 @@ fn main() {
                     .iter()
                     .map(|(_, coord)| {
                         let mut cfg = SimConfig::new(*coord, localities, workers_per_locality);
-                        cfg.cancel_speculation = ordered_cancel;
                         cfg.deadline_ticks = deadline_ticks;
                         let stats = (w.run)(&cfg);
                         speculative_nodes += stats.speculative_nodes;
@@ -993,56 +891,6 @@ fn main() {
             ])
         );
     }
-    // ---- Ordered speculation-cancellation A/B -----------------------------
-    // For every decision instance (the only searches with speculation to
-    // cancel) and every Ordered spawn depth, run the identical simulation
-    // with the knob on and off.  Committed work is replicable either way;
-    // the A/B isolates how much speculative work the cancellation reclaims.
-    let mut ab_rows = Vec::new();
-    if coordinations.contains(&"Ordered") {
-        let (mut on_spec, mut off_spec, mut on_cancelled) = (0u64, 0u64, 0u64);
-        for (app, workloads) in &applications {
-            for w in workloads.iter().filter(|w| w.decision) {
-                for (param, coord) in sweep("Ordered") {
-                    let mut on_cfg = SimConfig::new(coord, localities, workers_per_locality);
-                    on_cfg.cancel_speculation = true;
-                    let on = (w.run)(&on_cfg);
-                    let mut off_cfg = SimConfig::new(coord, localities, workers_per_locality);
-                    off_cfg.cancel_speculation = false;
-                    let off = (w.run)(&off_cfg);
-                    on_spec += on.speculative_nodes;
-                    off_spec += off.speculative_nodes;
-                    on_cancelled += on.cancelled_tasks;
-                    let side = |stats: RunStats| {
-                        serde_json::json!({
-                            "makespan": stats.makespan,
-                            "speculative_nodes": stats.speculative_nodes,
-                            "cancelled_tasks": stats.cancelled_tasks,
-                        })
-                    };
-                    ab_rows.push(serde_json::json!({
-                        "application": app,
-                        "instance": w.name.clone(),
-                        "param": param,
-                        "cancel_on": side(on),
-                        "cancel_off": side(off),
-                    }));
-                }
-            }
-        }
-        if !ab_rows.is_empty() {
-            println!();
-            println!(
-                "Ordered cancellation A/B over {} decision runs: cancelled {} speculative tasks;",
-                ab_rows.len(),
-                on_cancelled
-            );
-            println!(
-                "speculative nodes {} (cancellation on) vs {} (off, the PR 2 behaviour).",
-                on_spec, off_spec
-            );
-        }
-    }
 
     println!();
     println!("Paper reference (Table 2, 120 workers): no single skeleton wins everywhere;");
@@ -1075,11 +923,9 @@ fn main() {
     let report = serde_json::json!({
         "experiment": "table2",
         "workers": workers,
-        "ordered_cancellation": ordered_cancel,
         "deadline_ticks": deadline_ticks.map(serde_json::Value::from).unwrap_or(serde_json::Value::Null),
         "deadline_exceeded_runs": total_deadline_exceeded,
         "rows": report_rows,
-        "ordered_cancellation_ab": ab_rows,
         "concurrent": concurrent_report,
         "elastic": elastic_report,
         "trace": trace_report,

@@ -16,7 +16,8 @@
 //! * `--expect KIND` — exit non-zero unless *every* file reports a finding
 //!   of the given kind (`work_inflation`, `starvation`,
 //!   `steal_strip_mining`, `speculation_waste`, `locality_imbalance`).
-//!   CI uses this to pin the strip-mining reconstruction.
+//!   CI uses this to pin the recorded strip-mining reconstruction
+//!   (`tests/fixtures/sim_strip_mining.jsonl`).
 //! * `--forbid KIND` — the mirror assertion: exit non-zero if *any* file
 //!   reports a finding of the given kind.  CI uses this to pin that the
 //!   default blind remote stealing produces no strip-mining pattern.

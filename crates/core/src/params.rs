@@ -130,15 +130,6 @@ pub struct SearchConfig {
     /// Seed for randomised victim selection in work stealing, making runs
     /// reproducible when desired.
     pub steal_seed: u64,
-    /// Ordered coordination only: when `true` (the default), recording a
-    /// pending decision witness purges queued tasks with later sequence keys
-    /// and broadcasts the witness key so in-flight speculative tasks exit
-    /// early (reported as `cancelled_tasks`).  When `false`, speculative
-    /// tasks keep running until the in-order commit fires — the PR 2
-    /// behaviour, kept as the A/B baseline.  Either setting yields identical
-    /// committed node counts; the knob only changes how much speculative work
-    /// is wasted before the commit.  Ignored by every other coordination.
-    pub cancel_speculation: bool,
     /// Wall-clock budget for the whole search.  `None` (the default) runs to
     /// completion; `Some(d)` makes every coordination's workers stop at
     /// their next per-step poll once `d` has elapsed, unwinding cleanly
@@ -177,7 +168,6 @@ impl Default for SearchConfig {
             coordination: Coordination::Sequential,
             workers: 1,
             steal_seed: 0xC0FFEE,
-            cancel_speculation: true,
             deadline: None,
             trace: false,
             priority: crate::schedule::Priority::Normal,
@@ -290,10 +280,6 @@ mod tests {
         let cfg = SearchConfig::default();
         assert_eq!(cfg.coordination, Coordination::Sequential);
         assert_eq!(cfg.workers, 1);
-        assert!(
-            cfg.cancel_speculation,
-            "speculation cancellation is on by default"
-        );
         assert_eq!(cfg.deadline, None, "no deadline unless asked for");
         assert!(!cfg.trace, "the flight recorder is off by default");
     }

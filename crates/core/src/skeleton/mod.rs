@@ -169,15 +169,6 @@ impl Skeleton {
         self
     }
 
-    /// Enable or disable the Ordered coordination's speculation cancellation
-    /// (on by default; see [`SearchConfig::cancel_speculation`]).  A no-op
-    /// for every other coordination — kept on the builder so A/B sweeps can
-    /// toggle it without constructing a full config.
-    pub fn cancel_speculation(mut self, on: bool) -> Self {
-        self.config.cancel_speculation = on;
-        self
-    }
-
     /// Set a wall-clock deadline for each search run through this skeleton
     /// (see [`SearchConfig::deadline`]): the run stops once the budget
     /// elapses and the outcome reports

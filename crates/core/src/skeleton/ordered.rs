@@ -36,18 +36,21 @@
 //!
 //! A fourth mechanism reclaims the cores speculation would otherwise waste:
 //!
-//! 4. **Key-scoped cancellation** (on by default,
-//!    [`SearchConfig::cancel_speculation`]): the moment a pending witness is
-//!    recorded, every *queued* task with a later sequence key is purged from
-//!    the pool, and the witness key is broadcast so every *in-flight* task
-//!    with a later key observes it on its next traversal step (the engine's
-//!    per-step poll) and exits with [`Flow::Cancelled`].  Cancelled work is
-//!    reported via
+//! 4. **Key-scoped cancellation**: the moment a pending witness is recorded,
+//!    every *queued* task with a later sequence key is purged from the pool,
+//!    and the witness key is broadcast so every *in-flight* task with a later
+//!    key observes it on its next traversal step (the engine's per-step poll)
+//!    and exits with [`Flow::Cancelled`].  Cancelled work is reported via
 //!    [`cancelled_tasks`](crate::metrics::WorkerMetrics::cancelled_tasks)
 //!    and its partial node count via `speculative_nodes`; the committed
 //!    count is untouched because only keys strictly after the pending
 //!    witness — which can only move *earlier* — are ever cancelled, and
 //!    those are exactly the tasks the commit would discard anyway.
+//!
+//! The commit rule itself — in-flight keys, witness fold, purge, straggler
+//! test, commit readiness and the committed/speculative split — lives in
+//! [`CommitLog`], which the virtual-time simulator drives too; this module
+//! adds only the locking, the broadcast and the termination accounting.
 //!
 //! The coordination reuses the engine's [`run_task`] traversal (so the
 //! (expand)/(backtrack)/(prune)/(shortcircuit) rules, spawn accounting and
@@ -56,7 +59,6 @@
 //! which is precisely what Ordered must not do.
 //!
 //! [`run_task`]: crate::engine::run_task
-//! [`SearchConfig::cancel_speculation`]: crate::params::SearchConfig::cancel_speculation
 
 use crate::sync::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -71,7 +73,7 @@ use crate::params::SearchConfig;
 use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, Tracer};
-use crate::workpool::{KeyArena, OrderedPool, SeqKey, Task};
+use crate::workpool::{CommitLog, KeyArena, OrderedPool, SeqKey, Task};
 
 /// Spawn the children of every node shallower than `spawn_depth`, exactly
 /// like the Depth-Bounded policy — the ordering lives in the source, not
@@ -84,26 +86,6 @@ impl<P: SearchProblem, S: WorkSource<P>> SpawnPolicy<P, S> for OrderedPolicy {
     fn spawn_children(&self, depth: usize) -> bool {
         depth < self.spawn_depth
     }
-}
-
-/// What one finished task leaves behind for the commit log.
-struct TaskRecord {
-    key: SeqKey,
-    worker: usize,
-    metrics: WorkerMetrics,
-}
-
-/// Shared commit state: which tasks are running, which witness (if any) is
-/// pending, and the per-task metrics needed to assemble the committed totals.
-struct CommitLog {
-    /// Sequence keys of issued-but-not-retired tasks.
-    in_flight: std::collections::BTreeSet<SeqKey>,
-    /// Smallest sequence key that produced a decision witness so far.
-    witness: Option<SeqKey>,
-    /// True once the witness has been committed and the search stopped.
-    committed: bool,
-    /// Per-task metrics of every retired task, speculative or not.
-    records: Vec<TaskRecord>,
 }
 
 /// Per-worker state of the ordered source.
@@ -134,45 +116,34 @@ pub(crate) struct OrderedLocal {
     cancel_frontier: Option<SeqKey>,
 }
 
-/// The broadcast half of speculation cancellation: the smallest pending
-/// witness key, readable with one atomic epoch load on the per-step poll.
-/// Workers cache the frontier in their [`OrderedLocal`] and re-read the
-/// mutex-protected key only when the epoch moves, so the commit-critical
-/// tasks (the ones the pending witness is waiting on) never contend on a
-/// shared lock per node expansion — at worst they cancel one epoch late,
-/// which costs a few speculative steps, never correctness.
+/// The broadcast half of speculation cancellation: the pending witness key,
+/// readable with one atomic epoch load on the per-step poll.  Workers cache
+/// the frontier in their [`OrderedLocal`] and re-read the mutex-protected key
+/// only when the epoch moves, so the commit-critical tasks (the ones the
+/// pending witness is waiting on) never contend on a shared lock per node
+/// expansion — at worst they cancel one epoch late, which costs a few
+/// speculative steps, never correctness.
 struct CancelSignal {
-    /// The on/off knob ([`SearchConfig::cancel_speculation`]).
-    ///
-    /// [`SearchConfig::cancel_speculation`]: crate::params::SearchConfig::cancel_speculation
-    enabled: bool,
     /// Bumped after every frontier move; 0 means no witness broadcast yet.
     epoch: AtomicU64,
-    /// The smallest witness key broadcast so far.  Only ever moves earlier,
-    /// so a key observed as "after the frontier" stays after every later
+    /// The pending witness key.  Only ever moves earlier (it is published
+    /// under the commit lock whenever the [`CommitLog`]'s witness moves), so
+    /// a key observed as "after the frontier" stays after every later
     /// frontier — cancellation can never hit a task the commit would keep.
     frontier: Mutex<Option<SeqKey>>,
 }
 
 impl CancelSignal {
-    fn new(enabled: bool) -> Self {
+    fn new() -> Self {
         CancelSignal {
-            enabled,
             epoch: AtomicU64::new(0),
             frontier: Mutex::new(None),
         }
     }
 
-    /// Publish `key` as the pending witness (keeps the smallest seen).
+    /// Publish `key` as the new pending witness.
     fn broadcast(&self, key: &SeqKey) {
-        if !self.enabled {
-            return;
-        }
-        let mut frontier = self.frontier.lock();
-        if frontier.as_ref().map_or(true, |w| key < w) {
-            *frontier = Some(key.clone());
-        }
-        drop(frontier);
+        *self.frontier.lock() = Some(key.clone());
         // Bump *after* the frontier is in place: a reader that observes the
         // new epoch is guaranteed to read (at least) this frontier.
         self.epoch.fetch_add(1, Ordering::Release);
@@ -182,9 +153,6 @@ impl CancelSignal {
     /// load on the fast path; the frontier mutex is touched only on an epoch
     /// change (i.e. O(witness updates) times per worker, not O(nodes)).
     fn should_cancel(&self, local: &mut OrderedLocal) -> bool {
-        if !self.enabled {
-            return false;
-        }
         let epoch = self.epoch.load(Ordering::Acquire);
         if epoch == 0 {
             return false;
@@ -200,25 +168,24 @@ impl CancelSignal {
     }
 }
 
+/// Per-task counters the commit log keeps: the worker that ran the task and
+/// its private metrics.
+type TaskRecord = (usize, WorkerMetrics);
+
 /// The Ordered coordination's work source: a global priority-ordered pool,
-/// the in-order commit log, and the speculation-cancellation signal.
+/// the in-order [`CommitLog`], and the speculation-cancellation signal.
 pub(crate) struct OrderedSource<N> {
     pool: OrderedPool<Task<N>>,
-    commit: Mutex<CommitLog>,
+    commit: Mutex<CommitLog<TaskRecord>>,
     cancel: CancelSignal,
 }
 
 impl<N> OrderedSource<N> {
-    pub(crate) fn new(cancel_speculation: bool, workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         OrderedSource {
             pool: OrderedPool::with_shards(workers),
-            commit: Mutex::new(CommitLog {
-                in_flight: std::collections::BTreeSet::new(),
-                witness: None,
-                committed: false,
-                records: Vec::new(),
-            }),
-            cancel: CancelSignal::new(cancel_speculation),
+            commit: Mutex::new(CommitLog::new()),
+            cancel: CancelSignal::new(),
         }
     }
 
@@ -226,36 +193,31 @@ impl<N> OrderedSource<N> {
     /// commit lock spans the pool pop, so the commit check can never observe
     /// a task that is neither queued nor in flight).
     ///
-    /// With cancellation enabled and a witness pending, tasks with keys
-    /// after the witness are skipped instead of issued: children of
-    /// committed-side tasks can legitimately land in the pool *after* the
-    /// witness purge (a parent's key sorts before the witness but a child's
-    /// may sort after), and issuing them would only create work the commit
-    /// discards.  Each skip is retired on the spot — counted in
-    /// `cancelled_tasks` and drained from the termination counter — which
-    /// requires the `term` handle; the trait-level [`WorkSource::pop`] has
-    /// no such handle and passes `None`, falling back to plain issue (safe:
-    /// the per-step poll cancels the task right after it starts).
+    /// While a witness is pending, tasks keyed after it are skipped instead
+    /// of issued: children of committed-side tasks can legitimately land in
+    /// the pool *after* the witness purge (a parent's key sorts before the
+    /// witness but a child's may sort after), and issuing them would only
+    /// create work the commit discards.  Each skip is retired on the spot —
+    /// counted in `cancelled_tasks` and drained from the termination
+    /// counter — which requires the `term` handle; the trait-level
+    /// [`WorkSource::pop`] has no such handle and passes `None`, falling
+    /// back to plain issue (safe: the per-step poll cancels the task right
+    /// after it starts).
     fn issue(&self, local: &mut OrderedLocal, term: Option<&Termination>) -> Option<Task<N>> {
         let mut commit = self.commit.lock();
         loop {
             let (key, task) = self.pool.pop()?;
-            if let (Some(term), true, Some(w)) =
-                (term, self.cancel.enabled, commit.witness.as_ref())
-            {
-                if !commit.committed && key > *w {
-                    // The task never runs: drain it as discarded, exactly
-                    // like the purge and commit-clear disposal paths.
-                    local.cancelled += 1;
-                    local.arena.recycle(key);
-                    term.tasks_discarded(1);
-                    continue;
-                }
+            if let Some(term) = term.filter(|_| commit.after_witness(&key)) {
+                // The task never runs: drain it as discarded, exactly like
+                // the purge and commit-clear disposal paths.
+                local.cancelled += 1;
+                local.arena.recycle(key);
+                term.tasks_discarded(1);
+                continue;
             }
-            if commit.in_flight.iter().next().is_some_and(|min| *min < key) {
+            if commit.issue(key.clone()) {
                 local.inversions += 1;
             }
-            commit.in_flight.insert(key.clone());
             let previous = std::mem::replace(&mut local.current, key);
             local.arena.recycle(previous);
             local.next_child = 0;
@@ -263,11 +225,12 @@ impl<N> OrderedSource<N> {
         }
     }
 
-    /// Retire a finished task: log its metrics, fold a genuine witness into
-    /// the pending minimum (purging and broadcasting against the new
-    /// frontier), and commit the stop once nothing sequentially earlier
-    /// remains.  Aborted tasks (post-commit `ShortCircuited` flows) always
-    /// carry keys after the witness, so folding them is a no-op.
+    /// Retire a finished task into the commit log.  When its witness becomes
+    /// the pending one, the log has purged the later-keyed queue; broadcast
+    /// the key so in-flight tasks with later keys exit at their next
+    /// traversal step.  When the log commits, stop the search and drain the
+    /// pool.  Aborted tasks (post-commit `ShortCircuited` flows) always carry
+    /// keys after the witness, so the log's fold ignores them.
     fn retire(
         &self,
         key: SeqKey,
@@ -278,36 +241,18 @@ impl<N> OrderedSource<N> {
         local: &mut OrderedLocal,
     ) {
         let mut commit = self.commit.lock();
-        commit.in_flight.remove(&key);
-        if flow == Flow::ShortCircuited && commit.witness.as_ref().map_or(true, |w| key < *w) {
-            commit.witness = Some(key.clone());
-            if self.cancel.enabled && !commit.committed {
-                // Reclaim speculation beyond the new frontier: purge the
-                // queue now, and broadcast the key so in-flight tasks with
-                // later keys exit at their next traversal step.
-                self.cancel.broadcast(&key);
-                let purged = self.pool.purge_after(&key) as u64;
-                local.cancelled += purged;
-                term.tasks_discarded(purged);
-            }
-        }
-        commit.records.push(TaskRecord {
+        let retired = commit.retire(
+            &self.pool,
             key,
-            worker,
-            metrics,
-        });
-        if commit.committed {
-            return;
+            (worker, metrics),
+            flow == Flow::ShortCircuited,
+        );
+        if let (Some(purged), Some(witness)) = (retired.purged, commit.witness()) {
+            self.cancel.broadcast(witness);
+            local.cancelled += purged as u64;
+            term.tasks_discarded(purged as u64);
         }
-        let ready = match commit.witness.clone() {
-            None => false,
-            Some(w) => {
-                commit.in_flight.iter().next().map_or(true, |min| *min >= w)
-                    && self.pool.min_key().map_or(true, |min| min >= w)
-            }
-        };
-        if ready {
-            commit.committed = true;
+        if retired.committed {
             term.short_circuit();
             term.tasks_discarded(self.pool.clear() as u64);
         }
@@ -325,20 +270,15 @@ impl<N> OrderedSource<N> {
         let commit = self.commit.lock();
         let mut committed_nodes = 0u64;
         let mut discarded_nodes = 0u64;
-        for record in &commit.records {
-            let committed = match &commit.witness {
-                None => true,
-                Some(w) => record.key <= *w,
-            };
-            if committed {
-                committed_nodes += record.metrics.nodes;
-                base[record.worker].merge(&record.metrics);
-            } else {
-                discarded_nodes += record.metrics.nodes;
-                base[record.worker].speculative_nodes += record.metrics.nodes;
-            }
+        for (worker, metrics) in commit.committed_records() {
+            committed_nodes += metrics.nodes;
+            base[*worker].merge(metrics);
         }
-        if tracer.enabled() && commit.witness.is_some() {
+        for (worker, metrics) in commit.speculative_records() {
+            discarded_nodes += metrics.nodes;
+            base[*worker].speculative_nodes += metrics.nodes;
+        }
+        if tracer.enabled() && commit.witness().is_some() {
             tracer.control(TraceEvent::SpeculationCommit {
                 nodes: committed_nodes,
             });
@@ -461,7 +401,7 @@ where
     // live search, so shared structures are sized for every worker id the
     // grant could ever mint, not just the initial count.
     let capacity = lifecycle.worker_capacity(config);
-    let source = OrderedSource::new(config.cancel_speculation, capacity);
+    let source = OrderedSource::new(capacity);
     let policy = OrderedPolicy { spawn_depth };
     WorkSource::<P>::seed(&source, Task::new(problem.root(), 0));
 
@@ -790,6 +730,49 @@ mod tests {
         }
     }
 
+    /// [`LeftWitness`] with the commit-critical task held back: expanding
+    /// ⟨1.0⟩, the task that finds the witness, waits until a task keyed after
+    /// it has expanded a node.  Needs at least two workers (the wait gives up
+    /// after ten seconds rather than hang a lone worker).
+    #[derive(Default)]
+    struct HeldWitness {
+        speculated: (std::sync::Mutex<bool>, std::sync::Condvar),
+    }
+
+    impl SearchProblem for HeldWitness {
+        type Node = Vec<u32>;
+        type Gen<'a> = std::vec::IntoIter<Vec<u32>>;
+        fn root(&self) -> Vec<u32> {
+            LeftWitness.root()
+        }
+        fn generator(&self, node: &Vec<u32>) -> Self::Gen<'_> {
+            let (flag, cvar) = &self.speculated;
+            if node.as_slice() == [1, 0] {
+                let held = flag.lock().unwrap();
+                let _released = cvar
+                    .wait_timeout_while(held, Duration::from_secs(10), |speculated| !*speculated)
+                    .unwrap();
+            } else if node.as_slice() > [1, 0].as_slice() && !node.starts_with(&[1, 0]) {
+                *flag.lock().unwrap() = true;
+                cvar.notify_all();
+            }
+            LeftWitness.generator(node)
+        }
+    }
+
+    impl Optimise for HeldWitness {
+        type Score = u64;
+        fn objective(&self, node: &Vec<u32>) -> u64 {
+            LeftWitness.objective(node)
+        }
+    }
+
+    impl Decide for HeldWitness {
+        fn target(&self) -> u64 {
+            LeftWitness.target()
+        }
+    }
+
     #[test]
     fn speculative_work_is_reported_but_never_committed() {
         let seq = Skeleton::new(Coordination::Sequential).decide(&LeftWitness);
@@ -809,103 +792,81 @@ mod tests {
                 assert_eq!(out.metrics.totals.speculative_nodes, 0);
             }
         }
-        // Whether spare workers win any speculative task before the commit
-        // is OS-scheduling nondeterminism; retry a few runs before declaring
-        // that speculation accounting never fires.  Cancellation is switched
-        // off here on purpose: with it on, post-witness tasks are reclaimed
-        // before they can accumulate the nodes this test wants to observe
-        // (that reclamation has its own test below).
-        let mut saw_speculation = false;
-        for _attempt in 0..5 {
-            let out = Skeleton::new(Coordination::ordered(2))
-                .workers(8)
-                .cancel_speculation(false)
-                .decide(&LeftWitness);
-            assert_eq!(out.metrics.nodes(), reference);
-            if out.metrics.totals.speculative_nodes > 0 {
-                saw_speculation = true;
-                break;
-            }
-        }
+        // Speculation is forced, not left to the OS scheduler: the witness
+        // task is held until a later-keyed task has expanded a node, and a
+        // task keyed after the witness is speculative however far it got
+        // before the cancellation broadcast reached it.
+        let out = Skeleton::new(Coordination::ordered(2))
+            .workers(8)
+            .decide(&HeldWitness::default());
+        assert_eq!(out.metrics.nodes(), reference);
+        let saw_speculation = out.metrics.totals.speculative_nodes > 0;
         assert!(
             saw_speculation,
             "8-worker runs of a left-witness tree must have speculated"
         );
     }
 
-    /// Regression (satellite of the cancellation PR): the commit path clears
-    /// the workpool, and every cleared/purged task must still drain the
-    /// outstanding-task counter — otherwise `all_done()` stays false forever
-    /// and only the stop flag masks the leak.
+    /// Regression: the commit path clears the workpool, and every
+    /// cleared/purged task must still drain the outstanding-task counter —
+    /// otherwise `all_done()` stays false forever and only the stop flag
+    /// masks the leak.
     #[test]
     fn short_circuited_run_drains_the_outstanding_counter() {
         use crate::skeleton::driver::DecideDriver;
-        for cancel in [true, false] {
-            for workers in [1usize, 4, 8] {
-                let driver = DecideDriver::<LeftWitness>::new(100);
-                let term = Termination::new(1);
-                let config = SearchConfig {
-                    coordination: Coordination::ordered(2),
-                    workers,
-                    cancel_speculation: cancel,
-                    ..SearchConfig::default()
-                };
-                let (_metrics, _elapsed) = run_with_term(
-                    &LeftWitness,
-                    &driver,
-                    &config,
-                    2,
-                    &term,
-                    &Lifecycle::inert(),
-                );
-                assert_eq!(
-                    term.outstanding(),
-                    0,
-                    "cancel={cancel} workers={workers}: purged tasks leaked"
-                );
-                assert!(
-                    term.all_done(),
-                    "cancel={cancel} workers={workers}: all_done must not be masked by the stop flag"
-                );
-                assert!(term.short_circuited());
-            }
+        for workers in [1usize, 4, 8] {
+            let driver = DecideDriver::<LeftWitness>::new(100);
+            let term = Termination::new(1);
+            let config = SearchConfig {
+                coordination: Coordination::ordered(2),
+                workers,
+                ..SearchConfig::default()
+            };
+            let (_metrics, _elapsed) = run_with_term(
+                &LeftWitness,
+                &driver,
+                &config,
+                2,
+                &term,
+                &Lifecycle::inert(),
+            );
+            assert_eq!(
+                term.outstanding(),
+                0,
+                "workers={workers}: purged tasks leaked"
+            );
+            assert!(
+                term.all_done(),
+                "workers={workers}: all_done must not be masked by the stop flag"
+            );
+            assert!(term.short_circuited());
         }
     }
 
-    /// Cancellation is purely an efficiency knob: committed node counts are
-    /// identical with it on and off, at every worker count, and with it on a
-    /// contended run reclaims speculative tasks (`cancelled_tasks > 0`).
+    /// Cancellation preserves committed node counts at every worker count,
+    /// and a contended run reclaims speculative tasks (`cancelled_tasks > 0`).
     #[test]
     fn cancellation_preserves_committed_counts_and_reclaims_speculation() {
         let seq = Skeleton::new(Coordination::Sequential).decide(&LeftWitness);
         let reference = seq.metrics.nodes();
-        for cancel in [true, false] {
-            for workers in [1usize, 2, 4, 8] {
-                let out = Skeleton::new(Coordination::ordered(2))
-                    .workers(workers)
-                    .cancel_speculation(cancel)
-                    .decide(&LeftWitness);
-                assert!(out.found(), "cancel={cancel} workers={workers}");
+        for workers in [1usize, 2, 4, 8] {
+            let out = Skeleton::new(Coordination::ordered(2))
+                .workers(workers)
+                .decide(&LeftWitness);
+            assert!(out.found(), "workers={workers}");
+            assert_eq!(
+                out.metrics.nodes(),
+                reference,
+                "workers={workers}: committed count diverged"
+            );
+            if workers == 1 {
+                // A single worker runs strictly in preorder, so nothing
+                // speculative ever *executes* — purged queued tasks may
+                // still be counted as cancelled, but they carry no work.
                 assert_eq!(
-                    out.metrics.nodes(),
-                    reference,
-                    "cancel={cancel} workers={workers}: committed count diverged"
+                    out.metrics.totals.speculative_nodes, 0,
+                    "one worker must not record speculative work"
                 );
-                if !cancel {
-                    assert_eq!(
-                        out.metrics.totals.cancelled_tasks, 0,
-                        "the off knob must record no cancellations"
-                    );
-                }
-                if workers == 1 {
-                    // A single worker runs strictly in preorder, so nothing
-                    // speculative ever *executes* — purged queued tasks may
-                    // still be counted as cancelled, but they carry no work.
-                    assert_eq!(
-                        out.metrics.totals.speculative_nodes, 0,
-                        "one worker must not record speculative work"
-                    );
-                }
             }
         }
         // Whether spare workers start speculative tasks before the witness
@@ -936,7 +897,6 @@ mod tests {
         let expected = crate::node::subtree_size(&p, &p.root());
         let out = Skeleton::new(Coordination::ordered(3))
             .workers(4)
-            .cancel_speculation(true)
             .enumerate(&p);
         assert_eq!(out.value.0, expected);
         assert_eq!(out.metrics.totals.cancelled_tasks, 0);

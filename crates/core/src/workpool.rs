@@ -50,7 +50,7 @@ pub mod arena;
 pub mod ordered;
 
 pub use arena::KeyArena;
-pub use ordered::{OrderedPool, SeqKey};
+pub use ordered::{CommitLog, OrderedPool, Retired, SeqKey};
 
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 use parking_lot::{Mutex, MutexGuard};

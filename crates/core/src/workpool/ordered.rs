@@ -50,7 +50,7 @@
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// The sequence key of a task: the path of heuristic child indices from the
 /// search-tree root to the task's root node.  The root itself has the empty
@@ -331,6 +331,140 @@ impl<T> std::fmt::Debug for OrderedPool<T> {
     }
 }
 
+/// What [`CommitLog::retire`] decided besides logging the task.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retired {
+    /// `Some(n)` when the retiring task's witness became the pending
+    /// witness (the first, or one sequentially earlier than the last):
+    /// `n` queued tasks keyed after it were purged from the pool.  `None`
+    /// when the pending witness did not move, or was already committed.
+    pub purged: Option<usize>,
+    /// True when this retirement committed the pending witness: nothing
+    /// sequentially earlier is in flight or queued any more, so the search
+    /// stops.
+    pub committed: bool,
+}
+
+/// The Ordered coordination's in-order commit rule, shared by the threaded
+/// skeleton and the virtual-time simulator: a decision witness is committed
+/// in sequential (key) order, and work keyed after it is speculation to
+/// reclaim or discard.
+///
+/// The log tracks the in-flight keys, folds witnesses into the pending one
+/// (which only ever moves *earlier*), and keeps one record of caller-defined
+/// counters `R` per retired task, classified committed or speculative
+/// against the final witness.  It is single-threaded and clock-agnostic:
+/// the caller serialises access (the threaded source holds it under a
+/// mutex, and that lock spans every pool pop so the commit check never
+/// misses a task that is neither queued nor in flight) and passes the
+/// sequence-keyed pool by reference wherever the rule needs to look at or
+/// purge the queue.
+pub struct CommitLog<R> {
+    /// Sequence keys of issued-but-not-retired tasks.
+    in_flight: BTreeSet<SeqKey>,
+    /// Smallest sequence key that produced a decision witness so far.
+    witness: Option<SeqKey>,
+    /// True once the witness has been committed.
+    committed: bool,
+    /// One record per retired task, speculative or not.
+    records: Vec<(SeqKey, R)>,
+}
+
+impl<R> Default for CommitLog<R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<R> CommitLog<R> {
+    /// An empty log: nothing in flight, no witness.
+    pub fn new() -> Self {
+        CommitLog {
+            in_flight: BTreeSet::new(),
+            witness: None,
+            committed: false,
+            records: Vec::new(),
+        }
+    }
+
+    /// The pending (or committed) witness key, if any task found one.
+    pub fn witness(&self) -> Option<&SeqKey> {
+        self.witness.as_ref()
+    }
+
+    /// True once [`retire`](Self::retire) has committed the witness.
+    pub fn is_committed(&self) -> bool {
+        self.committed
+    }
+
+    /// True when a witness is pending — found but not yet committed — and
+    /// `key` sorts after it: the task can only produce work the commit will
+    /// discard, so a queued one should be skipped and a running one
+    /// cancelled.
+    pub fn after_witness(&self, key: &SeqKey) -> bool {
+        !self.committed && self.witness.as_ref().is_some_and(|w| key > w)
+    }
+
+    /// Mark a freshly popped task in flight.  Returns true when the issue is
+    /// a priority inversion: a sequentially earlier task is still running.
+    pub fn issue(&mut self, key: SeqKey) -> bool {
+        let inversion = self.in_flight.first().is_some_and(|min| *min < key);
+        self.in_flight.insert(key);
+        inversion
+    }
+
+    /// Retire a task: log its `record`, and when it `witnessed` the target
+    /// with a key earlier than the pending witness, make it the pending
+    /// witness and purge every queued task keyed after it from `pool`.
+    /// Then commit once nothing sequentially earlier than the witness is in
+    /// flight or queued.  A task that did not witness (finished, pruned,
+    /// cancelled or aborted) can still unblock the commit by leaving the
+    /// in-flight set.
+    pub fn retire<T>(
+        &mut self,
+        pool: &OrderedPool<T>,
+        key: SeqKey,
+        record: R,
+        witnessed: bool,
+    ) -> Retired {
+        self.in_flight.remove(&key);
+        let mut purged = None;
+        if witnessed && self.witness.as_ref().map_or(true, |w| key < *w) {
+            if !self.committed {
+                purged = Some(pool.purge_after(&key));
+            }
+            self.witness = Some(key.clone());
+        }
+        self.records.push((key, record));
+        let committed = !self.committed
+            && self.witness.as_ref().is_some_and(|w| {
+                self.in_flight.first().map_or(true, |min| min >= w)
+                    && pool.min_key().map_or(true, |min| min >= *w)
+            });
+        self.committed |= committed;
+        Retired { purged, committed }
+    }
+
+    /// Records of the committed tasks: every task when no witness was found,
+    /// otherwise those keyed at or before the witness.
+    pub fn committed_records(&self) -> impl Iterator<Item = &R> {
+        self.classified(true)
+    }
+
+    /// Records of the speculative tasks: those keyed after the witness,
+    /// whose work the commit discards.
+    pub fn speculative_records(&self) -> impl Iterator<Item = &R> {
+        self.classified(false)
+    }
+
+    fn classified(&self, committed: bool) -> impl Iterator<Item = &R> {
+        self.records
+            .iter()
+            .filter(move |(key, _)| self.witness.as_ref().map_or(true, |w| key <= w) == committed)
+            .map(|(_, record)| record)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,6 +556,136 @@ mod tests {
         assert_eq!(pool.purge_after(&key(&[4])), 0, "bound key is not 'after'");
         assert_eq!(pool.purge_after(&key(&[3, 9])), 1, "⟨4⟩ > ⟨3.9⟩ is purged");
         assert!(pool.is_empty());
+    }
+
+    /// One step of a [`CommitLog`] scenario, driven the way both engines
+    /// drive it: a popped key goes through the straggler test, and only a
+    /// key that passes it is issued.
+    enum Step {
+        Push(&'static [u32]),
+        /// Pop and issue this key, expecting the given inversion verdict.
+        Issue(&'static [u32], bool),
+        /// Pop this key and expect the straggler test to skip it.
+        Skip(&'static [u32]),
+        /// Retire `(key, witnessed)`, expecting `(purged, committed)`.
+        Retire(&'static [u32], bool, Option<usize>, bool),
+    }
+
+    #[test]
+    fn commit_log_applies_the_ordered_commit_rule() {
+        use Step::*;
+        type Keys = &'static [&'static [u32]];
+        // (scenario, steps, final witness, committed records, speculative records)
+        type Scenario = (&'static str, Vec<Step>, Option<&'static [u32]>, Keys, Keys);
+        let scenarios: [Scenario; 4] = [
+            (
+                "no witness: every record commits, the log never does",
+                vec![
+                    Push(&[0]),
+                    Push(&[1]),
+                    Issue(&[0], false),
+                    Issue(&[1], true),
+                    Retire(&[1], false, None, false),
+                    Retire(&[0], false, None, false),
+                ],
+                None,
+                &[&[1], &[0]],
+                &[],
+            ),
+            (
+                // ⟨2⟩ purges ⟨3⟩ and ⟨4⟩; ⟨1⟩ moves the witness earlier with
+                // nothing left to purge; ⟨0⟩ was the last earlier task.
+                "the witness only moves earlier, purging what sorts after it",
+                vec![
+                    Push(&[0]),
+                    Push(&[1]),
+                    Push(&[2]),
+                    Push(&[3]),
+                    Push(&[4]),
+                    Issue(&[0], false),
+                    Issue(&[1], true),
+                    Issue(&[2], true),
+                    Retire(&[2], true, Some(2), false),
+                    Retire(&[1], true, Some(0), false),
+                    Retire(&[0], false, None, true),
+                ],
+                Some(&[1]),
+                &[&[1], &[0]],
+                &[&[2]],
+            ),
+            (
+                // ⟨1.3⟩ is a child released after the purge.
+                "a later witness does not move it; stragglers are skipped",
+                vec![
+                    Push(&[0]),
+                    Push(&[1]),
+                    Push(&[2]),
+                    Issue(&[0], false),
+                    Issue(&[1], true),
+                    Issue(&[2], true),
+                    Retire(&[1], true, Some(0), false),
+                    Retire(&[2], true, None, false),
+                    Push(&[1, 3]),
+                    Skip(&[1, 3]),
+                    Retire(&[0], false, None, true),
+                ],
+                Some(&[1]),
+                &[&[1], &[0]],
+                &[&[2]],
+            ),
+            (
+                // ⟨0⟩ releases ⟨0.0⟩, which sorts before the witness: the
+                // commit waits for it after ⟨0⟩ itself retires.
+                "no commit while an earlier key is queued or in flight",
+                vec![
+                    Push(&[0]),
+                    Push(&[1]),
+                    Issue(&[0], false),
+                    Issue(&[1], true),
+                    Push(&[0, 0]),
+                    Retire(&[1], true, Some(0), false),
+                    Retire(&[0], false, None, false),
+                    Issue(&[0, 0], false),
+                    Retire(&[0, 0], false, None, true),
+                ],
+                Some(&[1]),
+                &[&[1], &[0], &[0, 0]],
+                &[],
+            ),
+        ];
+        for (name, steps, witness, committed, speculative) in scenarios {
+            let pool = OrderedPool::new();
+            let mut log = CommitLog::new();
+            for step in steps {
+                match step {
+                    Push(path) => pool.push(key(path), ()),
+                    Issue(path, inversion) => {
+                        let (popped, ()) = pool.pop().expect("a queued task");
+                        assert_eq!(popped, key(path), "{name}: pop order");
+                        assert!(!log.after_witness(&popped), "{name}: {popped} runs");
+                        assert_eq!(log.issue(popped), inversion, "{name}: {path:?}");
+                    }
+                    Skip(path) => {
+                        let (popped, ()) = pool.pop().expect("a queued task");
+                        assert_eq!(popped, key(path), "{name}: pop order");
+                        assert!(log.after_witness(&popped), "{name}: {popped} skips");
+                    }
+                    Retire(path, witnessed, purged, committed) => assert_eq!(
+                        log.retire(&pool, key(path), path, witnessed),
+                        Retired { purged, committed },
+                        "{name}: retiring {path:?}"
+                    ),
+                }
+            }
+            assert_eq!(log.witness(), witness.map(key).as_ref(), "{name}");
+            let records: Vec<&[u32]> = log.committed_records().copied().collect();
+            assert_eq!(records, committed, "{name}: committed");
+            let records: Vec<&[u32]> = log.speculative_records().copied().collect();
+            assert_eq!(records, speculative, "{name}: speculative");
+            if witness.is_some() {
+                assert!(!log.after_witness(&key(&[9])), "{name}: committed");
+            }
+        }
     }
 
     proptest! {

@@ -16,7 +16,9 @@ use yewpar::monoid::Monoid;
 use yewpar::objective::PruneLevel;
 use yewpar::params::Coordination;
 use yewpar::trace::{TraceEvent, TraceRecord, CONTROL_WORKER, UNKNOWN_VICTIM};
-use yewpar::workpool::{DepthPool, OrderedPool, SeqKey, Task, POP_BATCH, STEAL_BATCH};
+use yewpar::workpool::{
+    CommitLog, DepthPool, OrderedPool, Retired, SeqKey, Task, POP_BATCH, STEAL_BATCH,
+};
 use yewpar::{Decide, Enumerate, Optimise, SearchProblem, SearchStatus};
 
 /// Virtual-time costs of the simulated operations, in abstract "ticks".
@@ -90,12 +92,6 @@ pub struct SimConfig {
     pub costs: CostModel,
     /// Seed for randomised victim selection.
     pub seed: u64,
-    /// Ordered coordination only: reclaim speculation sequentially after a
-    /// pending decision witness (purge queued tasks, cancel in-flight ones)
-    /// instead of letting it run until the in-order commit fires.  Mirrors
-    /// the threaded engine's `SearchConfig::cancel_speculation`; on by
-    /// default, ignored by every other coordination.
-    pub cancel_speculation: bool,
     /// Virtual-time deadline in ticks, mirroring the threaded engine's
     /// `SearchConfig::deadline`: the simulation stops at the first event at
     /// or past this virtual time, reports
@@ -113,16 +109,6 @@ pub struct SimConfig {
     /// traced run has exactly the same makespan and counters as an untraced
     /// one.  Off by default.
     pub trace: bool,
-    /// Stack-Stealing only: make *remote* victim selection hint-guided
-    /// (shallowest stealable frontier across all other localities) instead
-    /// of blind-random.  This deliberately re-creates the strip-mining
-    /// pathology the blind-random default exists to prevent — every idle
-    /// locality converges on the first busy worker's shallow frontier — so
-    /// the anomaly analyzer's
-    /// [`StealStripMining`](yewpar::trace::analyze::FindingKind::StealStripMining)
-    /// rule can be exercised against a known-bad schedule.  Off by default;
-    /// ignored by every other coordination.
-    pub hint_directed_remote_steals: bool,
 }
 
 impl SimConfig {
@@ -135,10 +121,8 @@ impl SimConfig {
             coordination,
             costs: CostModel::default(),
             seed: 0xF1_6004,
-            cancel_speculation: true,
             deadline_ticks: None,
             trace: false,
-            hint_directed_remote_steals: false,
         }
     }
 
@@ -175,8 +159,8 @@ pub struct SimOutcome<R> {
     /// `nodes`, which therefore stays replicable across worker counts.
     pub speculative_nodes: u64,
     /// Ordered speculative tasks reclaimed by the cancellation signal
-    /// (queued purges plus in-flight early exits).  Zero when
-    /// `cancel_speculation` is off or no witness is recorded.
+    /// (queued purges, skipped stragglers and in-flight early exits).  Zero
+    /// when no witness is recorded.
     pub cancelled_tasks: u64,
     /// Simulated workpool lock acquisitions: one per pool operation (a
     /// push or pop, batched or not — a whole batch counts once).  The
@@ -247,13 +231,13 @@ enum Action {
 trait SimDriver<P: SearchProblem> {
     fn process(&mut self, problem: &P, node: &P::Node, locality: usize, now: u64) -> Action;
 
-    /// Ordered coordination only: the sequence key of the task about to call
-    /// [`process`](Self::process).  Decision drivers use it to keep the
-    /// *sequentially first* witness rather than the temporally first one —
-    /// the commit discards later-keyed witnesses, so the reported node must
-    /// match.  Default: ignore (every other coordination stops at the first
-    /// witness found, which is then the only one).
-    fn set_active_task(&mut self, _key: Option<&SeqKey>) {}
+    /// Ordered coordination only: the commit log did not adopt the witness
+    /// the last [`process`](Self::process) call reported — its task sorts
+    /// after the pending witness — so decision drivers go back to reporting
+    /// the previous one, keeping the *sequentially first* witness rather
+    /// than the temporally last.  Never called by any other coordination,
+    /// which stops at the first witness found.
+    fn reject_witness(&mut self) {}
 }
 
 /// Enumeration: accumulate the monoid; knowledge is purely local.
@@ -342,37 +326,20 @@ struct DecideSimDriver<P: Decide> {
     inner: OptimSimDriver<P>,
     target: P::Score,
     witness: Option<P::Node>,
-    /// Sequence key of the task currently calling `process` (Ordered only).
-    active_key: Option<SeqKey>,
-    /// Sequence key of the task that produced `witness` (Ordered only).
-    witness_key: Option<SeqKey>,
+    /// The witness the latest one replaced, restored by
+    /// [`reject_witness`](SimDriver::reject_witness) (Ordered only).
+    replaced: Option<P::Node>,
 }
 
 impl<P: Decide> SimDriver<P> for DecideSimDriver<P> {
-    fn set_active_task(&mut self, key: Option<&SeqKey>) {
-        // Called once per simulated traversal step; the key only changes at
-        // task boundaries, so skip the Vec clone while it is unchanged.
-        if self.active_key.as_ref() != key {
-            self.active_key = key.cloned();
-        }
+    fn reject_witness(&mut self) {
+        self.witness = self.replaced.take();
     }
 
     fn process(&mut self, problem: &P, node: &P::Node, locality: usize, now: u64) -> Action {
         let score = problem.objective(node);
         if score >= self.target {
-            // Under Ordered speculation several tasks may each hit a
-            // witness; only the sequentially first one survives the commit,
-            // so keep the candidate with the smallest task key.  Outside
-            // Ordered (no active key) the first witness stops the run and is
-            // trivially the one to keep.
-            let keep = match (&self.active_key, &self.witness_key) {
-                (Some(key), Some(existing)) => key < existing,
-                _ => true,
-            };
-            if keep {
-                self.witness = Some(node.clone());
-                self.witness_key = self.active_key.clone();
-            }
+            self.replaced = self.witness.replace(node.clone());
             return Action::ShortCircuit;
         }
         self.inner.strengthen(score, node, locality, now);
@@ -511,8 +478,7 @@ pub fn simulate_decide<P: Decide>(problem: &P, config: &SimConfig) -> SimOutcome
         inner: OptimSimDriver::<P>::new(config.costs.bound_broadcast_latency),
         target: problem.target(),
         witness: None,
-        active_key: None,
-        witness_key: None,
+        replaced: None,
     };
     let mut trace = SimTrace::new(config.trace);
     let stats = simulate(problem, config, &mut driver, &mut trace);
@@ -818,10 +784,7 @@ where
                 //   remote thieves hint-guided too, every idle locality
                 //   would strip-mine the first busy worker's shallow
                 //   frontier the instant it appears, shipping nearly the
-                //   whole root frontier into in-flight transfers at once.
-                //   `SimConfig::hint_directed_remote_steals` deliberately
-                //   re-opens that valve so the anomaly analyzer can be
-                //   exercised against the pathology.)
+                //   whole root frontier into in-flight transfers at once.)
                 let mut stolen = Vec::new();
                 let mut latency = costs.idle_poll;
                 let mut remote = false;
@@ -857,52 +820,23 @@ where
                     latency = costs.local_steal_latency;
                     chosen = Some(victim);
                 } else if n_localities > 1 {
-                    let victim = if config.hint_directed_remote_steals {
-                        // The known-bad schedule behind the analyzer's
-                        // strip-mining rule: hint-guide the *remote* pick
-                        // too, so every idle locality converges on the
-                        // worker with the shallowest stealable frontier.
-                        let mut depth = usize::MAX;
-                        let mut candidates: Vec<usize> = Vec::new();
-                        for (v, victim) in workers.iter_mut().enumerate() {
-                            if victim.locality == my_locality {
-                                continue;
-                            }
-                            if let Some(d) = victim.stack.steal_depth() {
-                                match d.cmp(&depth) {
-                                    std::cmp::Ordering::Less => {
-                                        depth = d;
-                                        candidates.clear();
-                                        candidates.push(v);
-                                    }
-                                    std::cmp::Ordering::Equal => candidates.push(v),
-                                    std::cmp::Ordering::Greater => {}
-                                }
-                            }
-                        }
-                        (!candidates.is_empty())
-                            .then(|| candidates[rng.gen_range(0..candidates.len())])
-                    } else {
-                        let remote_victims: Vec<usize> = (0..n_workers)
-                            .filter(|&v| workers[v].locality != my_locality)
-                            .collect();
-                        Some(remote_victims[rng.gen_range(0..remote_victims.len())])
-                    };
-                    if let Some(victim) = victim {
-                        trace.emit(
-                            now,
-                            w as u32,
-                            TraceEvent::StealRequest {
-                                victim: victim as u32,
-                            },
-                        );
-                        chosen = Some(victim);
-                        let split = workers[victim].stack.split_lowest(chunked);
-                        if !split.is_empty() {
-                            stolen = split;
-                            latency = costs.remote_steal_latency;
-                            remote = true;
-                        }
+                    let remote_victims: Vec<usize> = (0..n_workers)
+                        .filter(|&v| workers[v].locality != my_locality)
+                        .collect();
+                    let victim = remote_victims[rng.gen_range(0..remote_victims.len())];
+                    trace.emit(
+                        now,
+                        w as u32,
+                        TraceEvent::StealRequest {
+                            victim: victim as u32,
+                        },
+                    );
+                    chosen = Some(victim);
+                    let split = workers[victim].stack.split_lowest(chunked);
+                    if !split.is_empty() {
+                        stolen = split;
+                        latency = costs.remote_steal_latency;
+                        remote = true;
                     }
                 }
                 if !stolen.is_empty() {
@@ -943,16 +877,6 @@ where
     stats
 }
 
-/// One retired (or aborted) task of the simulated Ordered coordination: its
-/// sequence key plus its private counters, classified committed/speculative
-/// only once the final witness is known — exactly like the threaded commit
-/// log's task records.
-struct OrderedTaskRecord {
-    key: SeqKey,
-    nodes: u64,
-    prunes: u64,
-}
-
 /// Per-worker state of the simulated Ordered coordination.
 struct OrderedSimWorker<'p, P: SearchProblem> {
     /// Resumable depth-first traversal of the current task.
@@ -967,121 +891,32 @@ struct OrderedSimWorker<'p, P: SearchProblem> {
     work: u64,
 }
 
-/// The shared commit state of the simulated Ordered coordination: the global
-/// sequence-keyed pool plus the in-flight set, witness, task records and
-/// outstanding counter every disposal path touches.  Mirrors the threaded
-/// engine's `CommitLog`, collapsed into one owner so retiring, cancelling
-/// and skipping all share the same bookkeeping.
-struct OrderedCommitState<N> {
-    pool: OrderedPool<Task<N>>,
-    in_flight: std::collections::BTreeSet<SeqKey>,
-    records: Vec<OrderedTaskRecord>,
-    witness: Option<SeqKey>,
-    committed: bool,
-    outstanding: u64,
-    /// The [`SimConfig::cancel_speculation`] knob.
-    cancel: bool,
-}
-
-impl<N> OrderedCommitState<N> {
-    fn new(cancel: bool, root: Task<N>) -> Self {
-        let pool = OrderedPool::new();
-        pool.push(SeqKey::root(), root);
-        OrderedCommitState {
-            pool,
-            in_flight: std::collections::BTreeSet::new(),
-            records: Vec::new(),
-            witness: None,
-            committed: false,
-            outstanding: 1,
-            cancel,
-        }
+/// Charge a [`CommitLog::retire`] verdict to the simulation's own
+/// bookkeeping: the retired task and any purged ones leave `outstanding`,
+/// purges count as reclaimed speculation, and the commit — or the last
+/// outstanding task — fixes the makespan.
+fn settle(retired: Retired, outstanding: &mut u64, stats: &mut SimStats, now: u64) {
+    *outstanding -= 1;
+    if let Some(purged) = retired.purged {
+        *outstanding -= purged as u64;
+        stats.cancelled_tasks += purged as u64;
     }
-
-    /// True when `key` is known speculation: cancellation is on and a
-    /// pending witness with an earlier key exists.
-    fn beyond_witness(&self, key: &SeqKey) -> bool {
-        self.cancel && self.witness.as_ref().is_some_and(|w| key > w)
+    if retired.committed {
+        stats.makespan = now;
     }
-
-    /// Mark a freshly popped task in flight, counting a priority inversion
-    /// when a smaller key is still executing.
-    fn issue(&mut self, key: SeqKey, stats: &mut SimStats) {
-        if self.in_flight.iter().next().is_some_and(|min| *min < key) {
-            stats.priority_inversions += 1;
-        }
-        self.in_flight.insert(key);
-    }
-
-    /// Retire one finished task: fold a witness into the pending minimum
-    /// (purging later-keyed queued tasks when cancellation is on), record
-    /// the task's counters, and commit the stop once nothing sequentially
-    /// earlier remains queued or in flight.
-    fn retire(
-        &mut self,
-        key: SeqKey,
-        nodes: u64,
-        prunes: u64,
-        witnessed: bool,
-        stats: &mut SimStats,
-        now: u64,
-    ) {
-        self.in_flight.remove(&key);
-        self.outstanding -= 1;
-        if witnessed && self.witness.as_ref().map_or(true, |w| key < *w) {
-            self.witness = Some(key.clone());
-            if self.cancel {
-                let purged = self.pool.purge_after(&key) as u64;
-                self.outstanding -= purged;
-                stats.cancelled_tasks += purged;
-            }
-        }
-        self.records.push(OrderedTaskRecord { key, nodes, prunes });
-        if let Some(w) = self.witness.as_ref() {
-            // Speculative tasks (keys after the witness) never block the
-            // commit; only earlier-keyed work still queued or in flight does.
-            if !self.committed
-                && self.in_flight.iter().next().map_or(true, |min| min >= w)
-                && self.pool.min_key().map_or(true, |min| min >= *w)
-            {
-                self.committed = true;
-                stats.makespan = now;
-            }
-        }
-        if self.outstanding == 0 && stats.makespan == 0 {
-            stats.makespan = now;
-        }
-    }
-
-    /// Reclaim an in-flight speculative task that observed the pending
-    /// witness mid-traversal: its partial counters are recorded (classified
-    /// speculative later, since its key is after the witness).  No commit
-    /// check: removing a post-witness key can never unblock a commit that
-    /// waits only on earlier keys.
-    fn cancel_in_flight(&mut self, key: SeqKey, nodes: u64, prunes: u64, stats: &mut SimStats) {
-        self.in_flight.remove(&key);
-        self.outstanding -= 1;
-        stats.cancelled_tasks += 1;
-        self.records.push(OrderedTaskRecord { key, nodes, prunes });
-    }
-
-    /// Reclaim a queued post-witness straggler at pop time (a child released
-    /// by a committed-side parent after the purge): it never ran, so there
-    /// is nothing to record.
-    fn discard_queued(&mut self, stats: &mut SimStats) {
-        self.outstanding -= 1;
-        stats.cancelled_tasks += 1;
+    if *outstanding == 0 && stats.makespan == 0 {
+        stats.makespan = now;
     }
 }
 
 /// The simulated Ordered coordination: a *global* sequence-keyed pool (the
 /// whole point of the coordination is that every pop observes the one true
-/// sequential frontier, so per-locality pools would break replicability),
-/// speculation with in-order commit, and — when
-/// [`SimConfig::cancel_speculation`] is on — the same purge/broadcast
-/// cancellation as the threaded engine.  Committed node counts are a pure
-/// function of the instance and spawn depth: identical across worker counts
-/// and equal to the threaded Ordered skeleton's committed counts.
+/// sequential frontier, so per-locality pools would break replicability)
+/// driven through the threaded skeleton's own [`CommitLog`] — speculation
+/// with in-order commit plus purge/straggler/in-flight cancellation.  This
+/// loop adds only virtual time.  Committed node counts are a pure function
+/// of the instance and spawn depth: identical across worker counts and
+/// equal to the threaded Ordered skeleton's committed counts.
 fn simulate_ordered<P, D>(
     problem: &P,
     config: &SimConfig,
@@ -1096,8 +931,11 @@ where
     let costs = &config.costs;
     let n_workers = config.workers();
 
-    let mut state: OrderedCommitState<P::Node> =
-        OrderedCommitState::new(config.cancel_speculation, Task::new(problem.root(), 0));
+    let pool = OrderedPool::new();
+    pool.push(SeqKey::root(), Task::new(problem.root(), 0));
+    // Per-task `(nodes, prunes)`, classified by the log at the end.
+    let mut log: CommitLog<(u64, u64)> = CommitLog::new();
+    let mut outstanding = 1u64;
     let mut stats = SimStats::default();
 
     let mut workers: Vec<OrderedSimWorker<'_, P>> = (0..n_workers)
@@ -1116,7 +954,7 @@ where
         (0..n_workers).map(|w| Reverse((0, w))).collect();
 
     while let Some(Reverse((now, w))) = events.pop() {
-        if state.committed || state.outstanding == 0 {
+        if log.is_committed() || outstanding == 0 {
             break;
         }
         // Virtual deadline, exactly as in `simulate`: the commit-ordered
@@ -1143,7 +981,7 @@ where
             // Cooperative cancellation, polled once per step like the
             // threaded engine: a pending witness with an earlier key makes
             // this task's remaining subtree worthless.
-            if state.beyond_witness(&key) {
+            if log.after_witness(&key) {
                 let wk = &mut workers[w];
                 wk.stack = GenStack::new();
                 wk.key = None;
@@ -1153,12 +991,13 @@ where
                     w as u32,
                     TraceEvent::SpeculationCancel { nodes: wk.nodes },
                 );
-                state.cancel_in_flight(key, wk.nodes, wk.prunes, &mut stats);
+                stats.cancelled_tasks += 1;
+                let retired = log.retire(&pool, key, (wk.nodes, wk.prunes), false);
+                settle(retired, &mut outstanding, &mut stats, next_time);
                 events.push(Reverse((next_time + 1, w)));
                 continue;
             }
 
-            driver.set_active_task(Some(&key));
             let mut finished = false;
             let mut found_witness = false;
             match workers[w].stack.next_child() {
@@ -1194,7 +1033,11 @@ where
                 let (nodes, prunes) = (wk.nodes, wk.prunes);
                 wk.key = None;
                 trace.emit(next_time, w as u32, task_end_event(nodes, prunes, 0));
-                state.retire(key, nodes, prunes, found_witness, &mut stats, next_time);
+                let retired = log.retire(&pool, key, (nodes, prunes), found_witness);
+                if found_witness && retired.purged.is_none() {
+                    driver.reject_witness();
+                }
+                settle(retired, &mut outstanding, &mut stats, next_time);
             }
             events.push(Reverse((next_time, w)));
             continue;
@@ -1202,7 +1045,7 @@ where
 
         // ---- Idle worker: issue the globally smallest-key task ------------
         loop {
-            let Some((key, task)) = state.pool.pop() else {
+            let Some((key, task)) = pool.pop() else {
                 next_time += costs.idle_poll;
                 break;
             };
@@ -1210,12 +1053,15 @@ where
             // Post-witness stragglers (children released by committed-side
             // parents after the purge) are reclaimed at pop time — each
             // skip still pays the pop it performed, like the threaded pool.
-            if state.beyond_witness(&key) {
-                state.discard_queued(&mut stats);
+            if log.after_witness(&key) {
+                outstanding -= 1;
+                stats.cancelled_tasks += 1;
                 next_time += costs.pop_cost;
                 continue;
             }
-            state.issue(key.clone(), &mut stats);
+            if log.issue(key.clone()) {
+                stats.priority_inversions += 1;
+            }
             trace.emit(
                 now,
                 w as u32,
@@ -1229,54 +1075,58 @@ where
             wk.nodes = 1;
             wk.prunes = 0;
             wk.work += costs.node_cost;
-            driver.set_active_task(Some(&key));
-            match driver.process(problem, &task.node, locality, next_time) {
+            let retired = match driver.process(problem, &task.node, locality, next_time) {
                 Action::Prune | Action::PruneSiblings => {
                     wk.prunes = 1;
                     wk.key = None;
                     trace.emit(next_time, w as u32, task_end_event(1, 1, 0));
-                    state.retire(key, 1, 1, false, &mut stats, next_time);
+                    log.retire(&pool, key, (1, 1), false)
                 }
                 Action::ShortCircuit => {
                     wk.key = None;
                     trace.emit(next_time, w as u32, task_end_event(1, 0, 0));
-                    state.retire(key, 1, 0, true, &mut stats, next_time);
+                    let retired = log.retire(&pool, key, (1, 0), true);
+                    if retired.purged.is_none() {
+                        driver.reject_witness();
+                    }
+                    retired
+                }
+                Action::Expand if task.depth < spawn_depth => {
+                    // Eager sequence-keyed spawning: every child becomes a
+                    // task keyed in heuristic order.
+                    let children: Vec<Task<P::Node>> = problem
+                        .generator(&task.node)
+                        .map(|c| Task::new(c, task.depth + 1))
+                        .collect();
+                    outstanding += children.len() as u64;
+                    stats.spawns += children.len() as u64;
+                    stats.ordered_spawns += children.len() as u64;
+                    if !children.is_empty() {
+                        stats.batch_pushes += 1;
+                        stats.lock_acquisitions += 1;
+                    }
+                    next_time += costs.batched_spawn_cost(children.len());
+                    for (i, child) in children.into_iter().enumerate() {
+                        pool.push(key.child(i as u32), child);
+                    }
+                    wk.key = None;
+                    trace.emit(next_time, w as u32, task_end_event(1, 0, 0));
+                    log.retire(&pool, key, (1, 0), false)
                 }
                 Action::Expand => {
-                    if task.depth < spawn_depth {
-                        // Eager sequence-keyed spawning: every child becomes
-                        // a task keyed in heuristic order.
-                        let children: Vec<Task<P::Node>> = problem
-                            .generator(&task.node)
-                            .map(|c| Task::new(c, task.depth + 1))
-                            .collect();
-                        state.outstanding += children.len() as u64;
-                        stats.spawns += children.len() as u64;
-                        stats.ordered_spawns += children.len() as u64;
-                        if !children.is_empty() {
-                            stats.batch_pushes += 1;
-                            stats.lock_acquisitions += 1;
-                        }
-                        next_time += costs.batched_spawn_cost(children.len());
-                        for (i, child) in children.into_iter().enumerate() {
-                            state.pool.push(key.child(i as u32), child);
-                        }
-                        wk.key = None;
-                        trace.emit(next_time, w as u32, task_end_event(1, 0, 0));
-                        state.retire(key, 1, 0, false, &mut stats, next_time);
-                    } else {
-                        wk.stack.push(problem, &task.node, task.depth);
-                    }
+                    wk.stack.push(problem, &task.node, task.depth);
+                    break;
                 }
-            }
+            };
+            settle(retired, &mut outstanding, &mut stats, next_time);
             break;
         }
         events.push(Reverse((next_time, w)));
     }
 
     // Post-commit aborts: in-flight tasks at the stop all carry keys after
-    // the witness (the commit waited for everything earlier); their partial
-    // work is speculative by classification below.
+    // the witness (the commit waited for everything earlier), so the log
+    // classifies their partial work as speculative.
     for (w, wk) in workers.iter_mut().enumerate() {
         if let Some(key) = wk.key.take() {
             trace.emit(
@@ -1284,25 +1134,13 @@ where
                 w as u32,
                 task_end_event(wk.nodes, wk.prunes, 0),
             );
-            state.records.push(OrderedTaskRecord {
-                key,
-                nodes: wk.nodes,
-                prunes: wk.prunes,
-            });
+            log.retire(&pool, key, (wk.nodes, wk.prunes), false);
         }
     }
 
-    // Classify every task record against the final witness: committed work
-    // counts, speculative work is surfaced separately — `nodes` is therefore
-    // a pure function of the instance, replicable across worker counts.
-    for rec in &state.records {
-        if state.witness.as_ref().map_or(true, |w| rec.key <= *w) {
-            stats.nodes += rec.nodes;
-            stats.prunes += rec.prunes;
-        } else {
-            stats.speculative_nodes += rec.nodes;
-        }
-    }
+    stats.nodes = log.committed_records().map(|&(nodes, _)| nodes).sum();
+    stats.prunes = log.committed_records().map(|&(_, prunes)| prunes).sum();
+    stats.speculative_nodes = log.speculative_records().map(|&(nodes, _)| nodes).sum();
 
     if stats.makespan == 0 {
         stats.makespan = stats.nodes * costs.node_cost / n_workers.max(1) as u64;
@@ -1312,7 +1150,7 @@ where
     // events: one aggregate commit (and discard, when speculation was
     // wasted) from the control plane, emitted only when a witness exists —
     // enumeration and optimisation runs have no speculation to classify.
-    if state.witness.is_some() {
+    if log.witness().is_some() {
         trace.emit(
             stats.makespan,
             CONTROL_WORKER,
@@ -1495,53 +1333,6 @@ mod tests {
         SimConfig::new(coord, localities, wpl)
     }
 
-    /// A left-spine tree: the worker that owns the root descends a deep
-    /// spine whose every level exposes a few bushy subtrees as stealable
-    /// siblings.  The spine child comes first in generation order, so the
-    /// owner always dives deeper while its bottom frames accumulate the
-    /// shallow frontier — the shape on which hint-directed thieves all
-    /// converge on the one spine holder (the PR 6 strip-mining scenario).
-    struct Spine {
-        spine_depth: usize,
-        bush_count: usize,
-        bush_depth: u8,
-    }
-
-    impl SearchProblem for Spine {
-        /// `(depth, None)` is a spine node; `(depth, Some(b))` a bush node
-        /// with `b` binary levels left below it.
-        type Node = (usize, Option<u8>);
-        type Gen<'a> = std::vec::IntoIter<(usize, Option<u8>)>;
-        fn root(&self) -> (usize, Option<u8>) {
-            (0, None)
-        }
-        fn generator(&self, node: &(usize, Option<u8>)) -> Self::Gen<'_> {
-            let (d, kind) = *node;
-            match kind {
-                None if d < self.spine_depth => {
-                    // Bushes first, the spine continuation last: one-child
-                    // steals ship bushes while the spine stays put, so the
-                    // same worker re-exposes a shallow frontier level after
-                    // level.
-                    let mut children: Vec<(usize, Option<u8>)> = (0..self.bush_count)
-                        .map(|_| (d + 1, Some(self.bush_depth)))
-                        .collect();
-                    children.push((d + 1, None));
-                    children.into_iter()
-                }
-                Some(b) if b > 0 => vec![(d + 1, Some(b - 1)); 2].into_iter(),
-                _ => vec![].into_iter(),
-            }
-        }
-    }
-
-    impl Enumerate for Spine {
-        type Value = Sum<u64>;
-        fn value(&self, _n: &(usize, Option<u8>)) -> Sum<u64> {
-            Sum(1)
-        }
-    }
-
     #[test]
     fn virtual_deadline_stops_every_coordination_with_partial_results() {
         let p = Fib { depth: 12 };
@@ -1691,23 +1482,19 @@ mod tests {
         let p = Fib { depth: 12 };
         let seq = simulate_decide(&p, &sim(Coordination::Sequential, 1, 1));
         assert!(seq.result.is_some());
-        for cancel in [true, false] {
-            let mut reference = None;
-            for (localities, wpl) in [(1, 1), (1, 2), (2, 2), (2, 4), (4, 2)] {
-                let mut cfg = sim(Coordination::ordered(3), localities, wpl);
-                cfg.cancel_speculation = cancel;
-                let out = simulate_decide(&p, &cfg);
-                assert_eq!(out.result.is_some(), seq.result.is_some());
-                let committed = *reference.get_or_insert(out.nodes);
-                assert_eq!(
-                    out.nodes, committed,
-                    "cancel={cancel} {localities}x{wpl}: committed count diverged"
-                );
-            }
-            // A single ordered worker replays the sequential search exactly
-            // (Fib's decision objective prunes at node level only).
-            assert_eq!(reference, Some(seq.nodes), "cancel={cancel}");
+        let mut reference = None;
+        for (localities, wpl) in [(1, 1), (1, 2), (2, 2), (2, 4), (4, 2)] {
+            let out = simulate_decide(&p, &sim(Coordination::ordered(3), localities, wpl));
+            assert_eq!(out.result.is_some(), seq.result.is_some());
+            let committed = *reference.get_or_insert(out.nodes);
+            assert_eq!(
+                out.nodes, committed,
+                "{localities}x{wpl}: committed count diverged"
+            );
         }
+        // A single ordered worker replays the sequential search exactly
+        // (Fib's decision objective prunes at node level only).
+        assert_eq!(reference, Some(seq.nodes));
     }
 
     #[test]
@@ -1728,17 +1515,10 @@ mod tests {
         // A parallel decision run with speculation: cancellation reclaims
         // tasks while the committed count stays put (checked above).
         let p = Fib { depth: 12 };
-        let on = simulate_decide(&p, &sim(Coordination::ordered(3), 2, 4));
-        let mut off_cfg = sim(Coordination::ordered(3), 2, 4);
-        off_cfg.cancel_speculation = false;
-        let off = simulate_decide(&p, &off_cfg);
-        assert_eq!(off.cancelled_tasks, 0, "the off knob records nothing");
-        assert_eq!(on.nodes, off.nodes, "the knob must not move committed work");
+        let out = simulate_decide(&p, &sim(Coordination::ordered(3), 2, 4));
         assert!(
-            on.speculative_nodes <= off.speculative_nodes,
-            "cancellation must not create extra speculative work (on={} off={})",
-            on.speculative_nodes,
-            off.speculative_nodes
+            out.cancelled_tasks > 0,
+            "a speculating decision run must reclaim tasks"
         );
     }
 
@@ -1821,41 +1601,6 @@ mod tests {
             // Virtual timestamps never exceed the makespan.
             assert!(on.trace.iter().all(|r| r.ts <= on.makespan), "{coord}");
         }
-    }
-
-    #[test]
-    fn hint_directed_remote_steals_trip_the_strip_mining_analyzer() {
-        use yewpar::trace::analyze::{analyze, AnalyzeConfig, FindingKind};
-
-        // A single wide root frontier: worker 0's bottom frame holds the
-        // depth-1 children for most of the run, so it is *always* the
-        // shallowest advertised victim — stolen bush subtrees sit at depth
-        // ≥ 2 and never out-bid it.  This is the PR 6 shape verbatim: the
-        // first busy worker's shallow frontier, strip-mined one expensive
-        // remote steal at a time by every other locality.
-        let p = Spine {
-            spine_depth: 1,
-            bush_count: 60,
-            bush_depth: 3,
-        };
-        // One-child (non-chunked) steals mean every shipped subtree costs a
-        // full remote round-trip, so thieves keep coming back for more.
-        let mut bad = sim(Coordination::stack_stealing(), 8, 1);
-        bad.trace = true;
-        bad.hint_directed_remote_steals = true;
-        let out = simulate_enumerate(&p, &bad);
-        let findings = analyze(&out.trace, &AnalyzeConfig::default());
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.kind == FindingKind::StealStripMining),
-            "hint-directed remote steals must concentrate hits on one victim; \
-             findings: {findings:?}"
-        );
-        // The pathological schedule still computes the right answer — the
-        // anomaly is a performance shape, not a correctness bug.
-        let reference = simulate_enumerate(&p, &sim(Coordination::Sequential, 1, 1));
-        assert_eq!(out.result, reference.result);
     }
 
     #[test]

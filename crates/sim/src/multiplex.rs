@@ -114,7 +114,11 @@ struct Running {
 /// [`queue_wait_ticks`](SimOutcome::queue_wait_ticks) (virtual submission →
 /// grant, recorded from the scheduler's clock) and
 /// [`granted_workers`](SimOutcome::granted_workers) filled in.  Grants are
-/// fixed for a job's lifetime, exactly like the threaded runtime's.
+/// fixed for a job's lifetime: this matches the threaded runtime only under
+/// a serial policy ([`Fifo`](yewpar::schedule::Fifo)).  Under a concurrent
+/// policy the threaded dispatcher renegotiates leases through
+/// [`SchedulePolicy::replan`], which only [`simulate_multiplexed_elastic`]
+/// mirrors.
 pub fn simulate_multiplexed<R>(
     pool_workers: usize,
     policy: &mut dyn SchedulePolicy,

@@ -33,27 +33,19 @@ fn kclique_decision_expansions_are_identical_across_worker_counts() {
             "one worker can never run ahead of itself"
         );
         assert_eq!(reference.metrics.totals.speculative_nodes, 0);
-        // Speculation cancellation is an efficiency knob, never a semantic
-        // one: the committed expansion count must be identical with it on
-        // and off, at every worker count, across repeated runs.
-        for cancel in [true, false] {
-            for workers in [2usize, 4, 8] {
-                for run in 0..2 {
-                    let out = Skeleton::new(Coordination::ordered(3))
-                        .workers(workers)
-                        .cancel_speculation(cancel)
-                        .decide(&p);
-                    assert_eq!(
-                        out.found(),
-                        expected,
-                        "k={k} cancel={cancel} workers={workers} run={run}"
-                    );
-                    assert_eq!(
-                        out.metrics.nodes(),
-                        reference.metrics.nodes(),
-                        "k={k} cancel={cancel} workers={workers} run={run}: node expansions diverged"
-                    );
-                }
+        // The committed expansion count must be identical at every worker
+        // count, across repeated runs.
+        for workers in [2usize, 4, 8] {
+            for run in 0..2 {
+                let out = Skeleton::new(Coordination::ordered(3))
+                    .workers(workers)
+                    .decide(&p);
+                assert_eq!(out.found(), expected, "k={k} workers={workers} run={run}");
+                assert_eq!(
+                    out.metrics.nodes(),
+                    reference.metrics.nodes(),
+                    "k={k} workers={workers} run={run}: node expansions diverged"
+                );
             }
         }
     }
@@ -61,9 +53,9 @@ fn kclique_decision_expansions_are_identical_across_worker_counts() {
 
 /// The simulated Ordered pool carries the same replicability guarantee as
 /// the threaded one: committed decision node counts are identical across
-/// simulated worker counts, with cancellation on and off, and — because each
-/// task's trace is a pure function of the task — identical to the *threaded*
-/// Ordered skeleton on the same instance and spawn depth.
+/// simulated worker counts and — because each task's trace is a pure
+/// function of the task — identical to the *threaded* Ordered skeleton on
+/// the same instance and spawn depth.
 #[test]
 fn simulated_ordered_decision_expansions_match_the_threaded_engine() {
     let g = graph::planted_clique(36, 0.4, 9, 99);
@@ -73,24 +65,16 @@ fn simulated_ordered_decision_expansions_match_the_threaded_engine() {
             .workers(1)
             .decide(&p);
         assert_eq!(threaded.found(), expected, "k={k}");
-        for cancel in [true, false] {
-            for (localities, wpl) in [(1usize, 1usize), (1, 2), (2, 2), (2, 4)] {
-                let mut cfg = SimConfig::new(Coordination::ordered(3), localities, wpl);
-                cfg.cancel_speculation = cancel;
-                let out = simulate_decide(&p, &cfg);
-                assert_eq!(
-                    out.result.is_some(),
-                    expected,
-                    "k={k} cancel={cancel} workers={}",
-                    localities * wpl
-                );
-                assert_eq!(
-                    out.nodes,
-                    threaded.metrics.nodes(),
-                    "k={k} cancel={cancel} workers={}: sim diverged from the threaded engine",
-                    localities * wpl
-                );
-            }
+        for (localities, wpl) in [(1usize, 1usize), (1, 2), (2, 2), (2, 4)] {
+            let cfg = SimConfig::new(Coordination::ordered(3), localities, wpl);
+            let out = simulate_decide(&p, &cfg);
+            let workers = localities * wpl;
+            assert_eq!(out.result.is_some(), expected, "k={k} workers={workers}");
+            assert_eq!(
+                out.nodes,
+                threaded.metrics.nodes(),
+                "k={k} workers={workers}: sim diverged from the threaded engine"
+            );
         }
     }
 }

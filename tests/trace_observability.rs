@@ -4,8 +4,8 @@
 //! ring overflow must be reported, never silent; the exporters must
 //! round-trip; the runtime's control-plane and gauge events must appear;
 //! and the search-anomaly analyzer must flag the PR 6 steal strip-mining
-//! pathology on the *threaded* trace and the *simulated* reconstruction
-//! alike.
+//! pathology on a live *threaded* trace and a recorded *simulated*
+//! reconstruction alike.
 
 use std::time::Duration;
 
@@ -142,8 +142,7 @@ fn ring_overflow_is_reported_never_silent() {
 
 /// A single wide root frontier over tiny binary bushes: worker 0's bottom
 /// frame holds the depth-1 children for most of the run, so with one-child
-/// splits it stays the dominant steal victim — the PR 6 strip-mining shape,
-/// expressed as a threaded *and* a simulated search over the same tree.
+/// splits it stays the dominant steal victim — the strip-mining shape.
 struct WideRoot {
     arms: usize,
     bush_depth: u8,
@@ -173,29 +172,31 @@ impl Enumerate for WideRoot {
     }
 }
 
+/// The simulated strip-mining reconstruction, recorded as JSONL: stack
+/// stealing with one-child splits on 8 localities × 1 worker over
+/// `WideRoot { arms: 60, bush_depth: 6 }`, with *remote* victims chosen by
+/// the shallowest advertised frontier.  The simulator no longer has that
+/// victim rule (remote steals are blind-random), so the trace it produced
+/// is kept as a fixture.
+const SIM_STRIP_MINING: &str = include_str!("fixtures/sim_strip_mining.jsonl");
+
 #[test]
 fn strip_mining_fires_on_threaded_and_simulated_traces_alike() {
-    // Bushes of 2^11−1 nodes keep the threaded run alive for milliseconds —
-    // long enough for the thief to cycle through dozens of real steals —
-    // while the simulated run is deterministic at any size.
-    let p = WideRoot {
-        arms: 60,
-        bush_depth: 10,
-    };
-
-    // Simulated reconstruction: hint-directed remote steals re-enabled
-    // (the PR 6 behaviour) on one worker per locality, one-child splits.
-    let mut cfg = SimConfig::new(Coordination::stack_stealing(), 8, 1);
-    cfg.trace = true;
-    cfg.hint_directed_remote_steals = true;
-    let sim_out = simulate_enumerate(&p, &cfg);
-    let sim_findings = analyze(&sim_out.trace, &AnalyzeConfig::default());
+    let sim_trace = read_jsonl(SIM_STRIP_MINING).expect("the fixture is canonical JSONL");
+    let sim_findings = analyze(&sim_trace, &AnalyzeConfig::default());
     assert!(
         sim_findings
             .iter()
             .any(|f| f.kind == FindingKind::StealStripMining),
-        "simulated PR 6 reconstruction must be flagged; findings: {sim_findings:?}"
+        "simulated strip-mining reconstruction must be flagged; findings: {sim_findings:?}"
     );
+
+    // Bushes of 2^11−1 nodes keep the threaded run alive for milliseconds —
+    // long enough for the thief to cycle through dozens of real steals.
+    let p = WideRoot {
+        arms: 60,
+        bush_depth: 10,
+    };
 
     // Threaded: two workers, one-child splits.  The lone thief keeps
     // returning to worker 0's 60-wide root frame, so the victim histogram
@@ -204,7 +205,11 @@ fn strip_mining_fires_on_threaded_and_simulated_traces_alike() {
         .workers(2)
         .trace(true);
     let out = skel.enumerate(&p);
-    assert_eq!(out.value, sim_out.result, "both runs count the same tree");
+    assert_eq!(
+        out.value.0,
+        yewpar::node::subtree_size(&p, &p.root()),
+        "the run counts the whole tree"
+    );
     let records = skel.take_trace();
     let findings = analyze(&records, &AnalyzeConfig::default());
     assert!(
