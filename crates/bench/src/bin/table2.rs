@@ -35,12 +35,14 @@
 //!   `SearchConfig::deadline` uses per wall-clock.
 //! * `--concurrent <n>` — multiplexed-scheduler smoke: runs `n` copies of
 //!   the Irregular enumeration through (a) the *virtual-time* multiplexed
-//!   scheduler mirror (`simulate_multiplexed`) under both `Fifo` and
-//!   `FairShare`, reporting per-search granted workers, queue-wait ticks
-//!   and finish times, and (b) the *threaded* `Runtime` under `FairShare`,
-//!   asserting disjoint worker leases and reporting dispatcher-recorded
-//!   queue waits.  The JSON report gains a `concurrent` section (recorded
-//!   in `BENCH_4.json`).
+//!   scheduler (`simulate_multiplexed`) under both `Fifo` and `FairShare`,
+//!   asserting that FIFO queue waits are the sums of the predecessors'
+//!   makespans and that co-scheduling leaves every search's node count at
+//!   its solo value, and reporting per-search granted workers, queue-wait
+//!   ticks and finish times; and (b) the *threaded* `Runtime` under
+//!   `FairShare`, reporting dispatcher-recorded grants and queue waits.
+//!   The JSON report gains a `concurrent` section (first recorded, on the
+//!   fixed-grant scheduler of the time, in `BENCH_4.json`).
 //! * `--elastic` — elastic-scheduling smoke: a `DeadlineShare` demo in
 //!   both clocks.  Virtual time asserts *to the tick* that an Urgent
 //!   arrival against a saturating Low-priority background is admitted
@@ -420,14 +422,19 @@ fn concurrent_section(n: usize, pool_workers: usize) -> serde_json::Value {
     use yewpar::{Runtime, RuntimeConfig, SearchConfig};
     use yewpar_sim::{simulate_multiplexed, SimJob};
 
+    // Virtual revocation latency; `FairShare` revokes only over-grants.
+    const REVOCATION_LATENCY: u64 = 64;
+
     println!();
     println!(
         "Multiplexed scheduling smoke: {n} concurrent Irregular enumerations \
          on a {pool_workers}-worker simulated pool"
     );
 
-    // ---- Virtual-time mirror: deterministic queue waits per policy ------
+    // ---- Virtual time: deterministic queue waits per policy -------------
     let problem = Irregular::new(12, 1);
+    let cfg = SimConfig::new(Coordination::depth_bounded(2), 1, pool_workers);
+    let solo_nodes = simulate_enumerate(&problem, &cfg).nodes;
     let mut sim_sections: Vec<(String, serde_json::Value)> = Vec::new();
     for (name, policy) in [
         ("fifo", &mut Fifo as &mut dyn SchedulePolicy),
@@ -435,13 +442,27 @@ fn concurrent_section(n: usize, pool_workers: usize) -> serde_json::Value {
     ] {
         let jobs: Vec<SimJob<'_, _>> = (0..n)
             .map(|_| {
-                SimJob::new(
-                    SimConfig::new(Coordination::depth_bounded(2), 1, pool_workers),
-                    |granted_cfg: &SimConfig| simulate_enumerate(&problem, granted_cfg),
-                )
+                SimJob::new(cfg.clone(), |granted_cfg: &SimConfig| {
+                    simulate_enumerate(&problem, granted_cfg)
+                })
             })
             .collect();
-        let outcomes = simulate_multiplexed(pool_workers, policy, jobs);
+        let outcomes =
+            simulate_multiplexed(pool_workers, policy, REVOCATION_LATENCY, jobs).outcomes;
+        let mut predecessors = 0;
+        for (i, out) in outcomes.iter().enumerate() {
+            assert_eq!(
+                out.nodes, solo_nodes,
+                "{name}: co-scheduling changed search {i}'s node count"
+            );
+            if name == "fifo" {
+                assert_eq!(
+                    out.queue_wait_ticks, predecessors,
+                    "fifo: search {i} must wait exactly its predecessors' makespans"
+                );
+                predecessors += out.makespan;
+            }
+        }
         let total_finish = outcomes
             .iter()
             .map(|o| o.queue_wait_ticks + o.makespan)
@@ -553,7 +574,7 @@ fn elastic_section(pool_workers: usize) -> serde_json::Value {
     use std::time::Duration;
     use yewpar::schedule::{DeadlineShare, Priority};
     use yewpar::{Runtime, RuntimeConfig, SearchConfig, SearchStatus, TraceEvent};
-    use yewpar_sim::{simulate_multiplexed_elastic, SimJob};
+    use yewpar_sim::{simulate_multiplexed, SimJob};
 
     println!();
     println!(
@@ -578,7 +599,7 @@ fn elastic_section(pool_workers: usize) -> serde_json::Value {
     .priority(Priority::Urgent)
     .submit_at(URGENT_ARRIVES);
     let mut policy = DeadlineShare;
-    let schedule = simulate_multiplexed_elastic(
+    let schedule = simulate_multiplexed(
         pool_workers,
         &mut policy,
         REVOCATION_LATENCY,

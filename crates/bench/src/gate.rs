@@ -13,10 +13,7 @@
 use yewpar::schedule::Fifo;
 use yewpar::Coordination;
 use yewpar_apps::irregular::Irregular;
-use yewpar_sim::{
-    simulate_decide, simulate_enumerate, simulate_multiplexed, simulate_multiplexed_elastic,
-    SimConfig, SimJob,
-};
+use yewpar_sim::{simulate_decide, simulate_enumerate, simulate_multiplexed, SimConfig, SimJob};
 
 use crate::geometric_mean;
 
@@ -156,14 +153,16 @@ pub fn trace_neutrality_violations(localities: usize, workers_per_locality: usiz
     violations
 }
 
-/// Elastic-off neutrality: with the serial [`Fifo`] policy (the default,
-/// and the configuration every committed baseline was recorded under) the elastic scheduler must produce
-/// schedules identical to the fixed-grant one — same queue waits, grants,
-/// makespans and node counts, with zero lease renegotiations.  The elastic
-/// machinery may only change behaviour when a concurrent policy opts in;
-/// this is the gate that keeps every committed baseline number valid.  Returns
-/// one description per violated coordination (empty = gate passes).
-pub fn elastic_neutrality_violations(pool_workers: usize) -> Vec<String> {
+/// Serial-schedule check: under the [`Fifo`] policy (the default, and the
+/// configuration every committed baseline was recorded under) the
+/// multiplexed scheduler must produce the closed-form serial schedule — job
+/// *k* granted its full request at max(arrival, predecessor's finish) and
+/// running with exactly the makespan and node count of its own solo
+/// [`simulate_enumerate`] — with zero lease renegotiations.  Lease
+/// renegotiation may only change behaviour when a concurrent policy opts
+/// in; this is the gate that keeps every committed baseline number valid.
+/// Returns one description per violation (empty = gate passes).
+pub fn serial_schedule_violations(pool_workers: usize) -> Vec<String> {
     let mut violations = Vec::new();
     for (name, coord) in [
         ("Depth-Bounded", Coordination::depth_bounded(2)),
@@ -171,43 +170,45 @@ pub fn elastic_neutrality_violations(pool_workers: usize) -> Vec<String> {
         ("Budget", Coordination::budget(100)),
         ("Ordered", Coordination::ordered(2)),
     ] {
-        let jobs = || -> Vec<SimJob<'_, _>> {
-            [(11usize, 1u64), (12, 7), (10, 23)]
-                .into_iter()
-                .enumerate()
-                .map(|(i, (depth, seed))| {
-                    let cfg = SimConfig::new(coord, 1, pool_workers);
-                    SimJob::new(cfg, move |granted: &SimConfig| {
-                        simulate_enumerate(&Irregular::new(depth, seed), granted)
-                    })
-                    .submit_at(i as u64 * 1_000)
+        let instances = [(11usize, 1u64), (12, 7), (10, 23)];
+        let cfg = SimConfig::new(coord, 1, pool_workers);
+        let arrival = |i: usize| i as u64 * 1_000;
+        let jobs: Vec<SimJob<'_, _>> = instances
+            .iter()
+            .enumerate()
+            .map(|(i, &(depth, seed))| {
+                SimJob::new(cfg.clone(), move |granted: &SimConfig| {
+                    simulate_enumerate(&Irregular::new(depth, seed), granted)
                 })
-                .collect()
-        };
-        let plain = simulate_multiplexed(pool_workers, &mut Fifo, jobs());
-        let elastic = simulate_multiplexed_elastic(pool_workers, &mut Fifo, 64, jobs());
-        for (i, (p, e)) in plain.iter().zip(&elastic.outcomes).enumerate() {
-            if p.queue_wait_ticks != e.queue_wait_ticks
-                || p.granted_workers != e.granted_workers
-                || p.makespan != e.makespan
-                || p.nodes != e.nodes
-            {
+                .submit_at(arrival(i))
+            })
+            .collect();
+        let schedule = simulate_multiplexed(pool_workers, &mut Fifo, 64, jobs);
+        let mut pool_free_at = 0;
+        for (i, (&(depth, seed), out)) in instances.iter().zip(&schedule.outcomes).enumerate() {
+            let solo = simulate_enumerate(&Irregular::new(depth, seed), &cfg);
+            let granted_at = arrival(i).max(pool_free_at);
+            pool_free_at = granted_at + solo.makespan;
+            let expected = (
+                granted_at - arrival(i),
+                pool_workers,
+                solo.makespan,
+                solo.nodes,
+            );
+            let got = (
+                out.queue_wait_ticks,
+                out.granted_workers,
+                out.makespan,
+                out.nodes,
+            );
+            if got != expected {
                 violations.push(format!(
-                    "{name} job {i}: elastic-off schedule diverged — wait {} vs {}, \
-                     grant {} vs {}, makespan {} vs {}, nodes {} vs {} \
-                     (elastic vs fixed)",
-                    e.queue_wait_ticks,
-                    p.queue_wait_ticks,
-                    e.granted_workers,
-                    p.granted_workers,
-                    e.makespan,
-                    p.makespan,
-                    e.nodes,
-                    p.nodes
+                    "{name} job {i}: serial schedule diverged — (wait, grant, makespan, \
+                     nodes) {got:?}, closed form {expected:?}"
                 ));
             }
         }
-        let renegotiations = elastic
+        let renegotiations = schedule
             .trace
             .iter()
             .filter(|r| {
@@ -238,8 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn elastic_scheduler_is_neutral_under_a_serial_policy() {
-        assert_eq!(elastic_neutrality_violations(4), Vec::<String>::new());
+    fn fifo_reproduces_the_closed_form_serial_schedule() {
+        assert_eq!(serial_schedule_violations(4), Vec::<String>::new());
     }
 
     #[test]

@@ -41,10 +41,11 @@
 //! **Scheduling model.**  The dispatcher is an *allocator*: the pool's
 //! worker slots belong to the runtime, and every submission is granted an
 //! allotment at dispatch time by a pluggable
-//! [`SchedulePolicy`].  Under the default
-//! [`Fifo`] policy submissions run one at a time
-//! over the whole pool, granted exactly the worker count they asked for —
-//! the PR 4 behaviour, unchanged.  Under
+//! [`SchedulePolicy`], whose decisions the dispatcher carries out through a
+//! [`Ledger`] (the same one the virtual-time simulator drives).  Under the
+//! default [`Fifo`] policy submissions run one at a time over the whole
+//! pool, granted exactly the worker count they asked for — the PR 4
+//! behaviour, unchanged.  Under
 //! [`FairShare`](crate::schedule::FairShare)
 //! ([`Runtime::with_policy`]) the free workers are split proportionally
 //! across the pending queue and several searches run **concurrently on
@@ -107,9 +108,7 @@ use crate::lifecycle::{progress_channel, CancelToken, ProgressStream, SearchStat
 use crate::metrics::{RuntimeStats, WorkerMetrics};
 use crate::objective::{Decide, Enumerate, Optimise};
 use crate::params::SearchConfig;
-use crate::schedule::{
-    Adjustment, Admission, Fifo, PendingRequest, Priority, RunningSearch, SchedulePolicy,
-};
+use crate::schedule::{Adjustment, Admitted, Fifo, Ledger, Priority, SchedulePolicy};
 use crate::skeleton::{DecideOutcome, EnumOutcome, OptimOutcome, Skeleton};
 use crate::trace::{TraceBuffer, TraceEvent, TraceRecord, Tracer};
 
@@ -744,20 +743,10 @@ impl GrantCore {
 #[derive(Debug, Default)]
 pub(crate) struct SessionQuota {
     max_workers: usize,
-    /// Workers currently granted across the session's searches (including
-    /// unacknowledged revocations).
-    in_flight: AtomicUsize,
     throttled_ns: AtomicU64,
 }
 
 impl SessionQuota {
-    fn remaining(&self) -> usize {
-        // ordering: in_flight is written and read by the dispatcher thread
-        // only; the atomic exists for shared ownership, not synchronisation.
-        self.max_workers
-            .saturating_sub(self.in_flight.load(Ordering::Relaxed))
-    }
-
     fn add_throttled(&self, held: Duration) {
         // ordering: advisory telemetry tally; `stats()` readers tolerate a
         // slightly stale total.
@@ -964,8 +953,6 @@ enum Control {
     /// A concurrently driven search finished; reclaim its lease.
     Finished {
         search_id: u64,
-        workers: usize,
-        slots: Vec<usize>,
     },
     /// A worker acknowledged a revocation and left its search mid-run; its
     /// slot and one worker of budget return to the free pools.  Sent by
@@ -1018,47 +1005,76 @@ impl PoolGauges {
     }
 }
 
-/// A submission the dispatcher has received but not yet granted workers.
+/// A submission the dispatcher has received but not yet granted workers:
+/// the payload it keeps in its [`Ledger`].
 struct QueuedSearch {
     submission: Submission,
-    /// When the submission last became quota-held; taken (and accumulated
-    /// into the session's throttled time) the moment it is eligible again.
-    throttle_started: Option<Instant>,
+    /// When (on the ledger's clock) the submission last became quota-held;
+    /// taken (and accumulated into the session's throttled time) the moment
+    /// it is eligible again.
+    throttle_started: Option<Duration>,
+}
+
+/// Workers held per capped session (see [`Dispatcher::session_load`]).
+type SessionLoad = HashMap<*const SessionQuota, usize>;
+
+/// The ledger's `cap` for one planning round at `now`, starting from the
+/// sessions' current `load`: quota-eligible submissions only, each request
+/// capped to its session's remaining quota.  Over-quota submissions are
+/// held back — queued, not errored — and their hold time is accumulated as
+/// session throttled time the moment they become eligible again.
+fn quota_cap(
+    now: Duration,
+    mut load: SessionLoad,
+) -> impl FnMut(&mut QueuedSearch, usize) -> Option<usize> {
+    move |queued, requested| {
+        let Some(quota) = &queued.submission.quota else {
+            return Some(requested);
+        };
+        let load = load.entry(Arc::as_ptr(quota)).or_insert(0);
+        let remaining = quota.max_workers.saturating_sub(*load);
+        if remaining == 0 {
+            queued.throttle_started.get_or_insert(now);
+            return None;
+        }
+        if let Some(started) = queued.throttle_started.take() {
+            quota.add_throttled(now.saturating_sub(started));
+        }
+        let requested = requested.min(remaining);
+        // Charge the request to the round: two same-session submissions
+        // arriving in one control batch must not both be measured against
+        // the running load, or one plan round could admit past the cap.
+        // Conservative (charges the capped request even if the policy
+        // grants less); an under-admitted session becomes eligible again on
+        // the next tick.
+        *load += requested;
+        Some(requested)
+    }
 }
 
 /// Dispatcher-side state of one running elastic search: the lease's shared
-/// core plus the request attributes the policy sees on every replan.
+/// core plus what preemption and quotas need.  What the policy sees of the
+/// lease lives in the [`Ledger`].
 struct ActiveSearch {
     core: Arc<GrantCore>,
     cancel: CancelToken,
-    priority: Priority,
-    requested_workers: usize,
-    started: Instant,
-    /// The dispatcher's view of the lease size: grant + executed grows −
-    /// acknowledged revocations.
-    workers: usize,
-    /// Revocations requested but not yet acknowledged.
-    pending_revocations: usize,
-    preempted: bool,
     quota: Option<Arc<SessionQuota>>,
 }
 
-/// The allocator loop state: owns the pending queue, the free worker budget
-/// and the free pool-thread slots, and executes the policy's admissions.
+/// The allocator loop state: carries out the policy's decisions through a
+/// [`Ledger`] and owns what is physically the runtime's — the free
+/// pool-thread slots, the grant cores and the driver threads.
 struct Dispatcher {
     rx: Receiver<Control>,
     /// Clone handed to each driver thread for its `Finished` notification.
     finished_tx: Sender<Control>,
     policy: Box<dyn SchedulePolicy>,
-    /// Total worker capacity (`RuntimeConfig::workers`).
-    capacity: usize,
-    /// Unleased worker budget.  `capacity` minus the granted counts of the
-    /// running searches (saturating: FIFO grants oversubscribed requests).
-    free_workers: usize,
+    /// The pending queue, the free worker budget and the running leases,
+    /// on a clock that reads the time since `epoch`.
+    ledger: Ledger<QueuedSearch>,
+    epoch: Instant,
     /// Unleased pool-thread indices.
     free_slots: Vec<usize>,
-    pending: VecDeque<QueuedSearch>,
-    active: usize,
     /// Driver threads of concurrently running searches, joined on their
     /// `Finished` message.
     drivers: HashMap<u64, JoinHandle<()>>,
@@ -1078,13 +1094,13 @@ struct Dispatcher {
 impl Dispatcher {
     fn run(mut self) {
         loop {
-            if self.draining.is_some() && self.pending.is_empty() && self.active == 0 {
+            if self.draining.is_some() && self.ledger.is_idle() {
                 break;
             }
             // A concurrent policy with anything in flight re-plans on a
             // timer; otherwise the dispatcher parks on a pure blocking
             // receive (the Fifo fast path, unchanged).
-            let tick = self.policy.concurrent() && (self.active > 0 || !self.pending.is_empty());
+            let tick = self.policy.concurrent() && !self.ledger.is_idle();
             let received = if tick {
                 match self.rx.recv_timeout(self.replan_period) {
                     Ok(msg) => Ok(Some(msg)),
@@ -1106,7 +1122,7 @@ impl Dispatcher {
                     if self.draining.is_none() {
                         self.draining = Some(ShutdownMode::Graceful);
                     }
-                    if self.pending.is_empty() && self.active == 0 {
+                    if self.ledger.is_idle() {
                         break;
                     }
                 }
@@ -1117,9 +1133,7 @@ impl Dispatcher {
                 self.handle(msg);
             }
             self.dispatch();
-            if self.policy.concurrent() {
-                self.replan();
-            }
+            self.replan();
         }
         for (_, driver) in self.drivers.drain() {
             let _ = driver.join();
@@ -1138,32 +1152,31 @@ impl Dispatcher {
                 self.tracer.control(TraceEvent::SearchQueued {
                     search_id: submission.search_id,
                 });
-                self.pending.push_back(QueuedSearch {
-                    submission,
-                    throttle_started: None,
-                });
+                self.ledger.enqueue(
+                    submission.search_id,
+                    submission.requested_workers,
+                    submission.priority,
+                    submission.deadline,
+                    submission
+                        .submitted_at
+                        .saturating_duration_since(self.epoch),
+                    QueuedSearch {
+                        submission,
+                        throttle_started: None,
+                    },
+                );
             }
-            Control::Finished {
-                search_id,
-                workers,
-                slots,
-            } => {
+            Control::Finished { search_id } => {
                 self.tracer
                     .control(TraceEvent::SearchFinished { search_id });
                 if let Some(entry) = self.elastic.remove(&search_id) {
-                    // Elastic lease: the launch-time payload is stale after
-                    // grows/shrinks — reclaim what the core still holds.
-                    // Every acknowledgement happens-before this message, so
-                    // the teardown numbers are settled.
+                    // The launch-time grant is stale after grows/shrinks —
+                    // reclaim what the core still holds.  Every
+                    // acknowledgement happens-before this message, so the
+                    // teardown numbers are settled.
                     let (workers, slots) = entry.core.teardown();
-                    if let Some(quota) = &entry.quota {
-                        // ordering: dispatcher-private tally (single writer
-                        // and reader: this thread); atomic for ownership.
-                        quota.in_flight.fetch_sub(workers, Ordering::Relaxed);
-                    }
-                    self.reclaim(workers, slots);
-                } else {
-                    self.reclaim(workers, slots);
+                    let leased = self.reclaim(search_id, slots);
+                    debug_assert_eq!(workers, leased, "ledger and grant core disagree");
                 }
                 if let Some(driver) = self.drivers.remove(&search_id) {
                     // The driver sent `Finished` as its last action; the
@@ -1177,12 +1190,11 @@ impl Dispatcher {
                 slot,
                 latency,
             } => {
-                // Processed without consulting the active map: the slot was
-                // already struck from the lease before this message was
-                // sent, so crediting it here cannot double-count against
-                // the search's finish-time reclaim.
+                // The slot was already struck from the lease before this
+                // message was sent, so crediting it here cannot
+                // double-count against the search's finish-time reclaim.
                 self.free_slots.push(slot);
-                self.free_workers = (self.free_workers + 1).min(self.capacity);
+                self.ledger.release(search_id, 1);
                 // ordering: advisory telemetry gauges; snapshot() reads them
                 // relaxed and tolerates skew.
                 self.gauges.granted_workers.fetch_sub(1, Ordering::Relaxed);
@@ -1198,18 +1210,10 @@ impl Dispatcher {
                     slot: slot as u32,
                     latency_ns: latency.as_nanos() as u64,
                 });
-                if let Some(entry) = self.elastic.get_mut(&search_id) {
-                    entry.workers = entry.workers.saturating_sub(1);
-                    entry.pending_revocations = entry.pending_revocations.saturating_sub(1);
-                    if let Some(quota) = &entry.quota {
-                        // ordering: dispatcher-private tally, as at teardown.
-                        quota.in_flight.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
             }
             Control::Shutdown(mode) => {
                 if matches!(mode, ShutdownMode::Now) {
-                    for queued in &self.pending {
+                    for queued in self.ledger.queued() {
                         queued.submission.cancel.cancel();
                     }
                 }
@@ -1220,10 +1224,25 @@ impl Dispatcher {
         }
     }
 
-    /// Return a finished search's lease to the free pools.
-    fn reclaim(&mut self, workers: usize, mut slots: Vec<usize>) {
-        self.active -= 1;
-        self.free_workers = (self.free_workers + workers).min(self.capacity);
+    /// Workers each capped session holds: the leases of its running
+    /// searches, revocations in flight included.  Only concurrent leases
+    /// count — a serial policy's inline run has returned before the next
+    /// planning round.
+    fn session_load(&self) -> SessionLoad {
+        let mut load = SessionLoad::new();
+        for (&search_id, entry) in &self.elastic {
+            if let (Some(quota), Some(lease)) = (&entry.quota, self.ledger.lease(search_id)) {
+                *load.entry(Arc::as_ptr(quota)).or_insert(0) += lease.workers;
+            }
+        }
+        load
+    }
+
+    /// Close a finished search's lease: its workers return to the ledger's
+    /// budget, its slots to the free pool.  Returns the lease's final
+    /// worker count.
+    fn reclaim(&mut self, search_id: u64, mut slots: Vec<usize>) -> usize {
+        let workers = self.ledger.finish(search_id).map_or(0, |l| l.workers);
         self.free_slots.append(&mut slots);
         // ordering: advisory telemetry gauges; snapshots tolerate skew.
         self.gauges.active_searches.fetch_sub(1, Ordering::Relaxed);
@@ -1234,105 +1253,36 @@ impl Dispatcher {
             .completed_searches
             // ordering: advisory telemetry tally, as above.
             .fetch_add(1, Ordering::Relaxed);
+        workers
     }
 
-    /// The policy's view of the queue: quota-eligible submissions only
-    /// (requests capped to their session's remaining quota), paired with a
-    /// map from request index back to the `pending` index.  Over-quota
-    /// submissions are held back — queued, not errored — and their hold
-    /// time is accumulated as session throttled time the moment they become
-    /// eligible again.
-    fn eligible_requests(&mut self, now: Instant) -> (Vec<PendingRequest>, Vec<usize>) {
-        let mut requests = Vec::with_capacity(self.pending.len());
-        let mut eligible = Vec::with_capacity(self.pending.len());
-        // Quota already spoken for by *earlier requests in this round*: two
-        // same-session submissions arriving in one control batch must not
-        // both be measured against the pre-launch `in_flight`, or one plan
-        // round could admit past the cap.  Conservative (charges the capped
-        // request even if the policy grants less); an under-admitted session
-        // becomes eligible again on the next tick.
-        let mut reserved: HashMap<*const SessionQuota, usize> = HashMap::new();
-        for (index, queued) in self.pending.iter_mut().enumerate() {
-            let cap = match &queued.submission.quota {
-                Some(quota) => {
-                    let already = reserved.get(&Arc::as_ptr(quota)).copied().unwrap_or(0);
-                    let remaining = quota.remaining().saturating_sub(already);
-                    if remaining == 0 {
-                        queued.throttle_started.get_or_insert(now);
-                        continue;
-                    }
-                    remaining
-                }
-                None => usize::MAX,
-            };
-            if let (Some(started), Some(quota)) =
-                (queued.throttle_started.take(), &queued.submission.quota)
-            {
-                quota.add_throttled(now.duration_since(started));
-            }
-            let requested = queued.submission.requested_workers.min(cap);
-            if let Some(quota) = &queued.submission.quota {
-                *reserved.entry(Arc::as_ptr(quota)).or_insert(0) += requested;
-            }
-            requests.push(PendingRequest {
-                requested_workers: requested,
-                queued_for: now.duration_since(queued.submission.submitted_at),
-                priority: queued.submission.priority,
-                deadline: queued.submission.deadline,
-            });
-            eligible.push(index);
-        }
-        (requests, eligible)
-    }
-
-    /// Ask the policy for admissions and execute them, repeating until the
+    /// Let the ledger plan admissions and launch them, repeating until the
     /// policy admits nothing (a serial policy's inline run frees the pool,
     /// so one `dispatch` call can drain a whole FIFO queue).
     fn dispatch(&mut self) {
         loop {
-            if self.pending.is_empty() {
+            let now = self.epoch.elapsed();
+            let cap = quota_cap(now, self.session_load());
+            let admitted = self.ledger.plan(self.policy.as_mut(), now, cap);
+            if admitted.is_empty() {
                 return;
             }
-            let now = Instant::now();
-            let (requests, eligible) = self.eligible_requests(now);
-            if requests.is_empty() {
-                return;
+            for admission in admitted {
+                self.launch(admission);
             }
-            let admissions =
-                self.policy
-                    .plan(&requests, self.free_workers, self.capacity, self.active);
-            if admissions.is_empty() {
-                return;
-            }
-            debug_assert!(
-                admissions.windows(2).all(|w| w[0].index < w[1].index),
-                "admission indices must be strictly increasing"
-            );
-            // Pop admitted submissions back-to-front so indices stay valid
-            // (`eligible` is increasing, so the mapped indices are too),
-            // then launch in queue order.
-            let mut admitted: Vec<(QueuedSearch, usize)> = Vec::with_capacity(admissions.len());
-            for Admission { index, workers } in admissions.into_iter().rev() {
-                let queued = self
-                    .pending
-                    .remove(eligible[index])
-                    .expect("policy admitted a pending index");
-                admitted.push((queued, workers.max(1)));
-            }
-            admitted.reverse();
-            for (queued, workers) in admitted {
-                self.launch(queued, workers);
-            }
-            // Re-plan: after inline runs (or a batch of launches) the state
-            // may admit more.
         }
     }
 
     /// Lease pool slots to one admitted search and run it — inline on this
     /// thread under a serial policy (the PR 4 fast path), on a dedicated
     /// driver thread under a concurrent one.
-    fn launch(&mut self, queued: QueuedSearch, workers: usize) {
-        let QueuedSearch { submission, .. } = queued;
+    fn launch(&mut self, admitted: Admitted<QueuedSearch>) {
+        let Admitted {
+            search_id,
+            job: QueuedSearch { submission, .. },
+            workers,
+            queue_wait,
+        } = admitted;
         // Worker 0 runs on the driver; workers 1.. need pool threads.  A
         // FIFO oversubscribed grant takes every free slot and round-robins.
         let lease_len = workers.saturating_sub(1).min(self.free_slots.len());
@@ -1343,41 +1293,29 @@ impl Dispatcher {
         // therefore elastic: one pool slot per helper, renegotiable.
         let core = self.policy.concurrent().then(|| {
             Arc::new(GrantCore::new(
-                submission.search_id,
+                search_id,
                 workers,
                 &slots,
                 self.finished_tx.clone(),
             ))
         });
-        if let Some(quota) = &submission.quota {
-            // ordering: dispatcher-private tally; atomic for ownership only.
-            quota.in_flight.fetch_add(workers, Ordering::Relaxed);
-        }
         if let Some(core) = &core {
             self.elastic.insert(
-                submission.search_id,
+                search_id,
                 ActiveSearch {
                     core: Arc::clone(core),
                     cancel: submission.cancel.clone(),
-                    priority: submission.priority,
-                    requested_workers: submission.requested_workers,
-                    started: Instant::now(),
-                    workers,
-                    pending_revocations: 0,
-                    preempted: false,
                     quota: submission.quota.clone(),
                 },
             );
         }
         let grant = ExecutionGrant {
-            search_id: submission.search_id,
+            search_id,
             workers,
             slots: slots.clone(),
-            queue_wait: submission.submitted_at.elapsed(),
+            queue_wait,
             core,
         };
-        self.active += 1;
-        self.free_workers = self.free_workers.saturating_sub(workers);
         // ordering: advisory telemetry gauges; snapshots tolerate skew.  The
         // peak update is a lock-free max over the RMW-atomic running count.
         self.gauges.queued_searches.fetch_sub(1, Ordering::Relaxed);
@@ -1393,15 +1331,14 @@ impl Dispatcher {
         self.gauges
             .total_queue_wait_micros
             // ordering: advisory telemetry tally, as above.
-            .fetch_add(grant.queue_wait.as_micros() as u64, Ordering::Relaxed);
+            .fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
         self.tracer.control(TraceEvent::SearchGranted {
-            search_id: submission.search_id,
+            search_id,
             workers: workers as u32,
         });
         let job = submission.job;
         if self.policy.concurrent() {
             let finished = self.finished_tx.clone();
-            let search_id = submission.search_id;
             let driver = std::thread::Builder::new()
                 .name(format!("yewpar-driver-{search_id}"))
                 .spawn(move || {
@@ -1409,84 +1346,67 @@ impl Dispatcher {
                     // re-raises them); this outer catch only guarantees the
                     // lease is returned even if result delivery panics.
                     let _ = catch_unwind(AssertUnwindSafe(|| job(grant)));
-                    let _ = finished.send(Control::Finished {
-                        search_id,
-                        workers,
-                        slots,
-                    });
+                    let _ = finished.send(Control::Finished { search_id });
                 })
                 .expect("spawn search driver");
             self.drivers.insert(search_id, driver);
         } else {
             // Serial policy: inline on the dispatcher thread — zero handoff
             // latency, identical to the PR 4 FIFO runtime.
-            let search_id = submission.search_id;
             job(grant);
             self.tracer
                 .control(TraceEvent::SearchFinished { search_id });
-            if let Some(quota) = &submission.quota {
-                // ordering: dispatcher-private tally; atomic for ownership.
-                quota.in_flight.fetch_sub(workers, Ordering::Relaxed);
-            }
-            self.reclaim(workers, slots);
+            self.reclaim(search_id, slots);
         }
     }
 
-    /// One elastic re-planning round: snapshot the running and pending
-    /// sets, ask the policy for [`Adjustment`]s and execute them in order,
-    /// best-effort.  No-op while nothing is running or waiting.
+    /// One elastic re-planning round: let the ledger replan and carry out
+    /// the clamped adjustments it returns.  Shrinks issue cooperative
+    /// revocation requests (the workers leave, and their slots return,
+    /// asynchronously at their next lifecycle polls); preemptions cancel the
+    /// search, whose whole lease returns through the normal finish path.
     fn replan(&mut self) {
-        if self.elastic.is_empty() && self.pending.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let mut running: Vec<RunningSearch> = self
-            .elastic
-            .iter()
-            .map(|(&search_id, entry)| RunningSearch {
-                search_id,
-                workers: entry.workers,
-                requested_workers: entry.requested_workers,
-                priority: entry.priority,
-                elastic: true,
-                running_for: now.duration_since(entry.started),
-                pending_revocations: entry.pending_revocations,
-                preempted: entry.preempted,
-            })
-            .collect();
-        // Deterministic order for the policy regardless of map iteration.
-        running.sort_by_key(|search| search.search_id);
-        let (requests, _) = self.eligible_requests(now);
-        let adjustments = self
-            .policy
-            .replan(&running, &requests, self.free_workers, self.capacity);
-        for adjustment in adjustments {
-            match adjustment {
+        let now = self.epoch.elapsed();
+        let cap = quota_cap(now, self.session_load());
+        let actions = self.ledger.replan(self.policy.as_mut(), now, cap);
+        for action in actions {
+            match action {
                 Adjustment::Grow { search, workers } => self.execute_grow(search, workers),
-                Adjustment::Shrink { search, workers } => self.execute_shrink(search, workers),
-                Adjustment::Preempt { search } => self.execute_preempt(search),
+                Adjustment::Shrink { search, workers } => {
+                    let Some(entry) = self.elastic.get(&search) else {
+                        continue;
+                    };
+                    let issued = entry.core.request_revoke(workers);
+                    debug_assert_eq!(issued, workers, "ledger and grant core disagree");
+                    // ordering: advisory telemetry tally; snapshots tolerate skew.
+                    self.gauges.grant_changes.fetch_add(1, Ordering::Relaxed);
+                    let lease = self.ledger.lease(search);
+                    self.tracer.control(TraceEvent::GrantShrunk {
+                        search_id: search,
+                        workers: lease.map_or(0, |l| l.workers - l.pending_revocations) as u32,
+                    });
+                }
+                Adjustment::Preempt { search } => {
+                    if let Some(entry) = self.elastic.get(&search) {
+                        entry.cancel.cancel();
+                    }
+                }
             }
         }
     }
 
-    /// Lease up to `want` extra workers onto a running search — bounded by
-    /// the free budget, the free slots, and the search's session quota.
+    /// Lease up to `want` extra workers (already clamped to the free budget
+    /// by the ledger) onto a running search — bounded by the free slots and
+    /// the search's session quota.
     fn execute_grow(&mut self, search: u64, want: usize) {
-        let Some(entry) = self.elastic.get_mut(&search) else {
+        let Some(entry) = self.elastic.get(&search) else {
             return;
         };
-        if entry.preempted {
-            return;
-        }
-        let quota_room = entry
-            .quota
-            .as_ref()
-            .map(|quota| quota.remaining())
-            .unwrap_or(usize::MAX);
-        let want = want
-            .min(self.free_workers)
-            .min(self.free_slots.len())
-            .min(quota_room);
+        let quota_room = entry.quota.as_ref().map_or(usize::MAX, |quota| {
+            let load = self.session_load().get(&Arc::as_ptr(quota)).copied();
+            quota.max_workers.saturating_sub(load.unwrap_or(0))
+        });
+        let want = want.min(self.free_slots.len()).min(quota_room);
         let mut grown = 0;
         for _ in 0..want {
             let Some(slot) = self.free_slots.pop() else {
@@ -1502,12 +1422,7 @@ impl Dispatcher {
             }
         }
         if grown > 0 {
-            entry.workers += grown;
-            self.free_workers -= grown;
-            if let Some(quota) = &entry.quota {
-                // ordering: dispatcher-private tally; atomic for ownership.
-                quota.in_flight.fetch_add(grown, Ordering::Relaxed);
-            }
+            let workers = self.ledger.grow(search, grown);
             // ordering: advisory telemetry tallies; snapshots tolerate skew.
             entry.core.grant_changes.fetch_add(1, Ordering::Relaxed);
             self.gauges
@@ -1516,45 +1431,9 @@ impl Dispatcher {
             self.gauges.grant_changes.fetch_add(1, Ordering::Relaxed);
             self.tracer.control(TraceEvent::GrantGrown {
                 search_id: search,
-                workers: entry.workers as u32,
+                workers: workers as u32,
             });
         }
-    }
-
-    /// Issue cooperative revocation requests against a running search; the
-    /// workers leave (and their slots return) asynchronously, at their next
-    /// lifecycle polls.
-    fn execute_shrink(&mut self, search: u64, want: usize) {
-        let Some(entry) = self.elastic.get_mut(&search) else {
-            return;
-        };
-        if entry.preempted {
-            return;
-        }
-        let issued = entry.core.request_revoke(want);
-        if issued > 0 {
-            entry.pending_revocations += issued;
-            // ordering: advisory telemetry tally; snapshots tolerate skew.
-            self.gauges.grant_changes.fetch_add(1, Ordering::Relaxed);
-            self.tracer.control(TraceEvent::GrantShrunk {
-                search_id: search,
-                workers: (entry.workers - entry.pending_revocations) as u32,
-            });
-        }
-    }
-
-    /// Cancel a running search outright: it resolves `Cancelled` with its
-    /// partial incumbent at its next poll and its whole lease returns
-    /// through the normal finish path.
-    fn execute_preempt(&mut self, search: u64) {
-        let Some(entry) = self.elastic.get_mut(&search) else {
-            return;
-        };
-        if entry.preempted {
-            return;
-        }
-        entry.preempted = true;
-        entry.cancel.cancel();
     }
 }
 
@@ -1603,7 +1482,6 @@ impl Runtime {
     /// searches over disjoint worker subsets).
     pub fn with_policy(config: RuntimeConfig, policy: Box<dyn SchedulePolicy>) -> Self {
         let pool = Arc::new(WorkerPool::new(config.workers.saturating_sub(1)));
-        let capacity = config.workers.max(1);
         let (tx, rx) = bounded::<Control>(config.queue_capacity.max(1));
         let gauges = Arc::new(PoolGauges::default());
         let policy_name = policy.name();
@@ -1618,11 +1496,9 @@ impl Runtime {
             rx,
             finished_tx: tx.clone(),
             policy,
-            capacity,
-            free_workers: capacity,
+            ledger: Ledger::new(config.workers),
+            epoch: Instant::now(),
             free_slots: (0..pool.size()).collect(),
-            pending: VecDeque::new(),
-            active: 0,
             drivers: HashMap::new(),
             elastic: HashMap::new(),
             pool: Arc::clone(&pool),

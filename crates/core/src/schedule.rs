@@ -30,17 +30,25 @@
 //! implement [`replan`](SchedulePolicy::replan), which maps the *running*
 //! set and the still-pending queue to a list of [`Adjustment`]s — growing a
 //! live search onto idle workers, shrinking it via cooperative revocation,
-//! or preempting it entirely.  Policies only *decide*; the runtime executes
-//! (leasing extra slots onto the live search, issuing revocation requests
-//! that workers acknowledge at their next lifecycle poll).  This keeps
-//! implementations pure and unit-testable — and lets the discrete-event
-//! simulator drive the *same* policy objects in virtual time
-//! (`yewpar_sim::simulate_multiplexed` / `simulate_multiplexed_elastic`), so
-//! fairness and revocation-latency bounds can be asserted to the tick.
+//! or preempting it entirely.
+//!
+//! Policies only *decide*.  Carrying a decision out — building the policy's
+//! view of the queue and of the running set, popping admissions, booking
+//! the free worker budget, clamping each adjustment — is the job of one
+//! [`Ledger`], which both the threaded dispatcher and the discrete-event
+//! simulator (`yewpar_sim::simulate_multiplexed`) drive on their own clocks.
+//! The runtime adds only the physical half (leasing pool slots, issuing
+//! revocation requests that workers acknowledge at their next lifecycle
+//! poll) and the simulator only its virtual clock, so schedules asserted to
+//! the tick in virtual time exercise the mechanism the runtime runs.
 //!
 //! [`Runtime`]: crate::runtime::Runtime
 
 use std::time::Duration;
+
+mod ledger;
+
+pub use ledger::{Admitted, Lease, Ledger};
 
 /// Scheduling priority of a submission, ordered lowest to highest.  The
 /// default is [`Normal`](Priority::Normal); [`Fifo`] and [`FairShare`]
@@ -69,9 +77,9 @@ pub struct PendingRequest {
     /// ([`SearchConfig::workers`](crate::params::SearchConfig::workers)).
     pub requested_workers: usize,
     /// How long the submission has been waiting, from its submission
-    /// timestamp to the dispatcher's planning instant (both read on the
-    /// process-monotonic clock, computed by the dispatcher — the submitter
-    /// never self-reports).  Time spent in the submission channel while the
+    /// timestamp to the planning instant (both read on the driving
+    /// engine's clock and computed by the [`Ledger`] — the submitter never
+    /// self-reports).  Time spent in the submission channel while the
     /// dispatcher runs a FIFO job inline therefore counts as waiting.
     pub queued_for: Duration,
     /// Scheduling priority ([`Priority::Normal`] unless the submitting
@@ -96,8 +104,8 @@ impl Default for PendingRequest {
 }
 
 /// A live search, as seen by [`SchedulePolicy::replan`].  Snapshots are
-/// taken by the dispatcher at each replanning instant and are ordered by
-/// `search_id` (i.e. admission order) for determinism.
+/// taken by the [`Ledger`] at each replanning instant and are ordered by
+/// `search_id` (i.e. submission order) for determinism.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunningSearch {
     /// The runtime-assigned search id ([`Adjustment`]s refer to it).
@@ -110,11 +118,6 @@ pub struct RunningSearch {
     pub requested_workers: usize,
     /// Scheduling priority the search was submitted with.
     pub priority: Priority,
-    /// Whether the lease is renegotiable.  Non-elastic searches (anything
-    /// admitted by a serial policy, or oversubscribed grants where several
-    /// workers share a pool thread) keep their fixed grant; `Grow`/`Shrink`
-    /// adjustments targeting them are ignored by the runtime.
-    pub elastic: bool,
     /// How long the search has been running (grant instant to the
     /// replanning instant).
     pub running_for: Duration,
@@ -156,7 +159,7 @@ pub struct Admission {
 pub enum Adjustment {
     /// Lease `workers` additional pool workers onto the running search
     /// `search`.  Best-effort: the runtime grows by at most the free
-    /// capacity, and not at all if the search is not elastic.
+    /// capacity, and not at all once the search is preempted.
     Grow {
         /// Target [`RunningSearch::search_id`].
         search: u64,
@@ -188,11 +191,11 @@ pub enum Adjustment {
 /// admits (and with how many workers each), and — for elastic policies —
 /// how the leases of *running* searches are renegotiated as load changes.
 ///
-/// The runtime calls [`plan`](SchedulePolicy::plan) whenever the scheduler
-/// state changes (a submission arrives, a search finishes) and then executes
-/// the returned admissions itself: leasing disjoint pool-thread slots,
-/// dispatching the search, and reclaiming the lease when it finishes.
-/// Under a concurrent policy it additionally calls
+/// A [`Ledger`] calls [`plan`](SchedulePolicy::plan) whenever the scheduler
+/// state changes (a submission arrives, a search finishes) and carries out
+/// the returned admissions; the runtime then leases disjoint pool-thread
+/// slots, dispatches the search, and reclaims the lease when it finishes.
+/// Under a concurrent policy the ledger additionally calls
 /// [`replan`](SchedulePolicy::replan) on a short periodic tick.  See the
 /// [module docs](self) for the built-in policies.
 pub trait SchedulePolicy: Send + 'static {
@@ -212,7 +215,8 @@ pub trait SchedulePolicy: Send + 'static {
     /// `free_workers` the unleased worker count, `capacity` the pool's total
     /// worker count, and `active` the number of searches currently running.
     /// Returned indices must be strictly increasing and each admission must
-    /// grant at least one worker; the runtime debug-asserts both.
+    /// grant at least one worker; the [`Ledger`] debug-asserts the first and
+    /// grants at least one worker regardless.
     fn plan(
         &mut self,
         pending: &[PendingRequest],
@@ -223,11 +227,11 @@ pub trait SchedulePolicy: Send + 'static {
 
     /// Renegotiate the leases of running searches.
     ///
-    /// Called by the runtime *after* [`plan`](SchedulePolicy::plan) on every
+    /// Called by the [`Ledger`] *after* [`plan`](SchedulePolicy::plan) on every
     /// scheduling tick while searches are active under a concurrent policy
     /// (serial policies are never replanned — [`Fifo`] keeps its exact
     /// fixed-grant semantics).  `running` is a snapshot of the active
-    /// searches in admission order; `pending` is whatever the preceding
+    /// searches in search-id order; `pending` is whatever the preceding
     /// `plan` left unadmitted; `free_workers`/`capacity` as in `plan`.
     ///
     /// # Contract
@@ -235,7 +239,7 @@ pub trait SchedulePolicy: Send + 'static {
     /// * The returned adjustments are **requests**, executed best-effort in
     ///   order: a `Grow` is capped by the free capacity at execution time, a
     ///   `Shrink` never takes a search below one worker, and adjustments
-    ///   targeting non-elastic searches (or unknown ids) are ignored.
+    ///   targeting preempted searches (or unknown ids) are ignored.
     /// * Revocation is **cooperative and asynchronous**: workers leave at
     ///   their next lifecycle poll, not at the instant of the decision.  Use
     ///   [`RunningSearch::pending_revocations`] (and
@@ -244,7 +248,7 @@ pub trait SchedulePolicy: Send + 'static {
     ///   the grant thrashes.
     /// * Implementations must be deterministic functions of their arguments
     ///   (plus internal policy state): the virtual-time simulator drives the
-    ///   same policy object through the same snapshots and asserts the
+    ///   same policy object through the same ledger and asserts the
     ///   resulting schedule to the tick.
     /// * The default implementation returns no adjustments, so fixed-grant
     ///   policies need not opt in.
@@ -299,9 +303,9 @@ impl SchedulePolicy for Fifo {
     }
 }
 
-/// Distribute `free` workers round-robin across the elastic running
-/// searches (in the order given), one worker per search per round, growing
-/// them beyond their original requests if necessary: an idle worker helps
+/// Distribute `free` workers round-robin across the running searches (in
+/// the order given), one worker per search per round, growing them beyond
+/// their original requests if necessary: an idle worker helps
 /// some search finish sooner, which is strictly better than idling.
 /// Searches already unwinding (preempted) are skipped.
 fn grow_into_idle(order: &[&RunningSearch], mut free: usize) -> Vec<Adjustment> {
@@ -312,7 +316,7 @@ fn grow_into_idle(order: &[&RunningSearch], mut free: usize) -> Vec<Adjustment> 
             if free == 0 {
                 break;
             }
-            if !search.elastic || search.preempted {
+            if search.preempted {
                 continue;
             }
             extra[i] += 1;
@@ -320,7 +324,7 @@ fn grow_into_idle(order: &[&RunningSearch], mut free: usize) -> Vec<Adjustment> 
             grew = true;
         }
         if !grew {
-            break; // No elastic search to grow: the surplus stays free.
+            break; // Every search is unwinding: the surplus stays free.
         }
     }
     order
@@ -340,7 +344,7 @@ fn grow_into_idle(order: &[&RunningSearch], mut free: usize) -> Vec<Adjustment> 
 fn reclaim_over_grants(running: &[RunningSearch]) -> Vec<Adjustment> {
     running
         .iter()
-        .filter(|search| search.elastic && !search.preempted)
+        .filter(|search| !search.preempted)
         .filter_map(|search| {
             let target = search.requested_workers.max(1);
             let excess = search.settled_workers().saturating_sub(target);
@@ -350,6 +354,57 @@ fn reclaim_over_grants(running: &[RunningSearch]) -> Vec<Adjustment> {
             })
         })
         .collect()
+}
+
+/// The admission split shared by [`FairShare`] and [`DeadlineShare`]: serve
+/// `pending` in `order`, granting each request an even (ceiling) share of
+/// the still-free workers over the still-unserved requests, capped at what
+/// it asked for.  A redistribution pass then tops admissions up to their
+/// requests, in the same order, with whatever small requests left unused,
+/// so no worker idles while an admitted request is unmet.  Admissions are
+/// returned in queue order.
+fn proportional_split(
+    pending: &[PendingRequest],
+    order: impl IntoIterator<Item = usize>,
+    free_workers: usize,
+) -> Vec<Admission> {
+    let mut admissions = Vec::new();
+    let mut free = free_workers;
+    let mut remaining = pending.len();
+    for index in order {
+        if free == 0 {
+            break;
+        }
+        // Ceiling division: the remainder goes to the requests served first.
+        let share = free.div_ceil(remaining).max(1);
+        let workers = pending[index].requested_workers.clamp(1, share).min(free);
+        admissions.push(Admission { index, workers });
+        free -= workers;
+        remaining -= 1;
+    }
+    // Redistribution pass: a small request served early shrinks later
+    // shares, which can leave workers unleased while another admitted
+    // request is still below what it asked for.
+    while free > 0 {
+        let mut granted_any = false;
+        for admission in admissions.iter_mut() {
+            if free == 0 {
+                break;
+            }
+            let requested = pending[admission.index].requested_workers.max(1);
+            if admission.workers < requested {
+                let top_up = (requested - admission.workers).min(free);
+                admission.workers += top_up;
+                free -= top_up;
+                granted_any = true;
+            }
+        }
+        if !granted_any {
+            break; // Every admitted request is satisfied in full.
+        }
+    }
+    admissions.sort_by_key(|admission| admission.index);
+    admissions
 }
 
 /// Proportional worker split across the pending queue, admission as soon as
@@ -369,7 +424,7 @@ fn reclaim_over_grants(running: &[RunningSearch]) -> Vec<Adjustment> {
 /// total demand is below the pool (the worker-stranding edge the
 /// redistribution pass cannot fix, because every admitted request is already
 /// satisfied in full), [`replan`](SchedulePolicy::replan) leases the
-/// leftover workers onto the running elastic searches — and reclaims those
+/// leftover workers onto the running searches — and reclaims those
 /// over-grants (back down to each search's request) as soon as a new
 /// submission is waiting.  There is no priority-driven reclamation or
 /// preemption; use [`DeadlineShare`] for that.
@@ -392,44 +447,7 @@ impl SchedulePolicy for FairShare {
         _capacity: usize,
         _active: usize,
     ) -> Vec<Admission> {
-        let mut admissions = Vec::new();
-        let mut free = free_workers;
-        let mut remaining = pending.len();
-        for (index, request) in pending.iter().enumerate() {
-            if free == 0 {
-                break;
-            }
-            // Ceiling division: the remainder goes to the *older* waiters.
-            let share = free.div_ceil(remaining).max(1);
-            let workers = request.requested_workers.clamp(1, share).min(free);
-            admissions.push(Admission { index, workers });
-            free -= workers;
-            remaining -= 1;
-        }
-        // Redistribution pass: a small request early in the queue shrinks
-        // later shares, which can leave workers unleased while another
-        // admitted request is still below what it asked for.  Grants are
-        // fixed for a search's lifetime, so top admissions up to their
-        // requests (oldest first) rather than strand workers idle.
-        while free > 0 {
-            let mut granted_any = false;
-            for admission in admissions.iter_mut() {
-                if free == 0 {
-                    break;
-                }
-                let requested = pending[admission.index].requested_workers.max(1);
-                if admission.workers < requested {
-                    let top_up = (requested - admission.workers).min(free);
-                    admission.workers += top_up;
-                    free -= top_up;
-                    granted_any = true;
-                }
-            }
-            if !granted_any {
-                break; // Every admitted request is satisfied in full.
-            }
-        }
-        admissions
+        proportional_split(pending, 0..pending.len(), free_workers)
     }
 
     fn replan(
@@ -463,7 +481,7 @@ impl SchedulePolicy for FairShare {
 /// its name in [`replan`](SchedulePolicy::replan):
 ///
 /// * **Grow** — with nothing pending, idle workers are leased onto running
-///   elastic searches, highest priority first.
+///   searches, highest priority first.
 /// * **Reclaim** — a pending [`High`](Priority::High)/[`Urgent`](Priority::Urgent)
 ///   request that cannot be admitted from free capacity shrinks running
 ///   lower-priority searches (longest-running, lowest-priority first — the
@@ -513,41 +531,7 @@ impl SchedulePolicy for DeadlineShare {
         _capacity: usize,
         _active: usize,
     ) -> Vec<Admission> {
-        let order = priority_order(pending);
-        let mut free = free_workers;
-        let mut remaining = pending.len();
-        let mut admissions = Vec::new();
-        for &index in &order {
-            if free == 0 {
-                break;
-            }
-            let share = free.div_ceil(remaining).max(1);
-            let workers = pending[index].requested_workers.clamp(1, share).min(free);
-            admissions.push(Admission { index, workers });
-            free -= workers;
-            remaining -= 1;
-        }
-        // Top admissions up to their requests in the same priority order.
-        while free > 0 {
-            let mut granted_any = false;
-            for admission in admissions.iter_mut() {
-                if free == 0 {
-                    break;
-                }
-                let requested = pending[admission.index].requested_workers.max(1);
-                if admission.workers < requested {
-                    let top_up = (requested - admission.workers).min(free);
-                    admission.workers += top_up;
-                    free -= top_up;
-                    granted_any = true;
-                }
-            }
-            if !granted_any {
-                break;
-            }
-        }
-        admissions.sort_by_key(|admission| admission.index);
-        admissions
+        proportional_split(pending, priority_order(pending), free_workers)
     }
 
     fn replan(
@@ -611,21 +595,20 @@ impl SchedulePolicy for DeadlineShare {
             return adjustments;
         }
 
-        // Shrink candidates: elastic, lower priority than the urgent
+        // Shrink candidates: not unwinding, lower priority than the urgent
         // request, lowest priority and longest running first (the searches
         // that have had the most service give back first).
-        let mut candidates: Vec<&RunningSearch> = running
-            .iter()
-            .filter(|search| {
-                search.elastic && !search.preempted && search.priority < urgent.priority
-            })
-            .collect();
-        candidates.sort_by(|a, b| {
+        let most_served_first = |a: &&RunningSearch, b: &&RunningSearch| {
             a.priority
                 .cmp(&b.priority)
                 .then(b.running_for.cmp(&a.running_for))
                 .then(a.search_id.cmp(&b.search_id))
-        });
+        };
+        let mut candidates: Vec<&RunningSearch> = running
+            .iter()
+            .filter(|search| !search.preempted && search.priority < urgent.priority)
+            .collect();
+        candidates.sort_by(most_served_first);
         for search in &candidates {
             if deficit == 0 {
                 break;
@@ -648,12 +631,7 @@ impl SchedulePolicy for DeadlineShare {
                 .iter()
                 .filter(|search| !search.preempted && search.priority < Priority::Urgent)
                 .collect();
-            victims.sort_by(|a, b| {
-                a.priority
-                    .cmp(&b.priority)
-                    .then(b.running_for.cmp(&a.running_for))
-                    .then(a.search_id.cmp(&b.search_id))
-            });
+            victims.sort_by(most_served_first);
             for search in victims {
                 if deficit == 0 {
                     break;
@@ -688,7 +666,6 @@ mod tests {
             workers,
             requested_workers: requested,
             priority: Priority::Normal,
-            elastic: true,
             running_for: Duration::ZERO,
             pending_revocations: 0,
             preempted: false,

@@ -183,14 +183,14 @@ pub struct SimOutcome<R> {
     pub status: SearchStatus,
     /// Virtual ticks the search spent queued before the scheduler granted
     /// it workers.  Zero for a directly simulated search; set by
-    /// [`simulate_multiplexed`](crate::multiplex::simulate_multiplexed),
-    /// which records it from the virtual scheduler's clock — the mirror of
-    /// the threaded runtime's dispatcher-recorded `Metrics::queue_wait`.
+    /// [`simulate_multiplexed`](crate::multiplex::simulate_multiplexed)
+    /// from the scheduler ledger's clock — the mirror of the threaded
+    /// runtime's dispatcher-recorded `Metrics::queue_wait`.
     pub queue_wait_ticks: u64,
-    /// The worker count the scheduler granted (equals
+    /// The worker count the scheduler granted at admission (equals
     /// [`workers`](SimOutcome::workers) for a directly simulated search;
     /// under a multiplexed `FairShare` schedule it may be less than the
-    /// submission requested).
+    /// submission requested, and later lease changes do not alter it).
     pub granted_workers: usize,
     /// Flight-recorder events captured during the run (empty unless
     /// [`SimConfig::trace`] was set).  Timestamps are virtual ticks on the

@@ -36,4 +36,4 @@ pub mod multiplex;
 pub use engine::{
     simulate_decide, simulate_enumerate, simulate_maximise, CostModel, SimConfig, SimOutcome,
 };
-pub use multiplex::{simulate_multiplexed, simulate_multiplexed_elastic, ElasticSchedule, SimJob};
+pub use multiplex::{simulate_multiplexed, ElasticSchedule, SimJob};

@@ -1,30 +1,33 @@
 //! Virtual-time mirror of the runtime's multiplexing scheduler.
 //!
 //! The threaded [`Runtime`](yewpar::Runtime) leases disjoint worker subsets
-//! to concurrent searches under a pluggable
-//! [`SchedulePolicy`].  Its fairness
-//! properties (who is admitted when, with how many workers, and how long
-//! submissions wait) are timing-dependent and therefore awkward to assert
-//! on wall clocks.  This module replays the *same policy objects* against a
-//! virtual clock: each admitted search is simulated with its granted worker
-//! count (disjointness is free — simulated searches share nothing), its
-//! virtual makespan becomes its completion event, and the scheduler loop
-//! admits, leases and reclaims exactly like the threaded dispatcher.  The
-//! result is a deterministic schedule on which queue waits and grant sizes
-//! can be asserted to the tick:
+//! to concurrent searches under a pluggable [`SchedulePolicy`].  Its
+//! fairness properties (who is admitted when, with how many workers, how
+//! long submissions wait, how fast revoked workers return) are
+//! timing-dependent and therefore awkward to assert on wall clocks.
+//! [`simulate_multiplexed`] drives the *same* [`Ledger`] the threaded
+//! dispatcher drives — the policy's admissions and lease renegotiations are
+//! carried out by one implementation — on a virtual clock: each admitted
+//! search is simulated with its granted worker count (disjointness is free —
+//! simulated searches share nothing), and what the simulator adds is only
+//! its event clock, a malleable-work model for lease changes, and the trace
+//! records.  The result is a deterministic schedule on which queue waits,
+//! grant sizes and revocation latencies can be asserted to the tick:
 //!
-//! * under [`Fifo`](yewpar::schedule::Fifo), submission *k*'s
-//!   `queue_wait_ticks` is exactly the sum of its predecessors' makespans;
+//! * under [`Fifo`](yewpar::schedule::Fifo), submission *k* is granted its
+//!   full request at max(arrival, predecessor's finish) and runs exactly its
+//!   solo simulation;
 //! * under [`FairShare`](yewpar::schedule::FairShare), submissions that fit
 //!   the pool together are granted simultaneously at tick 0 with a
 //!   proportional split;
-//! * per-search committed work (`nodes`) is unchanged by co-scheduling,
-//!   because grants are disjoint — the mirror of the threaded assertion in
+//! * per-search committed work (`nodes`) is unchanged by co-scheduling and
+//!   by lease changes — the mirror of the threaded assertion in
 //!   `tests/sim_vs_threads.rs`.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-use yewpar::schedule::{Adjustment, PendingRequest, Priority, RunningSearch, SchedulePolicy};
+use yewpar::schedule::{Adjustment, Ledger, Priority, SchedulePolicy};
 use yewpar::trace::{TraceEvent, TraceRecord, CONTROL_WORKER};
 use yewpar::SearchStatus;
 
@@ -75,171 +78,30 @@ impl<'p, R> SimJob<'p, R> {
         self.priority = priority;
         self
     }
-
-    /// The submission as a policy-visible request, waiting since
-    /// `submitted_at` on a clock reading `now`.  Virtual ticks are exposed
-    /// as microseconds (the same mapping
-    /// [`SimConfig::deadline_ticks`] documents), so a policy reading
-    /// `queued_for` or `deadline` sees coherent durations.
-    fn request(&self, submitted_at: u64, now: u64) -> PendingRequest {
-        PendingRequest {
-            requested_workers: self.config.workers().max(1),
-            queued_for: Duration::from_micros(now - submitted_at),
-            priority: self.priority,
-            deadline: self.config.deadline_ticks.map(Duration::from_micros),
-        }
-    }
 }
 
-/// A job queued in the virtual scheduler.
-struct Waiting {
-    job_index: usize,
-    submitted_at: u64,
+/// A virtual tick on the ledger's clock.  Ticks read as microseconds (the
+/// mapping [`SimConfig::deadline_ticks`] documents), so a policy reading
+/// `queued_for`, `running_for` or `deadline` sees coherent durations.
+fn clock(tick: u64) -> Duration {
+    Duration::from_micros(tick)
 }
 
-/// A granted job running until its virtual completion time.
-struct Running {
-    finish_at: u64,
-    granted: usize,
-    /// Tie-break so completions resolve in admission order.
-    seq: u64,
+/// The inverse of [`clock`].
+fn ticks(duration: Duration) -> u64 {
+    duration.as_micros() as u64
 }
 
-/// Run `jobs` through a virtual-time multiplexed scheduler over a pool of
-/// `pool_workers`, admitting with `policy` — the deterministic mirror of
-/// [`Runtime::with_policy`](yewpar::Runtime::with_policy).
-///
-/// Each admitted job is simulated single-locality with its granted worker
-/// count; its [`SimOutcome`] is returned in submission order with
-/// [`queue_wait_ticks`](SimOutcome::queue_wait_ticks) (virtual submission →
-/// grant, recorded from the scheduler's clock) and
-/// [`granted_workers`](SimOutcome::granted_workers) filled in.  Grants are
-/// fixed for a job's lifetime: this matches the threaded runtime only under
-/// a serial policy ([`Fifo`](yewpar::schedule::Fifo)).  Under a concurrent
-/// policy the threaded dispatcher renegotiates leases through
-/// [`SchedulePolicy::replan`], which only [`simulate_multiplexed_elastic`]
-/// mirrors.
-pub fn simulate_multiplexed<R>(
-    pool_workers: usize,
-    policy: &mut dyn SchedulePolicy,
-    jobs: Vec<SimJob<'_, R>>,
-) -> Vec<SimOutcome<R>> {
-    let capacity = pool_workers.max(1);
-    let mut outcomes: Vec<Option<SimOutcome<R>>> = jobs.iter().map(|_| None).collect();
-    // Arrival events, processed in (tick, submission order).
-    let mut arrivals: Vec<(u64, usize)> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, j)| (j.submit_at, i))
-        .collect();
-    arrivals.sort_by_key(|&(tick, index)| (tick, index));
-    let mut arrivals = arrivals.into_iter().peekable();
-
-    let mut now: u64 = 0;
-    let mut free = capacity;
-    let mut pending: Vec<Waiting> = Vec::new();
-    let mut running: Vec<Running> = Vec::new();
-    let mut seq: u64 = 0;
-
-    loop {
-        // Ingest every arrival at or before `now` (the scheduler batches a
-        // burst, like the dispatcher draining its channel).
-        while let Some(&(tick, index)) = arrivals.peek() {
-            if tick > now {
-                break;
-            }
-            arrivals.next();
-            pending.push(Waiting {
-                job_index: index,
-                submitted_at: tick,
-            });
-        }
-
-        // Plan and execute admissions until the policy admits nothing.
-        loop {
-            if pending.is_empty() {
-                break;
-            }
-            let requests: Vec<PendingRequest> = pending
-                .iter()
-                .map(|w| jobs[w.job_index].request(w.submitted_at, now))
-                .collect();
-            let admissions = policy.plan(&requests, free, capacity, running.len());
-            if admissions.is_empty() {
-                break;
-            }
-            // Pop admitted entries back-to-front so indices stay valid.
-            let mut admitted: Vec<(Waiting, usize)> = Vec::with_capacity(admissions.len());
-            for admission in admissions.into_iter().rev() {
-                let waiting = pending.remove(admission.index);
-                admitted.push((waiting, admission.workers.max(1)));
-            }
-            admitted.reverse();
-            for (waiting, granted) in admitted {
-                let job = &jobs[waiting.job_index];
-                // The grant re-shapes the submission's config: a
-                // single-locality slice of the pool with `granted` workers.
-                let mut cfg = job.config.clone();
-                cfg.localities = 1;
-                cfg.workers_per_locality = granted;
-                let mut outcome = (job.run)(&cfg);
-                outcome.queue_wait_ticks = now - waiting.submitted_at;
-                outcome.granted_workers = granted;
-                running.push(Running {
-                    finish_at: now + outcome.makespan,
-                    granted,
-                    seq,
-                });
-                seq += 1;
-                outcomes[waiting.job_index] = Some(outcome);
-                free = free.saturating_sub(granted);
-            }
-        }
-
-        // Advance the clock to the next event: a completion or an arrival.
-        let next_completion = running.iter().map(|r| (r.finish_at, r.seq)).min();
-        let next_arrival = arrivals.peek().map(|&(tick, _)| tick);
-        match (next_completion, next_arrival) {
-            (None, None) => break,
-            (Some((finish, _)), arrival) if arrival.map_or(true, |a| finish <= a) => {
-                now = finish;
-                // Reclaim every lease finishing at this tick, in admission
-                // order (deterministic, like the dispatcher's FIFO channel).
-                let mut done: Vec<usize> = running
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.finish_at == finish)
-                    .map(|(i, _)| i)
-                    .collect();
-                done.sort_by_key(|&i| running[i].seq);
-                for i in done.into_iter().rev() {
-                    let r = running.remove(i);
-                    free = (free + r.granted).min(capacity);
-                }
-            }
-            (_, Some(arrival)) => {
-                now = arrival;
-            }
-            // The guard always admits a completion when no arrival exists.
-            (Some(_), None) => unreachable!(),
-        }
-    }
-
-    debug_assert!(pending.is_empty() && running.is_empty());
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("every submitted job was scheduled"))
-        .collect()
-}
-
-/// The result of [`simulate_multiplexed_elastic`]: per-job outcomes in
-/// submission order plus the scheduler-level flight-recorder trace.
+/// The result of [`simulate_multiplexed`]: per-job outcomes in submission
+/// order plus the scheduler-level flight-recorder trace.
 pub struct ElasticSchedule<R> {
-    /// One outcome per submitted job, in submission order.  Beyond what
-    /// [`simulate_multiplexed`] fills in, a preempted job resolves with
+    /// One outcome per submitted job, in submission order, with
+    /// [`queue_wait_ticks`](SimOutcome::queue_wait_ticks) (arrival → grant
+    /// on the scheduler's clock) and
+    /// [`granted_workers`](SimOutcome::granted_workers) filled in, and
+    /// `makespan` covering grant to finish.  A preempted job resolves with
     /// [`SearchStatus::Cancelled`], its `nodes` scaled down to the work
-    /// completed before the preemption, and `makespan` covering grant to
-    /// unwind.
+    /// completed before the preemption.
     pub outcomes: Vec<SimOutcome<R>>,
     /// Scheduler-level records (`SearchQueued`/`SearchGranted`/
     /// `GrantGrown`/`GrantShrunk`/`WorkerRevoked`/`SearchFinished`), all
@@ -249,24 +111,13 @@ pub struct ElasticSchedule<R> {
     pub trace: Vec<TraceRecord>,
 }
 
-/// A granted job in the *elastic* virtual scheduler.
-struct ElasticRunning<R> {
+/// A granted job's malleable-work model: the job is `makespan × grant`
+/// worker-ticks of perfectly divisible area.  `area_done` accrues at the
+/// lease's searching width between scheduler events; the remaining area at
+/// a width change replays at the new width (`new_finish = t +
+/// ceil(remaining / w)`, i.e. `remaining_ticks × old_w / new_w`).
+struct Running<R> {
     job_index: usize,
-    search_id: u64,
-    seq: u64,
-    granted_at: u64,
-    requested: usize,
-    priority: Priority,
-    /// Workers currently leased, *including* revocations still in flight
-    /// (the policy-visible target count, like `RunningSearch::workers`).
-    width: usize,
-    pending_revocations: usize,
-    preempted: bool,
-    /// Malleable-work model: the job is `makespan × grant` worker-ticks of
-    /// perfectly divisible area.  `area_done` accrues at the current width
-    /// between scheduler events; the remaining area at a width change
-    /// replays at the new width (`new_finish = t + ceil(remaining / w)`,
-    /// i.e. `remaining_ticks × old_w / new_w`).
     area_total: u128,
     area_done: u128,
     last_event: u64,
@@ -274,44 +125,29 @@ struct ElasticRunning<R> {
     base: SimOutcome<R>,
 }
 
-impl<R> ElasticRunning<R> {
-    /// Accrue progress up to `now` at the current width.  A preempted job
-    /// is unwinding, not searching: its area is frozen.
-    fn settle(&mut self, now: u64) {
-        if !self.preempted {
-            self.area_done += u128::from(now - self.last_event) * self.width as u128;
-            self.area_done = self.area_done.min(self.area_total);
-        }
+impl<R> Running<R> {
+    /// Accrue progress up to `now` at `width` workers.
+    fn settle(&mut self, now: u64, width: usize) {
+        self.area_done += u128::from(now - self.last_event) * width as u128;
+        self.area_done = self.area_done.min(self.area_total);
         self.last_event = now;
     }
 
-    /// Recompute the completion event for the current width (call after
+    /// Recompute the completion event for `width` workers (call after
     /// [`settle`](Self::settle)).
-    fn reschedule(&mut self, now: u64) {
+    fn reschedule(&mut self, now: u64, width: usize) {
         let remaining = self.area_total - self.area_done;
-        self.finish_at = now + (remaining.div_ceil(self.width.max(1) as u128)) as u64;
-    }
-
-    fn snapshot(&self, now: u64, elastic: bool) -> RunningSearch {
-        RunningSearch {
-            search_id: self.search_id,
-            workers: self.width,
-            requested_workers: self.requested,
-            priority: self.priority,
-            elastic,
-            running_for: Duration::from_micros(now - self.granted_at),
-            pending_revocations: self.pending_revocations,
-            preempted: self.preempted,
-        }
+        self.finish_at = now + (remaining.div_ceil(width.max(1) as u128)) as u64;
     }
 }
 
-/// Run `jobs` through the virtual-time scheduler with **renegotiable
-/// leases** — the deterministic mirror of the threaded runtime's elastic
-/// dispatcher.  [`simulate_multiplexed`] keeps the fixed-grant model (and
-/// its exact schedules); this variant additionally drives
-/// [`SchedulePolicy::replan`] at every scheduler event and executes the
-/// returned [`Adjustment`]s:
+/// Run `jobs` through the virtual-time multiplexed scheduler over a pool of
+/// `pool_workers` under `policy` — the deterministic mirror of
+/// [`Runtime::with_policy`](yewpar::Runtime::with_policy).  Search ids are
+/// assigned on arrival, in arrival order, as the runtime numbers
+/// submissions.  At every scheduler event the [`Ledger`] plans admissions
+/// and (under a concurrent policy) replans the running leases, and the
+/// clamped [`Adjustment`]s take effect in virtual time:
 ///
 /// * **Grow** takes effect immediately: the job's remaining work replays at
 ///   the wider width from the current tick.
@@ -325,58 +161,63 @@ impl<R> ElasticRunning<R> {
 ///   bound, resolving [`SearchStatus::Cancelled`] with its partial work
 ///   (`nodes` scaled to the area completed — the anytime-incumbent mirror).
 ///
-/// Jobs are *malleable*: each admission is simulated once at its granted
-/// width (fixing `result`/`nodes`/counters), and width changes rescale the
-/// remaining virtual time as `ceil(remaining × old_w / new_w)`.  Under a
-/// serial policy ([`Fifo`](yewpar::schedule::Fifo)) `replan` is never
-/// consulted and no lease changes, so the schedule is identical to
-/// [`simulate_multiplexed`] — the neutrality the perf gate asserts.
-pub fn simulate_multiplexed_elastic<R>(
+/// Jobs are *malleable*: each admission is simulated once, single-locality,
+/// at its granted width (fixing `result`/`nodes`/counters), and width
+/// changes rescale the remaining virtual time as
+/// `ceil(remaining × old_w / new_w)`.  The threaded dispatcher replans on a
+/// short periodic timer; the virtual clock replans at every scheduler
+/// event, which is the same schedule with the idle gaps removed.
+pub fn simulate_multiplexed<R>(
     pool_workers: usize,
     policy: &mut dyn SchedulePolicy,
     revocation_latency: u64,
     jobs: Vec<SimJob<'_, R>>,
 ) -> ElasticSchedule<R> {
-    let capacity = pool_workers.max(1);
     let revocation_latency = revocation_latency.max(1);
-    let elastic = policy.concurrent();
+    let uncapped = |_: &mut usize, requested: usize| Some(requested);
+    let record = |trace: &mut Vec<TraceRecord>, ts: u64, event: TraceEvent| {
+        trace.push(TraceRecord {
+            ts,
+            worker: CONTROL_WORKER,
+            event,
+        });
+    };
+    let mut ledger: Ledger<usize> = Ledger::new(pool_workers);
     let mut outcomes: Vec<Option<SimOutcome<R>>> = jobs.iter().map(|_| None).collect();
     let mut trace: Vec<TraceRecord> = Vec::new();
+    // Arrival events, processed in (tick, submission order) and numbered
+    // in that order.
     let mut arrivals: Vec<(u64, usize)> = jobs
         .iter()
         .enumerate()
         .map(|(i, j)| (j.submit_at, i))
         .collect();
     arrivals.sort_by_key(|&(tick, index)| (tick, index));
-    let mut arrivals = arrivals.into_iter().peekable();
+    let mut arrivals = arrivals.into_iter().zip(1u64..).peekable();
 
     let mut now: u64 = 0;
-    let mut free = capacity;
-    let mut pending: Vec<Waiting> = Vec::new();
-    let mut running: Vec<ElasticRunning<R>> = Vec::new();
+    let mut running: BTreeMap<u64, Running<R>> = BTreeMap::new();
     // Revocations in flight: (due tick, search id, worker count).
     let mut revocations: Vec<(u64, u64, usize)> = Vec::new();
-    let mut next_search_id: u64 = 1;
-    let mut seq: u64 = 0;
 
     loop {
-        // Ingest every arrival at or before `now`.
-        while let Some(&(tick, index)) = arrivals.peek() {
+        // Ingest every arrival at or before `now` (the scheduler batches a
+        // burst, like the dispatcher draining its channel).
+        while let Some(&((tick, index), search_id)) = arrivals.peek() {
             if tick > now {
                 break;
             }
             arrivals.next();
-            trace.push(TraceRecord {
-                ts: tick,
-                worker: CONTROL_WORKER,
-                event: TraceEvent::SearchQueued {
-                    search_id: next_search_id + pending.len() as u64,
-                },
-            });
-            pending.push(Waiting {
-                job_index: index,
-                submitted_at: tick,
-            });
+            record(&mut trace, tick, TraceEvent::SearchQueued { search_id });
+            let job = &jobs[index];
+            ledger.enqueue(
+                search_id,
+                job.config.workers(),
+                job.priority,
+                job.config.deadline_ticks.map(clock),
+                clock(tick),
+                index,
+            );
         }
 
         // Land every revocation due at or before `now`: the revoked
@@ -389,52 +230,45 @@ pub fn simulate_multiplexed_elastic<R>(
                 break;
             }
             revocations.remove(0);
-            if let Some(job) = running.iter_mut().find(|r| r.search_id == search) {
-                job.pending_revocations = job.pending_revocations.saturating_sub(count);
-                if job.preempted {
-                    continue;
-                }
-                job.settle(now);
-                for i in 0..count {
-                    trace.push(TraceRecord {
-                        ts: now,
-                        worker: CONTROL_WORKER,
-                        event: TraceEvent::WorkerRevoked {
-                            search_id: search,
-                            slot: (job.width - 1 - i) as u32,
-                            latency_ns: revocation_latency,
-                        },
-                    });
-                }
-                job.width -= count;
-                free = (free + count).min(capacity);
-                job.reschedule(now);
+            let (Some(job), Some(lease)) = (running.get_mut(&search), ledger.lease(search)) else {
+                continue;
+            };
+            if lease.preempted {
+                continue;
             }
+            let width = lease.workers;
+            job.settle(now, width);
+            for i in 0..count {
+                let event = TraceEvent::WorkerRevoked {
+                    search_id: search,
+                    slot: (width - 1 - i) as u32,
+                    latency_ns: revocation_latency,
+                };
+                record(&mut trace, now, event);
+            }
+            ledger.release(search, count);
+            job.reschedule(now, width - count);
         }
 
-        // Complete every job finishing at this tick, in admission order.
-        let mut done: Vec<usize> = running
+        // Complete every job finishing at this tick, latest id first.
+        let done: Vec<u64> = running
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.finish_at <= now)
-            .map(|(i, _)| i)
+            .filter(|(_, job)| job.finish_at <= now)
+            .map(|(&search_id, _)| search_id)
             .collect();
-        done.sort_by_key(|&i| running[i].seq);
-        for i in done.into_iter().rev() {
-            let mut job = running.remove(i);
-            job.settle(now);
-            free = (free + job.width).min(capacity);
-            revocations.retain(|&(_, search, _)| search != job.search_id);
-            trace.push(TraceRecord {
-                ts: now,
-                worker: CONTROL_WORKER,
-                event: TraceEvent::SearchFinished {
-                    search_id: job.search_id,
-                },
-            });
+        for search_id in done.into_iter().rev() {
+            let (Some(mut job), Some(lease)) =
+                (running.remove(&search_id), ledger.finish(search_id))
+            else {
+                continue;
+            };
+            // An unwinding job's area stays frozen.
+            job.settle(now, if lease.preempted { 0 } else { lease.workers });
+            revocations.retain(|&(_, search, _)| search != search_id);
+            record(&mut trace, now, TraceEvent::SearchFinished { search_id });
             let mut outcome = job.base;
-            outcome.makespan = now - job.granted_at;
-            if job.preempted {
+            outcome.makespan = now - ticks(lease.granted_at);
+            if lease.preempted {
                 outcome.status = SearchStatus::Cancelled;
                 if let Some(scaled) =
                     (u128::from(outcome.nodes) * job.area_done).checked_div(job.area_total)
@@ -445,165 +279,97 @@ pub fn simulate_multiplexed_elastic<R>(
             outcomes[job.job_index] = Some(outcome);
         }
 
-        // Plan and execute admissions until the policy admits nothing.
+        // Plan and launch admissions until the policy admits nothing.
         loop {
-            if pending.is_empty() {
+            let admitted = ledger.plan(policy, clock(now), uncapped);
+            if admitted.is_empty() {
                 break;
             }
-            let requests: Vec<PendingRequest> = pending
-                .iter()
-                .map(|w| jobs[w.job_index].request(w.submitted_at, now))
-                .collect();
-            let admissions = policy.plan(&requests, free, capacity, running.len());
-            if admissions.is_empty() {
-                break;
-            }
-            let mut admitted: Vec<(Waiting, usize)> = Vec::with_capacity(admissions.len());
-            for admission in admissions.into_iter().rev() {
-                let waiting = pending.remove(admission.index);
-                admitted.push((waiting, admission.workers.max(1)));
-            }
-            admitted.reverse();
-            for (waiting, granted) in admitted {
-                let job = &jobs[waiting.job_index];
+            for admission in admitted {
+                let job = &jobs[admission.job];
+                // The grant re-shapes the submission's config: a
+                // single-locality slice of the pool.
                 let mut cfg = job.config.clone();
                 cfg.localities = 1;
-                cfg.workers_per_locality = granted;
+                cfg.workers_per_locality = admission.workers;
                 let mut base = (job.run)(&cfg);
-                base.queue_wait_ticks = now - waiting.submitted_at;
-                base.granted_workers = granted;
-                let search_id = next_search_id;
-                next_search_id += 1;
-                trace.push(TraceRecord {
-                    ts: now,
-                    worker: CONTROL_WORKER,
-                    event: TraceEvent::SearchGranted {
-                        search_id,
-                        workers: granted as u32,
-                    },
-                });
+                base.queue_wait_ticks = ticks(admission.queue_wait);
+                base.granted_workers = admission.workers;
+                let event = TraceEvent::SearchGranted {
+                    search_id: admission.search_id,
+                    workers: admission.workers as u32,
+                };
+                record(&mut trace, now, event);
                 let makespan = base.makespan;
-                running.push(ElasticRunning {
-                    job_index: waiting.job_index,
-                    search_id,
-                    seq,
-                    granted_at: now,
-                    requested: job.config.workers().max(1),
-                    priority: job.priority,
-                    width: granted,
-                    pending_revocations: 0,
-                    preempted: false,
-                    area_total: u128::from(makespan) * granted as u128,
-                    area_done: 0,
-                    last_event: now,
-                    finish_at: now + makespan,
-                    base,
-                });
-                seq += 1;
-                free = free.saturating_sub(granted);
+                running.insert(
+                    admission.search_id,
+                    Running {
+                        job_index: admission.job,
+                        area_total: u128::from(makespan) * admission.workers as u128,
+                        area_done: 0,
+                        last_event: now,
+                        finish_at: now + makespan,
+                        base,
+                    },
+                );
             }
         }
 
-        // Renegotiate running leases — the virtual replanning tick.  The
-        // threaded dispatcher replans on a short periodic timer; the
-        // virtual clock replans at every scheduler event, which is the
-        // same schedule with the idle gaps removed.
-        if elastic && !running.is_empty() {
-            running.sort_by_key(|r| r.search_id);
-            let snapshot: Vec<RunningSearch> =
-                running.iter().map(|r| r.snapshot(now, elastic)).collect();
-            let requests: Vec<PendingRequest> = pending
-                .iter()
-                .map(|w| jobs[w.job_index].request(w.submitted_at, now))
-                .collect();
-            for adjustment in policy.replan(&snapshot, &requests, free, capacity) {
-                match adjustment {
-                    Adjustment::Grow { search, workers } => {
-                        let Some(job) = running.iter_mut().find(|r| r.search_id == search) else {
-                            continue;
+        // Renegotiate running leases — the virtual replanning tick.
+        for action in ledger.replan(policy, clock(now), uncapped) {
+            match action {
+                Adjustment::Grow { search, workers } => {
+                    let (Some(job), Some(lease)) = (running.get_mut(&search), ledger.lease(search))
+                    else {
+                        continue;
+                    };
+                    job.settle(now, lease.workers);
+                    let width = ledger.grow(search, workers);
+                    job.reschedule(now, width);
+                    let event = TraceEvent::GrantGrown {
+                        search_id: search,
+                        workers: width as u32,
+                    };
+                    record(&mut trace, now, event);
+                }
+                Adjustment::Shrink { search, workers } => {
+                    revocations.push((now + revocation_latency, search, workers));
+                    if let Some(lease) = ledger.lease(search) {
+                        let event = TraceEvent::GrantShrunk {
+                            search_id: search,
+                            workers: (lease.workers - lease.pending_revocations) as u32,
                         };
-                        if job.preempted {
-                            continue;
-                        }
-                        let extra = workers.min(free);
-                        if extra == 0 {
-                            continue;
-                        }
-                        job.settle(now);
-                        job.width += extra;
-                        free -= extra;
-                        job.reschedule(now);
-                        trace.push(TraceRecord {
-                            ts: now,
-                            worker: CONTROL_WORKER,
-                            event: TraceEvent::GrantGrown {
-                                search_id: search,
-                                workers: job.width as u32,
-                            },
-                        });
+                        record(&mut trace, now, event);
                     }
-                    Adjustment::Shrink { search, workers } => {
-                        let Some(job) = running.iter_mut().find(|r| r.search_id == search) else {
-                            continue;
-                        };
-                        if job.preempted {
-                            continue;
-                        }
-                        // Cooperative revocation never takes the last
-                        // settled worker.
-                        let take =
-                            workers.min(job.width.saturating_sub(job.pending_revocations + 1));
-                        if take == 0 {
-                            continue;
-                        }
-                        job.pending_revocations += take;
-                        revocations.push((now + revocation_latency, search, take));
-                        trace.push(TraceRecord {
-                            ts: now,
-                            worker: CONTROL_WORKER,
-                            event: TraceEvent::GrantShrunk {
-                                search_id: search,
-                                workers: (job.width - job.pending_revocations) as u32,
-                            },
-                        });
-                    }
-                    Adjustment::Preempt { search } => {
-                        let Some(job) = running.iter_mut().find(|r| r.search_id == search) else {
-                            continue;
-                        };
-                        if job.preempted {
-                            continue;
-                        }
-                        job.settle(now);
-                        job.preempted = true;
-                        // The search unwinds cooperatively: its lease
-                        // returns within one revocation-latency bound.
-                        job.finish_at = now + revocation_latency;
-                    }
+                }
+                Adjustment::Preempt { search } => {
+                    let (Some(job), Some(lease)) = (running.get_mut(&search), ledger.lease(search))
+                    else {
+                        continue;
+                    };
+                    // Searched at full width up to now; the lease then
+                    // returns within one revocation-latency bound.
+                    job.settle(now, lease.workers);
+                    job.finish_at = now + revocation_latency;
                 }
             }
         }
 
         // Advance the clock to the next event: a completion, a revocation
         // acknowledgement, or an arrival.
-        let next_completion = running.iter().map(|r| (r.finish_at, r.seq)).min();
-        let next_revocation = revocations.iter().map(|&(due, _, _)| due).min();
-        let next_arrival = arrivals.peek().map(|&(tick, _)| tick);
-        let next = [
-            next_completion.map(|(tick, _)| tick),
-            next_revocation,
-            next_arrival,
-        ]
-        .into_iter()
-        .flatten()
-        .min();
+        let next = running
+            .values()
+            .map(|job| job.finish_at)
+            .chain(revocations.iter().map(|&(due, _, _)| due))
+            .chain(arrivals.peek().map(|&((tick, _), _)| tick))
+            .min();
         match next {
             Some(tick) => now = tick.max(now),
             None => break,
         }
     }
 
-    debug_assert!(pending.is_empty() && running.is_empty());
+    debug_assert!(ledger.is_idle() && running.is_empty());
     ElasticSchedule {
         outcomes: outcomes
             .into_iter()
@@ -622,6 +388,9 @@ mod tests {
     use yewpar::{Coordination, Enumerate, SearchProblem};
 
     use crate::engine::simulate_enumerate;
+
+    /// Revocation latency for the tests whose policies never revoke.
+    const R: u64 = 50;
 
     struct Fanout {
         depth: usize,
@@ -663,7 +432,7 @@ mod tests {
 
     #[test]
     fn fifo_serialises_and_accumulates_queue_wait() {
-        let outcomes = simulate_multiplexed(8, &mut Fifo, vec![job(8), job(8), job(8)]);
+        let outcomes = simulate_multiplexed(8, &mut Fifo, R, vec![job(8), job(8), job(8)]).outcomes;
         assert_eq!(outcomes[0].queue_wait_ticks, 0);
         assert_eq!(
             outcomes[1].queue_wait_ticks, outcomes[0].makespan,
@@ -681,7 +450,7 @@ mod tests {
 
     #[test]
     fn fair_share_admits_a_fitting_pair_simultaneously() {
-        let outcomes = simulate_multiplexed(8, &mut FairShare, vec![job(4), job(4)]);
+        let outcomes = simulate_multiplexed(8, &mut FairShare, R, vec![job(4), job(4)]).outcomes;
         for out in &outcomes {
             assert_eq!(out.queue_wait_ticks, 0, "both admitted at tick 0");
             assert_eq!(out.granted_workers, 4);
@@ -695,7 +464,8 @@ mod tests {
     fn fair_share_splits_a_contended_pool_and_reclaims() {
         // Three greedy jobs on 8 workers: 3+3+2 (ceiling split, oldest
         // favoured), all admitted at tick 0.
-        let outcomes = simulate_multiplexed(8, &mut FairShare, vec![job(8), job(8), job(8)]);
+        let outcomes =
+            simulate_multiplexed(8, &mut FairShare, R, vec![job(8), job(8), job(8)]).outcomes;
         let grants: Vec<usize> = outcomes.iter().map(|o| o.granted_workers).collect();
         assert_eq!(grants, vec![3, 3, 2]);
         assert!(outcomes.iter().all(|o| o.queue_wait_ticks == 0));
@@ -705,8 +475,10 @@ mod tests {
         let outcomes = simulate_multiplexed(
             8,
             &mut FairShare,
+            R,
             vec![job(8), job(8), job(8), job(8).submit_at(1)],
-        );
+        )
+        .outcomes;
         assert_eq!(
             outcomes[3].queue_wait_ticks,
             first_finish - 1,
@@ -716,50 +488,24 @@ mod tests {
 
     #[test]
     fn co_scheduling_does_not_change_per_search_work() {
-        let solo = simulate_multiplexed(8, &mut FairShare, vec![job(4)]);
-        let paired = simulate_multiplexed(8, &mut FairShare, vec![job(4), job(4)]);
+        let solo = simulate_multiplexed(8, &mut FairShare, R, vec![job(4)]).outcomes;
+        let paired = simulate_multiplexed(8, &mut FairShare, R, vec![job(4), job(4)]).outcomes;
         assert_eq!(solo[0].nodes, paired[0].nodes);
         assert_eq!(solo[0].nodes, paired[1].nodes);
-        assert_eq!(
-            solo[0].makespan, paired[0].makespan,
-            "disjoint grants: no slowdown"
-        );
+        for out in &paired {
+            let cfg = SimConfig::new(Coordination::depth_bounded(2), 1, out.granted_workers);
+            let alone = simulate_enumerate(&Fanout { depth: 7, width: 3 }, &cfg);
+            assert_eq!(out.makespan, alone.makespan, "disjoint grants: no slowdown");
+        }
     }
 
     #[test]
     fn arrivals_after_startup_are_respected() {
         let late = job(8).submit_at(10_000);
-        let outcomes = simulate_multiplexed(8, &mut Fifo, vec![job(8), late]);
+        let outcomes = simulate_multiplexed(8, &mut Fifo, R, vec![job(8), late]).outcomes;
         // The late job's wait is measured from its own arrival.
         let first = outcomes[0].makespan;
         assert_eq!(outcomes[1].queue_wait_ticks, first.saturating_sub(10_000));
-    }
-
-    #[test]
-    fn elastic_under_fifo_is_schedule_identical_to_fixed_grants() {
-        // A serial policy never replans, so the elastic scheduler must
-        // produce the exact fixed-grant schedule — the neutrality the perf
-        // gate asserts against the committed BENCH baselines.
-        let make = || vec![job(8), job(4), job(8).submit_at(10_000)];
-        let plain = simulate_multiplexed(8, &mut Fifo, make());
-        let elastic = simulate_multiplexed_elastic(8, &mut Fifo, 50, make());
-        assert_eq!(plain.len(), elastic.outcomes.len());
-        for (p, e) in plain.iter().zip(&elastic.outcomes) {
-            assert_eq!(p.queue_wait_ticks, e.queue_wait_ticks);
-            assert_eq!(p.granted_workers, e.granted_workers);
-            assert_eq!(p.makespan, e.makespan);
-            assert_eq!(p.nodes, e.nodes);
-            assert_eq!(p.status, e.status);
-        }
-        assert!(
-            !elastic.trace.iter().any(|r| matches!(
-                r.event,
-                TraceEvent::GrantGrown { .. }
-                    | TraceEvent::GrantShrunk { .. }
-                    | TraceEvent::WorkerRevoked { .. }
-            )),
-            "a serial policy renegotiates no lease"
-        );
     }
 
     #[test]
@@ -768,11 +514,9 @@ mod tests {
         // 4-worker job arrives at tick 100.  DeadlineShare revokes 4
         // workers at tick 100; they acknowledge at 100 + R; the urgent job
         // starts that same tick — its queue wait is exactly R.
-        const R: u64 = 50;
         let background = sized_job(8, 8).priority(Priority::Low);
         let urgent = sized_job(4, 5).priority(Priority::Urgent).submit_at(100);
-        let schedule =
-            simulate_multiplexed_elastic(8, &mut DeadlineShare, R, vec![background, urgent]);
+        let schedule = simulate_multiplexed(8, &mut DeadlineShare, R, vec![background, urgent]);
         let [bg, urgent] = &schedule.outcomes[..] else {
             panic!("two outcomes");
         };
@@ -796,16 +540,60 @@ mod tests {
     }
 
     #[test]
+    fn search_ids_follow_arrival_order_when_a_later_arrival_is_granted_first() {
+        // A Low background holds the 4-worker pool; a Normal job A and an
+        // Urgent job B (one worker each) arrive together.  DeadlineShare
+        // grants B first, one revocation latency later; A waits for the
+        // background.  Every id's traced queued → granted gap must still be
+        // its own job's queue wait.
+        let jobs = vec![
+            sized_job(4, 8).priority(Priority::Low),
+            sized_job(1, 5).submit_at(100),
+            sized_job(1, 5).priority(Priority::Urgent).submit_at(100),
+        ];
+        let schedule = simulate_multiplexed(4, &mut DeadlineShare, R, jobs);
+        let stamp = |want: fn(&TraceEvent) -> Option<u64>, id: u64| {
+            schedule
+                .trace
+                .iter()
+                .find(|r| want(&r.event) == Some(id))
+                .map(|r| r.ts)
+                .expect("traced")
+        };
+        let queued = |e: &TraceEvent| match *e {
+            TraceEvent::SearchQueued { search_id } => Some(search_id),
+            _ => None,
+        };
+        let granted = |e: &TraceEvent| match *e {
+            TraceEvent::SearchGranted { search_id, .. } => Some(search_id),
+            _ => None,
+        };
+        for (id, out) in (1u64..).zip(&schedule.outcomes) {
+            assert_eq!(
+                stamp(granted, id) - stamp(queued, id),
+                out.queue_wait_ticks,
+                "search {id}"
+            );
+        }
+        let [_, a, b] = &schedule.outcomes[..] else {
+            panic!("three outcomes");
+        };
+        assert_eq!(b.queue_wait_ticks, R, "the urgent job overtakes");
+        assert!(
+            a.queue_wait_ticks > R,
+            "the normal job waits out the background"
+        );
+    }
+
+    #[test]
     fn preemption_resolves_cancelled_with_partial_work() {
         // On a 4-worker pool an Urgent 4-worker arrival cannot be served
         // by shrinking alone (the background keeps one worker), so
         // DeadlineShare preempts the background outright.
-        const R: u64 = 50;
-        let solo = simulate_multiplexed(4, &mut Fifo, vec![sized_job(4, 8)]);
+        let solo = simulate_multiplexed(4, &mut Fifo, R, vec![sized_job(4, 8)]).outcomes;
         let background = sized_job(4, 8).priority(Priority::Low);
         let urgent = sized_job(4, 5).priority(Priority::Urgent).submit_at(100);
-        let schedule =
-            simulate_multiplexed_elastic(4, &mut DeadlineShare, R, vec![background, urgent]);
+        let schedule = simulate_multiplexed(4, &mut DeadlineShare, R, vec![background, urgent]);
         let [bg, urgent] = &schedule.outcomes[..] else {
             panic!("two outcomes");
         };
@@ -828,7 +616,7 @@ mod tests {
         // for each newcomer, then re-grows when the newcomer finishes.
         // Two newcomer cycles produce four lease changes on the first
         // search — enough for the flight-recorder's grant_thrash rule.
-        let schedule = simulate_multiplexed_elastic(
+        let schedule = simulate_multiplexed(
             8,
             &mut FairShare,
             10,
@@ -841,7 +629,7 @@ mod tests {
         assert!(schedule.outcomes.iter().all(|o| o.status.is_complete()));
         // Committed work is fixed at admission width: co-scheduling and
         // lease changes never alter what a search counts.
-        let solo = simulate_multiplexed(8, &mut FairShare, vec![sized_job(2, 9)]);
+        let solo = simulate_multiplexed(8, &mut FairShare, R, vec![sized_job(2, 9)]).outcomes;
         assert_eq!(schedule.outcomes[0].nodes, solo[0].nodes);
         let changes = schedule
             .trace

@@ -187,8 +187,9 @@ fn per_search_committed_counts_are_unchanged_under_co_scheduling() {
             |granted_cfg: &SimConfig| simulate_enumerate(&Semigroups::new(10), granted_cfg),
         )
     };
-    let solo_sim = simulate_multiplexed(8, &mut FairShare, vec![make_job()]);
-    let paired_sim = simulate_multiplexed(8, &mut FairShare, vec![make_job(), make_job()]);
+    let solo_sim = simulate_multiplexed(8, &mut FairShare, 64, vec![make_job()]).outcomes;
+    let paired_sim =
+        simulate_multiplexed(8, &mut FairShare, 64, vec![make_job(), make_job()]).outcomes;
     for out in &paired_sim {
         assert_eq!(out.nodes, solo_sim[0].nodes);
         assert_eq!(
@@ -198,7 +199,7 @@ fn per_search_committed_counts_are_unchanged_under_co_scheduling() {
         assert_eq!(out.granted_workers, 4);
     }
     // FIFO's virtual queue wait is exactly the predecessor's makespan.
-    let fifo_sim = simulate_multiplexed(8, &mut Fifo, vec![make_job(), make_job()]);
+    let fifo_sim = simulate_multiplexed(8, &mut Fifo, 64, vec![make_job(), make_job()]).outcomes;
     assert_eq!(fifo_sim[1].queue_wait_ticks, fifo_sim[0].makespan);
     assert_eq!(fifo_sim[1].nodes, fifo_sim[0].nodes);
 }
