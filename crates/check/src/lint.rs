@@ -1,6 +1,6 @@
 //! Repo-invariant source lint.
 //!
-//! Three static rules over the workspace source (scanned roots and
+//! Four static rules over the workspace source (scanned roots and
 //! allowlists configured in `crates/check/lint.toml`):
 //!
 //! 1. **`relaxed-justified`** — every `Ordering::Relaxed` site must carry
@@ -17,6 +17,11 @@
 //!    exact-reconstruction invariant (a drained trace re-derives the
 //!    metric totals, so an emission without its counter — or vice versa —
 //!    silently breaks reconstruction).
+//! 4. **`layering-ban`** — a configured line substring is banned under a
+//!    path prefix, each ban with a written justification: the checkable
+//!    form of the architecture's layering (e.g. the simulator calls the
+//!    core traversal step and never restates it with `.next_child()`).
+//!    Test regions are exempt.
 //!
 //! Violations carry `file:line` so CI output names the offending site
 //! exactly.  The config parser enforces that every allowlist entry has a
@@ -57,6 +62,15 @@ pub struct AllowEntry {
     pub justification: String,
 }
 
+/// One banned line substring under a path prefix; `justification` (why
+/// the layering forbids it) is mandatory and printed with each violation.
+#[derive(Debug, Clone)]
+pub struct BanEntry {
+    pub path: String,
+    pub contains: String,
+    pub justification: String,
+}
+
 /// One `TraceEvent` variant → counter-token pairing.
 #[derive(Debug, Clone)]
 pub struct TracePair {
@@ -74,6 +88,7 @@ pub struct LintConfig {
     pub allow_relaxed: Vec<AllowEntry>,
     pub allow_unwrap: Vec<AllowEntry>,
     pub trace_pairs: Vec<TracePair>,
+    pub bans: Vec<BanEntry>,
 }
 
 /// How many lines above a `Relaxed` site the `// ordering:` comment may
@@ -92,11 +107,12 @@ enum Section {
     AllowRelaxed,
     AllowUnwrap,
     TracePair,
+    Ban,
 }
 
 /// Parse the `lint.toml` subset: `[[section]]` headers, `key = "value"`
-/// string pairs, `#` comments.  Rejects unknown sections/keys and allow
-/// entries without a written justification.
+/// string pairs, `#` comments.  Rejects unknown sections/keys and allow or
+/// ban entries without a written justification.
 pub fn parse_config(text: &str) -> Result<LintConfig, String> {
     let mut cfg = LintConfig::default();
     let mut section: Option<Section> = None;
@@ -162,6 +178,21 @@ pub fn parse_config(text: &str) -> Result<LintConfig, String> {
                     counter: std::mem::take(counter),
                 });
             }
+            Some(Section::Ban) => {
+                if path.is_empty() || contains.is_empty() {
+                    return Err("[[ban]] entry missing `path` or `contains`".to_string());
+                }
+                if justification.trim().is_empty() {
+                    return Err(format!(
+                        "ban of `{contains}` under `{path}` has no written justification"
+                    ));
+                }
+                cfg.bans.push(BanEntry {
+                    path: std::mem::take(path),
+                    contains: std::mem::take(contains),
+                    justification: std::mem::take(justification),
+                });
+            }
         }
         Ok(())
     }
@@ -188,6 +219,7 @@ pub fn parse_config(text: &str) -> Result<LintConfig, String> {
                 "allow_relaxed" => Section::AllowRelaxed,
                 "allow_unwrap" => Section::AllowUnwrap,
                 "trace_pair" => Section::TracePair,
+                "ban" => Section::Ban,
                 other => return Err(format!("line {}: unknown section [[{other}]]", idx + 1)),
             });
             continue;
@@ -249,7 +281,7 @@ fn extract_variant(line: &str) -> Option<&str> {
 pub fn lint_file(file: &str, content: &str, cfg: &LintConfig) -> Vec<Violation> {
     let lines: Vec<&str> = content.lines().collect();
     // Test modules sit at the end of files in this workspace; everything
-    // from the first `#[cfg(test)]` on is exempt from all three rules.
+    // from the first `#[cfg(test)]` on is exempt from all four rules.
     let test_start = lines
         .iter()
         .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
@@ -290,6 +322,22 @@ pub fn lint_file(file: &str, content: &str, cfg: &LintConfig) -> Vec<Violation> 
                           an Error (or allowlist with justification)"
                     .to_string(),
             });
+        }
+
+        if !is_comment {
+            for ban in &cfg.bans {
+                if file.starts_with(ban.path.as_str()) && line.contains(&ban.contains) {
+                    violations.push(Violation {
+                        file: file.to_string(),
+                        line: lineno,
+                        rule: "layering-ban",
+                        message: format!(
+                            "`{}` is banned here: {}",
+                            ban.contains, ban.justification
+                        ),
+                    });
+                }
+            }
         }
 
         if !is_comment

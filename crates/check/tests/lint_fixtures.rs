@@ -167,6 +167,54 @@ fn unmapped_variants_are_not_paired() {
 }
 
 // ---------------------------------------------------------------------------
+// layering-ban
+// ---------------------------------------------------------------------------
+
+#[test]
+fn banned_call_under_its_path_is_flagged_with_the_justification() {
+    let mut cfg = cfg_with(&[]);
+    cfg.bans.push(yewpar_check::lint::BanEntry {
+        path: "crates/sim/src".to_string(),
+        contains: ".next_child()".to_string(),
+        justification: "the step lives in core".to_string(),
+    });
+    let src = "\
+fn step(stack: &mut Stack) {
+    // a comment naming .next_child() is fine
+    let child = stack.next_child();
+}
+
+#[cfg(test)]
+mod tests {
+    fn t(stack: &mut Stack) {
+        stack.next_child();
+    }
+}
+";
+    let violations = lint_file("crates/sim/src/engine.rs", src, &cfg);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    let v = &violations[0];
+    assert_eq!((v.rule, v.line), ("layering-ban", 3));
+    assert!(
+        v.message.contains("the step lives in core"),
+        "{}",
+        v.message
+    );
+    // The same call outside the banned path is allowed.
+    assert!(lint_file("crates/core/src/genstack.rs", src, &cfg).is_empty());
+
+    // A ban without a written justification is rejected like an allow entry.
+    let toml = "\
+[[ban]]
+path = \"crates/sim/src\"
+contains = \".next_child()\"
+";
+    assert!(parse_config(toml)
+        .unwrap_err()
+        .contains("no written justification"));
+}
+
+// ---------------------------------------------------------------------------
 // config parsing
 // ---------------------------------------------------------------------------
 

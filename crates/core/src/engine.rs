@@ -30,12 +30,12 @@
 use crate::sync::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::genstack::GenStack;
+use crate::genstack::{Action, GenStack};
 use crate::lifecycle::{Lifecycle, LifecycleLocal};
 use crate::metrics::WorkerMetrics;
 use crate::node::SearchProblem;
 use crate::runtime::WorkerPool;
-use crate::skeleton::driver::{Action, Driver};
+use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, TraceHandle, Tracer, UNKNOWN_VICTIM};
 use crate::workpool::Task;
@@ -706,30 +706,18 @@ where
             &mut stack,
             &mut task_backtracks,
         );
-        match stack.next_child() {
-            Some((child, depth)) => {
-                metrics.nodes += 1;
-                metrics.max_depth = metrics.max_depth.max(depth as u64);
-                match driver.process(problem, &child, partial) {
-                    Action::Expand => stack.push(problem, &child, depth),
-                    Action::Prune => metrics.prunes += 1,
-                    Action::PruneSiblings => {
-                        // The generator yields children in non-increasing
-                        // bound order: the failed check also disposes of the
-                        // unexplored later siblings.
-                        metrics.prunes += 1;
-                        stack.pop();
-                        metrics.backtracks += 1;
-                        task_backtracks += 1;
-                    }
-                    Action::ShortCircuit => return Flow::ShortCircuited,
-                }
-            }
-            None => {
-                stack.pop();
-                metrics.backtracks += 1;
-                task_backtracks += 1;
-            }
+        let step = stack.step(problem, |child| driver.process(problem, child, partial));
+        if let Some(depth) = step.node_depth {
+            metrics.nodes += 1;
+            metrics.max_depth = metrics.max_depth.max(depth as u64);
+        }
+        if step.short_circuit {
+            return Flow::ShortCircuited;
+        }
+        metrics.prunes += step.pruned as u64;
+        if step.popped {
+            metrics.backtracks += 1;
+            task_backtracks += 1;
         }
     }
     Flow::Completed

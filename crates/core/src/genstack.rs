@@ -6,8 +6,10 @@
 //! … with which new skeletons can be created" (§4.3).
 //!
 //! Depth-first backtracking is implemented as a stack of lazy node
-//! generators (paper §4.1): advancing the top generator corresponds to the
-//! (expand) rule, popping an exhausted generator to the (backtrack) rule.
+//! generators (paper §4.1).  [`GenStack::step`] is the one traversal step
+//! every engine runs: it advances the top generator and applies the
+//! processed node's [`Action`] — the (expand), (prune) and (shortcircuit)
+//! rules — or pops an exhausted generator, the (backtrack) rule.
 //! The stack also identifies which subtrees to give away when splitting work
 //! — the Budget and Stack-Stealing coordinations scan it bottom-up and hand
 //! out the *lowest-depth* unexplored children, which are heuristically the
@@ -16,7 +18,63 @@
 use std::iter::Peekable;
 
 use crate::node::SearchProblem;
+use crate::objective::{Optimise, PruneLevel};
 use crate::workpool::Task;
+
+/// What the traversal should do after processing a node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Explore the node's children.
+    Expand,
+    /// Skip the node's children: the subtree cannot contribute (the (prune) rule).
+    Prune,
+    /// Skip the node's children *and* its not-yet-generated later siblings
+    /// (only returned when the problem declares [`PruneLevel::Siblings`]).
+    PruneSiblings,
+    /// Stop the entire search: the decision target has been witnessed
+    /// (the (shortcircuit) rule).
+    ShortCircuit,
+}
+
+impl Action {
+    /// The (prune) rule of every optimisation and decision driver: expand
+    /// `node` unless `useless` says its subtree bound cannot help (cannot
+    /// beat the incumbent, or cannot reach the decision target), and then
+    /// prune at the problem's [`PruneLevel`].  `useless` is called only
+    /// when the problem has a bound for the node.
+    #[inline]
+    pub fn by_bound<P: Optimise>(
+        problem: &P,
+        node: &P::Node,
+        useless: impl FnOnce(&P::Score) -> bool,
+    ) -> Action {
+        match problem.bound(node) {
+            Some(bound) if useless(&bound) => match problem.prune_level() {
+                PruneLevel::Node => Action::Prune,
+                PruneLevel::Siblings => Action::PruneSiblings,
+            },
+            _ => Action::Expand,
+        }
+    }
+}
+
+/// What one [`GenStack::step`] did.  Callers keep their own accounting
+/// (metrics on threads, ticks in the simulator) from this summary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Step {
+    /// Depth of the node the step processed; `None` when it backtracked
+    /// instead.
+    pub node_depth: Option<usize>,
+    /// The processed node was pruned ([`Action::Prune`] or
+    /// [`Action::PruneSiblings`]).
+    pub pruned: bool,
+    /// A generator was popped: the top one was exhausted, or its remaining
+    /// siblings were pruned.
+    pub popped: bool,
+    /// The processed node short-circuits the search; the stack is left as it
+    /// was after the node was generated.
+    pub short_circuit: bool,
+}
 
 /// One stack frame: the (peekable) generator of a node's children, plus the
 /// depth of the children it yields.
@@ -53,17 +111,43 @@ impl<'p, P: SearchProblem + 'p> GenStack<'p, P> {
         });
     }
 
-    /// Advance the top generator: the next unexplored child and its depth.
-    /// Returns `None` when the top generator is exhausted (time to backtrack).
-    pub fn next_child(&mut self) -> Option<(P::Node, usize)> {
-        let frame = self.frames.last_mut()?;
-        frame.gen.next().map(|n| (n, frame.child_depth))
+    /// One traversal step: advance the top generator and hand its next
+    /// child to `process`, then apply the returned [`Action`] — push the
+    /// child's generator on [`Action::Expand`], pop the top generator on
+    /// [`Action::PruneSiblings`].  When the top generator is exhausted it is
+    /// popped instead and `process` is not called.  Call only on a non-empty
+    /// stack.
+    #[inline]
+    pub fn step(&mut self, problem: &'p P, process: impl FnOnce(&P::Node) -> Action) -> Step {
+        let Some((child, depth)) = self.next_child() else {
+            self.frames.pop();
+            return Step {
+                popped: true,
+                ..Step::default()
+            };
+        };
+        let action = process(&child);
+        match action {
+            Action::Expand => self.push(problem, &child, depth),
+            // The generator yields children in non-increasing bound order:
+            // the failed check also disposes of the unexplored later siblings.
+            Action::PruneSiblings => {
+                self.frames.pop();
+            }
+            Action::Prune | Action::ShortCircuit => {}
+        }
+        Step {
+            node_depth: Some(depth),
+            pruned: matches!(action, Action::Prune | Action::PruneSiblings),
+            popped: action == Action::PruneSiblings,
+            short_circuit: action == Action::ShortCircuit,
+        }
     }
 
-    /// Drop the (exhausted) top generator.  Returns `false` if the stack was
-    /// already empty.
-    pub fn pop(&mut self) -> bool {
-        self.frames.pop().is_some()
+    /// Advance the top generator: the next unexplored child and its depth.
+    fn next_child(&mut self) -> Option<(P::Node, usize)> {
+        let frame = self.frames.last_mut()?;
+        frame.gen.next().map(|n| (n, frame.child_depth))
     }
 
     /// True when no generators remain.
@@ -72,7 +156,6 @@ impl<'p, P: SearchProblem + 'p> GenStack<'p, P> {
     }
 
     /// Number of generators on the stack.
-    #[allow(dead_code)]
     pub fn depth(&self) -> usize {
         self.frames.len()
     }
@@ -100,12 +183,6 @@ impl<'p, P: SearchProblem + 'p> GenStack<'p, P> {
             }
         }
         Vec::new()
-    }
-
-    /// True if any generator on the stack still has unexplored children.
-    #[allow(dead_code)]
-    pub fn has_unexplored(&mut self) -> bool {
-        self.frames.iter_mut().any(|f| f.gen.peek().is_some())
     }
 
     /// Depth of the children [`split_lowest`](Self::split_lowest) would take:
@@ -161,17 +238,53 @@ mod tests {
         stack.push(&p, &p.root(), 0);
         let mut visited = 1; // root
         while !stack.is_empty() {
-            match stack.next_child() {
-                Some((child, depth)) => {
-                    visited += 1;
-                    stack.push(&p, &child, depth);
-                }
-                None => {
-                    stack.pop();
-                }
-            }
+            visited += stack.step(&p, |_| Action::Expand).node_depth.is_some() as usize;
         }
         assert_eq!(visited, 1 + 3 + 9 + 27);
+    }
+
+    #[test]
+    fn each_step_applies_its_rule_and_reports_it() {
+        // Each case: a root-and-one-child stack (the child (1,0) expanded),
+        // then one step whose processed node gets `action`.  Expected: the
+        // step summary and the frames left on the stack.
+        let processed = |pruned, popped, short_circuit| Step {
+            node_depth: Some(2),
+            pruned,
+            popped,
+            short_circuit,
+        };
+        let cases = [
+            (Action::Expand, processed(false, false, false), 3),
+            (Action::Prune, processed(true, false, false), 2),
+            (Action::PruneSiblings, processed(true, true, false), 1),
+            (Action::ShortCircuit, processed(false, false, true), 2),
+        ];
+        let p = Ternary { depth: 3 };
+        for (action, expected, frames) in cases {
+            let mut stack = GenStack::new();
+            stack.push(&p, &p.root(), 0);
+            stack.step(&p, |_| Action::Expand);
+            let mut seen = None;
+            let step = stack.step(&p, |node| {
+                seen = Some(*node);
+                action
+            });
+            assert_eq!(seen, Some((2, 0)), "{action:?}: first grandchild");
+            assert_eq!(step, expected, "{action:?}");
+            assert_eq!(stack.depth(), frames, "{action:?}");
+        }
+
+        // An exhausted top frame is popped without calling `process`.
+        let mut stack = GenStack::new();
+        stack.push(&p, &(3, 0), 3); // a leaf: its generator is empty
+        let step = stack.step(&p, |_| panic!("an exhausted frame has no node"));
+        let backtrack = Step {
+            popped: true,
+            ..Step::default()
+        };
+        assert_eq!(step, backtrack);
+        assert!(stack.is_empty());
     }
 
     #[test]
@@ -179,10 +292,8 @@ mod tests {
         let p = Ternary { depth: 3 };
         let mut stack = GenStack::new();
         stack.push(&p, &p.root(), 0);
-        // Descend one branch: take child (1,0), push its generator.
-        let (c, d) = stack.next_child().unwrap();
-        assert_eq!((c, d), ((1, 0), 1));
-        stack.push(&p, &c, d);
+        // Descend one branch: expand child (1,0).
+        stack.step(&p, |_| Action::Expand);
         // The bottom frame still holds children (1,1) and (1,2): a single
         // (non-chunked) split must hand out (1,1) — depth-1 work.
         let stolen = stack.split_lowest(false);
@@ -196,7 +307,7 @@ mod tests {
         assert!(stolen.iter().all(|t| t.depth == 2));
         // Nothing left anywhere.
         assert!(stack.split_lowest(true).is_empty());
-        assert!(!stack.has_unexplored());
+        assert_eq!(stack.steal_depth(), None);
     }
 
     #[test]
@@ -206,7 +317,7 @@ mod tests {
         assert!(stack.split_lowest(true).is_empty());
         stack.push(&p, &(1, 0), 1); // leaf: generator is empty
         assert!(stack.split_lowest(false).is_empty());
-        assert!(!stack.has_unexplored());
+        assert_eq!(stack.steal_depth(), None);
     }
 
     #[test]
@@ -214,8 +325,7 @@ mod tests {
         let p = Ternary { depth: 2 };
         let mut stack = GenStack::new();
         stack.push(&p, &p.root(), 0);
-        let (c, d) = stack.next_child().unwrap();
-        stack.push(&p, &c, d);
+        stack.step(&p, |_| Action::Expand);
         // Steal everything at the lowest depth.
         let _ = stack.split_lowest(true);
         // The deeper frame must still yield its three children in order.

@@ -9,11 +9,12 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::genstack::Action;
 use crate::knowledge::{BoundCache, Incumbent};
 use crate::lifecycle::{ProgressEvent, ProgressSender};
 use crate::monoid::Monoid;
 use crate::node::SearchProblem;
-use crate::objective::{Decide, Enumerate, Optimise, PruneLevel};
+use crate::objective::{Decide, Enumerate, Optimise};
 use crate::trace::{TraceEvent, Tracer};
 
 /// Shared helper: report a successful incumbent strengthening on the
@@ -36,21 +37,6 @@ fn emit_incumbent<S: std::fmt::Debug>(
             elapsed: started.elapsed(),
         });
     }
-}
-
-/// What the traversal should do after processing a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Action {
-    /// Explore the node's children.
-    Expand,
-    /// Skip the node's children: the subtree cannot contribute (the (prune) rule).
-    Prune,
-    /// Skip the node's children *and* its not-yet-generated later siblings
-    /// (only returned when the problem declares [`PruneLevel::Siblings`]).
-    PruneSiblings,
-    /// Stop the entire search: the decision target has been witnessed
-    /// (the (shortcircuit) rule).
-    ShortCircuit,
 }
 
 /// Node-processing behaviour of one search type.
@@ -167,17 +153,11 @@ impl<P: Optimise> Driver<P> for OptimDriver<P> {
         }
         // Branch-and-bound pruning: if even the most optimistic completion of
         // this subtree cannot beat the incumbent, do not expand it.
-        if let Some(bound) = problem.bound(node) {
-            if let Some(best) = cache.refresh(&self.incumbent) {
-                if bound <= *best {
-                    return match problem.prune_level() {
-                        PruneLevel::Node => Action::Prune,
-                        PruneLevel::Siblings => Action::PruneSiblings,
-                    };
-                }
-            }
-        }
-        Action::Expand
+        Action::by_bound(problem, node, |bound| {
+            cache
+                .refresh(&self.incumbent)
+                .is_some_and(|best| bound <= best)
+        })
     }
 
     fn merge(&self, _partial: Self::Partial) {}
@@ -264,17 +244,9 @@ impl<P: Decide> Driver<P> for DecideDriver<P> {
                 &score,
             );
         }
-        if let Some(bound) = problem.bound(node) {
-            // A subtree that cannot reach the target is useless to a decision
-            // search even if it could improve the incumbent.
-            if bound < self.target {
-                return match problem.prune_level() {
-                    PruneLevel::Node => Action::Prune,
-                    PruneLevel::Siblings => Action::PruneSiblings,
-                };
-            }
-        }
-        Action::Expand
+        // A subtree that cannot reach the target is useless to a decision
+        // search even if it could improve the incumbent.
+        Action::by_bound(problem, node, |bound| *bound < self.target)
     }
 
     fn merge(&self, _partial: Self::Partial) {}

@@ -18,7 +18,7 @@ use std::time::Duration;
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::engine::{self, NoSpawn, WorkSource};
 use crate::genstack::GenStack;
@@ -29,7 +29,7 @@ use crate::params::SearchConfig;
 use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, TraceHandle, Tracer, UNKNOWN_VICTIM};
-use crate::workpool::Task;
+use crate::workpool::{pick_shallowest, Task};
 
 /// How long a waiting thief blocks on a victim's reply before re-answering
 /// its own request channel and re-checking for termination.  Purely a
@@ -170,36 +170,19 @@ impl<N> StealSource<N> {
         }
     }
 
-    /// Pick the *shallowest* advertised victim (ties broken at random) and
+    /// Pick the victim by [`pick_shallowest`] over the advertised hints and
     /// ask it for work.  With no advertised victim the steal fails
     /// immediately — no request, no timeout — which is what keeps idle
     /// workers cheap while the search ramps up or drains.
     fn attempt_steal(&self, local: &mut StealLocal<N>) -> Option<Vec<Task<N>>> {
-        let n = self.senders.len();
         local.last_victim = UNKNOWN_VICTIM;
-        local.scratch.clear();
-        let mut best = NO_WORK_HINT;
-        for v in 0..n {
-            if v == local.id {
-                continue;
-            }
+        let mut hints = self.hints.iter().enumerate().map(|(v, hint)| {
             // ordering: advisory hint read; see advertise() — staleness
             // only degrades victim choice, never correctness.
-            let depth = self.hints[v].0.load(Ordering::Relaxed);
-            match depth.cmp(&best) {
-                std::cmp::Ordering::Less => {
-                    best = depth;
-                    local.scratch.clear();
-                    local.scratch.push(v);
-                }
-                std::cmp::Ordering::Equal if depth != NO_WORK_HINT => local.scratch.push(v),
-                _ => {}
-            }
-        }
-        if local.scratch.is_empty() {
-            return None;
-        }
-        let victim = local.scratch[local.rng.gen_range(0..local.scratch.len())];
+            let depth = hint.0.load(Ordering::Relaxed);
+            (v, (depth != NO_WORK_HINT).then_some(depth))
+        });
+        let victim = pick_shallowest(local.id, &mut hints, &mut local.rng, &mut local.scratch)?;
         local.last_victim = victim as u32;
         if let Some(trace) = &local.trace {
             trace.emit(TraceEvent::StealRequest {

@@ -429,10 +429,91 @@ impl<N> ShardedPool<N> {
     }
 }
 
+/// The Stack-Stealing victim rule, shared by the threaded steal-channel
+/// source and the simulator: among `candidates` — `(worker, steal depth)`
+/// pairs, `None` meaning the worker has nothing to steal — pick the one
+/// advertising the *shallowest* depth (heuristically the biggest subtree),
+/// never `thief` itself.  Ties are broken by exactly one `rng` draw over
+/// the tied workers, made only when some candidate exists; with none, the
+/// steal fails without touching `rng`.  `scratch` is the caller's reusable
+/// buffer for the tied workers.
+///
+/// Deliberately not generic: it is compiled once here rather than into each
+/// caller, because a generic version changed how the compiler inlined the
+/// threaded Stack-Stealing worker's per-step channel poll and measurably
+/// slowed that coordination's solves.
+pub fn pick_shallowest(
+    thief: usize,
+    candidates: &mut dyn Iterator<Item = (usize, Option<usize>)>,
+    rng: &mut rand::rngs::SmallRng,
+    scratch: &mut Vec<usize>,
+) -> Option<usize> {
+    use rand::Rng;
+    scratch.clear();
+    let mut best = usize::MAX;
+    for (worker, depth) in candidates {
+        let Some(depth) = depth.filter(|_| worker != thief) else {
+            continue;
+        };
+        if depth < best {
+            best = depth;
+            scratch.clear();
+        }
+        if depth == best {
+            scratch.push(worker);
+        }
+    }
+    (!scratch.is_empty()).then(|| scratch[rng.gen_range(0..scratch.len())])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn pick_shallowest_follows_the_victim_rule() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        // (candidates, thief 0's pick under seed 7).  The expected tie pick is the seeded generator's first
+        // draw over the tied workers in candidate order.
+        let tie = |n: usize| SmallRng::seed_from_u64(7).gen_range(0..n);
+        type Candidates = Vec<(usize, Option<usize>)>;
+        let cases: Vec<(Candidates, Option<usize>)> = vec![
+            // The thief never picks itself, however shallow it looks.
+            (vec![(0, Some(0)), (1, Some(3))], Some(1)),
+            // Workers with nothing to steal are skipped.
+            (vec![(1, None), (2, Some(4)), (3, None)], Some(2)),
+            // The shallowest candidate wins regardless of position.
+            (vec![(1, Some(5)), (2, Some(2)), (3, Some(4))], Some(2)),
+            // Ties at the shallowest depth: one seeded draw among them.
+            (
+                vec![(1, Some(2)), (2, Some(1)), (3, Some(1)), (4, Some(1))],
+                Some([2, 3, 4][tie(3)]),
+            ),
+            // No candidate at all: the steal fails.
+            (vec![(0, Some(1)), (1, None), (2, None)], None),
+            (vec![], None),
+        ];
+        for (candidates, expected) in cases {
+            let mut rng = SmallRng::seed_from_u64(7);
+            let mut scratch = Vec::new();
+            let got = pick_shallowest(
+                0,
+                &mut candidates.clone().into_iter(),
+                &mut rng,
+                &mut scratch,
+            );
+            assert_eq!(got, expected, "{candidates:?}");
+            // The draw happens exactly once when a candidate exists, and
+            // never otherwise: the generator is one draw ahead, or untouched.
+            let mut replay = SmallRng::seed_from_u64(7);
+            if expected.is_some() {
+                replay.gen_range(0..scratch.len());
+            }
+            assert_eq!(rng.next_u64(), replay.next_u64(), "{candidates:?}");
+        }
+    }
 
     #[test]
     fn pops_lowest_depth_first() {

@@ -7,17 +7,17 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use yewpar::genstack::GenStack;
+use yewpar::genstack::{Action, GenStack, Step};
 use yewpar::monoid::Monoid;
-use yewpar::objective::PruneLevel;
 use yewpar::params::Coordination;
 use yewpar::trace::{TraceEvent, TraceRecord, CONTROL_WORKER, UNKNOWN_VICTIM};
 use yewpar::workpool::{
-    CommitLog, DepthPool, OrderedPool, Retired, SeqKey, Task, POP_BATCH, STEAL_BATCH,
+    pick_shallowest, CommitLog, DepthPool, OrderedPool, SeqKey, Task, POP_BATCH, STEAL_BATCH,
 };
 use yewpar::{Decide, Enumerate, Optimise, SearchProblem, SearchStatus};
 
@@ -40,13 +40,19 @@ pub struct CostModel {
     pub batch_task_cost: u64,
     /// Cost of popping a task from the local workpool.
     pub pop_cost: u64,
-    /// Latency of obtaining work from another worker/pool in the same locality.
+    /// Latency of a Stack-Stealing steal from another worker's stack in the
+    /// same locality (pool coordinations pop their locality pool for
+    /// [`pop_cost`](CostModel::pop_cost) instead).
     pub local_steal_latency: u64,
-    /// Latency of obtaining work from a remote locality.
+    /// Latency of obtaining work from a remote locality, charged on a
+    /// successful remote steal.  A blind remote steal that misses costs
+    /// [`idle_poll`](CostModel::idle_poll) instead: the model charges no
+    /// round trip for a miss.
     pub remote_steal_latency: u64,
     /// Delay before an improved incumbent becomes visible at other localities.
     pub bound_broadcast_latency: u64,
-    /// Re-poll interval of an idle worker that found no work anywhere.
+    /// Re-poll interval of an idle worker that found no work anywhere; also
+    /// the whole cost of a remote steal that misses.
     pub idle_poll: u64,
 }
 
@@ -218,15 +224,6 @@ impl<R> SimOutcome<R> {
     }
 }
 
-/// What the driver wants the traversal to do after processing a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
-    Expand,
-    Prune,
-    PruneSiblings,
-    ShortCircuit,
-}
-
 /// Single-threaded search-type driver with locality-aware knowledge.
 trait SimDriver<P: SearchProblem> {
     fn process(&mut self, problem: &P, node: &P::Node, locality: usize, now: u64) -> Action;
@@ -307,17 +304,10 @@ impl<P: Optimise> SimDriver<P> for OptimSimDriver<P> {
     fn process(&mut self, problem: &P, node: &P::Node, locality: usize, now: u64) -> Action {
         let score = problem.objective(node);
         self.strengthen(score, node, locality, now);
-        if let Some(bound) = problem.bound(node) {
-            if let Some(best) = self.visible_bound(locality, now) {
-                if bound <= *best {
-                    return match problem.prune_level() {
-                        PruneLevel::Node => Action::Prune,
-                        PruneLevel::Siblings => Action::PruneSiblings,
-                    };
-                }
-            }
-        }
-        Action::Expand
+        Action::by_bound(problem, node, |bound| {
+            self.visible_bound(locality, now)
+                .is_some_and(|best| bound <= best)
+        })
     }
 }
 
@@ -343,15 +333,7 @@ impl<P: Decide> SimDriver<P> for DecideSimDriver<P> {
             return Action::ShortCircuit;
         }
         self.inner.strengthen(score, node, locality, now);
-        if let Some(bound) = problem.bound(node) {
-            if bound < self.target {
-                return match problem.prune_level() {
-                    PruneLevel::Node => Action::Prune,
-                    PruneLevel::Siblings => Action::PruneSiblings,
-                };
-            }
-        }
-        Action::Expand
+        Action::by_bound(problem, node, |bound| *bound < self.target)
     }
 }
 
@@ -362,6 +344,8 @@ struct SimWorker<'p, P: SearchProblem> {
     stack: GenStack<'p, P>,
     /// Stolen (or locally retained) tasks not yet started.
     backlog: Vec<Task<P::Node>>,
+    /// Sequence key of the current task (Ordered only; `None` when idle).
+    key: Option<SeqKey>,
     /// Backtracks since the last Budget split.
     backtracks_since_split: u64,
     /// Total node-processing work charged to this worker.
@@ -406,13 +390,6 @@ struct SimTrace {
 }
 
 impl SimTrace {
-    fn new(on: bool) -> Self {
-        SimTrace {
-            on,
-            records: Vec::new(),
-        }
-    }
-
     #[inline]
     fn emit(&mut self, ts: u64, worker: u32, event: TraceEvent) {
         if self.on {
@@ -437,23 +414,12 @@ fn task_end_event(nodes: u64, prunes: u64, backtracks: u64) -> TraceEvent {
     }
 }
 
-/// The `TaskEnd` event of a pool-coordination worker's current task.
-fn end_of_task<P: SearchProblem>(worker: &SimWorker<'_, P>) -> TraceEvent {
-    task_end_event(
-        worker.task_nodes,
-        worker.task_prunes,
-        worker.task_backtracks,
-    )
-}
-
 /// Simulate an enumeration search.
 pub fn simulate_enumerate<P: Enumerate>(problem: &P, config: &SimConfig) -> SimOutcome<P::Value> {
-    let mut driver = EnumSimDriver::<P> {
+    let driver = EnumSimDriver::<P> {
         acc: P::Value::empty(),
     };
-    let mut trace = SimTrace::new(config.trace);
-    let stats = simulate(problem, config, &mut driver, &mut trace);
-    outcome(stats, config, driver.acc, trace.records)
+    simulate(problem, config, driver, |d| d.acc)
 }
 
 /// Simulate an optimisation search.
@@ -461,38 +427,79 @@ pub fn simulate_maximise<P: Optimise>(
     problem: &P,
     config: &SimConfig,
 ) -> SimOutcome<Option<(P::Node, P::Score)>> {
-    let mut driver = OptimSimDriver::<P>::new(config.costs.bound_broadcast_latency);
-    let mut trace = SimTrace::new(config.trace);
-    let stats = simulate(problem, config, &mut driver, &mut trace);
-    outcome(
-        stats,
-        config,
-        driver.best.map(|(s, n)| (n, s)),
-        trace.records,
-    )
+    let driver = OptimSimDriver::<P>::new(config.costs.bound_broadcast_latency);
+    simulate(problem, config, driver, |d| d.best.map(|(s, n)| (n, s)))
 }
 
 /// Simulate a decision search.
 pub fn simulate_decide<P: Decide>(problem: &P, config: &SimConfig) -> SimOutcome<Option<P::Node>> {
-    let mut driver = DecideSimDriver::<P> {
+    let driver = DecideSimDriver::<P> {
         inner: OptimSimDriver::<P>::new(config.costs.bound_broadcast_latency),
         target: problem.target(),
         witness: None,
         replaced: None,
     };
-    let mut trace = SimTrace::new(config.trace);
-    let stats = simulate(problem, config, &mut driver, &mut trace);
-    outcome(stats, config, driver.witness, trace.records)
+    simulate(problem, config, driver, |d| d.witness)
 }
 
-fn outcome<R>(
-    stats: SimStats,
+/// Simulate one search: build the shared loop state, seed the root task,
+/// drive the coordination's own rules through [`Sim::run`], and read the
+/// search result off the driver with `result`.
+fn simulate<P, D, R>(
+    problem: &P,
     config: &SimConfig,
-    result: R,
-    trace: Vec<TraceRecord>,
-) -> SimOutcome<R> {
+    mut driver: D,
+    result: impl FnOnce(D) -> R,
+) -> SimOutcome<R>
+where
+    P: SearchProblem,
+    D: SimDriver<P>,
+{
+    let mut trace = SimTrace {
+        on: config.trace,
+        records: Vec::new(),
+    };
+    let (driver_ref, trace_ref) = (&mut driver, &mut trace);
+    let root = Task::new(problem.root(), 0);
+    let stats = match config.coordination {
+        // A sequence-keyed global pool with in-order commit semantics cannot
+        // be approximated by the per-locality depth pools without losing the
+        // replicability guarantee.
+        Coordination::Ordered { spawn_depth } => {
+            let pool = OrderedPool::new();
+            pool.push(SeqKey::root(), root);
+            let ordered = Ordered {
+                spawn_depth,
+                pool,
+                log: CommitLog::new(),
+            };
+            let mut sim = Sim::new(problem, config, driver_ref, trace_ref, ordered);
+            sim.run();
+            sim.close()
+        }
+        coordination => {
+            // One order-preserving pool per locality (used by Depth-Bounded,
+            // Budget and Sequential; Stack-Stealing steals directly from
+            // worker stacks).
+            let pools = Pools {
+                coordination,
+                pools: (0..config.localities).map(|_| DepthPool::new()).collect(),
+                rng: SmallRng::seed_from_u64(config.seed),
+                scratch: Vec::new(),
+            };
+            let mut sim = Sim::new(problem, config, driver_ref, trace_ref, pools);
+            // The root task starts at locality 0 (worker 0's backlog for
+            // stack-stealing; locality 0's pool otherwise).
+            match coordination {
+                Coordination::StackStealing { .. } => sim.workers[0].backlog.push(root),
+                _ => sim.coord.pools[0].push(root),
+            }
+            sim.run();
+            sim.finish()
+        }
+    };
     SimOutcome {
-        result,
+        result: result(driver),
         makespan: stats.makespan,
         total_work: stats.total_work,
         nodes: stats.nodes,
@@ -514,398 +521,426 @@ fn outcome<R>(
         },
         queue_wait_ticks: 0,
         granted_workers: config.workers(),
-        trace,
+        trace: trace.records,
     }
 }
 
-/// The core event loop, generic over the search-type driver.
-fn simulate<P, D>(problem: &P, config: &SimConfig, driver: &mut D, trace: &mut SimTrace) -> SimStats
+/// The state of one simulated run: what every coordination shares, plus
+/// the coordination's own state `C`.
+struct Sim<'a, 'p, P: SearchProblem, D, C> {
+    problem: &'p P,
+    config: &'a SimConfig,
+    driver: &'a mut D,
+    trace: &'a mut SimTrace,
+    workers: Vec<SimWorker<'p, P>>,
+    stats: SimStats,
+    /// Tasks spawned and not yet retired.
+    outstanding: u64,
+    /// The search is over early: a short-circuit, or a committed Ordered
+    /// witness.
+    stopped: bool,
+    coord: C,
+}
+
+/// A simulated coordination's rules.  Each returns the virtual time of the
+/// worker's next event; [`Sim::run`] calls one of them per event.
+trait Rules<'p, P: SearchProblem, D: SimDriver<P>>: Sized {
+    /// Idle worker `w` looks for work at `now`.
+    fn acquire(sim: &mut Sim<'_, 'p, P, D, Self>, w: usize, now: u64) -> u64;
+
+    /// Busy worker `w` advances its current task at `now`.
+    fn step(sim: &mut Sim<'_, 'p, P, D, Self>, w: usize, now: u64) -> u64;
+}
+
+impl<'a, 'p, P, D, C> Sim<'a, 'p, P, D, C>
 where
     P: SearchProblem,
     D: SimDriver<P>,
+    C: Rules<'p, P, D>,
 {
-    // The Ordered coordination gets its own loop: a sequence-keyed global
-    // pool with in-order commit semantics cannot be approximated by the
-    // per-locality depth pools without losing the replicability guarantee.
-    if let Coordination::Ordered { spawn_depth } = config.coordination {
-        return simulate_ordered(problem, config, driver, spawn_depth, trace);
+    fn new(
+        problem: &'p P,
+        config: &'a SimConfig,
+        driver: &'a mut D,
+        trace: &'a mut SimTrace,
+        coord: C,
+    ) -> Self {
+        let workers = (0..config.workers())
+            .map(|i| SimWorker {
+                locality: i / config.workers_per_locality,
+                stack: GenStack::new(),
+                backlog: Vec::new(),
+                key: None,
+                backtracks_since_split: 0,
+                work: 0,
+                task_nodes: 0,
+                task_prunes: 0,
+                task_backtracks: 0,
+            })
+            .collect();
+        Sim {
+            problem,
+            config,
+            driver,
+            trace,
+            workers,
+            stats: SimStats::default(),
+            outstanding: 1,
+            stopped: false,
+            coord,
+        }
     }
 
-    let costs = &config.costs;
-    let n_workers = config.workers();
-    let n_localities = config.localities;
-    let coordination = config.coordination;
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-
-    // One order-preserving pool per locality (used by Depth-Bounded, Budget
-    // and Sequential; Stack-Stealing steals directly from worker stacks).
-    let pools: Vec<DepthPool<P::Node>> = (0..n_localities).map(|_| DepthPool::new()).collect();
-
-    let mut workers: Vec<SimWorker<'_, P>> = (0..n_workers)
-        .map(|i| SimWorker {
-            locality: i / config.workers_per_locality,
-            stack: GenStack::new(),
-            backlog: Vec::new(),
-            backtracks_since_split: 0,
-            work: 0,
-            task_nodes: 0,
-            task_prunes: 0,
-            task_backtracks: 0,
-        })
-        .collect();
-
-    // The root task starts at locality 0 (worker 0's backlog for
-    // stack-stealing; locality 0's pool otherwise).
-    let root_task = Task::new(problem.root(), 0);
-    let mut outstanding: u64 = 1;
-    match coordination {
-        Coordination::StackStealing { .. } => workers[0].backlog.push(root_task),
-        _ => pools[0].push(root_task),
+    /// The event loop: workers advance one event at a time in virtual-time
+    /// order until every task is retired, the search stops early, or the
+    /// deadline passes.
+    fn run(&mut self) {
+        // Event heap: (time, worker) — Reverse for a min-heap; ties broken by
+        // worker index for determinism.
+        let mut events: BinaryHeap<Reverse<(u64, usize)>> =
+            (0..self.workers.len()).map(|w| Reverse((0, w))).collect();
+        while let Some(Reverse((now, w))) = events.pop() {
+            if self.outstanding == 0 || self.stopped {
+                break;
+            }
+            // Virtual deadline: events are processed in time order, so the
+            // first event at or past the deadline ends the whole run — exactly
+            // like the threaded engine's per-step wall-clock poll, with zero
+            // nondeterminism.  Every event is one deadline evaluation, the
+            // virtual analogue of the threaded stride-gated poll check.
+            self.stats.poll_checks += 1;
+            if let Some(d) = self.config.deadline_ticks.filter(|&d| now >= d) {
+                self.stats.deadline_hit = true;
+                // The overshooting event never executes: the run ends at the
+                // deadline itself.
+                self.stats.makespan = d;
+                break;
+            }
+            let next = if self.workers[w].stack.is_empty() {
+                C::acquire(self, w, now)
+            } else {
+                C::step(self, w, now)
+            };
+            events.push(Reverse((next, w)));
+        }
     }
 
-    let mut stats = SimStats::default();
-    // Event heap: (time, worker) — Reverse for a min-heap; ties broken by
-    // worker index for determinism.
-    let mut events: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..n_workers).map(|w| Reverse((0, w))).collect();
-    let mut short_circuited = false;
-
-    while let Some(Reverse((now, w))) = events.pop() {
-        if outstanding == 0 || short_circuited {
-            break;
+    /// The run's final counters: the makespan falls back to the node work
+    /// spread over all workers when nothing fixed it (a short-circuit
+    /// before any completion, or a degenerate zero-work run).
+    fn finish(&mut self) -> SimStats {
+        if self.stats.makespan == 0 {
+            self.stats.makespan =
+                self.stats.nodes * self.config.costs.node_cost / self.workers.len().max(1) as u64;
         }
-        // Virtual deadline: events are processed in time order, so the
-        // first event at or past the deadline ends the whole run — exactly
-        // like the threaded engine's per-step wall-clock poll, with zero
-        // nondeterminism.  Every event is one deadline evaluation, the
-        // virtual analogue of the threaded stride-gated poll check.
-        stats.poll_checks += 1;
-        if let Some(d) = config.deadline_ticks.filter(|&d| now >= d) {
-            stats.deadline_hit = true;
-            // The overshooting event never executes: the run ends at the
-            // deadline itself.
-            stats.makespan = d;
-            break;
-        }
-        let mut next_time = now;
-
-        // ---- Busy worker: one traversal step of its current task ----------
-        if !workers[w].stack.is_empty() {
-            // Budget coordination: split before the next step if the budget
-            // is exhausted.
-            if let Coordination::Budget { backtracks } = coordination {
-                if workers[w].backtracks_since_split >= backtracks {
-                    let offload = workers[w].stack.split_lowest(true);
-                    if !offload.is_empty() {
-                        outstanding += offload.len() as u64;
-                        stats.spawns += offload.len() as u64;
-                        stats.batch_pushes += 1;
-                        stats.lock_acquisitions += 1;
-                        next_time += costs.batched_spawn_cost(offload.len());
-                        pools[workers[w].locality].push_all(offload);
-                    }
-                    workers[w].backtracks_since_split = 0;
-                }
-            }
-            match workers[w].stack.next_child() {
-                Some((child, depth)) => {
-                    next_time += costs.node_cost;
-                    workers[w].work += costs.node_cost;
-                    workers[w].task_nodes += 1;
-                    stats.nodes += 1;
-                    match driver.process(problem, &child, workers[w].locality, next_time) {
-                        Action::Expand => workers[w].stack.push(problem, &child, depth),
-                        Action::Prune => {
-                            stats.prunes += 1;
-                            workers[w].task_prunes += 1;
-                        }
-                        Action::PruneSiblings => {
-                            stats.prunes += 1;
-                            workers[w].task_prunes += 1;
-                            workers[w].stack.pop();
-                            workers[w].backtracks_since_split += 1;
-                            workers[w].task_backtracks += 1;
-                            if workers[w].stack.is_empty() {
-                                trace.emit(next_time, w as u32, end_of_task(&workers[w]));
-                                outstanding -= 1;
-                                if outstanding == 0 {
-                                    stats.makespan = next_time;
-                                }
-                            }
-                        }
-                        Action::ShortCircuit => {
-                            trace.emit(next_time, w as u32, end_of_task(&workers[w]));
-                            stats.makespan = next_time;
-                            short_circuited = true;
-                        }
-                    }
-                }
-                None => {
-                    workers[w].stack.pop();
-                    workers[w].backtracks_since_split += 1;
-                    workers[w].task_backtracks += 1;
-                    next_time += 1; // backtracking is cheap but not free
-                    if workers[w].stack.is_empty() {
-                        // Task complete.
-                        trace.emit(next_time, w as u32, end_of_task(&workers[w]));
-                        outstanding -= 1;
-                        if outstanding == 0 {
-                            stats.makespan = next_time;
-                        }
-                    }
-                }
-            }
-            events.push(Reverse((next_time, w)));
-            continue;
-        }
-
-        // ---- Idle worker: start backlog work, pop a pool, or steal --------
-        if let Some(task) = pop_backlog(&mut workers[w]) {
-            next_time += start_task(
-                problem,
-                driver,
-                &mut workers[w],
-                &pools,
-                coordination,
-                costs,
-                &mut outstanding,
-                &mut stats,
-                &mut short_circuited,
-                task,
-                now,
-                w as u32,
-                trace,
-            );
-            events.push(Reverse((next_time, w)));
-            continue;
-        }
-
-        let my_locality = workers[w].locality;
-        match coordination {
-            Coordination::Ordered { .. } => unreachable!("ordered runs in simulate_ordered"),
-            Coordination::Sequential
-            | Coordination::DepthBounded { .. }
-            | Coordination::Budget { .. } => {
-                // Local pool first — a batched pop takes up to `POP_BATCH`
-                // tasks for one pool operation, capped at this worker's fair
-                // share of the pool so a scarce frontier is never hoarded in
-                // one backlog (the threaded engine avoids this by sharding
-                // the pool per worker; the locality-level pool here must
-                // ration instead).  When the pool is empty, gamble on a
-                // *random* remote pool — the sharded pool's depth hints are
-                // in-process atomics that do not propagate across localities
-                // in the distributed model, so remote probing stays blind —
-                // and take a small batch on a hit to amortise the steal
-                // latency over `STEAL_BATCH` tasks.
-                let share = pools[my_locality]
-                    .len()
-                    .div_ceil(config.workers_per_locality.max(1))
-                    .max(1);
-                let mut grabbed = VecDeque::new();
-                if pools[my_locality].pop_batch(share.min(POP_BATCH), &mut grabbed) > 0 {
-                    stats.lock_acquisitions += 1;
-                    next_time += costs.pop_cost;
-                    workers[w].backlog.extend(grabbed);
-                } else if n_localities > 1 {
-                    let mut victim = rng.gen_range(0..n_localities - 1);
-                    if victim >= my_locality {
-                        victim += 1;
-                    }
-                    // Victim-side rationing: never ship more than half the
-                    // victim pool's tasks, so a scarce frontier is spread
-                    // across stealing localities instead of hoarded by the
-                    // first thief to land.
-                    let cap = STEAL_BATCH.min(pools[victim].len().div_ceil(2)).max(1);
-                    // Pool-coordination steal events name the victim
-                    // *locality* (the pool is the unit stolen from, as in
-                    // the threaded sharded pool's cross-shard steal).
-                    trace.emit(
-                        now,
-                        w as u32,
-                        TraceEvent::StealRequest {
-                            victim: victim as u32,
-                        },
-                    );
-                    let got = pools[victim].pop_batch(cap, &mut grabbed);
-                    if got > 0 {
-                        stats.lock_acquisitions += 1;
-                        stats.steals += 1;
-                        trace.emit(
-                            now,
-                            w as u32,
-                            TraceEvent::StealHit {
-                                victim: victim as u32,
-                                tasks: got as u32,
-                                remote: true,
-                            },
-                        );
-                        next_time += costs.remote_steal_latency;
-                        workers[w].backlog.extend(grabbed);
-                    } else {
-                        trace.emit(
-                            now,
-                            w as u32,
-                            TraceEvent::StealMiss {
-                                victim: victim as u32,
-                            },
-                        );
-                        next_time += costs.idle_poll;
-                    }
-                } else {
-                    // Single locality: an empty pool means an idle re-poll
-                    // with nobody to steal from — still a failed acquisition
-                    // for the starvation analysis.
-                    trace.emit(
-                        now,
-                        w as u32,
-                        TraceEvent::StealMiss {
-                            victim: UNKNOWN_VICTIM,
-                        },
-                    );
-                    next_time += costs.idle_poll;
-                }
-            }
-            Coordination::StackStealing { chunked } => {
-                // Steal directly from another worker's stack: prefer a local
-                // victim, fall back to a remote one.  The two tiers see
-                // different information, mirroring the threaded engine's
-                // shared-memory work-hint array:
-                //
-                // * *Local* picks are hint-guided — the per-worker hints are
-                //   cheap in-process atomics, so a thief skips empty stacks
-                //   entirely (failing fast for one idle poll when nobody in
-                //   the locality has work) and targets the victim whose
-                //   stealable frontier is *shallowest* (the heuristically
-                //   biggest subtree), breaking ties at random.
-                // * *Remote* picks are blind — hints do not propagate across
-                //   localities in the distributed model, so the thief
-                //   gambles a random remote worker and pays the full steal
-                //   latency on a miss.  (This is also a safety valve: were
-                //   remote thieves hint-guided too, every idle locality
-                //   would strip-mine the first busy worker's shallow
-                //   frontier the instant it appears, shipping nearly the
-                //   whole root frontier into in-flight transfers at once.)
-                let mut stolen = Vec::new();
-                let mut latency = costs.idle_poll;
-                let mut remote = false;
-                let mut chosen: Option<usize> = None;
-                let mut best_depth = usize::MAX;
-                let mut best: Vec<usize> = Vec::new();
-                for (v, victim) in workers.iter_mut().enumerate() {
-                    if v == w || victim.locality != my_locality {
-                        continue;
-                    }
-                    if let Some(d) = victim.stack.steal_depth() {
-                        match d.cmp(&best_depth) {
-                            std::cmp::Ordering::Less => {
-                                best_depth = d;
-                                best.clear();
-                                best.push(v);
-                            }
-                            std::cmp::Ordering::Equal => best.push(v),
-                            std::cmp::Ordering::Greater => {}
-                        }
-                    }
-                }
-                if !best.is_empty() {
-                    let victim = best[rng.gen_range(0..best.len())];
-                    trace.emit(
-                        now,
-                        w as u32,
-                        TraceEvent::StealRequest {
-                            victim: victim as u32,
-                        },
-                    );
-                    stolen = workers[victim].stack.split_lowest(chunked);
-                    latency = costs.local_steal_latency;
-                    chosen = Some(victim);
-                } else if n_localities > 1 {
-                    let remote_victims: Vec<usize> = (0..n_workers)
-                        .filter(|&v| workers[v].locality != my_locality)
-                        .collect();
-                    let victim = remote_victims[rng.gen_range(0..remote_victims.len())];
-                    trace.emit(
-                        now,
-                        w as u32,
-                        TraceEvent::StealRequest {
-                            victim: victim as u32,
-                        },
-                    );
-                    chosen = Some(victim);
-                    let split = workers[victim].stack.split_lowest(chunked);
-                    if !split.is_empty() {
-                        stolen = split;
-                        latency = costs.remote_steal_latency;
-                        remote = true;
-                    }
-                }
-                if !stolen.is_empty() {
-                    outstanding += stolen.len() as u64;
-                    stats.spawns += stolen.len() as u64;
-                    stats.steals += 1;
-                    trace.emit(
-                        now,
-                        w as u32,
-                        TraceEvent::StealHit {
-                            victim: chosen.expect("a steal hit names its victim") as u32,
-                            tasks: stolen.len() as u32,
-                            remote,
-                        },
-                    );
-                    workers[w].backlog.extend(stolen);
-                } else {
-                    trace.emit(
-                        now,
-                        w as u32,
-                        TraceEvent::StealMiss {
-                            victim: chosen.map(|v| v as u32).unwrap_or(UNKNOWN_VICTIM),
-                        },
-                    );
-                }
-                next_time += latency;
-            }
-        }
-        events.push(Reverse((next_time, w)));
+        self.stats.total_work = self.workers.iter().map(|w| w.work).sum();
+        self.stats
     }
 
-    if stats.makespan == 0 {
-        // Short-circuit before any completion event, or a degenerate
-        // zero-work run: fall back to the last observed time.
-        stats.makespan = stats.nodes * costs.node_cost / n_workers.max(1) as u64;
+    /// Start `task` on worker `w`: record the start at `now`, reset the
+    /// per-task counters and process the task's root node at time `at`.
+    fn begin(&mut self, w: usize, task: &Task<P::Node>, now: u64, at: u64) -> Action {
+        let depth = task.depth as u32;
+        self.trace
+            .emit(now, w as u32, TraceEvent::TaskStart { depth });
+        let wk = &mut self.workers[w];
+        wk.work += self.config.costs.node_cost;
+        wk.task_nodes = 1;
+        wk.task_backtracks = 0;
+        wk.backtracks_since_split = 0;
+        let action = self
+            .driver
+            .process(self.problem, &task.node, wk.locality, at);
+        wk.task_prunes = matches!(action, Action::Prune | Action::PruneSiblings) as u64;
+        action
     }
-    stats.total_work = workers.iter().map(|w| w.work).sum();
-    stats
+
+    /// One traversal step of worker `w`'s task through the core
+    /// [`GenStack::step`], advancing `clock` by its virtual time: a node
+    /// costs `node_cost` (charged before the node is processed), a
+    /// backtrack one tick.
+    fn advance(&mut self, w: usize, clock: &mut u64) -> Step {
+        let (problem, node_cost) = (self.problem, self.config.costs.node_cost);
+        let driver = &mut *self.driver;
+        let wk = &mut self.workers[w];
+        let locality = wk.locality;
+        let step = wk.stack.step(problem, |node| {
+            *clock += node_cost;
+            driver.process(problem, node, locality, *clock)
+        });
+        if step.node_depth.is_some() {
+            wk.work += node_cost;
+            wk.task_nodes += 1;
+        } else {
+            *clock += 1; // backtracking is cheap but not free
+        }
+        wk.task_prunes += step.pruned as u64;
+        if step.popped {
+            wk.backtracks_since_split += 1;
+            wk.task_backtracks += 1;
+        }
+        step
+    }
+
+    /// Eager spawning: every child of `task` becomes a task, released as one
+    /// batch.  Returns the children and the batch's virtual time.
+    fn spawn_children(&mut self, task: &Task<P::Node>) -> (Vec<Task<P::Node>>, u64) {
+        let children: Vec<Task<P::Node>> = self
+            .problem
+            .generator(&task.node)
+            .map(|c| Task::new(c, task.depth + 1))
+            .collect();
+        let cost = self.release(children.len());
+        (children, cost)
+    }
+
+    /// Account `n` fresh tasks released into a pool in one batched push:
+    /// they become outstanding, and a non-empty batch is one pool
+    /// operation.  Returns the push's virtual time.
+    fn release(&mut self, n: usize) -> u64 {
+        self.outstanding += n as u64;
+        self.stats.spawns += n as u64;
+        if n > 0 {
+            self.stats.batch_pushes += 1;
+            self.stats.lock_acquisitions += 1;
+        }
+        self.config.costs.batched_spawn_cost(n)
+    }
 }
 
-/// Per-worker state of the simulated Ordered coordination.
-struct OrderedSimWorker<'p, P: SearchProblem> {
-    /// Resumable depth-first traversal of the current task.
-    stack: GenStack<'p, P>,
-    /// Sequence key of the current task (`None` when idle).
-    key: Option<SeqKey>,
-    /// Nodes processed by the current task.
-    nodes: u64,
-    /// Prunes performed by the current task.
-    prunes: u64,
-    /// Total node-processing work charged to this worker.
-    work: u64,
+/// The blind remote pick: a uniformly random index in `0..n` outside the
+/// contiguous range `own` (the thief's own locality), by one `rng` draw;
+/// `None`, without a draw, when nothing lies outside it.
+fn pick_outside(n: usize, own: Range<usize>, rng: &mut SmallRng) -> Option<usize> {
+    let i = (n > own.len()).then(|| rng.gen_range(0..n - own.len()))?;
+    Some(if i < own.start { i } else { i + own.len() })
 }
 
-/// Charge a [`CommitLog::retire`] verdict to the simulation's own
-/// bookkeeping: the retired task and any purged ones leave `outstanding`,
-/// purges count as reclaimed speculation, and the commit — or the last
-/// outstanding task — fixes the makespan.
-fn settle(retired: Retired, outstanding: &mut u64, stats: &mut SimStats, now: u64) {
-    *outstanding -= 1;
-    if let Some(purged) = retired.purged {
-        *outstanding -= purged as u64;
-        stats.cancelled_tasks += purged as u64;
+/// The Sequential, Depth-Bounded, Budget and Stack-Stealing coordinations:
+/// one depth pool per locality (unused by Stack-Stealing, whose thieves
+/// split other workers' stacks) and seeded random victim selection.
+struct Pools<N> {
+    coordination: Coordination,
+    pools: Vec<DepthPool<N>>,
+    rng: SmallRng,
+    /// Reused tie buffer for [`pick_shallowest`].
+    scratch: Vec<usize>,
+}
+
+impl<'p, P: SearchProblem, D: SimDriver<P>> Rules<'p, P, D> for Pools<P::Node> {
+    /// Start backlog work, pop the locality pool, or steal.
+    fn acquire(sim: &mut Sim<'_, 'p, P, D, Self>, w: usize, now: u64) -> u64 {
+        if !sim.workers[w].backlog.is_empty() {
+            let task = sim.workers[w].backlog.remove(0);
+            return now + sim.start_task(w, task, now);
+        }
+        now + match sim.coord.coordination {
+            Coordination::StackStealing { chunked } => sim.steal_stack(w, now, chunked),
+            _ => sim.pop_or_steal_pool(w, now),
+        }
     }
-    if retired.committed {
-        stats.makespan = now;
+
+    fn step(sim: &mut Sim<'_, 'p, P, D, Self>, w: usize, now: u64) -> u64 {
+        let mut clock = now;
+        // Budget coordination: split before the next step if the budget is
+        // exhausted.
+        if let Coordination::Budget { backtracks } = sim.coord.coordination {
+            if sim.workers[w].backtracks_since_split >= backtracks {
+                let offload = sim.workers[w].stack.split_lowest(true);
+                clock += sim.release(offload.len());
+                sim.coord.pools[sim.workers[w].locality].push_all(offload);
+                sim.workers[w].backtracks_since_split = 0;
+            }
+        }
+        let step = sim.advance(w, &mut clock);
+        sim.stats.nodes += step.node_depth.is_some() as u64;
+        sim.stats.prunes += step.pruned as u64;
+        if step.short_circuit {
+            sim.short_circuit(w, clock);
+        } else if step.popped && sim.workers[w].stack.is_empty() {
+            sim.retire(w, clock);
+        }
+        clock
     }
-    if *outstanding == 0 && stats.makespan == 0 {
-        stats.makespan = now;
+}
+
+impl<'p, P: SearchProblem, D: SimDriver<P>> Sim<'_, 'p, P, D, Pools<P::Node>> {
+    /// Begin executing a task on worker `w`: process its root node and either
+    /// spawn its children (Depth-Bounded above the cutoff) or set up the
+    /// resumable depth-first traversal.  Returns the virtual time consumed.
+    fn start_task(&mut self, w: usize, task: Task<P::Node>, now: u64) -> u64 {
+        let mut at = now + self.config.costs.node_cost;
+        self.stats.nodes += 1;
+        match self.begin(w, &task, now, at) {
+            Action::Prune | Action::PruneSiblings => {
+                self.stats.prunes += 1;
+                self.retire(w, at);
+            }
+            Action::ShortCircuit => self.short_circuit(w, at),
+            // Eager placement-time spawning: the Depth-Bounded cutoff.
+            Action::Expand => match self.coord.coordination {
+                Coordination::DepthBounded { dcutoff } if task.depth < dcutoff => {
+                    let (children, cost) = self.spawn_children(&task);
+                    at += cost;
+                    self.coord.pools[self.workers[w].locality].push_all(children);
+                    self.retire(w, at);
+                }
+                _ => self.workers[w]
+                    .stack
+                    .push(self.problem, &task.node, task.depth),
+            },
+        }
+        at - now
+    }
+
+    /// Record the end of worker `w`'s task at `at`.
+    fn end_task(&mut self, w: usize, at: u64) {
+        let wk = &self.workers[w];
+        let event = task_end_event(wk.task_nodes, wk.task_prunes, wk.task_backtracks);
+        self.trace.emit(at, w as u32, event);
+    }
+
+    /// Worker `w`'s task is done at `at`; the last outstanding task fixes
+    /// the makespan.
+    fn retire(&mut self, w: usize, at: u64) {
+        self.end_task(w, at);
+        self.outstanding -= 1;
+        if self.outstanding == 0 {
+            self.stats.makespan = at;
+        }
+    }
+
+    /// Worker `w` found a decision witness at `at`: the search stops.
+    fn short_circuit(&mut self, w: usize, at: u64) {
+        self.end_task(w, at);
+        self.stats.makespan = at;
+        self.stopped = true;
+    }
+
+    /// Pool coordinations' acquisition.  Returns the virtual time taken.
+    ///
+    /// Local pool first — a batched pop takes up to `POP_BATCH` tasks for
+    /// one pool operation, capped at this worker's fair share of the pool
+    /// so a scarce frontier is never hoarded in one backlog (the threaded
+    /// engine avoids this by sharding the pool per worker; the
+    /// locality-level pool here must ration instead).  When the pool is
+    /// empty, gamble on a *random* remote pool — the sharded pool's depth
+    /// hints are in-process atomics that do not propagate across
+    /// localities in the distributed model, so remote probing stays blind —
+    /// and take a small batch on a hit to amortise the steal latency over
+    /// `STEAL_BATCH` tasks.  A miss costs one idle poll.
+    fn pop_or_steal_pool(&mut self, w: usize, now: u64) -> u64 {
+        let costs = &self.config.costs;
+        let my_locality = self.workers[w].locality;
+        let pools = &self.coord.pools;
+        let share = pools[my_locality]
+            .len()
+            .div_ceil(self.config.workers_per_locality.max(1))
+            .max(1);
+        let mut grabbed = VecDeque::new();
+        if pools[my_locality].pop_batch(share.min(POP_BATCH), &mut grabbed) > 0 {
+            self.stats.lock_acquisitions += 1;
+            self.workers[w].backlog.extend(grabbed);
+            return costs.pop_cost;
+        }
+        let own = my_locality..my_locality + 1;
+        let Some(victim) = pick_outside(self.config.localities, own, &mut self.coord.rng) else {
+            // Single locality: an empty pool means an idle re-poll with
+            // nobody to steal from — still a failed acquisition for the
+            // starvation analysis.
+            let victim = UNKNOWN_VICTIM;
+            self.trace
+                .emit(now, w as u32, TraceEvent::StealMiss { victim });
+            return costs.idle_poll;
+        };
+        // Victim-side rationing: never ship more than half the victim
+        // pool's tasks, so a scarce frontier is spread across stealing
+        // localities instead of hoarded by the first thief to land.
+        let cap = STEAL_BATCH.min(pools[victim].len().div_ceil(2)).max(1);
+        // Pool-coordination steal events name the victim *locality* (the
+        // pool is the unit stolen from, as in the threaded sharded pool's
+        // cross-shard steal).
+        let victim_id = victim as u32;
+        let request = TraceEvent::StealRequest { victim: victim_id };
+        self.trace.emit(now, w as u32, request);
+        let got = pools[victim].pop_batch(cap, &mut grabbed);
+        if got == 0 {
+            let miss = TraceEvent::StealMiss { victim: victim_id };
+            self.trace.emit(now, w as u32, miss);
+            return costs.idle_poll;
+        }
+        self.stats.lock_acquisitions += 1;
+        self.stats.steals += 1;
+        let hit = TraceEvent::StealHit {
+            victim: victim_id,
+            tasks: got as u32,
+            remote: true,
+        };
+        self.trace.emit(now, w as u32, hit);
+        self.workers[w].backlog.extend(grabbed);
+        costs.remote_steal_latency
+    }
+
+    /// Stack-Stealing's acquisition: split another worker's stack.  Returns
+    /// the virtual time taken.
+    ///
+    /// Prefer a local victim, fall back to a remote one.  The two tiers see
+    /// different information, mirroring the threaded engine's shared-memory
+    /// work-hint array:
+    ///
+    /// * *Local* picks are hint-guided — the per-worker hints are cheap
+    ///   in-process atomics, so a thief picks by the core victim rule
+    ///   [`pick_shallowest`] over its locality's stealable frontiers,
+    ///   failing fast (one idle poll) when nobody there has work.
+    /// * *Remote* picks are blind — hints do not propagate across
+    ///   localities in the distributed model, so the thief gambles a random
+    ///   remote worker: a hit pays the remote steal latency, a miss one
+    ///   idle poll.  (This is also a safety valve: were remote thieves
+    ///   hint-guided too, every idle locality would strip-mine the first
+    ///   busy worker's shallow frontier the instant it appears, shipping
+    ///   nearly the whole root frontier into in-flight transfers at once.)
+    fn steal_stack(&mut self, w: usize, now: u64, chunked: bool) -> u64 {
+        let costs = &self.config.costs;
+        let my_locality = self.workers[w].locality;
+        let locals = self.workers.iter_mut().enumerate();
+        let mut frontiers = locals
+            .filter(|(_, victim)| victim.locality == my_locality)
+            .map(|(v, victim)| (v, victim.stack.steal_depth()));
+        let rng = &mut self.coord.rng;
+        let local = pick_shallowest(w, &mut frontiers, rng, &mut self.coord.scratch);
+        let remote = local.is_none();
+        let wpl = self.config.workers_per_locality;
+        let own = my_locality * wpl..(my_locality + 1) * wpl;
+        let Some(victim) = local.or_else(|| pick_outside(self.workers.len(), own, rng)) else {
+            let victim = UNKNOWN_VICTIM;
+            self.trace
+                .emit(now, w as u32, TraceEvent::StealMiss { victim });
+            return costs.idle_poll;
+        };
+        let latency = match remote {
+            true => costs.remote_steal_latency,
+            false => costs.local_steal_latency,
+        };
+        let victim_id = victim as u32;
+        let request = TraceEvent::StealRequest { victim: victim_id };
+        self.trace.emit(now, w as u32, request);
+        let stolen = self.workers[victim].stack.split_lowest(chunked);
+        if stolen.is_empty() {
+            let miss = TraceEvent::StealMiss { victim: victim_id };
+            self.trace.emit(now, w as u32, miss);
+            return if remote { costs.idle_poll } else { latency };
+        }
+        self.outstanding += stolen.len() as u64;
+        self.stats.spawns += stolen.len() as u64;
+        self.stats.steals += 1;
+        let hit = TraceEvent::StealHit {
+            victim: victim_id,
+            tasks: stolen.len() as u32,
+            remote,
+        };
+        self.trace.emit(now, w as u32, hit);
+        self.workers[w].backlog.extend(stolen);
+        latency
     }
 }
 
@@ -913,362 +948,163 @@ fn settle(retired: Retired, outstanding: &mut u64, stats: &mut SimStats, now: u6
 /// whole point of the coordination is that every pop observes the one true
 /// sequential frontier, so per-locality pools would break replicability)
 /// driven through the threaded skeleton's own [`CommitLog`] — speculation
-/// with in-order commit plus purge/straggler/in-flight cancellation.  This
-/// loop adds only virtual time.  Committed node counts are a pure function
+/// with in-order commit plus purge/straggler/in-flight cancellation.  These
+/// rules add only virtual time.  Committed node counts are a pure function
 /// of the instance and spawn depth: identical across worker counts and
 /// equal to the threaded Ordered skeleton's committed counts.
-fn simulate_ordered<P, D>(
-    problem: &P,
-    config: &SimConfig,
-    driver: &mut D,
+struct Ordered<N> {
     spawn_depth: usize,
-    trace: &mut SimTrace,
-) -> SimStats
-where
-    P: SearchProblem,
-    D: SimDriver<P>,
-{
-    let costs = &config.costs;
-    let n_workers = config.workers();
+    pool: OrderedPool<Task<N>>,
+    /// Per-task `(nodes, prunes)`, classified by the log at the end.
+    log: CommitLog<(u64, u64)>,
+}
 
-    let pool = OrderedPool::new();
-    pool.push(SeqKey::root(), Task::new(problem.root(), 0));
-    // Per-task `(nodes, prunes)`, classified by the log at the end.
-    let mut log: CommitLog<(u64, u64)> = CommitLog::new();
-    let mut outstanding = 1u64;
-    let mut stats = SimStats::default();
-
-    let mut workers: Vec<OrderedSimWorker<'_, P>> = (0..n_workers)
-        .map(|_| OrderedSimWorker {
-            stack: GenStack::new(),
-            key: None,
-            nodes: 0,
-            prunes: 0,
-            work: 0,
-        })
-        .collect();
-
-    // Event heap as in `simulate`: (time, worker), ties broken by worker
-    // index — the simulation stays fully deterministic (no RNG anywhere).
-    let mut events: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..n_workers).map(|w| Reverse((0, w))).collect();
-
-    while let Some(Reverse((now, w))) = events.pop() {
-        if log.is_committed() || outstanding == 0 {
-            break;
-        }
-        // Virtual deadline, exactly as in `simulate`: the commit-ordered
-        // loop stops at the first event past it, and the post-loop record
-        // classification still runs so partial work is reported honestly.
-        stats.poll_checks += 1;
-        if let Some(d) = config.deadline_ticks.filter(|&d| now >= d) {
-            stats.deadline_hit = true;
-            // The overshooting event never executes: the run ends at the
-            // deadline itself.
-            stats.makespan = d;
-            break;
-        }
-        let mut next_time = now;
-        let locality = w / config.workers_per_locality;
-
-        // ---- Busy worker: one traversal step of its current task ----------
-        if !workers[w].stack.is_empty() {
-            let key = workers[w]
-                .key
-                .clone()
-                .expect("busy ordered worker has a key");
-
-            // Cooperative cancellation, polled once per step like the
-            // threaded engine: a pending witness with an earlier key makes
-            // this task's remaining subtree worthless.
-            if log.after_witness(&key) {
-                let wk = &mut workers[w];
-                wk.stack = GenStack::new();
-                wk.key = None;
-                trace.emit(next_time, w as u32, task_end_event(wk.nodes, wk.prunes, 0));
-                trace.emit(
-                    next_time,
-                    w as u32,
-                    TraceEvent::SpeculationCancel { nodes: wk.nodes },
-                );
-                stats.cancelled_tasks += 1;
-                let retired = log.retire(&pool, key, (wk.nodes, wk.prunes), false);
-                settle(retired, &mut outstanding, &mut stats, next_time);
-                events.push(Reverse((next_time + 1, w)));
-                continue;
-            }
-
-            let mut finished = false;
-            let mut found_witness = false;
-            match workers[w].stack.next_child() {
-                Some((child, depth)) => {
-                    next_time += costs.node_cost;
-                    workers[w].work += costs.node_cost;
-                    workers[w].nodes += 1;
-                    match driver.process(problem, &child, locality, next_time) {
-                        Action::Expand => workers[w].stack.push(problem, &child, depth),
-                        Action::Prune => workers[w].prunes += 1,
-                        Action::PruneSiblings => {
-                            workers[w].prunes += 1;
-                            workers[w].stack.pop();
-                            finished = workers[w].stack.is_empty();
-                        }
-                        Action::ShortCircuit => {
-                            // The task stops at its first witness; whether
-                            // the *search* stops is the commit's decision.
-                            workers[w].stack = GenStack::new();
-                            finished = true;
-                            found_witness = true;
-                        }
-                    }
-                }
-                None => {
-                    workers[w].stack.pop();
-                    next_time += 1; // backtracking is cheap but not free
-                    finished = workers[w].stack.is_empty();
-                }
-            }
-            if finished {
-                let wk = &mut workers[w];
-                let (nodes, prunes) = (wk.nodes, wk.prunes);
-                wk.key = None;
-                trace.emit(next_time, w as u32, task_end_event(nodes, prunes, 0));
-                let retired = log.retire(&pool, key, (nodes, prunes), found_witness);
-                if found_witness && retired.purged.is_none() {
-                    driver.reject_witness();
-                }
-                settle(retired, &mut outstanding, &mut stats, next_time);
-            }
-            events.push(Reverse((next_time, w)));
-            continue;
-        }
-
-        // ---- Idle worker: issue the globally smallest-key task ------------
-        loop {
-            let Some((key, task)) = pool.pop() else {
-                next_time += costs.idle_poll;
-                break;
-            };
-            stats.lock_acquisitions += 1;
+impl<'p, P: SearchProblem, D: SimDriver<P>> Rules<'p, P, D> for Ordered<P::Node> {
+    /// Issue the globally smallest-key task.
+    fn acquire(sim: &mut Sim<'_, 'p, P, D, Self>, w: usize, now: u64) -> u64 {
+        let costs = &sim.config.costs;
+        let mut clock = now;
+        while let Some((key, task)) = sim.coord.pool.pop() {
+            sim.stats.lock_acquisitions += 1;
             // Post-witness stragglers (children released by committed-side
             // parents after the purge) are reclaimed at pop time — each
             // skip still pays the pop it performed, like the threaded pool.
-            if log.after_witness(&key) {
-                outstanding -= 1;
-                stats.cancelled_tasks += 1;
-                next_time += costs.pop_cost;
+            if sim.coord.log.after_witness(&key) {
+                sim.outstanding -= 1;
+                sim.stats.cancelled_tasks += 1;
+                clock += costs.pop_cost;
                 continue;
             }
-            if log.issue(key.clone()) {
-                stats.priority_inversions += 1;
+            if sim.coord.log.issue(key.clone()) {
+                sim.stats.priority_inversions += 1;
             }
-            trace.emit(
-                now,
-                w as u32,
-                TraceEvent::TaskStart {
-                    depth: task.depth as u32,
-                },
-            );
-            next_time += costs.pop_cost + costs.node_cost;
-            let wk = &mut workers[w];
-            wk.key = Some(key.clone());
-            wk.nodes = 1;
-            wk.prunes = 0;
-            wk.work += costs.node_cost;
-            let retired = match driver.process(problem, &task.node, locality, next_time) {
-                Action::Prune | Action::PruneSiblings => {
-                    wk.prunes = 1;
-                    wk.key = None;
-                    trace.emit(next_time, w as u32, task_end_event(1, 1, 0));
-                    log.retire(&pool, key, (1, 1), false)
-                }
-                Action::ShortCircuit => {
-                    wk.key = None;
-                    trace.emit(next_time, w as u32, task_end_event(1, 0, 0));
-                    let retired = log.retire(&pool, key, (1, 0), true);
-                    if retired.purged.is_none() {
-                        driver.reject_witness();
-                    }
-                    retired
-                }
-                Action::Expand if task.depth < spawn_depth => {
-                    // Eager sequence-keyed spawning: every child becomes a
-                    // task keyed in heuristic order.
-                    let children: Vec<Task<P::Node>> = problem
-                        .generator(&task.node)
-                        .map(|c| Task::new(c, task.depth + 1))
-                        .collect();
-                    outstanding += children.len() as u64;
-                    stats.spawns += children.len() as u64;
-                    stats.ordered_spawns += children.len() as u64;
-                    if !children.is_empty() {
-                        stats.batch_pushes += 1;
-                        stats.lock_acquisitions += 1;
-                    }
-                    next_time += costs.batched_spawn_cost(children.len());
-                    for (i, child) in children.into_iter().enumerate() {
-                        pool.push(key.child(i as u32), child);
-                    }
-                    wk.key = None;
-                    trace.emit(next_time, w as u32, task_end_event(1, 0, 0));
-                    log.retire(&pool, key, (1, 0), false)
+            clock += costs.pop_cost + costs.node_cost;
+            sim.workers[w].key = Some(key.clone());
+            match sim.begin(w, &task, now, clock) {
+                Action::Expand if task.depth >= sim.coord.spawn_depth => {
+                    sim.workers[w]
+                        .stack
+                        .push(sim.problem, &task.node, task.depth);
                 }
                 Action::Expand => {
-                    wk.stack.push(problem, &task.node, task.depth);
-                    break;
+                    // Eager sequence-keyed spawning: every child becomes a
+                    // task keyed in heuristic order.
+                    let (children, cost) = sim.spawn_children(&task);
+                    sim.stats.ordered_spawns += children.len() as u64;
+                    clock += cost;
+                    for (i, child) in children.into_iter().enumerate() {
+                        sim.coord.pool.push(key.child(i as u32), child);
+                    }
+                    sim.retire(w, key, clock, false);
                 }
-            };
-            settle(retired, &mut outstanding, &mut stats, next_time);
-            break;
+                action => sim.retire(w, key, clock, action == Action::ShortCircuit),
+            }
+            return clock;
         }
-        events.push(Reverse((next_time, w)));
+        clock + costs.idle_poll
     }
 
-    // Post-commit aborts: in-flight tasks at the stop all carry keys after
-    // the witness (the commit waited for everything earlier), so the log
-    // classifies their partial work as speculative.
-    for (w, wk) in workers.iter_mut().enumerate() {
-        if let Some(key) = wk.key.take() {
-            trace.emit(
-                stats.makespan,
-                w as u32,
-                task_end_event(wk.nodes, wk.prunes, 0),
-            );
-            log.retire(&pool, key, (wk.nodes, wk.prunes), false);
+    fn step(sim: &mut Sim<'_, 'p, P, D, Self>, w: usize, now: u64) -> u64 {
+        let key = sim.workers[w]
+            .key
+            .clone()
+            .expect("busy ordered worker has a key");
+        // Cooperative cancellation, polled once per step like the threaded
+        // engine: a pending witness with an earlier key makes this task's
+        // remaining subtree worthless.
+        if sim.coord.log.after_witness(&key) {
+            sim.workers[w].stack = GenStack::new();
+            sim.retire(w, key, now, false);
+            let nodes = sim.workers[w].task_nodes;
+            sim.trace
+                .emit(now, w as u32, TraceEvent::SpeculationCancel { nodes });
+            sim.stats.cancelled_tasks += 1;
+            return now + 1;
         }
-    }
-
-    stats.nodes = log.committed_records().map(|&(nodes, _)| nodes).sum();
-    stats.prunes = log.committed_records().map(|&(_, prunes)| prunes).sum();
-    stats.speculative_nodes = log.speculative_records().map(|&(nodes, _)| nodes).sum();
-
-    if stats.makespan == 0 {
-        stats.makespan = stats.nodes * costs.node_cost / n_workers.max(1) as u64;
-    }
-
-    // Mirror the threaded Ordered skeleton's commit-time classification
-    // events: one aggregate commit (and discard, when speculation was
-    // wasted) from the control plane, emitted only when a witness exists —
-    // enumeration and optimisation runs have no speculation to classify.
-    if log.witness().is_some() {
-        trace.emit(
-            stats.makespan,
-            CONTROL_WORKER,
-            TraceEvent::SpeculationCommit { nodes: stats.nodes },
-        );
-        if stats.speculative_nodes > 0 {
-            trace.emit(
-                stats.makespan,
-                CONTROL_WORKER,
-                TraceEvent::SpeculationDiscard {
-                    nodes: stats.speculative_nodes,
-                },
-            );
+        let mut clock = now;
+        let step = sim.advance(w, &mut clock);
+        if step.short_circuit {
+            // The task stops at its first witness; whether the *search*
+            // stops is the commit's decision.
+            sim.workers[w].stack = GenStack::new();
+            sim.retire(w, key, clock, true);
+        } else if step.popped && sim.workers[w].stack.is_empty() {
+            sim.retire(w, key, clock, false);
         }
-    }
-
-    stats.total_work = workers.iter().map(|w| w.work).sum();
-    stats
-}
-
-fn pop_backlog<P: SearchProblem>(worker: &mut SimWorker<'_, P>) -> Option<Task<P::Node>> {
-    if worker.backlog.is_empty() {
-        None
-    } else {
-        Some(worker.backlog.remove(0))
+        clock
     }
 }
 
-/// Begin executing a task on a worker: process its root node and either
-/// spawn its children (Depth-Bounded above the cutoff) or set up the
-/// resumable depth-first traversal.  Returns the virtual time consumed.
-#[allow(clippy::too_many_arguments)]
-fn start_task<'p, P, D>(
-    problem: &'p P,
-    driver: &mut D,
-    worker: &mut SimWorker<'p, P>,
-    pools: &[DepthPool<P::Node>],
-    coordination: Coordination,
-    costs: &CostModel,
-    outstanding: &mut u64,
-    stats: &mut SimStats,
-    short_circuited: &mut bool,
-    task: Task<P::Node>,
-    now: u64,
-    worker_id: u32,
-    trace: &mut SimTrace,
-) -> u64
-where
-    P: SearchProblem,
-    D: SimDriver<P>,
-{
-    trace.emit(
-        now,
-        worker_id,
-        TraceEvent::TaskStart {
-            depth: task.depth as u32,
-        },
-    );
-    let mut elapsed = costs.node_cost;
-    worker.work += costs.node_cost;
-    worker.task_nodes = 1;
-    worker.task_prunes = 0;
-    worker.task_backtracks = 0;
-    stats.nodes += 1;
-    match driver.process(problem, &task.node, worker.locality, now + elapsed) {
-        Action::Prune | Action::PruneSiblings => {
-            stats.prunes += 1;
-            worker.task_prunes = 1;
-            trace.emit(now + elapsed, worker_id, end_of_task(worker));
-            *outstanding -= 1;
-            if *outstanding == 0 {
-                stats.makespan = now + elapsed;
-            }
-            return elapsed;
+impl<'p, P: SearchProblem, D: SimDriver<P>> Sim<'_, 'p, P, D, Ordered<P::Node>> {
+    /// Retire worker `w`'s task, keyed `key`, through the commit log at
+    /// `at`, and charge the verdict to the run: the task and any purged
+    /// ones leave `outstanding`, purges count as reclaimed speculation, and
+    /// the commit — or the last outstanding task — fixes the makespan.  A
+    /// `witnessed` task the log did not adopt (it sorts after the pending
+    /// witness) hands the driver back its previous witness.
+    fn retire(&mut self, w: usize, key: SeqKey, at: u64, witnessed: bool) {
+        let wk = &mut self.workers[w];
+        wk.key = None;
+        let record = (wk.task_nodes, wk.task_prunes);
+        self.trace
+            .emit(at, w as u32, task_end_event(record.0, record.1, 0));
+        let retired = self
+            .coord
+            .log
+            .retire(&self.coord.pool, key, record, witnessed);
+        if witnessed && retired.purged.is_none() {
+            self.driver.reject_witness();
         }
-        Action::ShortCircuit => {
-            trace.emit(now + elapsed, worker_id, end_of_task(worker));
-            stats.makespan = now + elapsed;
-            *short_circuited = true;
-            return elapsed;
+        self.outstanding -= 1;
+        if let Some(purged) = retired.purged {
+            self.outstanding -= purged as u64;
+            self.stats.cancelled_tasks += purged as u64;
         }
-        Action::Expand => {}
-    }
-
-    // Eager placement-time spawning: the Depth-Bounded cutoff.  (Ordered —
-    // which also spawns eagerly, but into the sequence-keyed pool — has its
-    // own loop in `simulate_ordered`.)
-    let eager_cutoff = match coordination {
-        Coordination::DepthBounded { dcutoff } => Some(dcutoff),
-        _ => None,
-    };
-    if let Some(dcutoff) = eager_cutoff {
-        if task.depth < dcutoff {
-            // Convert every child into a task on the local pool.
-            let children: Vec<Task<P::Node>> = problem
-                .generator(&task.node)
-                .map(|c| Task::new(c, task.depth + 1))
-                .collect();
-            *outstanding += children.len() as u64;
-            stats.spawns += children.len() as u64;
-            if !children.is_empty() {
-                stats.batch_pushes += 1;
-                stats.lock_acquisitions += 1;
-            }
-            elapsed += costs.batched_spawn_cost(children.len());
-            pools[worker.locality].push_all(children);
-            trace.emit(now + elapsed, worker_id, end_of_task(worker));
-            *outstanding -= 1;
-            if *outstanding == 0 {
-                stats.makespan = now + elapsed;
-            }
-            return elapsed;
+        if retired.committed {
+            self.stats.makespan = at;
+            self.stopped = true;
+        }
+        if self.outstanding == 0 && self.stats.makespan == 0 {
+            self.stats.makespan = at;
         }
     }
 
-    worker.stack.push(problem, &task.node, task.depth);
-    worker.backtracks_since_split = 0;
-    elapsed
+    /// Classify the run through the commit log and emit its commit-time
+    /// events.
+    fn close(&mut self) -> SimStats {
+        // Post-commit aborts: in-flight tasks at the stop all carry keys after
+        // the witness (the commit waited for everything earlier), so the log
+        // classifies their partial work as speculative.
+        let log = &mut self.coord.log;
+        for (w, wk) in self.workers.iter_mut().enumerate() {
+            if let Some(key) = wk.key.take() {
+                let (nodes, prunes) = (wk.task_nodes, wk.task_prunes);
+                let end = task_end_event(nodes, prunes, 0);
+                self.trace.emit(self.stats.makespan, w as u32, end);
+                log.retire(&self.coord.pool, key, (nodes, prunes), false);
+            }
+        }
+        self.stats.nodes = log.committed_records().map(|&(nodes, _)| nodes).sum();
+        self.stats.prunes = log.committed_records().map(|&(_, prunes)| prunes).sum();
+        self.stats.speculative_nodes = log.speculative_records().map(|&(nodes, _)| nodes).sum();
+        let witnessed = log.witness().is_some();
+        let stats = self.finish();
+
+        // Mirror the threaded Ordered skeleton's commit-time classification
+        // events: one aggregate commit (and discard, when speculation was
+        // wasted) from the control plane, emitted only when a witness exists —
+        // enumeration and optimisation runs have no speculation to classify.
+        let (at, nodes, speculative) = (stats.makespan, stats.nodes, stats.speculative_nodes);
+        if witnessed {
+            let commit = TraceEvent::SpeculationCommit { nodes };
+            self.trace.emit(at, CONTROL_WORKER, commit);
+        }
+        if witnessed && speculative > 0 {
+            let discard = TraceEvent::SpeculationDiscard { nodes: speculative };
+            self.trace.emit(at, CONTROL_WORKER, discard);
+        }
+        stats
+    }
 }
 
 #[cfg(test)]
