@@ -1098,10 +1098,10 @@ impl<'p, P: SearchProblem, D: SimDriver<P>> Sim<'_, 'p, P, D, Ordered<P::Node>> 
         if witnessed {
             let commit = TraceEvent::SpeculationCommit { nodes };
             self.trace.emit(at, CONTROL_WORKER, commit);
-        }
-        if witnessed && speculative > 0 {
-            let discard = TraceEvent::SpeculationDiscard { nodes: speculative };
-            self.trace.emit(at, CONTROL_WORKER, discard);
+            if speculative > 0 {
+                let discard = TraceEvent::SpeculationDiscard { nodes: speculative };
+                self.trace.emit(at, CONTROL_WORKER, discard);
+            }
         }
         stats
     }
