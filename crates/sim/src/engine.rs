@@ -459,7 +459,6 @@ where
         on: config.trace,
         records: Vec::new(),
     };
-    let (driver_ref, trace_ref) = (&mut driver, &mut trace);
     let root = Task::new(problem.root(), 0);
     let stats = match config.coordination {
         // A sequence-keyed global pool with in-order commit semantics cannot
@@ -473,7 +472,7 @@ where
                 pool,
                 log: CommitLog::new(),
             };
-            let mut sim = Sim::new(problem, config, driver_ref, trace_ref, ordered);
+            let mut sim = Sim::new(problem, config, &mut driver, &mut trace, ordered);
             sim.run();
             sim.close()
         }
@@ -487,7 +486,7 @@ where
                 rng: SmallRng::seed_from_u64(config.seed),
                 scratch: Vec::new(),
             };
-            let mut sim = Sim::new(problem, config, driver_ref, trace_ref, pools);
+            let mut sim = Sim::new(problem, config, &mut driver, &mut trace, pools);
             // The root task starts at locality 0 (worker 0's backlog for
             // stack-stealing; locality 0's pool otherwise).
             match coordination {
