@@ -2,14 +2,23 @@
 //! Listing 3).
 //!
 //! Work is split *on demand*: an idle worker (thief) sends a steal request
-//! over a channel to a randomly chosen victim; the victim polls its request
-//! channel on every expansion step (the engine's per-step `poll` hook) and,
-//! when asked, scans its generator stack bottom-up and gives away its
-//! lowest-depth unexplored subtree (or every sibling at that depth when the
-//! `chunked` flag is set).  There is no shared workpool — tasks travel
-//! directly from victim to thief, with the termination counter tracking
-//! tasks in flight.  All worker-loop machinery lives in `crate::engine`;
-//! this module is only the steal-channel [`WorkSource`].
+//! over a channel to the shallowest advertised victim; the victim checks
+//! for a request on every expansion step (the engine's per-step `poll`
+//! hook) and, when asked, scans its generator stack bottom-up and gives
+//! away its lowest-depth unexplored subtree (or every sibling at that depth
+//! when the `chunked` flag is set).  There is no shared workpool — tasks
+//! travel directly from victim to thief, with the termination counter
+//! tracking tasks in flight.  All worker-loop machinery lives in
+//! `crate::engine`; this module is only the steal-channel [`WorkSource`].
+//!
+//! The per-step check is a *counter gate*, not a channel operation: each
+//! worker slot carries a pending-request count next to its work hint
+//! (`Slot`).  A thief counts its request on the victim's slot before
+//! sending it, so the count is never below the number of queued requests;
+//! the victim's step does one load of its own count and touches the
+//! channel (`try_recv`, in the cold `StealSource::serve`) only when the
+//! count is non-zero.  A step with no thief asking is one load and a
+//! branch.
 
 use crate::sync::{AtomicUsize, Ordering};
 use std::collections::VecDeque;
@@ -66,18 +75,43 @@ pub(crate) struct StealLocal<N> {
 /// Hint value meaning "this worker has nothing to steal".
 const NO_WORK_HINT: usize = usize::MAX;
 
-/// One worker's published steal-depth hint — `NO_WORK_HINT` when idle,
-/// otherwise the depth of the bottom of its generator stack (a lower bound
-/// on what `split_lowest` would hand out) — padded to a cache line so
-/// thieves scanning the hint array never false-share with the victims
-/// updating it.  (The vendored crossbeam shim has no `CachePadded`, hence
-/// the local wrapper.)
+/// One worker slot's shared steal state, padded to a cache line so thieves
+/// scanning the slots never false-share with other victims' updates.  (The
+/// vendored crossbeam shim has no `CachePadded`, hence the local wrapper.)
+///
+/// * `hint` — the slot's published steal depth: `NO_WORK_HINT` when idle,
+///   otherwise the depth of the bottom of its generator stack (a lower
+///   bound on what `split_lowest` would hand out).
+/// * `pending` — steal requests counted for the slot's channel and not yet
+///   taken off it: the *counter gate* of the per-step check.
+///
+/// The gate's invariant is that `pending` is never below the number of
+/// requests queued in the slot's channel.  A thief increments it *before*
+/// its `try_send` and undoes the increment if the send fails; the victim
+/// decrements it only *after* a `try_recv` returned a request, and the
+/// receive happens after the send, which happens after the increment — so
+/// in the counter's modification order every request's +1 precedes its
+/// −1.  The count may run ahead of the queue (a thief between its
+/// increment and its send), which costs the victim one empty `try_recv`,
+/// never behind it, so a delivered request is served at the first step
+/// whose load observes the increment, as before the gate.  Both thief
+/// operations happen under the slot's sender lock, and a recycled slot
+/// resets the count under the same lock (see `register`), so no count
+/// from a previous occupant's channel survives into the fresh one.
 #[repr(align(64))]
-struct WorkHint(AtomicUsize);
+struct Slot {
+    hint: AtomicUsize,
+    pending: AtomicUsize,
+}
 
 /// The steal-channel work source: one bounded request channel per worker,
-/// every worker holding a sender to every other, plus a per-worker *work
-/// hint*.
+/// every worker holding a sender to every other, plus a per-worker [`Slot`]
+/// holding the worker's *work hint* and its pending-request count.
+///
+/// The count keeps the channel off the per-step path: `poll` loads its own
+/// slot's count and calls the out-of-line `serve` (the only place a busy
+/// victim touches its channel) only when a thief has counted a request.
+/// The idle path (`drain_requests_empty`) is gated the same way.
 ///
 /// The hints fix the blind-victim ramp-up cost: a thief used to pick a
 /// victim uniformly at random and then block up to the reply timeout on a
@@ -95,7 +129,7 @@ pub(crate) struct StealSource<N> {
     /// per attempt, never per step.
     senders: Vec<Mutex<Sender<StealRequest<N>>>>,
     locals: Mutex<Vec<Option<StealLocal<N>>>>,
-    hints: Vec<WorkHint>,
+    slots: Vec<Slot>,
     /// Backlogs handed back by retiring workers (cooperative revocation):
     /// there is no shared pool to push to, so the tasks park here and idle
     /// survivors adopt them before attempting any steal.
@@ -122,8 +156,11 @@ impl<N> StealSource<N> {
         StealSource {
             senders,
             locals: Mutex::new(locals),
-            hints: (0..workers)
-                .map(|_| WorkHint(AtomicUsize::new(NO_WORK_HINT)))
+            slots: (0..workers)
+                .map(|_| Slot {
+                    hint: AtomicUsize::new(NO_WORK_HINT),
+                    pending: AtomicUsize::new(0),
+                })
                 .collect(),
             parked: Mutex::new(VecDeque::new()),
             seed,
@@ -157,16 +194,100 @@ impl<N> StealSource<N> {
         if local.advertised != depth {
             // ordering: advisory steal hint — a stale value only sends a
             // thief to a worse victim; actual work moves over channels.
-            self.hints[local.id].0.store(depth, Ordering::Relaxed);
+            self.slots[local.id].hint.store(depth, Ordering::Relaxed);
             local.advertised = depth;
         }
     }
 
+    /// The per-step gate: may a steal request be queued for this worker?
+    /// One load of the worker's own slot count — no channel operation.
+    #[inline]
+    fn requested(&self, local: &StealLocal<N>) -> bool {
+        // ordering: Acquire pairs with the thief's Release increment in
+        // `send_request`.  The request itself is published by the channel's
+        // own synchronisation; the count only decides whether to look.
+        self.slots[local.id].pending.load(Ordering::Acquire) != 0
+    }
+
+    /// Take one queued request off this worker's channel and uncount it.
+    /// `None` when the count ran ahead of the queue (a thief between its
+    /// increment and its send): the next check finds the request.
+    fn take_request(&self, local: &StealLocal<N>) -> Option<StealRequest<N>> {
+        let request = local.rx.try_recv().ok()?;
+        // ordering: the receive happens after the thief's send, which
+        // follows its increment, so this RMW cannot underflow the count;
+        // it publishes nothing (the channel carried the request).
+        self.slots[local.id].pending.fetch_sub(1, Ordering::Relaxed);
+        Some(request)
+    }
+
+    /// Count a steal request on `victim`'s slot, then deliver it.  Returns
+    /// the reply receiver, or `None` (the count restored) when the victim's
+    /// channel is full.  The increment, the send and the undo all run under
+    /// the victim's sender lock, which `register` also holds when it swaps
+    /// in a fresh channel and resets the count.
+    fn send_request(&self, victim: usize) -> Option<Receiver<Vec<Task<N>>>> {
+        let (reply, reply_rx) = bounded(1);
+        let sender = self.senders[victim].lock();
+        let pending = &self.slots[victim].pending;
+        // ordering: Release pairs with the victim's Acquire gate load in
+        // `requested`; counting before the send keeps the count at or
+        // above the number of queued requests.
+        pending.fetch_add(1, Ordering::Release);
+        if sender.try_send(StealRequest { reply }).is_err() {
+            // ordering: undoes this thread's own increment above, under the
+            // same lock; a victim that saw the transient count only wasted
+            // one empty `try_recv`.
+            pending.fetch_sub(1, Ordering::Relaxed);
+            return None;
+        }
+        Some(reply_rx)
+    }
+
     /// Reply "no work" to any queued requests so thieves do not wait for the
-    /// full timeout when the victim is itself idle.
-    fn drain_requests_empty(rx: &Receiver<StealRequest<N>>) {
-        while let Ok(req) = rx.try_recv() {
-            let _ = req.reply.send(Vec::new());
+    /// full timeout when the victim is itself idle.  Gated like the busy
+    /// path: the channel is touched only when the count says a request may
+    /// be queued.
+    fn drain_requests_empty(&self, local: &StealLocal<N>) {
+        if !self.requested(local) {
+            return;
+        }
+        while let Some(request) = self.take_request(local) {
+            let _ = request.reply.send(Vec::new());
+        }
+    }
+
+    /// Answer one queued steal request from a busy worker's generator stack
+    /// — the rare branch of `poll`, kept out of line so the per-step path
+    /// stays one load and a branch whatever the caller's inlining.
+    #[cold]
+    #[inline(never)]
+    fn serve<P: SearchProblem<Node = N>>(
+        &self,
+        local: &mut StealLocal<N>,
+        stack: &mut GenStack<'_, P>,
+        term: &Termination,
+        metrics: &mut WorkerMetrics,
+    ) {
+        let Some(request) = self.take_request(local) else {
+            return;
+        };
+        let stolen = stack.split_lowest(self.chunked);
+        if stolen.is_empty() {
+            let _ = request.reply.send(Vec::new());
+            return;
+        }
+        // Register the new tasks before they leave this worker so the
+        // termination counter never under-counts live work.
+        term.task_spawned(stolen.len() as u64);
+        metrics.spawns += stolen.len() as u64;
+        if let Err(send_err) = request.reply.send(stolen) {
+            // The thief gave up waiting (or the search is finishing).  The
+            // subtrees were already removed from our generator stack, so
+            // keep them in our own backlog; they remain registered as
+            // outstanding tasks and will be completed when we execute them
+            // ourselves.
+            local.backlog.extend(send_err.into_inner());
         }
     }
 
@@ -176,10 +297,10 @@ impl<N> StealSource<N> {
     /// workers cheap while the search ramps up or drains.
     fn attempt_steal(&self, local: &mut StealLocal<N>) -> Option<Vec<Task<N>>> {
         local.last_victim = UNKNOWN_VICTIM;
-        let mut hints = self.hints.iter().enumerate().map(|(v, hint)| {
+        let mut hints = self.slots.iter().enumerate().map(|(v, slot)| {
             // ordering: advisory hint read; see advertise() — staleness
             // only degrades victim choice, never correctness.
-            let depth = hint.0.load(Ordering::Relaxed);
+            let depth = slot.hint.load(Ordering::Relaxed);
             (v, (depth != NO_WORK_HINT).then_some(depth))
         });
         let victim = pick_shallowest(local.id, &mut hints, &mut local.rng, &mut local.scratch)?;
@@ -198,21 +319,14 @@ impl<N> StealSource<N> {
         if self.locals.lock()[victim].is_some() {
             return None;
         }
-        let (reply_tx, reply_rx) = bounded(1);
-        if self.senders[victim]
-            .lock()
-            .try_send(StealRequest { reply: reply_tx })
-            .is_err()
-        {
-            return None;
-        }
+        let reply_rx = self.send_request(victim)?;
         // Once the request is delivered the thief must not abandon it: the
         // victim may already have removed subtrees from its generator stack
         // and registered them with the termination counter — dropping
         // `reply_rx` at that instant would destroy them and hang the
         // search, or (after a stop) leak them from the outstanding counter.
         // Waiting until the request *resolves* is safe and bounded: victims
-        // poll their channel on every expansion step, answer "no work"
+        // check their request count on every expansion step, answer "no work"
         // whenever they are idle (including below, so waiting thieves
         // cannot deadlock each other), and drop their endpoints on exit —
         // a stopped search therefore resolves every pending request as
@@ -230,7 +344,7 @@ impl<N> StealSource<N> {
                     // when `term.finished()` we keep waiting for the
                     // resolution — it arrives promptly (the victim either
                     // replies on its next step or exits and disconnects).
-                    Self::drain_requests_empty(&local.rx);
+                    self.drain_requests_empty(local);
                 }
             }
         }
@@ -248,10 +362,21 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
                 // recycle worker ids).  Give the new occupant a fresh
                 // channel: the old receiver died with the retiree, so any
                 // raced request on the old sender resolves on the thief's
-                // side as a disconnect (a failed steal), never a hang.
+                // side as a disconnect (a failed steal), never a hang.  The
+                // count restarts at zero under the sender lock thieves hold
+                // across increment and send, so a count left by the old
+                // channel is wiped and every later one is for the new
+                // channel; the retiree's last decrement (its `retire`
+                // drain) preceded its revocation ack, hence this reset.
                 let workers = self.senders.len();
                 let (tx, rx) = bounded::<StealRequest<P::Node>>(workers);
-                *self.senders[worker].lock() = tx;
+                let mut sender = self.senders[worker].lock();
+                *sender = tx;
+                // ordering: published to thieves by the sender lock they
+                // take before incrementing, and read by this thread's own
+                // later gate loads.
+                self.slots[worker].pending.store(0, Ordering::Relaxed);
+                drop(sender);
                 Self::fresh_local(worker, rx, self.seed, workers)
             }
         };
@@ -283,7 +408,7 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
         // work", then adopt any backlog parked by a retired worker before
         // bothering a victim (single worker: no one to steal from).
         self.advertise(local, NO_WORK_HINT);
-        Self::drain_requests_empty(&local.rx);
+        self.drain_requests_empty(local);
         {
             let mut parked = self.parked.lock();
             if !parked.is_empty() {
@@ -338,27 +463,10 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
         // lifetime).
         self.advertise(local, stack.base_depth().unwrap_or(NO_WORK_HINT));
         // Serve at most one steal request per expansion step (mirrors the
-        // per-iteration check in Listing 3).
-        let request = match local.rx.try_recv() {
-            Ok(request) => request,
-            Err(_) => return,
-        };
-        let stolen = stack.split_lowest(self.chunked);
-        if stolen.is_empty() {
-            let _ = request.reply.send(Vec::new());
-            return;
-        }
-        // Register the new tasks before they leave this worker so the
-        // termination counter never under-counts live work.
-        term.task_spawned(stolen.len() as u64);
-        metrics.spawns += stolen.len() as u64;
-        if let Err(send_err) = request.reply.send(stolen) {
-            // The thief gave up waiting (or the search is finishing).  The
-            // subtrees were already removed from our generator stack, so
-            // keep them in our own backlog; they remain registered as
-            // outstanding tasks and will be completed when we execute them
-            // ourselves.
-            local.backlog.extend(send_err.into_inner());
+        // per-iteration check in Listing 3); the check is the slot's counter
+        // gate, so the channel is touched only when a thief has asked.
+        if self.requested(local) {
+            self.serve(local, stack, term, metrics);
         }
     }
 
@@ -387,7 +495,7 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
     /// — the tasks stay registered with the termination counter throughout.
     fn retire(&self, local: &mut Self::Local) {
         self.advertise(local, NO_WORK_HINT);
-        Self::drain_requests_empty(&local.rx);
+        self.drain_requests_empty(local);
         if !local.backlog.is_empty() {
             self.parked.lock().extend(local.backlog.drain(..));
         }
@@ -531,6 +639,144 @@ mod tests {
             let total: u64 = metrics.iter().map(|m| m.nodes).sum();
             assert_eq!(total, expected);
         }
+    }
+
+    type Source = StealSource<(usize, u64)>;
+    type Local = StealLocal<(usize, u64)>;
+
+    /// A two-slot source with both workers registered: slot 0 is the
+    /// victim the tests drive, slot 1 the thief.
+    fn two_slots() -> (Source, Local, Local) {
+        let source = StealSource::new(2, 7, false, Tracer::off());
+        let victim = WorkSource::<Wide>::register(&source, 0);
+        let thief = WorkSource::<Wide>::register(&source, 1);
+        (source, victim, thief)
+    }
+
+    fn pending(source: &Source, slot: usize) -> usize {
+        // ordering: single-threaded test read.
+        source.slots[slot].pending.load(Ordering::Relaxed)
+    }
+
+    /// A victim mid-task on `Wide`: the root's children are unexplored.
+    fn busy_stack(p: &Wide) -> GenStack<'_, Wide> {
+        let mut stack = GenStack::new();
+        stack.push(p, &p.root(), 0);
+        stack
+    }
+
+    fn poll(
+        source: &Source,
+        local: &mut Local,
+        stack: &mut GenStack<'_, Wide>,
+        term: &Termination,
+    ) {
+        WorkSource::<Wide>::poll(source, local, stack, term, &mut WorkerMetrics::default());
+    }
+
+    #[test]
+    fn a_queued_request_is_served_on_the_next_poll() {
+        let p = Wide { depth: 4 };
+        let (source, mut victim, _thief) = two_slots();
+        let mut stack = busy_stack(&p);
+        let term = Termination::new(1);
+        // No request: the gate keeps the poll off the channel.
+        poll(&source, &mut victim, &mut stack, &term);
+        assert_eq!(pending(&source, 0), 0);
+
+        let reply = source.send_request(0).expect("an empty channel has room");
+        assert_eq!(pending(&source, 0), 1);
+        poll(&source, &mut victim, &mut stack, &term);
+        let tasks = reply.try_recv().expect("served within one step");
+        assert_eq!(tasks.len(), 1, "one child, not chunked");
+        assert_eq!(tasks[0].depth, 1);
+        assert_eq!(pending(&source, 0), 0);
+        assert_eq!(term.outstanding(), 2, "the stolen task is registered");
+    }
+
+    #[test]
+    fn two_queued_requests_are_served_on_two_consecutive_steps() {
+        let p = Wide { depth: 4 };
+        let (source, mut victim, _thief) = two_slots();
+        let mut stack = busy_stack(&p);
+        let term = Termination::new(1);
+        let first = source.send_request(0).expect("room for one");
+        let second = source.send_request(0).expect("room for two");
+        assert_eq!(pending(&source, 0), 2);
+        // At most one request per step: a flag would have closed the gate
+        // after the first and stranded the second.
+        poll(&source, &mut victim, &mut stack, &term);
+        assert_eq!(first.try_recv().expect("first served").len(), 1);
+        assert!(second.try_recv().is_err(), "one request per step");
+        assert_eq!(pending(&source, 0), 1);
+        poll(&source, &mut victim, &mut stack, &term);
+        assert_eq!(second.try_recv().expect("second served").len(), 1);
+        assert_eq!(pending(&source, 0), 0);
+    }
+
+    #[test]
+    fn an_idle_victim_answers_no_work_and_uncounts() {
+        let (source, mut victim, _thief) = two_slots();
+        let reply = source.send_request(0).expect("room for one");
+        let term = Termination::new(1);
+        let mut metrics = WorkerMetrics::default();
+        // Idle with nobody advertised: the drain answers, the steal fails
+        // at once (no victim), and nothing blocks.
+        let task = WorkSource::<Wide>::acquire(&source, &mut victim, &term, &mut metrics);
+        assert!(task.is_none());
+        assert_eq!(metrics.failed_steals, 1);
+        assert!(reply.try_recv().expect("answered").is_empty());
+        assert_eq!(pending(&source, 0), 0);
+    }
+
+    #[test]
+    fn a_send_into_a_full_channel_undoes_its_increment() {
+        let (source, _victim, _thief) = two_slots();
+        // The channel holds as many requests as there are workers.
+        let _queued = [source.send_request(0), source.send_request(0)];
+        assert_eq!(pending(&source, 0), 2);
+        assert!(source.send_request(0).is_none(), "the channel is full");
+        assert_eq!(pending(&source, 0), 2, "the failed send is uncounted");
+    }
+
+    #[test]
+    fn a_recycled_slot_starts_at_zero_and_stale_requests_resolve() {
+        let p = Wide { depth: 4 };
+        let (source, victim, _thief) = two_slots();
+        // A request counted and queued on the old occupant's channel, which
+        // the occupant retires without answering.
+        let stale = source.send_request(0).expect("room for one");
+        assert_eq!(pending(&source, 0), 1);
+        drop(victim);
+        assert!(
+            matches!(
+                stale.recv_timeout(Duration::from_secs(5)),
+                Err(RecvTimeoutError::Disconnected)
+            ),
+            "the stale request resolves as a failed steal, never a hang"
+        );
+        // The recycled slot gets a fresh channel and a zero count: its
+        // first step does not touch the channel at all.
+        let mut recycled = WorkSource::<Wide>::register(&source, 0);
+        assert_eq!(pending(&source, 0), 0);
+        let mut stack = busy_stack(&p);
+        let term = Termination::new(1);
+        poll(&source, &mut recycled, &mut stack, &term);
+        // A count that runs ahead of the queue (a thief between increment
+        // and send) costs one empty `try_recv` and strands nothing: the
+        // request is served on the step after it lands.
+        // ordering: single-threaded test write.
+        source.slots[0].pending.fetch_add(1, Ordering::Relaxed);
+        poll(&source, &mut recycled, &mut stack, &term);
+        assert_eq!(pending(&source, 0), 1);
+        let (reply, reply_rx) = bounded(1);
+        assert!(source.senders[0]
+            .lock()
+            .try_send(StealRequest { reply })
+            .is_ok());
+        poll(&source, &mut recycled, &mut stack, &term);
+        assert_eq!(reply_rx.try_recv().expect("served").len(), 1);
+        assert_eq!(pending(&source, 0), 0);
     }
 
     #[test]

@@ -279,8 +279,14 @@ fn every_coordination() -> [Coordination; 5] {
 
 /// Run one interrupted search of each type and apply the shared
 /// assertions: correct status, drained termination counter, no wedged
-/// workers (the call returned, and fast).
-fn assert_interrupted(skeleton: &Skeleton, expected: SearchStatus, label: &str) {
+/// workers (the call returned, and fast).  The optimisation runs on
+/// `Endless` parked at its first expansion for one whole `budget` (see
+/// [`ParkAtExpansion`]): the root is scored, setting the incumbent, before
+/// that expansion, and the deadline expires while it is parked.  The
+/// partial incumbent therefore no longer depends on how far the search got
+/// in 10 ms; only a root task that has not started one budget after the
+/// search began could still miss it.
+fn assert_interrupted(skeleton: &Skeleton, expected: SearchStatus, label: &str, budget: Duration) {
     let enumeration = skeleton.enumerate(&Endless);
     assert_eq!(enumeration.status, expected, "{label}: enumerate status");
     assert_eq!(
@@ -288,7 +294,7 @@ fn assert_interrupted(skeleton: &Skeleton, expected: SearchStatus, label: &str) 
         "{label}: enumerate leaked outstanding tasks"
     );
 
-    let optimisation = skeleton.maximise(&Endless);
+    let optimisation = skeleton.maximise(&ParkAtExpansion::new(Endless, 1, budget));
     assert_eq!(optimisation.status, expected, "{label}: maximise status");
     assert_eq!(
         optimisation.metrics.outstanding_tasks, 0,
@@ -315,16 +321,18 @@ fn assert_interrupted(skeleton: &Skeleton, expected: SearchStatus, label: &str) 
 
 #[test]
 fn deadline_exceeded_unwinds_every_coordination_and_search_type() {
+    let budget = Duration::from_millis(10);
     for coordination in every_coordination() {
         for workers in [1usize, 4, 8] {
             let skeleton = Skeleton::new(coordination)
                 .workers(workers)
-                .deadline(Duration::from_millis(10));
+                .deadline(budget);
             let started = std::time::Instant::now();
             assert_interrupted(
                 &skeleton,
                 SearchStatus::DeadlineExceeded,
                 &format!("{coordination} workers={workers}"),
+                budget,
             );
             // Three interrupted searches with 10 ms budgets: anything near
             // seconds means a worker wedged past its deadline.
