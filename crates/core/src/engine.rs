@@ -28,6 +28,7 @@
 //! this engine's loop cannot express.
 
 use crate::sync::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::genstack::{Action, GenStack};
@@ -351,14 +352,18 @@ where
 /// Run `worker_fn` on `workers` worker threads and collect their metrics.
 ///
 /// A single worker runs inline on the calling thread — no spawn/join cost,
-/// and panics propagate unchanged.  With several workers and no pool on the
-/// `lifecycle`, a scoped thread is spawned per worker; with a persistent
-/// [`WorkerPool`] (runtime submissions), worker 0 runs inline on the
-/// submitting thread and the rest are dispatched to the pool threads leased
+/// and panics propagate unchanged.  With several workers, worker 0 always
+/// runs inline on the calling thread, which is already running, so the
+/// root task never waits for a fresh thread to be scheduled (a search with
+/// a short deadline would otherwise end before any worker started).  With
+/// no pool on the `lifecycle`, a scoped thread is spawned per other
+/// worker; with a persistent [`WorkerPool`] (runtime submissions), the
+/// other workers are dispatched to the pool threads leased
 /// by the scheduler's grant (the whole pool when no grant restricts it) —
 /// no per-search thread spawn, and concurrently multiplexed searches stay
-/// on disjoint threads.  Either way a worker panic is detected at join and
-/// re-raised here as "a search worker panicked" ("poison handling").
+/// on disjoint threads.  Either way a worker panic is caught (inline for
+/// worker 0, at join for the rest) and re-raised here as "a search worker
+/// panicked" ("poison handling").
 /// Shared by [`run`] and the Ordered coordination's commit-aware run loop.
 pub(crate) fn spawn_and_join<F>(
     lifecycle: &Lifecycle,
@@ -398,14 +403,19 @@ where
     let poisoned = AtomicBool::new(false);
     let mut all_metrics = vec![WorkerMetrics::default(); workers];
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
+        let mut handles = Vec::with_capacity(workers - 1);
+        for worker in 1..workers {
             let worker_fn = &worker_fn;
             handles.push(scope.spawn(move || worker_fn(worker)));
         }
-        for (i, handle) in handles.into_iter().enumerate() {
+        match catch_unwind(AssertUnwindSafe(|| worker_fn(0))) {
+            Ok(metrics) => all_metrics[0] = metrics,
+            // ordering: launching-thread-only flag, as in the join loop.
+            Err(_) => poisoned.store(true, Ordering::Relaxed),
+        }
+        for (worker, handle) in (1..workers).zip(handles) {
             match handle.join() {
-                Ok(metrics) => all_metrics[i] = metrics,
+                Ok(metrics) => all_metrics[worker] = metrics,
                 // ordering: written and read by this (the launching) thread
                 // only, after join(); the atomic exists for the scope-closure
                 // borrow, not for cross-thread publication.
@@ -1096,6 +1106,24 @@ mod tests {
         }
         let driver = EnumDriver::<PartialBomb>::new();
         let _ = run_plain(&PartialBomb, &driver, 4, PoolSource::new(4), SpawnRoot);
+    }
+
+    /// With several workers, worker 0 runs on the calling thread, which is
+    /// already running (so a root task never waits for a fresh thread to be
+    /// scheduled), and every other worker on a thread of its own.
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = std::sync::Mutex::new(vec![None; 4]);
+        spawn_and_join(&Lifecycle::inert(), 4, |worker| {
+            ran_on.lock().unwrap()[worker] = Some(std::thread::current().id());
+            WorkerMetrics::default()
+        });
+        let ran_on = ran_on.into_inner().unwrap();
+        assert_eq!(ran_on[0], Some(caller));
+        for id in &ran_on[1..] {
+            assert!(id.is_some() && *id != Some(caller), "{ran_on:?}");
+        }
     }
 
     /// Seven of eight workers never receive a task (a never-spawning policy
