@@ -6,10 +6,10 @@
 //! owns all of that exactly once. A coordination is now just a pair of
 //! small strategy objects plugged into the engine's `run` entry point:
 //!
-//! * a [`WorkSource`] — where a worker's next task comes from and where
+//! * a `WorkSource` — where a worker's next task comes from and where
 //!   tasks it gives up go (a sharded depth pool, per-worker steal channels,
 //!   or a one-shot root holder for the Sequential case);
-//! * a [`SpawnPolicy`] — *when* the traversal splits off work for others
+//! * a `SpawnPolicy` — *when* the traversal splits off work for others
 //!   (eagerly above a depth cutoff, after a backtrack budget, or never).
 //!
 //! The engine drives the shared depth-first traversal (the (expand),
@@ -20,12 +20,12 @@
 //! incumbent of optimisation/decision searches) lives inside the drivers
 //! and is therefore identical across coordinations by construction.
 //!
-//! The Ordered coordination plugs its `OrderedSource`/`OrderedPolicy` pair
-//! into the same [`WorkSource`]/[`SpawnPolicy`] traits and reuses
-//! `run_task`, but drives its own worker loop (`skeleton::ordered`): its
-//! decision short-circuits must be *committed in sequence order* rather than
-//! applied the instant a worker finds a witness, which is the one behaviour
-//! this engine's loop cannot express.
+//! All five coordinations share this one worker loop.  The Ordered
+//! coordination differs only in its source's hooks: its
+//! `WorkSource::on_task_end` retires each task into an in-order commit log
+//! instead of short-circuiting on the spot, its
+//! `WorkSource::OFFLOADS_ON_REVOKE` keeps a revoked worker from migrating
+//! work mid-task, and its `WorkSource::cancelled` reclaims speculation.
 
 use crate::sync::{AtomicBool, Ordering};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,13 +35,13 @@ use crate::genstack::{Action, GenStack};
 use crate::lifecycle::{Lifecycle, LifecycleLocal};
 use crate::metrics::WorkerMetrics;
 use crate::node::SearchProblem;
-use crate::runtime::WorkerPool;
 use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, TraceHandle, Tracer, UNKNOWN_VICTIM};
 use crate::workpool::Task;
 
-/// How a task's (sub)search ended.
+/// How a task's (sub)search ended, as handed to
+/// [`WorkSource::on_task_end`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Flow {
     /// The subtree was fully explored (or pruned away).
@@ -64,9 +64,17 @@ pub(crate) enum Flow {
 /// state (a shard index, a steal-request receiver, a private backlog, …)
 /// lives in the associated [`WorkSource::Local`] value claimed once per
 /// worker via [`WorkSource::register`].
-pub trait WorkSource<P: SearchProblem>: Sync {
+pub(crate) trait WorkSource<P: SearchProblem>: Sync {
     /// Per-worker state. Claimed once, owned by the worker thread.
     type Local: Send;
+
+    /// May a worker that claims a cooperative revocation in the middle of a
+    /// task hand the task's remaining subtree to the survivors as new
+    /// tasks?  Sources that say no (Ordered: offloaded children would be
+    /// keyed under the *current* node, corrupting the replicable commit
+    /// order) keep the worker until the task ends, so it leaves only
+    /// between tasks.
+    const OFFLOADS_ON_REVOKE: bool = true;
 
     /// Claim worker `worker`'s local state. Called exactly once per worker,
     /// from that worker's thread, before it processes any task.
@@ -76,7 +84,8 @@ pub trait WorkSource<P: SearchProblem>: Sync {
     fn seed(&self, task: Task<P::Node>);
 
     /// Pop the next locally owned task, if any (the owner fast path).
-    fn pop(&self, local: &mut Self::Local) -> Option<Task<P::Node>>;
+    /// `term` lets a source drain tasks it skips instead of issuing.
+    fn pop(&self, local: &mut Self::Local, term: &Termination) -> Option<Task<P::Node>>;
 
     /// Try to obtain work that is not locally available (the steal path).
     /// Implementations record `steals` / `failed_steals` on `metrics`.
@@ -111,12 +120,36 @@ pub trait WorkSource<P: SearchProblem>: Sync {
         let _ = (local, stack, term, metrics);
     }
 
-    /// Discard every task still queued (called when a decision search
-    /// short-circuits), returning how many were dropped.  Callers must hand
-    /// the count to [`Termination::tasks_discarded`] so the outstanding-task
-    /// counter still drains to zero.
+    /// Discard every task still queued, returning how many were dropped
+    /// (called after a decision short-circuit and once more after the
+    /// join).  Callers must hand the count to
+    /// [`Termination::tasks_discarded`] so the outstanding-task counter
+    /// still drains to zero.
     fn discard(&self) -> usize {
         0
+    }
+
+    /// Called once after every task with how the task ended and the task's
+    /// own counters.  The default folds the counters into the worker's
+    /// `metrics` and applies a short-circuit at once: stop the search and
+    /// discard the queued tasks (they never run, so they must drain the
+    /// outstanding counter here — otherwise `all_done()` stays false and
+    /// only the stop flag masks it).  The Ordered source instead retires
+    /// the task into its commit log, which decides when a witness commits.
+    fn on_task_end(
+        &self,
+        local: &mut Self::Local,
+        flow: Flow,
+        task: WorkerMetrics,
+        metrics: &mut WorkerMetrics,
+        term: &Termination,
+    ) {
+        let _ = local;
+        metrics.merge(&task);
+        if flow == Flow::ShortCircuited {
+            term.short_circuit();
+            term.tasks_discarded(self.discard() as u64);
+        }
     }
 
     /// Polled once per traversal step of an executing task: should the task
@@ -146,13 +179,11 @@ pub trait WorkSource<P: SearchProblem>: Sync {
         0
     }
 
-    /// Drain the worker-attributed count of pool lock acquisitions gathered
-    /// in `local` (resetting it).  Called once as a worker's loop exits and
-    /// added to [`WorkerMetrics::lock_acquisitions`], so the hot path pays
-    /// nothing for the diagnostic.  Sources without locked pools report 0.
-    fn drain_lock_count(&self, _local: &mut Self::Local) -> u64 {
-        0
-    }
+    /// Fold the counters gathered in `local` (pool lock acquisitions, the
+    /// Ordered source's inversions, spawns and cancellations) into the
+    /// worker's metrics.  Called once as a worker's loop exits, so the hot
+    /// path pays nothing for them.
+    fn on_exit(&self, _local: &mut Self::Local, _metrics: &mut WorkerMetrics) {}
 
     /// Hand every task still held in the worker's private state back to the
     /// *survivors* of the search — called when a worker leaves an elastic
@@ -179,7 +210,7 @@ pub trait WorkSource<P: SearchProblem>: Sync {
 ///
 /// [`spawn_children`]: SpawnPolicy::spawn_children
 /// [`on_step`]: SpawnPolicy::on_step
-pub trait SpawnPolicy<P: SearchProblem, S: WorkSource<P>>: Sync {
+pub(crate) trait SpawnPolicy<P: SearchProblem, S: WorkSource<P>>: Sync {
     /// Should a task rooted at `depth` have its children spawned as tasks
     /// instead of being explored in place?
     fn spawn_children(&self, depth: usize) -> bool {
@@ -205,9 +236,8 @@ pub trait SpawnPolicy<P: SearchProblem, S: WorkSource<P>>: Sync {
 /// whole search so surviving workers exit their loops — otherwise the
 /// panicked task is never marked completed, the outstanding-task counter
 /// never drains, and the scope would block on the join forever instead of
-/// re-raising.  Shared by the engine's worker loop and the Ordered
-/// coordination's commit-aware loop.
-pub(crate) struct UnwindGuard<'a>(pub(crate) &'a Termination);
+/// re-raising.
+struct UnwindGuard<'a>(&'a Termination);
 
 impl Drop for UnwindGuard<'_> {
     fn drop(&mut self) {
@@ -217,14 +247,14 @@ impl Drop for UnwindGuard<'_> {
     }
 }
 
-/// Bounded idle backoff shared by every worker loop: a few rounds of busy
+/// Bounded idle backoff of the worker loop: a few rounds of busy
 /// spinning (cheapest wake-up when work arrives within nanoseconds), then
 /// scheduler yields, then exponentially growing sleeps capped well below a
 /// millisecond.  An idle worker whose source is empty while tasks are still
 /// outstanding therefore costs a bounded amount of CPU instead of
 /// hot-spinning the pop/steal path, without adding meaningful wake-up
 /// latency when work does appear.
-pub(crate) struct IdleBackoff {
+struct IdleBackoff {
     rounds: u32,
 }
 
@@ -241,17 +271,17 @@ impl IdleBackoff {
     /// signals are still observed promptly.
     const MAX_SLEEP: Duration = Duration::from_micros(500);
 
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         IdleBackoff { rounds: 0 }
     }
 
     /// Work was found: restart the backoff from the cheap end.
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.rounds = 0;
     }
 
     /// No work was found: wait a little, escalating spin → yield → sleep.
-    pub(crate) fn wait(&mut self) {
+    fn wait(&mut self) {
         let round = self.rounds;
         self.rounds = self.rounds.saturating_add(1);
         if round < Self::SPIN_ROUNDS {
@@ -277,7 +307,7 @@ impl<P: SearchProblem, S: WorkSource<P>> SpawnPolicy<P, S> for NoSpawn {}
 
 /// What a [`SpawnPolicy`] sees on each step: enough to hand tasks to the
 /// work source with correct termination/metrics accounting.
-pub struct StepEnv<'e, P: SearchProblem, S: WorkSource<P>> {
+pub(crate) struct StepEnv<'e, P: SearchProblem, S: WorkSource<P>> {
     source: &'e S,
     local: &'e mut S::Local,
     term: &'e Termination,
@@ -291,7 +321,7 @@ impl<P: SearchProblem, S: WorkSource<P>> StepEnv<'_, P, S> {
     /// and one batched push, then releases the whole burst for other workers
     /// in a single source operation.  The caller keeps the vector's
     /// capacity, so a reused spawn buffer makes this path allocation-free.
-    pub fn spawn(&mut self, tasks: &mut Vec<Task<P::Node>>) {
+    pub(crate) fn spawn(&mut self, tasks: &mut Vec<Task<P::Node>>) {
         if tasks.is_empty() {
             return;
         }
@@ -321,7 +351,7 @@ pub(crate) fn run<P, D, S, Y>(
     problem: &P,
     driver: &D,
     workers: usize,
-    source: S,
+    source: &S,
     policy: Y,
     term: &Termination,
     lifecycle: &Lifecycle,
@@ -336,7 +366,7 @@ where
     let workers = workers.max(1);
     source.seed(Task::new(problem.root(), 0));
     let all_metrics = spawn_and_join(lifecycle, workers, |worker| {
-        worker_loop(problem, driver, &source, &policy, term, lifecycle, worker)
+        worker_loop(problem, driver, source, &policy, term, lifecycle, worker)
     });
     // Stragglers: a worker can release spawned tasks after another worker's
     // short-circuit already discarded the source, and then exit on the stop
@@ -357,47 +387,40 @@ where
 /// root task never waits for a fresh thread to be scheduled (a search with
 /// a short deadline would otherwise end before any worker started).  With
 /// no pool on the `lifecycle`, a scoped thread is spawned per other
-/// worker; with a persistent [`WorkerPool`] (runtime submissions), the
-/// other workers are dispatched to the pool threads leased
-/// by the scheduler's grant (the whole pool when no grant restricts it) —
-/// no per-search thread spawn, and concurrently multiplexed searches stay
-/// on disjoint threads.  Either way a worker panic is caught (inline for
-/// worker 0, at join for the rest) and re-raised here as "a search worker
-/// panicked" ("poison handling").
-/// Shared by [`run`] and the Ordered coordination's commit-aware run loop.
-pub(crate) fn spawn_and_join<F>(
-    lifecycle: &Lifecycle,
-    workers: usize,
-    worker_fn: F,
-) -> Vec<WorkerMetrics>
+/// worker; with a persistent [`WorkerPool`](crate::runtime::WorkerPool)
+/// (runtime submissions), the pool's one runner dispatches the other
+/// workers to the pool threads leased by the scheduler's grant (the whole
+/// pool when no grant restricts it) — no per-search thread spawn, and
+/// concurrently multiplexed searches stay on disjoint threads.  Either way
+/// a worker panic is caught (inline for worker 0, at join for the rest) and
+/// re-raised here as "a search worker panicked" ("poison handling").
+fn spawn_and_join<F>(lifecycle: &Lifecycle, workers: usize, worker_fn: F) -> Vec<WorkerMetrics>
 where
     F: Fn(usize) -> WorkerMetrics + Sync,
 {
+    let grant = lifecycle.grant.as_ref();
     // An *elastic* grant (concurrent scheduling policy) must go through the
-    // pool's elastic runner even at one worker: the dispatcher can lease
-    // extra slots onto the live search at any moment, and only the elastic
-    // runner's armed hook can accept them.
-    if let (Some(pool), Some(grant)) = (lifecycle.pool.as_deref(), lifecycle.grant.as_ref()) {
-        if let Some(core) = &grant.core {
-            return pool.scoped_run_elastic(core, &grant.slots, workers, &worker_fn);
-        }
-    }
-    if workers == 1 {
+    // pool even at one worker: the dispatcher can lease extra slots onto the
+    // live search at any moment, and only the runner's armed hook can
+    // accept them.
+    let elastic = grant.and_then(|grant| grant.core.as_ref());
+    if elastic.is_none() && workers == 1 {
         return vec![worker_fn(0)];
     }
-    // A zero-thread pool (a workers=1 runtime asked to run a multi-worker
-    // search) has no threads to dispatch to — and a grant can lease zero
-    // slots for the same reason; fall through to scoped threads rather
-    // than dividing by zero in the pool's round-robin.
-    let pool: Option<&WorkerPool> = lifecycle.pool.as_deref().filter(|p| p.size() > 0);
-    if let Some(pool) = pool {
-        let lease: Vec<usize> = match lifecycle.grant.as_ref() {
-            Some(grant) if !grant.slots.is_empty() => grant.slots.clone(),
-            Some(_) => Vec::new(),
-            None => (0..pool.size()).collect(),
+    if let Some(pool) = lifecycle.pool.as_deref() {
+        let whole_pool: Vec<usize>;
+        let lease = match grant {
+            Some(grant) => &grant.slots[..],
+            None => {
+                whole_pool = (0..pool.size()).collect();
+                &whole_pool
+            }
         };
-        if !lease.is_empty() {
-            return pool.scoped_run_on(&lease, workers, &worker_fn);
+        // A zero-thread pool (a workers=1 runtime asked to run a
+        // multi-worker search) or a zero-slot fixed lease has no threads to
+        // dispatch to; fall through to scoped threads.
+        if elastic.is_some() || !lease.is_empty() {
+            return pool.scoped_run(elastic, lease, workers, &worker_fn);
         }
     }
     let poisoned = AtomicBool::new(false);
@@ -478,7 +501,7 @@ where
             retiring = true;
             break;
         }
-        let next = match source.pop(&mut local) {
+        let next = match source.pop(&mut local, term) {
             Some(task) => Some(task),
             None => {
                 if term.all_done() {
@@ -490,17 +513,17 @@ where
         match next {
             Some(task) => {
                 backoff.reset();
-                let before = metrics;
                 if let Some(t) = &trace {
                     t.emit(TraceEvent::TaskStart {
                         depth: task.depth as u32,
                     });
                 }
+                let mut task_metrics = WorkerMetrics::default();
                 let flow = run_task(
                     problem,
                     driver,
                     &mut partial,
-                    &mut metrics,
+                    &mut task_metrics,
                     term,
                     lifecycle,
                     &mut lstate,
@@ -511,29 +534,26 @@ where
                     &mut spawn_buf,
                     trace.as_ref(),
                     worker,
-                    Some(&mut retiring),
+                    &mut retiring,
                 );
                 if let Some(t) = &trace {
-                    // Per-task counter deltas: summing a drained trace's
-                    // `TaskEnd` events reconstructs the exact run-task
-                    // totals (the metrics-reconstruction property test).
+                    // Per-task counters: summing a drained trace's `TaskEnd`
+                    // events reconstructs the exact run-task totals (the
+                    // metrics-reconstruction property test).  `max_depth` is
+                    // the worker's running maximum — just the task's own for
+                    // sources whose hook keeps task counters out of the
+                    // worker's metrics (Ordered).
                     t.emit(TraceEvent::TaskEnd {
-                        nodes: metrics.nodes - before.nodes,
-                        prunes: metrics.prunes - before.prunes,
-                        backtracks: metrics.backtracks - before.backtracks,
-                        spawns: metrics.spawns - before.spawns,
-                        batch_pushes: metrics.batch_pushes - before.batch_pushes,
-                        poll_checks: metrics.poll_checks - before.poll_checks,
-                        max_depth: metrics.max_depth,
+                        nodes: task_metrics.nodes,
+                        prunes: task_metrics.prunes,
+                        backtracks: task_metrics.backtracks,
+                        spawns: task_metrics.spawns,
+                        batch_pushes: task_metrics.batch_pushes,
+                        poll_checks: task_metrics.poll_checks,
+                        max_depth: metrics.max_depth.max(task_metrics.max_depth),
                     });
                 }
-                if flow == Flow::ShortCircuited {
-                    term.short_circuit();
-                    // Discarded tasks never run, so they must drain the
-                    // outstanding counter here — otherwise `all_done()` stays
-                    // false forever and only the stop flag masks it.
-                    term.tasks_discarded(source.discard() as u64);
-                }
+                source.on_task_end(&mut local, flow, task_metrics, &mut metrics, term);
                 term.task_completed();
             }
             None => backoff.wait(),
@@ -543,22 +563,22 @@ where
     if retiring {
         // Cooperative revocation: the search is still running, so every
         // privately held task goes back to the survivors — nothing is
-        // discarded and the outstanding counter is untouched.  The ack comes
-        // last, after the partial is merged, so the dispatcher observing the
-        // released slot can never race an unmerged result.
+        // discarded and the outstanding counter is untouched.
         source.retire(&mut local);
-        metrics.lock_acquisitions += source.drain_lock_count(&mut local);
-        driver.merge(partial);
-        lifecycle.ack_retire(worker);
-        return metrics;
+    } else {
+        // Tasks still in this worker's private state (a Stack-Stealing
+        // backlog or a batched pop stash after a stop) never run; drain them
+        // so the outstanding counter reaches zero on every exit path.
+        term.tasks_discarded(source.drain_local(&mut local) as u64);
     }
-
-    // Tasks still in this worker's private state (a Stack-Stealing backlog
-    // or a batched pop stash after a stop) never run; drain them so the
-    // outstanding counter reaches zero on every exit path.
-    term.tasks_discarded(source.drain_local(&mut local) as u64);
-    metrics.lock_acquisitions += source.drain_lock_count(&mut local);
+    source.on_exit(&mut local, &mut metrics);
     driver.merge(partial);
+    if retiring {
+        // The ack comes last, after the partial is merged, so the
+        // dispatcher observing the released slot can never race an
+        // unmerged result.
+        lifecycle.ack_retire(worker);
+    }
     metrics
 }
 
@@ -576,15 +596,13 @@ where
 /// path costs one pool operation — and, in steady state, zero allocations —
 /// per generator burst.
 ///
-/// `retiring` is the worker's cooperative-revocation flag: when `Some`, the
-/// poll gate additionally checks whether an elastic grant wants this worker
-/// back, and on a claim offloads the task's entire remaining subtree to the
+/// `retiring` is the worker's cooperative-revocation flag: for sources that
+/// [offload on revoke](WorkSource::OFFLOADS_ON_REVOKE), the poll gate also
+/// checks whether an elastic grant wants this worker back, and on a claim
+/// sets the flag and offloads the task's entire remaining subtree to the
 /// source (so the survivors pick it up) before returning a completed flow.
-/// Callers whose source cannot migrate mid-task work (Ordered: offloaded
-/// children would be keyed under the *current* node, corrupting the
-/// replicable commit order) pass `None` and only retire between tasks.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_task<P, D, S, Y>(
+fn run_task<P, D, S, Y>(
     problem: &P,
     driver: &D,
     partial: &mut D::Partial,
@@ -599,7 +617,7 @@ pub(crate) fn run_task<P, D, S, Y>(
     spawn_buf: &mut Vec<Task<P::Node>>,
     trace: Option<&TraceHandle>,
     worker: usize,
-    mut retiring: Option<&mut bool>,
+    retiring: &mut bool,
 ) -> Flow
 where
     P: SearchProblem,
@@ -683,22 +701,21 @@ where
             // the unexplored children of one frame; looping drains the whole
             // stack, so nothing is stranded — the nodes already processed
             // are counted, so dropping the stack completes this task.
-            if let Some(flag) = retiring.as_deref_mut() {
-                if !*flag && lifecycle.try_claim_retire(worker) {
-                    *flag = true;
-                }
-                if *flag {
-                    loop {
-                        let mut tasks = stack.split_lowest(true);
-                        if tasks.is_empty() {
-                            break;
-                        }
-                        term.task_spawned(tasks.len() as u64);
-                        metrics.spawns += tasks.len() as u64;
-                        metrics.batch_pushes += 1;
-                        source.release(local, &mut tasks);
+            // The counters are bumped here rather than through
+            // `StepEnv::spawn`: an out-of-line call taking `metrics` on this
+            // rarely taken path makes the compiler store the task's counters
+            // to memory on every step of the per-node loop.
+            if S::OFFLOADS_ON_REVOKE && lifecycle.try_claim_retire(worker) {
+                *retiring = true;
+                loop {
+                    let mut tasks = stack.split_lowest(true);
+                    if tasks.is_empty() {
+                        return Flow::Completed;
                     }
-                    return Flow::Completed;
+                    term.task_spawned(tasks.len() as u64);
+                    metrics.spawns += tasks.len() as u64;
+                    metrics.batch_pushes += 1;
+                    source.release(local, &mut tasks);
                 }
             }
         }
@@ -764,7 +781,7 @@ impl<P: SearchProblem> WorkSource<P> for RootSource<P::Node> {
         self.queue.lock().push_back(task);
     }
 
-    fn pop(&self, _local: &mut Self::Local) -> Option<Task<P::Node>> {
+    fn pop(&self, _local: &mut Self::Local, _term: &Termination) -> Option<Task<P::Node>> {
         self.queue.lock().pop_front()
     }
 
@@ -862,7 +879,7 @@ impl<P: SearchProblem> WorkSource<P> for PoolSource<P::Node> {
         self.pool.push(0, task);
     }
 
-    fn pop(&self, local: &mut Self::Local) -> Option<Task<P::Node>> {
+    fn pop(&self, local: &mut Self::Local, _term: &Termination) -> Option<Task<P::Node>> {
         if let Some(task) = local.stash.pop_front() {
             return Some(task);
         }
@@ -920,8 +937,8 @@ impl<P: SearchProblem> WorkSource<P> for PoolSource<P::Node> {
         stashed
     }
 
-    fn drain_lock_count(&self, local: &mut Self::Local) -> u64 {
-        std::mem::take(&mut local.locks)
+    fn on_exit(&self, local: &mut Self::Local, metrics: &mut WorkerMetrics) {
+        metrics.lock_acquisitions += std::mem::take(&mut local.locks);
     }
 
     fn retire(&self, local: &mut Self::Local) {
@@ -961,7 +978,7 @@ mod tests {
     {
         let term = Termination::new(1);
         let lifecycle = Lifecycle::inert();
-        run(problem, driver, workers, source, policy, &term, &lifecycle)
+        run(problem, driver, workers, &source, policy, &term, &lifecycle)
     }
 
     /// Complete binary tree of a fixed depth; node = (depth, label).
@@ -1042,7 +1059,7 @@ mod tests {
             &mut Vec::new(),
             None,
             0,
-            None,
+            &mut false,
         );
         assert_eq!(flow, Flow::ShortCircuited);
         assert!(metrics.nodes <= 2, "the poll happens before each expansion");

@@ -147,8 +147,9 @@ struct ScopedState {
 }
 
 /// A pool of persistent, parked worker threads that scoped search workers
-/// run on — the engine-facing half of [`Runtime`].  Public only to the
-/// crate; the public API is `Runtime`.
+/// run on — the engine-facing half of [`Runtime`].  One runner,
+/// `scoped_run`, serves fixed leases (Fifo) and elastic ones (concurrent
+/// policies) alike.  Public only to the crate; the public API is `Runtime`.
 pub struct WorkerPool {
     /// One job channel per thread: the vendored channel shim is single-
     /// consumer, and per-thread queues also keep dispatch deterministic.
@@ -203,8 +204,21 @@ impl WorkerPool {
     /// **disjoint** worker subsets.  Blocks until every worker has
     /// completed; a panic in any worker is re-raised as "a search worker
     /// panicked", matching the scoped-thread path.
-    pub(crate) fn scoped_run_on<F>(
+    ///
+    /// With an *elastic* lease `core` (one slot per initial helper), the
+    /// run also accepts workers joining and leaving mid-run.  While it is
+    /// live the core's *hook* holds the lifetime-erased worker closure;
+    /// [`GrantCore::try_attach`] uses it to dispatch extra workers onto
+    /// newly leased slots, bumping the completion latch before the job is
+    /// sent so the latch can never reach zero with a worker outstanding.
+    /// Result slots are sized to the pool's capacity and indexed by *worker
+    /// id* (ids are recycled on revocation, merging stints).  On the way
+    /// out the hook is disarmed under the core's lock, after which no
+    /// further attach can start — the re-check loop below closes the race
+    /// where a grow lands between the latch reaching zero and the disarm.
+    pub(crate) fn scoped_run<F>(
         &self,
+        core: Option<&Arc<GrantCore>>,
         slots: &[usize],
         count: usize,
         worker_fn: &F,
@@ -214,37 +228,51 @@ impl WorkerPool {
     {
         assert!(count >= 1);
         assert!(
-            !self.senders.is_empty() && !slots.is_empty(),
-            "scoped_run_on with no leased pool threads (callers fall back to scoped threads)"
+            count == 1 || !slots.is_empty(),
+            "scoped_run with no leased pool threads (callers fall back to scoped threads)"
         );
         debug_assert!(
             slots.iter().all(|&s| s < self.senders.len()),
             "leased slot out of range"
         );
+        debug_assert!(
+            core.is_none() || count - 1 == slots.len(),
+            "elastic grants are 1:1"
+        );
+        let results = match core {
+            Some(_) => (self.size() + 1).max(count),
+            None => count,
+        };
         let state = Arc::new(ScopedState {
             remaining: Mutex::new(count - 1),
             done: Condvar::new(),
-            results: Mutex::new((0..count).map(|_| None).collect()),
+            results: Mutex::new((0..results).map(|_| None).collect()),
             poisoned: AtomicBool::new(false),
         });
         // SAFETY: erase the borrow's lifetime so the pointer can cross into
-        // 'static pool threads.  The latch below guarantees this function
-        // does not return — and `worker_fn` therefore stays alive — until
-        // every job has finished dereferencing it.
+        // 'static pool threads.  The latch below (and the disarm protocol
+        // for attached workers) guarantees this function does not return —
+        // and `worker_fn` therefore stays alive — until every job has
+        // finished dereferencing it.
         let erased: *const (dyn Fn(usize) -> WorkerMetrics + Sync) = unsafe {
             std::mem::transmute::<
                 &(dyn Fn(usize) -> WorkerMetrics + Sync + '_),
                 *const (dyn Fn(usize) -> WorkerMetrics + Sync + 'static),
             >(worker_fn)
         };
+        if let Some(core) = core {
+            core.arm(ElasticHook {
+                state: Arc::clone(&state),
+                f: erased,
+            });
+        }
         for index in 1..count {
             let job = ScopedJob {
                 f: erased,
                 index,
                 state: Arc::clone(&state),
             };
-            let target = slots[(index - 1) % slots.len()];
-            if self.senders[target].send(job).is_err() {
+            if !self.send_to_slot(slots[(index - 1) % slots.len()], job) {
                 // The pool is shutting down; run the worker inline instead
                 // of losing it (the latch still expects its completion).
                 run_scoped_inline(erased, index, &state);
@@ -262,120 +290,24 @@ impl WorkerPool {
                 None
             }
         };
-        // Wait for the helpers before touching the results (and before the
-        // borrowed closure can go out of scope).
-        let mut remaining = state.remaining.lock().expect("latch lock");
-        while *remaining > 0 {
-            remaining = state.done.wait(remaining).expect("latch wait");
-        }
-        drop(remaining);
-        let mut results = state.results.lock().expect("results lock");
-        results[0] = inline;
-        let all: Vec<WorkerMetrics> = results
-            .iter_mut()
-            .map(|slot| slot.take().unwrap_or_default())
-            .collect();
-        drop(results);
-        // ordering: every worker decremented the latch under its mutex after
-        // any poison store, and we waited that latch out above.
-        if state.poisoned.load(Ordering::Relaxed) {
-            panic!("a search worker panicked");
-        }
-        all
-    }
-
-    /// Send one scoped job to a specific pool thread.  Returns `false` when
-    /// the pool is shutting down (the channel is closed).
-    fn send_to_slot(&self, slot: usize, job: ScopedJob) -> bool {
-        match self.senders.get(slot) {
-            Some(tx) => tx.send(job).is_ok(),
-            None => false,
-        }
-    }
-
-    /// The elastic variant of [`scoped_run_on`](WorkerPool::scoped_run_on):
-    /// run `count` initial workers on the leased `slots` (worker 0 inline)
-    /// *and* accept workers joining and leaving mid-run through `core`.
-    ///
-    /// While the run is live the core's *hook* holds the lifetime-erased
-    /// worker closure; [`GrantCore::try_attach`] uses it to dispatch extra
-    /// workers onto newly leased slots, bumping the completion latch before
-    /// the job is sent so the latch can never reach zero with a worker
-    /// outstanding.  Result slots are sized to the pool's capacity and
-    /// indexed by *worker id* (ids are recycled on revocation, merging
-    /// stints).  On the way out the hook is disarmed under the core's lock,
-    /// after which no further attach can start — the re-check loop below
-    /// closes the race where a grow lands between the latch reaching zero
-    /// and the disarm.
-    pub(crate) fn scoped_run_elastic<F>(
-        &self,
-        core: &Arc<GrantCore>,
-        slots: &[usize],
-        count: usize,
-        worker_fn: &F,
-    ) -> Vec<WorkerMetrics>
-    where
-        F: Fn(usize) -> WorkerMetrics + Sync,
-    {
-        assert!(count >= 1);
-        debug_assert_eq!(
-            count.saturating_sub(1),
-            slots.len(),
-            "elastic grants are 1:1"
-        );
-        let capacity = self.size() + 1;
-        let state = Arc::new(ScopedState {
-            remaining: Mutex::new(count - 1),
-            done: Condvar::new(),
-            results: Mutex::new((0..capacity.max(count)).map(|_| None).collect()),
-            poisoned: AtomicBool::new(false),
-        });
-        // SAFETY: as in `scoped_run_on` — the latch (and the disarm
-        // protocol for attached workers) keeps `worker_fn` alive until the
-        // last dereference.
-        let erased: *const (dyn Fn(usize) -> WorkerMetrics + Sync) = unsafe {
-            std::mem::transmute::<
-                &(dyn Fn(usize) -> WorkerMetrics + Sync + '_),
-                *const (dyn Fn(usize) -> WorkerMetrics + Sync + 'static),
-            >(worker_fn)
-        };
-        core.arm(ElasticHook {
-            state: Arc::clone(&state),
-            f: erased,
-        });
-        for index in 1..count {
-            let job = ScopedJob {
-                f: erased,
-                index,
-                state: Arc::clone(&state),
-            };
-            if !self.send_to_slot(slots[index - 1], job) {
-                // Pool shutting down; run inline so the latch still closes.
-                run_scoped_inline(erased, index, &state);
-            }
-        }
-        let inline = catch_unwind(AssertUnwindSafe(|| worker_fn(0)));
-        let inline = match inline {
-            Ok(metrics) => Some(metrics),
-            Err(_) => {
-                // ordering: the latch handshake (store, then decrement under
-                // the latch mutex) orders this before the post-wait load; the
-                // flag itself needs no ordering.
-                state.poisoned.store(true, Ordering::Relaxed);
-                None
-            }
-        };
-        // Wait out the helpers, then disarm the hook under the core's lock;
-        // `try_attach` increments the latch under that same lock, so after
-        // a zero-latch re-check with the lock held no new worker can exist.
+        // Wait out the helpers before touching the results (and before the
+        // borrowed closure can go out of scope).  An elastic run then
+        // disarms the hook under the core's lock; `try_attach` increments
+        // the latch under that same lock, so after a zero-latch re-check
+        // with the lock held no new worker can exist.
         let used = loop {
             let mut remaining = state.remaining.lock().expect("latch lock");
             while *remaining > 0 {
                 remaining = state.done.wait(remaining).expect("latch wait");
             }
             drop(remaining);
-            if let Some(used) = core.try_disarm(&state) {
-                break used;
+            match core {
+                None => break count,
+                Some(core) => {
+                    if let Some(used) = core.try_disarm(&state) {
+                        break used;
+                    }
+                }
             }
         };
         let mut results = state.results.lock().expect("results lock");
@@ -397,6 +329,15 @@ impl WorkerPool {
             panic!("a search worker panicked");
         }
         all
+    }
+
+    /// Send one scoped job to a specific pool thread.  Returns `false` when
+    /// the pool is shutting down (the channel is closed).
+    fn send_to_slot(&self, slot: usize, job: ScopedJob) -> bool {
+        match self.senders.get(slot) {
+            Some(tx) => tx.send(job).is_ok(),
+            None => false,
+        }
     }
 
     /// Close the job channels and join every thread.  Called by
@@ -463,7 +404,7 @@ fn pool_thread(rx: Receiver<ScopedJob>) {
 /// latch of the search currently executing, held by its [`GrantCore`] so
 /// [`GrantCore::try_attach`] can dispatch extra workers onto newly leased
 /// slots mid-run.  Armed by
-/// [`scoped_run_elastic`](WorkerPool::scoped_run_elastic) before the first
+/// [`scoped_run`](WorkerPool::scoped_run) before the first
 /// worker starts and disarmed (under the core's lock) after the last one
 /// finishes.
 struct ElasticHook {
@@ -472,7 +413,7 @@ struct ElasticHook {
 }
 
 // SAFETY: the raw closure pointer is only dereferenced by jobs dispatched
-// while the hook is armed, and `scoped_run_elastic` does not return (so the
+// while the hook is armed, and `scoped_run` does not return (so the
 // referent stays alive) until the latch is zero *and* the hook is disarmed
 // under the lock — after which no further dispatch can observe it.  The
 // closure is `Sync`, so concurrent calls are fine.
@@ -913,7 +854,7 @@ pub(crate) struct ExecutionGrant {
     /// The shared, versioned lease state — `Some` exactly when the grant is
     /// *elastic* (concurrent policy): the dispatcher renegotiates the lease
     /// through it, and the engine routes the run through
-    /// [`WorkerPool::scoped_run_elastic`] and polls it for revocations.
+    /// [`WorkerPool::scoped_run`] elastically and polls it for revocations.
     /// `None` keeps the fixed-for-life PR 4 semantics.
     pub(crate) core: Option<Arc<GrantCore>>,
 }
@@ -2849,5 +2790,122 @@ mod tests {
             !out.metrics.granted_slots.is_empty(),
             "a 2-worker runtime grant leases at least one pool slot"
         );
+    }
+
+    /// A ternary tree of depth 8 whose only decision witness is the node
+    /// ⟨1.0.2.1.0⟩.  With a `core`, the first depth-1 expansion on a pool
+    /// thread — the start of that worker's first in-place task — requests
+    /// one revocation, so it is pending at the task's first poll; the
+    /// calling thread's worker 0 holds its own depth-1 expansion until the
+    /// pool worker has acknowledged the revocation, so no witness can
+    /// commit (and stop the search) before the pool worker reaches its
+    /// between-tasks claim.
+    struct RevokeMidTask {
+        core: Option<Arc<GrantCore>>,
+        caller: std::thread::ThreadId,
+        requested: AtomicBool,
+    }
+
+    impl SearchProblem for RevokeMidTask {
+        type Node = Vec<u8>;
+        type Gen<'a> = std::vec::IntoIter<Vec<u8>>;
+        fn root(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn generator(&self, node: &Vec<u8>) -> Self::Gen<'_> {
+            if let (Some(core), 1) = (&self.core, node.len()) {
+                if std::thread::current().id() != self.caller {
+                    // ordering: a one-shot test latch on one thread's path.
+                    if !self.requested.swap(true, Ordering::Relaxed) {
+                        assert_eq!(core.request_revoke(1), 1);
+                    }
+                } else {
+                    let started = Instant::now();
+                    // ordering: advisory tally, polled until it moves.
+                    while core.workers_preempted.load(Ordering::Relaxed) == 0 {
+                        assert!(
+                            started.elapsed() < Duration::from_secs(10),
+                            "the pool worker never left"
+                        );
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                }
+            }
+            if node.len() >= 8 {
+                return vec![].into_iter();
+            }
+            (0..3u8)
+                .map(|i| {
+                    let mut child = node.clone();
+                    child.push(i);
+                    child
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+        }
+    }
+
+    impl Optimise for RevokeMidTask {
+        type Score = u64;
+        fn objective(&self, node: &Vec<u8>) -> u64 {
+            if node.as_slice() == [1, 0, 2, 1, 0] {
+                100
+            } else {
+                0
+            }
+        }
+    }
+
+    impl Decide for RevokeMidTask {
+        fn target(&self) -> u64 {
+            100
+        }
+    }
+
+    /// An Ordered worker under an elastic lease that finds a revocation
+    /// pending as its task starts leaves only between tasks: it never
+    /// offloads the task's subtree (only the root's three children are ever
+    /// spawned), the committed decision nodes equal Sequential's, and every
+    /// task is accounted for.
+    #[test]
+    fn ordered_worker_revoked_mid_task_leaves_between_tasks() {
+        let plain = RevokeMidTask {
+            core: None,
+            caller: std::thread::current().id(),
+            requested: AtomicBool::new(false),
+        };
+        let seq = Skeleton::new(Coordination::Sequential).decide(&plain);
+        assert!(seq.found());
+
+        let pool = Arc::new(WorkerPool::new(1));
+        let (released_tx, _released_rx) = bounded::<Control>(4);
+        let core = Arc::new(GrantCore::new(1, 2, &[0], released_tx));
+        let grant = ExecutionGrant {
+            search_id: 1,
+            workers: 2,
+            slots: vec![0],
+            queue_wait: Duration::ZERO,
+            core: Some(Arc::clone(&core)),
+        };
+        let problem = RevokeMidTask {
+            core: Some(core),
+            ..plain
+        };
+        let out = Skeleton::new(Coordination::ordered(1))
+            .workers(2)
+            .attach_pool(pool)
+            .attach_grant(grant)
+            .decide(&problem);
+        // ordering: read after the run joined every worker.
+        let requested = problem.requested.load(Ordering::Relaxed);
+        assert!(requested, "no pool worker took a task");
+        assert_eq!(out.metrics.workers_preempted, 1, "the pool worker left");
+        assert_eq!(
+            out.metrics.totals.ordered_spawns, 3,
+            "a revoked Ordered worker must not offload its task mid-run"
+        );
+        assert!(out.found());
+        assert_eq!(out.metrics.nodes(), seq.metrics.nodes());
+        assert_eq!(out.metrics.outstanding_tasks, 0);
     }
 }

@@ -63,7 +63,7 @@ where
         problem,
         driver,
         workers,
-        PoolSource::traced(capacity, lifecycle.tracer.clone()),
+        &PoolSource::traced(capacity, lifecycle.tracer.clone()),
         BudgetPolicy { budget },
         term,
         lifecycle,

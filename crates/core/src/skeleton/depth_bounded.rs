@@ -50,7 +50,7 @@ where
         problem,
         driver,
         workers,
-        PoolSource::traced(capacity, lifecycle.tracer.clone()),
+        &PoolSource::traced(capacity, lifecycle.tracer.clone()),
         DepthPolicy { dcutoff },
         term,
         lifecycle,

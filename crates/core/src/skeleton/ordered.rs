@@ -52,27 +52,27 @@
 //! [`CommitLog`], which the virtual-time simulator drives too; this module
 //! adds only the locking, the broadcast and the termination accounting.
 //!
-//! The coordination reuses the engine's [`run_task`] traversal (so the
-//! (expand)/(backtrack)/(prune)/(shortcircuit) rules, spawn accounting and
-//! per-step polling stay identical to every other coordination) but drives
-//! its own worker loop: the engine's loop applies short-circuits instantly,
-//! which is precisely what Ordered must not do.
-//!
-//! [`run_task`]: crate::engine::run_task
+//! The coordination runs on the same engine worker loop as the other four
+//! (so the (expand)/(backtrack)/(prune)/(shortcircuit) rules, spawn
+//! accounting, per-step polling, idle back-off and revocation stay
+//! identical); it differs only in its source's hooks.  The after-task hook
+//! retires each task into the commit log instead of short-circuiting on
+//! the spot, the pop skips tasks keyed after a pending witness, and a
+//! revoked worker never offloads mid-task.
 
 use crate::sync::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::engine::{self, Flow, IdleBackoff, SpawnPolicy, UnwindGuard, WorkSource};
-use crate::lifecycle::{Lifecycle, LifecycleLocal};
+use crate::engine::{self, Flow, SpawnPolicy, WorkSource};
+use crate::lifecycle::Lifecycle;
 use crate::metrics::WorkerMetrics;
 use crate::node::SearchProblem;
 use crate::params::SearchConfig;
 use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{TraceEvent, TraceHandle, Tracer};
 use crate::workpool::{CommitLog, KeyArena, OrderedPool, SeqKey, Task};
 
 /// Spawn the children of every node shallower than `spawn_depth`, exactly
@@ -90,6 +90,10 @@ impl<P: SearchProblem, S: WorkSource<P>> SpawnPolicy<P, S> for OrderedPolicy {
 
 /// Per-worker state of the ordered source.
 pub(crate) struct OrderedLocal {
+    /// The worker this state belongs to (commit records are per worker).
+    worker: usize,
+    /// Flight-recorder handle (`None` when tracing is off).
+    trace: Option<TraceHandle>,
     /// The [`OrderedPool`] insertion shard this worker releases through, so
     /// concurrent spawn bursts never contend on one insertion lock.
     shard: usize,
@@ -178,83 +182,16 @@ pub(crate) struct OrderedSource<N> {
     pool: OrderedPool<Task<N>>,
     commit: Mutex<CommitLog<TaskRecord>>,
     cancel: CancelSignal,
+    tracer: Tracer,
 }
 
 impl<N> OrderedSource<N> {
-    pub(crate) fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize, tracer: Tracer) -> Self {
         OrderedSource {
             pool: OrderedPool::with_shards(workers),
             commit: Mutex::new(CommitLog::new()),
             cancel: CancelSignal::new(),
-        }
-    }
-
-    /// Pop the smallest-key task and atomically mark it in flight (the
-    /// commit lock spans the pool pop, so the commit check can never observe
-    /// a task that is neither queued nor in flight).
-    ///
-    /// While a witness is pending, tasks keyed after it are skipped instead
-    /// of issued: children of committed-side tasks can legitimately land in
-    /// the pool *after* the witness purge (a parent's key sorts before the
-    /// witness but a child's may sort after), and issuing them would only
-    /// create work the commit discards.  Each skip is retired on the spot —
-    /// counted in `cancelled_tasks` and drained from the termination
-    /// counter — which requires the `term` handle; the trait-level
-    /// [`WorkSource::pop`] has no such handle and passes `None`, falling
-    /// back to plain issue (safe: the per-step poll cancels the task right
-    /// after it starts).
-    fn issue(&self, local: &mut OrderedLocal, term: Option<&Termination>) -> Option<Task<N>> {
-        let mut commit = self.commit.lock();
-        loop {
-            let (key, task) = self.pool.pop()?;
-            if let Some(term) = term.filter(|_| commit.after_witness(&key)) {
-                // The task never runs: drain it as discarded, exactly like
-                // the purge and commit-clear disposal paths.
-                local.cancelled += 1;
-                local.arena.recycle(key);
-                term.tasks_discarded(1);
-                continue;
-            }
-            if commit.issue(key.clone()) {
-                local.inversions += 1;
-            }
-            let previous = std::mem::replace(&mut local.current, key);
-            local.arena.recycle(previous);
-            local.next_child = 0;
-            return Some(task);
-        }
-    }
-
-    /// Retire a finished task into the commit log.  When its witness becomes
-    /// the pending one, the log has purged the later-keyed queue; broadcast
-    /// the key so in-flight tasks with later keys exit at their next
-    /// traversal step.  When the log commits, stop the search and drain the
-    /// pool.  Aborted tasks (post-commit `ShortCircuited` flows) always carry
-    /// keys after the witness, so the log's fold ignores them.
-    fn retire(
-        &self,
-        key: SeqKey,
-        worker: usize,
-        metrics: WorkerMetrics,
-        flow: Flow,
-        term: &Termination,
-        local: &mut OrderedLocal,
-    ) {
-        let mut commit = self.commit.lock();
-        let retired = commit.retire(
-            &self.pool,
-            key,
-            (worker, metrics),
-            flow == Flow::ShortCircuited,
-        );
-        if let (Some(purged), Some(witness)) = (retired.purged, commit.witness()) {
-            self.cancel.broadcast(witness);
-            local.cancelled += purged as u64;
-            term.tasks_discarded(purged as u64);
-        }
-        if retired.committed {
-            term.short_circuit();
-            term.tasks_discarded(self.pool.clear() as u64);
+            tracer,
         }
     }
 
@@ -266,7 +203,7 @@ impl<N> OrderedSource<N> {
     /// split is also recorded on the flight recorder's control ring (two
     /// aggregate events, not one per task, so the bounded control ring is
     /// never at risk from large runs).
-    fn finalize(&self, base: &mut [WorkerMetrics], tracer: &Tracer) {
+    fn finalize(&self, base: &mut [WorkerMetrics]) {
         let commit = self.commit.lock();
         let mut committed_nodes = 0u64;
         let mut discarded_nodes = 0u64;
@@ -278,12 +215,12 @@ impl<N> OrderedSource<N> {
             discarded_nodes += metrics.nodes;
             base[*worker].speculative_nodes += metrics.nodes;
         }
-        if tracer.enabled() && commit.witness().is_some() {
-            tracer.control(TraceEvent::SpeculationCommit {
+        if self.tracer.enabled() && commit.witness().is_some() {
+            self.tracer.control(TraceEvent::SpeculationCommit {
                 nodes: committed_nodes,
             });
             if discarded_nodes > 0 {
-                tracer.control(TraceEvent::SpeculationDiscard {
+                self.tracer.control(TraceEvent::SpeculationDiscard {
                     nodes: discarded_nodes,
                 });
             }
@@ -294,8 +231,15 @@ impl<N> OrderedSource<N> {
 impl<P: SearchProblem> WorkSource<P> for OrderedSource<P::Node> {
     type Local = OrderedLocal;
 
+    /// Ordered workers leave only *between* tasks: offloading a task's
+    /// subtree mid-run would mint sequence keys under the wrong parent and
+    /// corrupt the replicable commit order.
+    const OFFLOADS_ON_REVOKE: bool = false;
+
     fn register(&self, worker: usize) -> OrderedLocal {
         OrderedLocal {
+            worker,
+            trace: self.tracer.handle(worker as u32),
             shard: worker % self.pool.shards(),
             arena: KeyArena::new(),
             current: SeqKey::root(),
@@ -312,8 +256,37 @@ impl<P: SearchProblem> WorkSource<P> for OrderedSource<P::Node> {
         self.pool.push_from(0, SeqKey::root(), task);
     }
 
-    fn pop(&self, local: &mut OrderedLocal) -> Option<Task<P::Node>> {
-        self.issue(local, None)
+    /// Pop the smallest-key task and atomically mark it in flight (the
+    /// commit lock spans the pool pop, so the commit check can never observe
+    /// a task that is neither queued nor in flight).
+    ///
+    /// While a witness is pending, tasks keyed after it are skipped instead
+    /// of issued: children of committed-side tasks can legitimately land in
+    /// the pool *after* the witness purge (a parent's key sorts before the
+    /// witness but a child's may sort after), and issuing them would only
+    /// create work the commit discards.  Each skip is retired on the spot —
+    /// counted in `cancelled_tasks` and drained from the termination
+    /// counter.
+    fn pop(&self, local: &mut OrderedLocal, term: &Termination) -> Option<Task<P::Node>> {
+        let mut commit = self.commit.lock();
+        loop {
+            let (key, task) = self.pool.pop()?;
+            if commit.after_witness(&key) {
+                // The task never runs: drain it as discarded, exactly like
+                // the purge and commit-clear disposal paths.
+                local.cancelled += 1;
+                local.arena.recycle(key);
+                term.tasks_discarded(1);
+                continue;
+            }
+            if commit.issue(key.clone()) {
+                local.inversions += 1;
+            }
+            let previous = std::mem::replace(&mut local.current, key);
+            local.arena.recycle(previous);
+            local.next_child = 0;
+            return Some(task);
+        }
     }
 
     /// There is no separate steal path: the pool is global and every pop
@@ -358,12 +331,63 @@ impl<P: SearchProblem> WorkSource<P> for OrderedSource<P::Node> {
         self.cancel.should_cancel(local)
     }
 
-    // `discard` keeps its default: only the engine's worker loop calls it on
-    // a short-circuit, and this source is driven by the ordered loop, whose
-    // commit path clears the pool itself (see `retire`).
+    /// Instead of short-circuiting on the spot, retire the task (with its
+    /// own counters) into the commit log.  When its witness becomes the
+    /// pending one, the log has purged the later-keyed queue; broadcast the
+    /// key so in-flight tasks with later keys exit at their next traversal
+    /// step.  When the log commits — once every sequentially earlier task
+    /// has retired — stop the search and drain the pool.  Aborted tasks
+    /// (post-commit `ShortCircuited` flows) always carry keys after the
+    /// witness, so the log's fold ignores them.
+    fn on_task_end(
+        &self,
+        local: &mut OrderedLocal,
+        flow: Flow,
+        task: WorkerMetrics,
+        _metrics: &mut WorkerMetrics,
+        term: &Termination,
+    ) {
+        if flow == Flow::Cancelled {
+            local.cancelled += 1;
+            if let Some(trace) = &local.trace {
+                trace.emit(TraceEvent::SpeculationCancel { nodes: task.nodes });
+            }
+        }
+        let mut commit = self.commit.lock();
+        let retired = commit.retire(
+            &self.pool,
+            local.current.clone(),
+            (local.worker, task),
+            flow == Flow::ShortCircuited,
+        );
+        if let (Some(purged), Some(witness)) = (retired.purged, commit.witness()) {
+            self.cancel.broadcast(witness);
+            local.cancelled += purged as u64;
+            term.tasks_discarded(purged as u64);
+        }
+        if retired.committed {
+            term.short_circuit();
+            term.tasks_discarded(self.pool.clear() as u64);
+        }
+    }
+
+    /// Stragglers: a post-commit in-flight task may still have released
+    /// children after the commit cleared the pool.  Those tasks never run.
+    fn discard(&self) -> usize {
+        self.pool.clear()
+    }
+
+    fn on_exit(&self, local: &mut OrderedLocal, metrics: &mut WorkerMetrics) {
+        metrics.priority_inversions += local.inversions;
+        metrics.ordered_spawns += local.ordered_spawns;
+        metrics.cancelled_tasks += local.cancelled;
+    }
 }
 
-/// Run the Ordered coordination with the given spawn depth.
+/// Run the Ordered coordination with the given spawn depth.  The caller's
+/// `term` can be read afterwards: every spawned task is drained —
+/// completed, purged, skipped or cleared — even when the commit
+/// short-circuits the search.
 pub(crate) fn run<P, D>(
     problem: &P,
     driver: &D,
@@ -376,165 +400,28 @@ where
     P: SearchProblem,
     D: Driver<P>,
 {
-    run_with_term(problem, driver, config, spawn_depth, term, lifecycle)
-}
-
-/// [`run`] against a caller-supplied termination handle, so tests can verify
-/// the outstanding-task accounting after the run (every spawned task must be
-/// drained — completed, purged, skipped or cleared — even when the commit
-/// short-circuits the search).
-pub(crate) fn run_with_term<P, D>(
-    problem: &P,
-    driver: &D,
-    config: &SearchConfig,
-    spawn_depth: usize,
-    term: &Termination,
-    lifecycle: &Lifecycle,
-) -> (Vec<WorkerMetrics>, Duration)
-where
-    P: SearchProblem,
-    D: Driver<P>,
-{
-    let start = Instant::now();
     let workers = lifecycle.worker_count(config);
     // Under an elastic grant the dispatcher can lease extra workers onto the
     // live search, so shared structures are sized for every worker id the
     // grant could ever mint, not just the initial count.
     let capacity = lifecycle.worker_capacity(config);
-    let source = OrderedSource::new(capacity);
-    let policy = OrderedPolicy { spawn_depth };
-    WorkSource::<P>::seed(&source, Task::new(problem.root(), 0));
-
-    let mut all_metrics = engine::spawn_and_join(lifecycle, workers, |worker| {
-        worker_loop(problem, driver, &source, &policy, term, lifecycle, worker)
-    });
-    source.finalize(&mut all_metrics, &lifecycle.tracer);
-    // Stragglers: a post-commit in-flight task may still have released
-    // children after the commit cleared the pool.  Those tasks never run, so
-    // drain them here — after this, `outstanding() == 0` holds on every
-    // non-panicking run, short-circuited, cancelled or timed out alike.
-    term.tasks_discarded(source.pool.clear() as u64);
+    let source = OrderedSource::new(capacity, lifecycle.tracer.clone());
+    let (mut all_metrics, elapsed) = engine::run(
+        problem,
+        driver,
+        workers,
+        &source,
+        OrderedPolicy { spawn_depth },
+        term,
+        lifecycle,
+    );
+    source.finalize(&mut all_metrics);
     debug_assert_eq!(
         term.outstanding(),
         0,
         "an ordered run must account for every spawned task"
     );
-    (all_metrics, start.elapsed())
-}
-
-/// One ordered worker: issue smallest-key tasks, run them through the shared
-/// engine traversal with *per-task* metrics, and retire each into the commit
-/// log instead of short-circuiting on the spot.
-fn worker_loop<P, D>(
-    problem: &P,
-    driver: &D,
-    source: &OrderedSource<P::Node>,
-    policy: &OrderedPolicy,
-    term: &Termination,
-    lifecycle: &Lifecycle,
-    worker: usize,
-) -> WorkerMetrics
-where
-    P: SearchProblem,
-    D: Driver<P>,
-{
-    let _guard = UnwindGuard(term);
-    let mut local = WorkSource::<P>::register(source, worker);
-    let mut partial = driver.new_partial();
-    let mut backoff = IdleBackoff::new();
-    let mut lstate = LifecycleLocal::default();
-    let mut spawn_buf = Vec::new();
-    let mut retiring = false;
-    let trace = lifecycle.tracer.handle(worker as u32);
-
-    loop {
-        // External stop conditions are polled between tasks too, so idle
-        // speculating workers observe a deadline promptly.
-        lifecycle.poll(term);
-        if term.finished() {
-            break;
-        }
-        // Cooperative revocation: Ordered workers leave only *between* tasks
-        // — offloading a task's subtree mid-run would mint sequence keys
-        // under the wrong parent and corrupt the replicable commit order.
-        // The local holds no tasks, so there is nothing to hand back.
-        if lifecycle.try_claim_retire(worker) {
-            retiring = true;
-            break;
-        }
-        match source.issue(&mut local, Some(term)) {
-            Some(task) => {
-                backoff.reset();
-                let key = local.current.clone();
-                let mut task_metrics = WorkerMetrics::default();
-                if let Some(trace) = &trace {
-                    trace.emit(TraceEvent::TaskStart {
-                        depth: task.depth as u32,
-                    });
-                }
-                let flow = engine::run_task(
-                    problem,
-                    driver,
-                    &mut partial,
-                    &mut task_metrics,
-                    term,
-                    lifecycle,
-                    &mut lstate,
-                    source,
-                    &mut local,
-                    policy,
-                    task,
-                    &mut spawn_buf,
-                    trace.as_ref(),
-                    worker,
-                    None,
-                );
-                if let Some(trace) = &trace {
-                    trace.emit(TraceEvent::TaskEnd {
-                        nodes: task_metrics.nodes,
-                        prunes: task_metrics.prunes,
-                        backtracks: task_metrics.backtracks,
-                        spawns: task_metrics.spawns,
-                        batch_pushes: task_metrics.batch_pushes,
-                        poll_checks: task_metrics.poll_checks,
-                        max_depth: task_metrics.max_depth,
-                    });
-                    if flow == Flow::Cancelled {
-                        trace.emit(TraceEvent::SpeculationCancel {
-                            nodes: task_metrics.nodes,
-                        });
-                    }
-                }
-                if flow == Flow::Cancelled {
-                    local.cancelled += 1;
-                }
-                source.retire(key, worker, task_metrics, flow, term, &mut local);
-                term.task_completed();
-            }
-            None => {
-                if term.all_done() {
-                    break;
-                }
-                // Same idle backoff as the engine's loop: spin, then yield,
-                // then bounded sleeps so speculating workers neither starve
-                // the busy ones nor burn a core while the frontier drains.
-                backoff.wait();
-            }
-        }
-    }
-
-    driver.merge(partial);
-    if retiring {
-        // Ack last, after the partial is merged, so the dispatcher observing
-        // the released slot can never race an unmerged result.
-        lifecycle.ack_retire(worker);
-    }
-    WorkerMetrics {
-        priority_inversions: local.inversions,
-        ordered_spawns: local.ordered_spawns,
-        cancelled_tasks: local.cancelled,
-        ..WorkerMetrics::default()
-    }
+    (all_metrics, elapsed)
 }
 
 #[cfg(test)]
@@ -822,7 +709,7 @@ mod tests {
                 workers,
                 ..SearchConfig::default()
             };
-            let (_metrics, _elapsed) = run_with_term(
+            let (_metrics, _elapsed) = run(
                 &LeftWitness,
                 &driver,
                 &config,

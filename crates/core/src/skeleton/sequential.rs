@@ -29,7 +29,7 @@ where
         problem,
         driver,
         1,
-        RootSource::new(),
+        &RootSource::new(),
         NoSpawn,
         term,
         lifecycle,

@@ -394,7 +394,7 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
             .push_back(task);
     }
 
-    fn pop(&self, local: &mut Self::Local) -> Option<Task<P::Node>> {
+    fn pop(&self, local: &mut Self::Local, _term: &Termination) -> Option<Task<P::Node>> {
         local.backlog.pop_front()
     }
 
@@ -523,7 +523,7 @@ where
         problem,
         driver,
         workers,
-        StealSource::new(
+        &StealSource::new(
             capacity,
             config.steal_seed,
             chunked,

@@ -349,28 +349,24 @@ fn deadline_exceeded_unwinds_every_coordination_and_search_type() {
 fn external_cancel_unwinds_every_coordination_and_search_type() {
     for coordination in every_coordination() {
         for workers in [1usize, 4, 8] {
-            // One watchdog per search: tokens are single-use, so the
-            // skeleton is rebuilt with a fresh token per search type.
+            // Tokens are single-use, so each search gets a fresh token and a
+            // fresh skeleton; the search pulls it itself at its first
+            // expansion (see [`CancelAtExpansion`]).
             let label = format!("{coordination} workers={workers}");
-            let run = |make: &dyn Fn(&Skeleton)| {
+            let run = |make: &dyn Fn(&Skeleton, &CancelAtExpansion<Endless>)| {
                 let token = CancelToken::new();
                 let skeleton = Skeleton::new(coordination)
                     .workers(workers)
                     .cancel_token(token.clone());
-                let watchdog = std::thread::spawn(move || {
-                    std::thread::sleep(Duration::from_millis(10));
-                    token.cancel();
-                });
-                make(&skeleton);
-                watchdog.join().unwrap();
+                make(&skeleton, &CancelAtExpansion::new(Endless, token));
             };
-            run(&|s| {
-                let out = s.enumerate(&Endless);
+            run(&|s, p| {
+                let out = s.enumerate(p);
                 assert_eq!(out.status, SearchStatus::Cancelled, "{label}: enumerate");
                 assert_eq!(out.metrics.outstanding_tasks, 0, "{label}: enumerate");
             });
-            run(&|s| {
-                let out = s.maximise(&Endless);
+            run(&|s, p| {
+                let out = s.maximise(p);
                 assert_eq!(out.status, SearchStatus::Cancelled, "{label}: maximise");
                 assert_eq!(out.metrics.outstanding_tasks, 0, "{label}: maximise");
                 assert!(
@@ -378,8 +374,8 @@ fn external_cancel_unwinds_every_coordination_and_search_type() {
                     "{label}: cancelled maximise must keep its partial incumbent"
                 );
             });
-            run(&|s| {
-                let out = s.decide(&Endless);
+            run(&|s, p| {
+                let out = s.decide(p);
                 assert_eq!(out.status, SearchStatus::Cancelled, "{label}: decide");
                 assert_eq!(out.metrics.outstanding_tasks, 0, "{label}: decide");
                 assert!(out.witness.is_none(), "{label}: decide");
@@ -463,6 +459,62 @@ impl<P: yewpar::Optimise> yewpar::Optimise for ParkAtExpansion<P> {
     }
     fn prune_level(&self) -> yewpar::PruneLevel {
         self.inner.prune_level()
+    }
+}
+
+/// An instance wrapper that cancels its own search from inside: every
+/// expansion pulls `token` (only the first pull has an effect).  The root
+/// is scored before it is expanded, so a cancelled optimisation holds an
+/// incumbent by construction, and no watchdog thread races the root task.
+struct CancelAtExpansion<P> {
+    inner: P,
+    token: CancelToken,
+}
+
+impl<P> CancelAtExpansion<P> {
+    fn new(inner: P, token: CancelToken) -> Self {
+        CancelAtExpansion { inner, token }
+    }
+}
+
+impl<P: yewpar::SearchProblem> yewpar::SearchProblem for CancelAtExpansion<P> {
+    type Node = P::Node;
+    type Gen<'a>
+        = P::Gen<'a>
+    where
+        P: 'a;
+    fn root(&self) -> P::Node {
+        self.inner.root()
+    }
+    fn generator(&self, node: &P::Node) -> Self::Gen<'_> {
+        self.token.cancel();
+        self.inner.generator(node)
+    }
+}
+
+impl<P: yewpar::Enumerate> yewpar::Enumerate for CancelAtExpansion<P> {
+    type Value = P::Value;
+    fn value(&self, node: &P::Node) -> P::Value {
+        self.inner.value(node)
+    }
+}
+
+impl<P: yewpar::Optimise> yewpar::Optimise for CancelAtExpansion<P> {
+    type Score = P::Score;
+    fn objective(&self, node: &P::Node) -> P::Score {
+        self.inner.objective(node)
+    }
+    fn bound(&self, node: &P::Node) -> Option<P::Score> {
+        self.inner.bound(node)
+    }
+    fn prune_level(&self) -> yewpar::PruneLevel {
+        self.inner.prune_level()
+    }
+}
+
+impl<P: yewpar::Decide> yewpar::Decide for CancelAtExpansion<P> {
+    fn target(&self) -> P::Score {
+        self.inner.target()
     }
 }
 

@@ -578,15 +578,77 @@ fn session_quota_throttles_without_blocking_the_pool() {
     );
 }
 
+/// A tree whose root expansion holds its search until a gate opens and
+/// then for at least the `Duration` the gate was opened with, measured from
+/// when the root expansion began.  The gate carries the span of the
+/// submission window, so every held search runs longer than the spacing
+/// between any two submissions made inside that window.
+#[derive(Clone)]
+struct HeldRoot {
+    gate: Arc<std::sync::OnceLock<Duration>>,
+    inner: Irregular,
+}
+
+impl yewpar::SearchProblem for HeldRoot {
+    type Node = (usize, u64);
+    type Gen<'a> = std::vec::IntoIter<(usize, u64)>;
+    fn root(&self) -> (usize, u64) {
+        self.inner.root()
+    }
+    fn generator(&self, node: &(usize, u64)) -> Self::Gen<'_> {
+        if *node == self.inner.root() {
+            let entered = Instant::now();
+            let hold = loop {
+                if let Some(hold) = self.gate.get() {
+                    break *hold;
+                }
+                assert!(
+                    entered.elapsed() < Duration::from_secs(20),
+                    "gate never opened"
+                );
+                std::thread::sleep(Duration::from_micros(100));
+            };
+            if let Some(rest) = hold.checked_sub(entered.elapsed()) {
+                std::thread::sleep(rest);
+            }
+        }
+        self.inner.generator(node)
+    }
+}
+
+impl yewpar::Enumerate for HeldRoot {
+    type Value = yewpar::monoid::Sum<u64>;
+    fn value(&self, _n: &(usize, u64)) -> yewpar::monoid::Sum<u64> {
+        yewpar::monoid::Sum(1)
+    }
+}
+
 /// FIFO stays FIFO: queue waits are monotonically non-decreasing in
 /// submission order (recorded at grant time on the dispatcher side).
+///
+/// A wait is grant time minus submission time, so monotone waits need each
+/// search to run at least as long as the gap to the next submission.  The
+/// gate makes that hold by construction: it opens only after all three
+/// submissions, carrying the window they were made in, and each search
+/// holds its root at least that long.  Under FIFO the next grant comes
+/// after the previous search finished, so grant gaps cover submission gaps
+/// under any scheduler.
 #[test]
 fn fifo_queue_waits_are_monotone_in_submission_order() {
     let runtime = Runtime::new(RuntimeConfig::default().workers(2));
     let cfg = config(Coordination::depth_bounded(2), 2);
+    let problem = HeldRoot {
+        gate: Arc::new(std::sync::OnceLock::new()),
+        inner: Irregular { depth: 9, seed: 1 },
+    };
+    let window = Instant::now();
     let handles: Vec<_> = (0..3)
-        .map(|_| runtime.enumerate(Irregular { depth: 9, seed: 1 }, &cfg))
+        .map(|_| runtime.enumerate(problem.clone(), &cfg))
         .collect();
+    problem
+        .gate
+        .set(window.elapsed())
+        .expect("the gate opens once");
     let waits: Vec<Duration> = handles
         .into_iter()
         .map(|h| h.wait().metrics.queue_wait)
