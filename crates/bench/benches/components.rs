@@ -279,8 +279,8 @@ fn bench_runtime_submission(c: &mut Criterion) {
 /// FIFO policy (each search granted the whole 4-worker pool) versus
 /// concurrently by FairShare (the pool split across the four).  The total
 /// work is identical; the row quantifies what admission-time multiplexing
-/// costs or saves end-to-end on the persistent pool, including the
-/// per-search driver threads FairShare spawns.
+/// costs or saves end-to-end on the persistent pool, including FairShare's
+/// lease changes.
 fn bench_runtime_multiplexing(c: &mut Criterion) {
     use yewpar::schedule::{FairShare, Fifo, SchedulePolicy};
 

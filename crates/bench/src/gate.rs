@@ -159,7 +159,7 @@ pub fn trace_neutrality_violations(localities: usize, workers_per_locality: usiz
 /// *k* granted its full request at max(arrival, predecessor's finish) and
 /// running with exactly the makespan and node count of its own solo
 /// [`simulate_enumerate`] — with zero lease renegotiations.  Lease
-/// renegotiation may only change behaviour when a concurrent policy opts
+/// renegotiation may only change behaviour when a policy's `replan` opts
 /// in; this is the gate that keeps every committed baseline number valid.
 /// Returns one description per violation (empty = gate passes).
 pub fn serial_schedule_violations(pool_workers: usize) -> Vec<String> {

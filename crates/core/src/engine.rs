@@ -381,47 +381,38 @@ where
 
 /// Run `worker_fn` on `workers` worker threads and collect their metrics.
 ///
-/// A single worker runs inline on the calling thread — no spawn/join cost,
-/// and panics propagate unchanged.  With several workers, worker 0 always
-/// runs inline on the calling thread, which is already running, so the
-/// root task never waits for a fresh thread to be scheduled (a search with
-/// a short deadline would otherwise end before any worker started).  With
-/// no pool on the `lifecycle`, a scoped thread is spawned per other
-/// worker; with a persistent [`WorkerPool`](crate::runtime::WorkerPool)
-/// (runtime submissions), the pool's one runner dispatches the other
-/// workers to the pool threads leased by the scheduler's grant (the whole
-/// pool when no grant restricts it) — no per-search thread spawn, and
-/// concurrently multiplexed searches stay on disjoint threads.  Either way
-/// a worker panic is caught (inline for worker 0, at join for the rest) and
-/// re-raised here as "a search worker panicked" ("poison handling").
+/// Worker 0 always runs inline on the calling thread, which is already
+/// running, so the root task never waits for a fresh thread to be scheduled
+/// (a search with a short deadline would otherwise end before any worker
+/// started).  A runtime submission's calling thread is the home slot of its
+/// grant, and the pool's one runner dispatches the other workers to the
+/// rest of the lease — no per-search thread spawn, and concurrently
+/// multiplexed searches stay on disjoint threads.  The blocking facade runs
+/// a single worker with no further cost and spawns a scoped thread per
+/// other worker.  Either way a worker panic is caught (inline for worker 0,
+/// at join for the rest) and re-raised here as "a search worker panicked"
+/// ("poison handling").
 fn spawn_and_join<F>(lifecycle: &Lifecycle, workers: usize, worker_fn: F) -> Vec<WorkerMetrics>
 where
     F: Fn(usize) -> WorkerMetrics + Sync,
 {
-    let grant = lifecycle.grant.as_ref();
-    // An *elastic* grant (concurrent scheduling policy) must go through the
-    // pool even at one worker: the dispatcher can lease extra slots onto the
-    // live search at any moment, and only the runner's armed hook can
-    // accept them.
-    let elastic = grant.and_then(|grant| grant.core.as_ref());
-    if elastic.is_none() && workers == 1 {
-        return vec![worker_fn(0)];
-    }
-    if let Some(pool) = lifecycle.pool.as_deref() {
-        let whole_pool: Vec<usize>;
-        let lease = match grant {
-            Some(grant) => &grant.slots[..],
-            None => {
-                whole_pool = (0..pool.size()).collect();
-                &whole_pool
+    match &lifecycle.grant {
+        Some(grant) => {
+            // A grant goes through the pool even at one worker: the
+            // dispatcher can lease extra slots onto the live search at any
+            // moment, and only the runner's armed hook can accept them.
+            // Helpers never go to the home slot, which worker 0 occupies.
+            let helpers = grant.slots.get(1..).unwrap_or_default();
+            if workers == 1 || !helpers.is_empty() {
+                return grant
+                    .pool
+                    .scoped_run(&grant.core, helpers, workers, &worker_fn);
             }
-        };
-        // A zero-thread pool (a workers=1 runtime asked to run a
-        // multi-worker search) or a zero-slot fixed lease has no threads to
-        // dispatch to; fall through to scoped threads.
-        if elastic.is_some() || !lease.is_empty() {
-            return pool.scoped_run(elastic, lease, workers, &worker_fn);
+            // A one-slot lease asked for several workers (an oversubscribed
+            // grant on a one-thread pool): scoped threads below.
         }
+        None if workers == 1 => return vec![worker_fn(0)],
+        None => {}
     }
     let poisoned = AtomicBool::new(false);
     let mut all_metrics = vec![WorkerMetrics::default(); workers];

@@ -354,13 +354,11 @@ pub(crate) struct Lifecycle {
     pub(crate) deadline: Option<Instant>,
     /// Progress sink, if a consumer subscribed.
     pub(crate) progress: Option<ProgressSender>,
-    /// Persistent worker pool to run on instead of spawning scoped threads
-    /// (set by [`Runtime`](crate::runtime::Runtime) submissions).
-    pub(crate) pool: Option<Arc<crate::runtime::WorkerPool>>,
-    /// The worker allotment granted by the runtime's scheduler at dispatch
-    /// time: the effective worker count, the leased pool-thread slots, the
+    /// The worker lease granted by the runtime's scheduler at dispatch
+    /// time: the effective worker count, the pool and its leased slots, the
     /// search id and the observed queue wait.  `None` for the plain blocking
-    /// facade, whose worker count comes from the config instead.
+    /// facade, whose worker count comes from the config and whose workers
+    /// run on scoped threads.
     pub(crate) grant: Option<crate::runtime::ExecutionGrant>,
     /// Wall-clock start of the execution (heartbeat/incumbent timestamps).
     pub(crate) start: Option<Instant>,
@@ -423,37 +421,29 @@ impl Lifecycle {
             .max(1)
     }
 
-    /// Upper bound on worker ids this execution can ever observe.  Fixed
-    /// grants and the blocking facade never outgrow
-    /// [`worker_count`](Lifecycle::worker_count); an *elastic* grant (one
-    /// carrying a live lease core) can be grown by the dispatcher up to the
-    /// whole pool plus the inline worker, so per-worker structures (work
-    /// sources, steal channels, result slots) must be sized to the pool
-    /// capacity, not the initial grant.
+    /// Upper bound on worker ids this execution can ever observe.  The
+    /// blocking facade never outgrows
+    /// [`worker_count`](Lifecycle::worker_count); a runtime grant can be
+    /// grown by the dispatcher up to the whole pool, so per-worker
+    /// structures (work sources, steal channels, result slots) must be
+    /// sized to the pool capacity, not the initial grant.
     pub(crate) fn worker_capacity(&self, config: &crate::params::SearchConfig) -> usize {
-        match (&self.grant, &self.pool) {
-            (Some(grant), Some(pool)) if grant.core.is_some() => {
-                (pool.size() + 1).max(self.worker_count(config))
-            }
-            _ => self.worker_count(config),
-        }
+        let pool = self.grant.as_ref().map_or(0, |grant| grant.pool.size());
+        self.worker_count(config).max(pool)
     }
 
     /// Try to claim a pending cooperative revocation for `worker`.  Returns
     /// `true` when the claim succeeded — the worker must then finish its
     /// current task, hand its local work back through
     /// `WorkSource::retire`, and call [`ack_retire`](Lifecycle::ack_retire)
-    /// before exiting.  Worker 0 (the submitting thread's inline worker)
-    /// never retires: it owns the result seam.  Always `false` for fixed
-    /// grants.
+    /// before exiting.  Worker 0 (on the home slot) never retires: it owns
+    /// the result seam.  Always `false` for the blocking facade.
     pub(crate) fn try_claim_retire(&self, worker: usize) -> bool {
-        if worker == 0 {
-            return false;
-        }
-        match self.grant.as_ref().and_then(|g| g.core.as_ref()) {
-            Some(core) => core.try_claim_retire(),
-            None => false,
-        }
+        worker != 0
+            && self
+                .grant
+                .as_ref()
+                .is_some_and(|grant| grant.core.try_claim_retire())
     }
 
     /// Acknowledge a claimed revocation: returns the worker's leased slot to
@@ -462,8 +452,8 @@ impl Lifecycle {
     /// (Lifecycle::try_claim_retire) and after the worker's local work has
     /// been rehomed.
     pub(crate) fn ack_retire(&self, worker: usize) {
-        if let Some(core) = self.grant.as_ref().and_then(|g| g.core.as_ref()) {
-            core.ack_retire(worker);
+        if let Some(grant) = &self.grant {
+            grant.core.ack_retire(worker);
         }
     }
 

@@ -116,11 +116,12 @@ pub struct Metrics {
     /// [`FairShare`](crate::schedule::FairShare)); for the blocking facade
     /// it equals [`workers`](Metrics::workers).
     pub granted_workers: usize,
-    /// The pool-thread slots leased to this search — **disjoint** between
-    /// concurrently multiplexed searches, which is exactly what the
-    /// scheduler-matrix tests assert.  Empty for the blocking facade and
-    /// for single-worker grants (worker 0 runs on the driver thread, not a
-    /// pool thread).
+    /// The pool-thread slots leased to this search at grant time, the home
+    /// slot (where the search job and worker 0 run) first — **disjoint**
+    /// between concurrently multiplexed searches, which is exactly what the
+    /// scheduler-matrix tests assert.  One slot per granted worker, or the
+    /// whole pool for an oversubscribed grant; empty for the blocking
+    /// facade.
     pub granted_slots: Vec<usize>,
     /// Time the submission waited in the runtime's queue before its grant,
     /// measured on the **dispatcher's** clock (receipt → grant), so it is

@@ -38,27 +38,31 @@
 //! assert_eq!(outcome.value.0, 2u64.pow(11) - 1);
 //! ```
 //!
-//! **Scheduling model.**  The dispatcher is an *allocator*: the pool's
-//! worker slots belong to the runtime, and every submission is granted an
-//! allotment at dispatch time by a pluggable
-//! [`SchedulePolicy`], whose decisions the dispatcher carries out through a
-//! [`Ledger`] (the same one the virtual-time simulator drives).  Under the
-//! default [`Fifo`] policy submissions run one at a time over the whole
-//! pool, granted exactly the worker count they asked for — the PR 4
-//! behaviour, unchanged.  Under
-//! [`FairShare`](crate::schedule::FairShare)
+//! **Scheduling model.**  The dispatcher is an *allocator*: the pool keeps
+//! one persistent thread per worker, its slots belong to the runtime, and
+//! every submission is granted an allotment at dispatch time by a
+//! pluggable [`SchedulePolicy`], whose decisions the dispatcher carries out
+//! through a [`Ledger`] (the same one the virtual-time simulator drives).
+//! There is one launch path for every policy: a grant leases one pool slot
+//! per granted worker, the dispatcher sends the search job to the lease's
+//! first ("home") slot, worker 0 runs there and workers 1.. run on the
+//! rest of the lease, and the lease is reclaimed when the job reports
+//! back.  The dispatcher itself never runs a search and no thread is
+//! spawned per search.  Under the default [`Fifo`] policy submissions run
+//! one at a time over the whole pool, granted exactly the worker count
+//! they asked for.  Under [`FairShare`](crate::schedule::FairShare)
 //! ([`Runtime::with_policy`]) the free workers are split proportionally
 //! across the pending queue and several searches run **concurrently on
-//! disjoint pool-thread subsets**, each with its own driver thread; leases
-//! are reclaimed and re-granted as searches finish.  The granted worker
-//! count, leased slots and dispatcher-clock queue wait are stamped onto
-//! each outcome's [`Metrics`](crate::metrics::Metrics)
-//! (`granted_workers`, `granted_slots`, `queue_wait`, `search_id`), and
-//! pool-wide gauges are available through [`Runtime::stats`].
+//! disjoint pool-thread subsets**; leases are reclaimed and re-granted as
+//! searches finish.  The granted worker count, leased slots and
+//! dispatcher-clock queue wait are stamped onto each outcome's
+//! [`Metrics`](crate::metrics::Metrics) (`granted_workers`,
+//! `granted_slots`, `queue_wait`, `search_id`), and pool-wide gauges are
+//! available through [`Runtime::stats`].
 //!
-//! **Elastic leases.**  Under a concurrent policy a grant is a *lease*, not
-//! a fixed allotment: every [`RuntimeConfig::replan_period`] the dispatcher
-//! snapshots the running searches and asks the policy to
+//! **Elastic leases.**  Every grant is a *lease*, not a fixed allotment:
+//! while searches run, every [`RuntimeConfig::replan_period`] the
+//! dispatcher snapshots them and asks the policy to
 //! [`replan`](crate::schedule::SchedulePolicy::replan).  A
 //! [`Grow`](crate::schedule::Adjustment::Grow) leases additional pool slots
 //! onto a live search (the new workers join its work source mid-run); a
@@ -72,8 +76,8 @@
 //! [`Metrics`](crate::metrics::Metrics) (`grant_changes`,
 //! `workers_preempted`, `revocation_latency`) and on [`Runtime::stats`],
 //! and traced as `grant_grown` / `grant_shrunk` / `worker_revoked` events.
-//! Under the serial [`Fifo`] policy none of this machinery runs: grants
-//! keep the exact PR 4 fixed-for-life semantics.
+//! [`Fifo`] keeps the default `replan`, which returns no adjustments, so
+//! its grants stay fixed for life.
 //!
 //! **Sessions and hierarchical cancellation.**  Cancel tokens form a tree:
 //! [`Runtime::session`] opens a [`Session`] scope (a child of the
@@ -119,19 +123,31 @@ use crate::trace::{TraceBuffer, TraceEvent, TraceRecord, Tracer};
 /// A search-worker closure with its lifetime erased so it can cross into a
 /// persistent pool thread.  Soundness rests on the latch protocol of
 /// [`WorkerPool::scoped_run`]: the caller does not return (and therefore the
-/// borrowed closure cannot die) until every job has signalled completion,
-/// and a job never touches the pointer after signalling.
-struct ScopedJob {
-    f: *const (dyn Fn(usize) -> WorkerMetrics + Sync),
-    index: usize,
-    state: Arc<ScopedState>,
+/// borrowed closure cannot die) until every job has signalled completion
+/// and the grant's hook is disarmed, and a job never touches the pointer
+/// after signalling.
+#[derive(Clone, Copy)]
+struct ErasedWorker(*const (dyn Fn(usize) -> WorkerMetrics + Sync));
+
+// SAFETY: the raw closure pointer is only dereferenced by jobs counted on
+// the completion latch (an attached worker is counted before it is sent),
+// and `scoped_run` does not return — so the referent stays alive — until
+// the latch is zero *and* the grant's hook, the only other holder of the
+// pointer, is disarmed under its lock.  The closure itself is `Sync`, so
+// shared calls from several pool threads are fine.
+unsafe impl Send for ErasedWorker {}
+
+impl ErasedWorker {
+    /// The pool task that runs worker `index` of the scoped run whose latch
+    /// is `state`.
+    fn task(self, index: usize, state: Arc<ScopedState>) -> PoolTask {
+        Box::new(move || run_scoped_inline(self, index, &state))
+    }
 }
 
-// SAFETY: the raw closure pointer is only dereferenced while the
-// `scoped_run` caller is blocked on the completion latch, which keeps the
-// referent alive; the closure itself is `Sync`, so shared calls from
-// several pool threads are fine.
-unsafe impl Send for ScopedJob {}
+/// What a pool thread runs: a scoped search worker, or a whole search job
+/// sent by the dispatcher to the home slot of its lease.
+type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 
 /// Completion latch + result slots shared between one `scoped_run` call and
 /// the pool threads executing its jobs.
@@ -140,20 +156,20 @@ struct ScopedState {
     /// race-free.
     remaining: Mutex<usize>,
     done: Condvar,
-    /// One slot per worker index (index 0 is the inline caller's).
+    /// One slot per worker id (id 0 is the inline caller's).
     results: Mutex<Vec<Option<WorkerMetrics>>>,
     /// Set when any job panicked; the caller re-raises after the join.
     poisoned: AtomicBool,
 }
 
-/// A pool of persistent, parked worker threads that scoped search workers
-/// run on — the engine-facing half of [`Runtime`].  One runner,
-/// `scoped_run`, serves fixed leases (Fifo) and elastic ones (concurrent
-/// policies) alike.  Public only to the crate; the public API is `Runtime`.
+/// A pool of persistent, parked worker threads, one per runtime worker —
+/// the engine-facing half of [`Runtime`].  Search jobs run on a slot of
+/// their lease and their workers through the one runner, `scoped_run`.
+/// Public only to the crate; the public API is `Runtime`.
 pub struct WorkerPool {
-    /// One job channel per thread: the vendored channel shim is single-
+    /// One task channel per thread: the vendored channel shim is single-
     /// consumer, and per-thread queues also keep dispatch deterministic.
-    senders: Vec<Sender<ScopedJob>>,
+    senders: Vec<Sender<PoolTask>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -174,7 +190,7 @@ impl WorkerPool {
             // Deep enough that an oversubscribed search (more workers than
             // pool threads) can queue all its extra jobs without blocking
             // the dispatching thread.
-            let (tx, rx) = bounded::<ScopedJob>(1024);
+            let (tx, rx) = bounded::<PoolTask>(1024);
             senders.push(tx);
             handles.push(
                 std::thread::Builder::new()
@@ -194,20 +210,22 @@ impl WorkerPool {
         self.senders.len()
     }
 
-    /// Run `count` scoped search workers on the *leased* pool threads in
-    /// `slots`: worker 0 inline on the calling thread, workers 1.. on the
-    /// listed pool threads (round-robin over the lease; with more workers
-    /// than leased threads the surplus run after earlier ones retire, which
-    /// is safe — search termination never requires a minimum worker count,
-    /// late workers simply find the search finished).  Restricting dispatch
-    /// to the lease is what keeps concurrently multiplexed searches on
-    /// **disjoint** worker subsets.  Blocks until every worker has
-    /// completed; a panic in any worker is re-raised as "a search worker
-    /// panicked", matching the scoped-thread path.
+    /// Run `count` scoped search workers of the grant `core`: worker 0
+    /// inline on the calling thread (a runtime search's home slot), workers
+    /// 1.. on the `helpers` pool threads — the rest of the lease, never the
+    /// calling thread's own slot, where a queued helper would wait behind
+    /// worker 0 forever.  Helpers round-robin over `helpers`; with more
+    /// workers than helper threads (an oversubscribed grant) the surplus run
+    /// after earlier ones retire, which is safe — search termination never
+    /// requires a minimum worker count, late workers simply find the search
+    /// finished.  Restricting dispatch to the lease is what keeps
+    /// concurrently multiplexed searches on **disjoint** worker subsets.
+    /// Blocks until every worker has completed; a panic in any worker is
+    /// re-raised as "a search worker panicked", matching the scoped-thread
+    /// path.
     ///
-    /// With an *elastic* lease `core` (one slot per initial helper), the
-    /// run also accepts workers joining and leaving mid-run.  While it is
-    /// live the core's *hook* holds the lifetime-erased worker closure;
+    /// The run also accepts workers joining and leaving mid-run.  While it
+    /// is live the core's *hook* holds the lifetime-erased worker closure;
     /// [`GrantCore::try_attach`] uses it to dispatch extra workers onto
     /// newly leased slots, bumping the completion latch before the job is
     /// sent so the latch can never reach zero with a worker outstanding.
@@ -218,8 +236,8 @@ impl WorkerPool {
     /// where a grow lands between the latch reaching zero and the disarm.
     pub(crate) fn scoped_run<F>(
         &self,
-        core: Option<&Arc<GrantCore>>,
-        slots: &[usize],
+        core: &GrantCore,
+        helpers: &[usize],
         count: usize,
         worker_fn: &F,
     ) -> Vec<WorkerMetrics>
@@ -228,25 +246,17 @@ impl WorkerPool {
     {
         assert!(count >= 1);
         assert!(
-            count == 1 || !slots.is_empty(),
-            "scoped_run with no leased pool threads (callers fall back to scoped threads)"
+            count == 1 || !helpers.is_empty(),
+            "scoped_run with no helper pool threads (callers fall back to scoped threads)"
         );
         debug_assert!(
-            slots.iter().all(|&s| s < self.senders.len()),
+            helpers.iter().all(|&s| s < self.senders.len()),
             "leased slot out of range"
         );
-        debug_assert!(
-            core.is_none() || count - 1 == slots.len(),
-            "elastic grants are 1:1"
-        );
-        let results = match core {
-            Some(_) => (self.size() + 1).max(count),
-            None => count,
-        };
         let state = Arc::new(ScopedState {
             remaining: Mutex::new(count - 1),
             done: Condvar::new(),
-            results: Mutex::new((0..results).map(|_| None).collect()),
+            results: Mutex::new((0..self.size().max(count)).map(|_| None).collect()),
             poisoned: AtomicBool::new(false),
         });
         // SAFETY: erase the borrow's lifetime so the pointer can cross into
@@ -254,28 +264,22 @@ impl WorkerPool {
         // for attached workers) guarantees this function does not return —
         // and `worker_fn` therefore stays alive — until every job has
         // finished dereferencing it.
-        let erased: *const (dyn Fn(usize) -> WorkerMetrics + Sync) = unsafe {
+        let erased = ErasedWorker(unsafe {
             std::mem::transmute::<
                 &(dyn Fn(usize) -> WorkerMetrics + Sync + '_),
                 *const (dyn Fn(usize) -> WorkerMetrics + Sync + 'static),
             >(worker_fn)
-        };
-        if let Some(core) = core {
-            core.arm(ElasticHook {
-                state: Arc::clone(&state),
-                f: erased,
-            });
-        }
+        });
+        core.arm(ElasticHook {
+            state: Arc::clone(&state),
+            f: erased,
+        });
         for index in 1..count {
-            let job = ScopedJob {
-                f: erased,
-                index,
-                state: Arc::clone(&state),
-            };
-            if !self.send_to_slot(slots[(index - 1) % slots.len()], job) {
+            let task = erased.task(index, Arc::clone(&state));
+            if let Err(task) = self.send_to_slot(helpers[(index - 1) % helpers.len()], task) {
                 // The pool is shutting down; run the worker inline instead
                 // of losing it (the latch still expects its completion).
-                run_scoped_inline(erased, index, &state);
+                task();
             }
         }
         // The calling thread is worker 0 — it would otherwise just block.
@@ -291,23 +295,18 @@ impl WorkerPool {
             }
         };
         // Wait out the helpers before touching the results (and before the
-        // borrowed closure can go out of scope).  An elastic run then
-        // disarms the hook under the core's lock; `try_attach` increments
-        // the latch under that same lock, so after a zero-latch re-check
-        // with the lock held no new worker can exist.
+        // borrowed closure can go out of scope), then disarm the hook under
+        // the core's lock; `try_attach` increments the latch under that
+        // same lock, so after a zero-latch re-check with the lock held no
+        // new worker can exist.
         let used = loop {
             let mut remaining = state.remaining.lock().expect("latch lock");
             while *remaining > 0 {
                 remaining = state.done.wait(remaining).expect("latch wait");
             }
             drop(remaining);
-            match core {
-                None => break count,
-                Some(core) => {
-                    if let Some(used) = core.try_disarm(&state) {
-                        break used;
-                    }
-                }
+            if let Some(used) = core.try_disarm(&state) {
+                break used;
             }
         };
         let mut results = state.results.lock().expect("results lock");
@@ -331,17 +330,18 @@ impl WorkerPool {
         all
     }
 
-    /// Send one scoped job to a specific pool thread.  Returns `false` when
+    /// Send one task to a specific pool thread.  Hands the task back when
     /// the pool is shutting down (the channel is closed).
-    fn send_to_slot(&self, slot: usize, job: ScopedJob) -> bool {
+    fn send_to_slot(&self, slot: usize, task: PoolTask) -> Result<(), PoolTask> {
         match self.senders.get(slot) {
-            Some(tx) => tx.send(job).is_ok(),
-            None => false,
+            Some(tx) => tx.send(task).map_err(|err| err.0),
+            None => Err(task),
         }
     }
 
-    /// Close the job channels and join every thread.  Called by
-    /// [`Runtime`]'s drop after the dispatcher has drained.
+    /// Close the task channels and join every thread.  Called by
+    /// [`Runtime`]'s drop after the dispatcher has drained; never on a pool
+    /// thread, which would join itself.
     fn shutdown(&mut self) {
         self.senders.clear();
         for handle in self.threads.drain(..) {
@@ -358,13 +358,9 @@ impl Drop for WorkerPool {
 
 /// Execute one scoped job, recording its result (or the poison flag) and
 /// signalling the latch even on panic.
-fn run_scoped_inline(
-    f: *const (dyn Fn(usize) -> WorkerMetrics + Sync),
-    index: usize,
-    state: &Arc<ScopedState>,
-) {
-    // SAFETY: see `ScopedJob` — the referent outlives the latch.
-    let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*f)(index) }));
+fn run_scoped_inline(f: ErasedWorker, index: usize, state: &Arc<ScopedState>) {
+    // SAFETY: see `ErasedWorker` — the referent outlives the latch.
+    let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*f.0)(index) }));
     let result = match outcome {
         Ok(metrics) => Some(metrics),
         Err(_) => {
@@ -391,17 +387,17 @@ fn run_scoped_inline(
     }
 }
 
-/// A pool thread: park on the job channel, run scoped jobs as they arrive,
-/// survive job panics (they are reported through the latch, not by killing
-/// the thread).
-fn pool_thread(rx: Receiver<ScopedJob>) {
-    while let Ok(job) = rx.recv() {
-        run_scoped_inline(job.f, job.index, &job.state);
+/// A pool thread: park on the task channel and run tasks as they arrive.
+/// Tasks never unwind into it — workers report panics through their latch
+/// and search jobs through their handle — so the thread survives them.
+fn pool_thread(rx: Receiver<PoolTask>) {
+    while let Ok(task) = rx.recv() {
+        task();
     }
 }
 
-/// The live half of an elastic run: the worker closure and completion
-/// latch of the search currently executing, held by its [`GrantCore`] so
+/// The live half of a scoped run: the worker closure and completion latch
+/// of the search currently executing, held by its [`GrantCore`] so
 /// [`GrantCore::try_attach`] can dispatch extra workers onto newly leased
 /// slots mid-run.  Armed by
 /// [`scoped_run`](WorkerPool::scoped_run) before the first
@@ -409,29 +405,22 @@ fn pool_thread(rx: Receiver<ScopedJob>) {
 /// finishes.
 struct ElasticHook {
     state: Arc<ScopedState>,
-    f: *const (dyn Fn(usize) -> WorkerMetrics + Sync),
+    f: ErasedWorker,
 }
 
-// SAFETY: the raw closure pointer is only dereferenced by jobs dispatched
-// while the hook is armed, and `scoped_run` does not return (so the
-// referent stays alive) until the latch is zero *and* the hook is disarmed
-// under the lock — after which no further dispatch can observe it.  The
-// closure is `Sync`, so concurrent calls are fine.
-unsafe impl Send for ElasticHook {}
-
-/// Mutexed bookkeeping of one elastic lease (see [`GrantCore`]).
+/// Mutexed bookkeeping of one lease (see [`GrantCore`]).
 struct GrantInner {
-    /// Live workers, *including* worker 0 on the driver thread and workers
+    /// Live workers, *including* worker 0 on the home slot and workers
     /// that claimed a revocation but have not acknowledged it yet.
     worker_count: usize,
     /// Next fresh worker id; ids freed by revocation are recycled first, so
-    /// this never exceeds the pool capacity + 1.
+    /// this never exceeds the larger of the pool capacity and the grant.
     next_worker_id: usize,
     /// Worker ids freed by acknowledged revocations, available for reuse.
     free_ids: Vec<usize>,
-    /// Pool slots currently leased to the search (excludes the driver).
+    /// Pool slots currently leased to the search, the home slot first.
     held_slots: Vec<usize>,
-    /// `(worker_id, slot)` for every worker dispatched onto a pool slot.
+    /// `(worker_id, slot)` for every helper dispatched onto a pool slot.
     assignments: Vec<(usize, usize)>,
     /// Issue timestamps of unacknowledged revocation requests (FIFO); the
     /// front one is consumed at each acknowledgement for its latency.
@@ -443,16 +432,17 @@ struct GrantInner {
     hook: Option<ElasticHook>,
 }
 
-/// The shared, versioned state of one elastic grant — the renegotiable half
-/// of an [`ExecutionGrant`].  The dispatcher grows the lease through
+/// The shared, versioned state of one lease — the renegotiable half of an
+/// [`ExecutionGrant`].  The dispatcher grows the lease through
 /// [`try_attach`](GrantCore::try_attach) and shrinks it through
 /// [`request_revoke`](GrantCore::request_revoke); engine workers observe
 /// revocation requests at their lifecycle polls
 /// ([`try_claim_retire`](GrantCore::try_claim_retire)) and acknowledge with
 /// [`ack_retire`](GrantCore::ack_retire), which returns the slot to the
-/// dispatcher via a [`Control::Released`] message.  `None` of this exists
-/// for serial-policy grants ([`ExecutionGrant::core`] is `None`): the Fifo
-/// fast path carries zero elastic overhead.
+/// dispatcher via a [`Control::Released`] message.  Every runtime grant has
+/// one; under [`Fifo`], whose `replan` returns no adjustments, it is never
+/// grown or shrunk, and its workers' only cost is one relaxed load of
+/// `revoke_pending` per lifecycle poll.
 pub(crate) struct GrantCore {
     pub(crate) search_id: u64,
     /// Bumped on every lease change (attach, revocation request, ack).
@@ -482,6 +472,11 @@ impl std::fmt::Debug for GrantCore {
 }
 
 impl GrantCore {
+    /// The lease of `workers` workers over `slots`, the home slot first.
+    /// Helpers are assigned round-robin over the slots after the home one,
+    /// as [`WorkerPool::scoped_run`] dispatches them; an oversubscribed
+    /// lease repeats slots, and a one-slot lease assigns none (its helpers
+    /// run on scoped threads).
     fn new(search_id: u64, workers: usize, slots: &[usize], released_tx: Sender<Control>) -> Self {
         GrantCore {
             search_id,
@@ -496,7 +491,9 @@ impl GrantCore {
                 next_worker_id: workers,
                 free_ids: Vec::new(),
                 held_slots: slots.to_vec(),
-                assignments: (1..workers).map(|i| (i, slots[i - 1])).collect(),
+                assignments: (1..workers)
+                    .zip(slots.iter().skip(1).copied().cycle())
+                    .collect(),
                 revocations: VecDeque::new(),
                 retiring: 0,
                 hook: None,
@@ -545,12 +542,10 @@ impl GrantCore {
             let mut remaining = state.remaining.lock().expect("latch lock");
             *remaining += 1;
         }
-        let job = ScopedJob {
-            f,
-            index: worker_id,
-            state: Arc::clone(&state),
-        };
-        if !pool.send_to_slot(slot, job) {
+        if pool
+            .send_to_slot(slot, f.task(worker_id, Arc::clone(&state)))
+            .is_err()
+        {
             let mut remaining = state.remaining.lock().expect("latch lock");
             *remaining -= 1;
             if *remaining == 0 {
@@ -570,7 +565,8 @@ impl GrantCore {
     }
 
     /// Issue up to `want` cooperative revocation requests, never shrinking
-    /// the lease below one worker (the driver's worker 0 never claims).
+    /// the lease below one worker (worker 0, on the home slot, never
+    /// claims).
     /// Returns how many were actually issued.
     fn request_revoke(&self, want: usize) -> usize {
         let mut inner = self.inner.lock().expect("grant lock");
@@ -665,7 +661,7 @@ impl GrantCore {
     /// Dispatcher-side teardown at search finish: clear any unclaimed
     /// revocation requests and return the remaining lease
     /// `(workers, slots)` for reclamation.  Every acknowledgement
-    /// happens-before the driver's `Finished` message, so the returned
+    /// happens-before the search job's `Finished` message, so the returned
     /// numbers are settled.
     fn teardown(&self) -> (usize, Vec<usize>) {
         let mut inner = self.inner.lock().expect("grant lock");
@@ -701,69 +697,40 @@ impl SessionQuota {
     }
 }
 
-/// The background gauge sampler ([`RuntimeConfig::gauge_period`]): snapshot
-/// the pool-wide gauges every `period` and record them as `RuntimeGauge`
-/// events until told to stop.  The period is slept in bounded chunks so
-/// shutdown never waits out a long sampling interval.
-fn gauge_sampler(stop: Arc<AtomicBool>, gauges: Arc<PoolGauges>, tracer: Tracer, period: Duration) {
-    const CHUNK: Duration = Duration::from_millis(10);
-    // ordering: pure shutdown flag guarding no data; a stale read costs at
-    // most one extra sample/chunk before the next load observes the store.
-    while !stop.load(Ordering::Relaxed) {
-        let stats = gauges.snapshot();
-        tracer.control(TraceEvent::RuntimeGauge {
-            active: stats.active_searches as u32,
-            granted: stats.granted_workers as u32,
-            queued: stats.queued_searches as u32,
-            completed: stats.completed_searches,
-            peak: stats.peak_active_searches as u32,
-        });
-        let mut remaining = period;
-        // ordering: same shutdown flag as above; staleness only delays exit.
-        while !remaining.is_zero() && !stop.load(Ordering::Relaxed) {
-            let chunk = remaining.min(CHUNK);
-            std::thread::sleep(chunk);
-            remaining = remaining.saturating_sub(chunk);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Runtime
 // ---------------------------------------------------------------------------
 
+/// Capacity of the dispatcher's control channel.  Submitting beyond it
+/// blocks the submitter until the dispatcher catches up (backpressure, not
+/// an error).
+const QUEUE_CAPACITY: usize = 256;
+
 /// Configuration of a [`Runtime`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Maximum search workers that can run in parallel.  The pool keeps
-    /// `workers - 1` persistent threads (the dispatching thread itself runs
-    /// worker 0 of each search), so a search configured with up to this
-    /// many workers executes with zero thread spawns.
+    /// Maximum search workers that can run in parallel.  The pool keeps one
+    /// persistent thread per worker and every search runs on the pool
+    /// threads leased to it, worker 0 included, so a search configured with
+    /// up to this many workers executes with zero thread spawns.
     pub workers: usize,
     /// Capacity of each handle's bounded progress channel; events beyond a
     /// lagging consumer are dropped, never blocked on.
     pub progress_capacity: usize,
-    /// Capacity of the FIFO submission queue.  Submitting beyond it blocks
-    /// the submitter until the dispatcher catches up (backpressure, not an
-    /// error).
-    pub queue_capacity: usize,
     /// Record every search submitted to this runtime — plus the
-    /// dispatcher's queue/grant transitions — on one runtime-wide flight
-    /// recorder, drained with [`Runtime::drain_trace`].  Off by default and
-    /// free when off (see [`crate::trace`]).
+    /// dispatcher's queue/grant transitions and a
+    /// [`RuntimeGauge`](crate::trace::TraceEvent::RuntimeGauge) snapshot of
+    /// the pool-wide [`RuntimeStats`] at the end of every dispatcher round —
+    /// on one runtime-wide flight recorder, drained with
+    /// [`Runtime::drain_trace`].  Off by default and free when off (see
+    /// [`crate::trace`]).
     pub trace: bool,
-    /// Period of the background gauge sampler: when set (and `trace` is
-    /// on), a sampler thread snapshots the pool-wide [`RuntimeStats`] every
-    /// period and records them as
-    /// [`RuntimeGauge`](crate::trace::TraceEvent::RuntimeGauge) events.
-    /// `None` (the default) disables the sampler.
-    pub gauge_period: Option<Duration>,
-    /// How often the dispatcher re-plans elastic leases while a concurrent
-    /// policy has running or pending searches: each tick it snapshots the
-    /// running set and executes the policy's
-    /// [`replan`](crate::schedule::SchedulePolicy::replan) adjustments.
-    /// Irrelevant — and costless — under a serial policy, which keeps the
-    /// dispatcher on a pure blocking receive.  Default 5 ms.
+    /// How often the dispatcher re-plans leases while searches are running
+    /// or queued: each tick it snapshots the running set and executes the
+    /// policy's [`replan`](crate::schedule::SchedulePolicy::replan)
+    /// adjustments.  [`Fifo`]'s `replan` returns none, so under it a tick
+    /// only wakes the dispatcher; an idle runtime parks on a blocking
+    /// receive.  Default 5 ms.
     pub replan_period: Duration,
 }
 
@@ -774,9 +741,7 @@ impl Default for RuntimeConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             progress_capacity: 1024,
-            queue_capacity: 256,
             trace: false,
-            gauge_period: None,
             replan_period: Duration::from_millis(5),
         }
     }
@@ -801,14 +766,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enable the background gauge sampler with the given period (requires
-    /// [`trace`](RuntimeConfig::trace) to record anywhere).
-    pub fn gauge_period(mut self, period: Duration) -> Self {
-        self.gauge_period = Some(period);
-        self
-    }
-
-    /// Set the elastic re-planning period (see
+    /// Set the re-planning period (see
     /// [`replan_period`](RuntimeConfig::replan_period)).
     pub fn replan_period(mut self, period: Duration) -> Self {
         self.replan_period = period.max(Duration::from_micros(1));
@@ -832,12 +790,13 @@ pub enum ShutdownMode {
     Now,
 }
 
-/// The worker allotment the scheduler granted one search at dispatch time.
-/// Flows from the dispatcher through [`Skeleton`] into the engine (which
-/// sizes its worker set and work source from it) and is stamped onto the
-/// outcome's [`Metrics`](crate::metrics::Metrics) so disjointness and
-/// queue-wait are observable per search.
-#[derive(Debug, Clone, Default)]
+/// The worker lease the scheduler granted one search at dispatch time —
+/// every runtime search has one, whatever the policy.  Flows from the
+/// dispatcher through [`Skeleton`] into the engine (which sizes its worker
+/// set and work source from it and runs its workers on the lease) and is
+/// stamped onto the outcome's [`Metrics`](crate::metrics::Metrics) so
+/// disjointness and queue-wait are observable per search.
+#[derive(Debug, Clone)]
 pub(crate) struct ExecutionGrant {
     /// Runtime-unique id of the search (1-based; 0 = not a runtime search).
     pub(crate) search_id: u64,
@@ -845,18 +804,19 @@ pub(crate) struct ExecutionGrant {
     /// overriding `SearchConfig::workers` (which is the *request*).
     pub(crate) workers: usize,
     /// Leased pool-thread indices (disjoint between concurrently running
-    /// searches).  Workers 1.. round-robin over these; worker 0 runs on the
-    /// search's driver thread.
+    /// searches), the home slot first: the search job and its worker 0 run
+    /// on it, workers 1.. round-robin over the rest.  One slot per granted
+    /// worker, or the whole pool for an oversubscribed grant.
     pub(crate) slots: Vec<usize>,
     /// Time from submission to grant, recorded by the dispatcher at grant
     /// time (the submitter never self-reports its wait).
     pub(crate) queue_wait: Duration,
-    /// The shared, versioned lease state — `Some` exactly when the grant is
-    /// *elastic* (concurrent policy): the dispatcher renegotiates the lease
-    /// through it, and the engine routes the run through
-    /// [`WorkerPool::scoped_run`] elastically and polls it for revocations.
-    /// `None` keeps the fixed-for-life PR 4 semantics.
-    pub(crate) core: Option<Arc<GrantCore>>,
+    /// The pool the lease's slots belong to; the engine runs the search's
+    /// workers on it through [`WorkerPool::scoped_run`].
+    pub(crate) pool: Arc<WorkerPool>,
+    /// The shared, versioned lease state: the dispatcher renegotiates the
+    /// lease through it, and the engine polls it for revocations.
+    pub(crate) core: Arc<GrantCore>,
 }
 
 /// A submitted search job: runs once the scheduler grants it workers.
@@ -881,17 +841,18 @@ struct Submission {
     /// Monotonic timestamp of the submission.  Queue wait is *recorded by
     /// the dispatcher* at grant time (`submitted_at` → grant instant), so a
     /// submitter never self-reports its wait — and time spent in the
-    /// channel while the dispatcher runs a FIFO job inline still counts.
+    /// control channel still counts.
     submitted_at: Instant,
     job: Job,
 }
 
-/// Dispatcher control messages.  Submissions and driver-completion
+/// Dispatcher control messages.  Submissions and search-completion
 /// notifications share one channel so the dispatcher has a single blocking
 /// point.
 enum Control {
     Submit(Submission),
-    /// A concurrently driven search finished; reclaim its lease.
+    /// A search job finished on its home slot, after dropping its grant;
+    /// reclaim its lease.
     Finished {
         search_id: u64,
     },
@@ -993,9 +954,9 @@ fn quota_cap(
     }
 }
 
-/// Dispatcher-side state of one running elastic search: the lease's shared
-/// core plus what preemption and quotas need.  What the policy sees of the
-/// lease lives in the [`Ledger`].
+/// Dispatcher-side state of one running search: the lease's shared core
+/// plus what preemption and quotas need.  What the policy sees of the lease
+/// lives in the [`Ledger`].
 struct ActiveSearch {
     core: Arc<GrantCore>,
     cancel: CancelToken,
@@ -1004,31 +965,31 @@ struct ActiveSearch {
 
 /// The allocator loop state: carries out the policy's decisions through a
 /// [`Ledger`] and owns what is physically the runtime's — the free
-/// pool-thread slots, the grant cores and the driver threads.
+/// pool-thread slots and the grant cores.
 struct Dispatcher {
     rx: Receiver<Control>,
-    /// Clone handed to each driver thread for its `Finished` notification.
+    /// Clone handed to each search job for its `Finished` notification
+    /// (and to each grant core for its `Released` ones).
     finished_tx: Sender<Control>,
     policy: Box<dyn SchedulePolicy>,
     /// The pending queue, the free worker budget and the running leases,
     /// on a clock that reads the time since `epoch`.
     ledger: Ledger<QueuedSearch>,
     epoch: Instant,
-    /// Unleased pool-thread indices.
+    /// Unleased pool-thread indices: one per free worker of the ledger's
+    /// budget.
     free_slots: Vec<usize>,
-    /// Driver threads of concurrently running searches, joined on their
-    /// `Finished` message.
-    drivers: HashMap<u64, JoinHandle<()>>,
-    /// Elastic leases of the currently running searches (concurrent
-    /// policies only; empty under Fifo).
-    elastic: HashMap<u64, ActiveSearch>,
-    /// The pool, for dispatching grown workers onto newly leased slots.
+    /// Leases of the currently running searches.
+    active: HashMap<u64, ActiveSearch>,
+    /// The pool, for sending search jobs to their home slots and grown
+    /// workers onto newly leased slots.
     pool: Arc<WorkerPool>,
-    /// Elastic re-planning tick ([`RuntimeConfig::replan_period`]).
+    /// Re-planning tick ([`RuntimeConfig::replan_period`]).
     replan_period: Duration,
     gauges: Arc<PoolGauges>,
     draining: Option<ShutdownMode>,
-    /// Flight recorder for queue/grant/finish transitions (off by default).
+    /// Flight recorder for queue/grant/finish transitions and gauge
+    /// snapshots (off by default).
     tracer: Tracer,
 }
 
@@ -1038,11 +999,9 @@ impl Dispatcher {
             if self.draining.is_some() && self.ledger.is_idle() {
                 break;
             }
-            // A concurrent policy with anything in flight re-plans on a
-            // timer; otherwise the dispatcher parks on a pure blocking
-            // receive (the Fifo fast path, unchanged).
-            let tick = self.policy.concurrent() && !self.ledger.is_idle();
-            let received = if tick {
+            // With anything in flight the dispatcher re-plans on a timer;
+            // otherwise it parks on a pure blocking receive.
+            let received = if !self.ledger.is_idle() {
                 match self.rx.recv_timeout(self.replan_period) {
                     Ok(msg) => Ok(Some(msg)),
                     Err(RecvTimeoutError::Timeout) => Ok(None),
@@ -1075,10 +1034,25 @@ impl Dispatcher {
             }
             self.dispatch();
             self.replan();
+            self.record_gauges();
         }
-        for (_, driver) in self.drivers.drain() {
-            let _ = driver.join();
+    }
+
+    /// Record one [`RuntimeGauge`](TraceEvent::RuntimeGauge) snapshot of
+    /// the pool-wide gauges, when tracing is on.  Called at the end of
+    /// every loop round, so one follows every grant and every finish.
+    fn record_gauges(&self) {
+        if !self.tracer.enabled() {
+            return;
         }
+        let stats = self.gauges.snapshot();
+        self.tracer.control(TraceEvent::RuntimeGauge {
+            active: stats.active_searches as u32,
+            granted: stats.granted_workers as u32,
+            queued: stats.queued_searches as u32,
+            completed: stats.completed_searches,
+            peak: stats.peak_active_searches as u32,
+        });
     }
 
     fn handle(&mut self, msg: Control) {
@@ -1088,8 +1062,8 @@ impl Dispatcher {
                     submission.cancel.cancel();
                 }
                 // `queued_searches` was already incremented by the
-                // submitter, so time spent in the control channel (e.g.
-                // while a FIFO job runs inline) shows up in the gauge.
+                // submitter, so time spent in the control channel shows up
+                // in the gauge.
                 self.tracer.control(TraceEvent::SearchQueued {
                     search_id: submission.search_id,
                 });
@@ -1110,7 +1084,7 @@ impl Dispatcher {
             Control::Finished { search_id } => {
                 self.tracer
                     .control(TraceEvent::SearchFinished { search_id });
-                if let Some(entry) = self.elastic.remove(&search_id) {
+                if let Some(entry) = self.active.remove(&search_id) {
                     // The launch-time grant is stale after grows/shrinks —
                     // reclaim what the core still holds.  Every
                     // acknowledgement happens-before this message, so the
@@ -1118,12 +1092,6 @@ impl Dispatcher {
                     let (workers, slots) = entry.core.teardown();
                     let leased = self.reclaim(search_id, slots);
                     debug_assert_eq!(workers, leased, "ledger and grant core disagree");
-                }
-                if let Some(driver) = self.drivers.remove(&search_id) {
-                    // The driver sent `Finished` as its last action; the
-                    // join returns promptly and keeps the thread count
-                    // bounded by the number of *running* searches.
-                    let _ = driver.join();
                 }
             }
             Control::Released {
@@ -1166,12 +1134,10 @@ impl Dispatcher {
     }
 
     /// Workers each capped session holds: the leases of its running
-    /// searches, revocations in flight included.  Only concurrent leases
-    /// count — a serial policy's inline run has returned before the next
-    /// planning round.
+    /// searches, revocations in flight included.
     fn session_load(&self) -> SessionLoad {
         let mut load = SessionLoad::new();
-        for (&search_id, entry) in &self.elastic {
+        for (&search_id, entry) in &self.active {
             if let (Some(quota), Some(lease)) = (&entry.quota, self.ledger.lease(search_id)) {
                 *load.entry(Arc::as_ptr(quota)).or_insert(0) += lease.workers;
             }
@@ -1198,8 +1164,7 @@ impl Dispatcher {
     }
 
     /// Let the ledger plan admissions and launch them, repeating until the
-    /// policy admits nothing (a serial policy's inline run frees the pool,
-    /// so one `dispatch` call can drain a whole FIFO queue).
+    /// policy admits nothing.
     fn dispatch(&mut self) {
         loop {
             let now = self.epoch.elapsed();
@@ -1214,9 +1179,9 @@ impl Dispatcher {
         }
     }
 
-    /// Lease pool slots to one admitted search and run it — inline on this
-    /// thread under a serial policy (the PR 4 fast path), on a dedicated
-    /// driver thread under a concurrent one.
+    /// Lease one pool slot per granted worker (the whole pool for an
+    /// oversubscribed grant) to one admitted search and send its job to the
+    /// lease's home slot, where worker 0 runs.
     fn launch(&mut self, admitted: Admitted<QueuedSearch>) {
         let Admitted {
             search_id,
@@ -1224,37 +1189,33 @@ impl Dispatcher {
             workers,
             queue_wait,
         } = admitted;
-        // Worker 0 runs on the driver; workers 1.. need pool threads.  A
-        // FIFO oversubscribed grant takes every free slot and round-robins.
-        let lease_len = workers.saturating_sub(1).min(self.free_slots.len());
+        // One free slot per free worker of the budget, and every admission
+        // grants at least one worker, so the lease is never empty.  Only a
+        // Fifo grant beyond the pool size is cut short: it takes every slot
+        // and round-robins its helpers.
+        let lease_len = workers.min(self.free_slots.len());
         let slots: Vec<usize> = self.free_slots.drain(..lease_len).collect();
-        // Concurrent policies never oversubscribe (their grants are capped
-        // to the free budget, and `free_slots ≥ free_workers − 1 + active`
-        // holds inductively), so every concurrent grant is fully leased and
-        // therefore elastic: one pool slot per helper, renegotiable.
-        let core = self.policy.concurrent().then(|| {
-            Arc::new(GrantCore::new(
-                search_id,
-                workers,
-                &slots,
-                self.finished_tx.clone(),
-            ))
-        });
-        if let Some(core) = &core {
-            self.elastic.insert(
-                search_id,
-                ActiveSearch {
-                    core: Arc::clone(core),
-                    cancel: submission.cancel.clone(),
-                    quota: submission.quota.clone(),
-                },
-            );
-        }
+        let home = slots[0];
+        let core = Arc::new(GrantCore::new(
+            search_id,
+            workers,
+            &slots,
+            self.finished_tx.clone(),
+        ));
+        self.active.insert(
+            search_id,
+            ActiveSearch {
+                core: Arc::clone(&core),
+                cancel: submission.cancel.clone(),
+                quota: submission.quota.clone(),
+            },
+        );
         let grant = ExecutionGrant {
             search_id,
             workers,
-            slots: slots.clone(),
+            slots,
             queue_wait,
+            pool: Arc::clone(&self.pool),
             core,
         };
         // ordering: advisory telemetry gauges; snapshots tolerate skew.  The
@@ -1278,30 +1239,24 @@ impl Dispatcher {
             workers: workers as u32,
         });
         let job = submission.job;
-        if self.policy.concurrent() {
-            let finished = self.finished_tx.clone();
-            let driver = std::thread::Builder::new()
-                .name(format!("yewpar-driver-{search_id}"))
-                .spawn(move || {
-                    // The job catches search panics itself (the handle
-                    // re-raises them); this outer catch only guarantees the
-                    // lease is returned even if result delivery panics.
-                    let _ = catch_unwind(AssertUnwindSafe(|| job(grant)));
-                    let _ = finished.send(Control::Finished { search_id });
-                })
-                .expect("spawn search driver");
-            self.drivers.insert(search_id, driver);
-        } else {
-            // Serial policy: inline on the dispatcher thread — zero handoff
-            // latency, identical to the PR 4 FIFO runtime.
-            job(grant);
-            self.tracer
-                .control(TraceEvent::SearchFinished { search_id });
-            self.reclaim(search_id, slots);
+        let finished = self.finished_tx.clone();
+        let task: PoolTask = Box::new(move || {
+            // The job catches search panics itself (the handle re-raises
+            // them); this outer catch only guarantees the lease is returned
+            // even if result delivery panics.  `job` consumes the grant, so
+            // its pool reference is gone before `Finished` lets the runtime
+            // shut down: the pool is never dropped on its own thread.
+            let _ = catch_unwind(AssertUnwindSafe(|| job(grant)));
+            let _ = finished.send(Control::Finished { search_id });
+        });
+        if let Err(task) = self.pool.send_to_slot(home, task) {
+            // Unreachable while the runtime is live: the pool outlives the
+            // dispatcher.  Run the job here rather than lose its handle.
+            task();
         }
     }
 
-    /// One elastic re-planning round: let the ledger replan and carry out
+    /// One re-planning round: let the ledger replan and carry out
     /// the clamped adjustments it returns.  Shrinks issue cooperative
     /// revocation requests (the workers leave, and their slots return,
     /// asynchronously at their next lifecycle polls); preemptions cancel the
@@ -1314,7 +1269,7 @@ impl Dispatcher {
             match action {
                 Adjustment::Grow { search, workers } => self.execute_grow(search, workers),
                 Adjustment::Shrink { search, workers } => {
-                    let Some(entry) = self.elastic.get(&search) else {
+                    let Some(entry) = self.active.get(&search) else {
                         continue;
                     };
                     let issued = entry.core.request_revoke(workers);
@@ -1328,7 +1283,7 @@ impl Dispatcher {
                     });
                 }
                 Adjustment::Preempt { search } => {
-                    if let Some(entry) = self.elastic.get(&search) {
+                    if let Some(entry) = self.active.get(&search) {
                         entry.cancel.cancel();
                     }
                 }
@@ -1340,7 +1295,7 @@ impl Dispatcher {
     /// by the ledger) onto a running search — bounded by the free slots and
     /// the search's session quota.
     fn execute_grow(&mut self, search: u64, want: usize) {
-        let Some(entry) = self.elastic.get(&search) else {
+        let Some(entry) = self.active.get(&search) else {
             return;
         };
         let quota_room = entry.quota.as_ref().map_or(usize::MAX, |quota| {
@@ -1384,6 +1339,8 @@ impl Dispatcher {
 pub struct Runtime {
     control: Option<Sender<Control>>,
     dispatcher: Option<JoinHandle<()>>,
+    /// Dropped after the dispatcher has joined, so the pool's threads are
+    /// joined on the thread that drops the runtime.
     pool: Arc<WorkerPool>,
     config: RuntimeConfig,
     /// Root of the runtime's cancellation tree: sessions are children,
@@ -1393,13 +1350,9 @@ pub struct Runtime {
     gauges: Arc<PoolGauges>,
     next_search_id: AtomicU64,
     policy_name: &'static str,
-    /// Runtime-wide flight recorder shared by the dispatcher, the gauge
-    /// sampler and every submitted search ([`RuntimeConfig::trace`]).
+    /// Runtime-wide flight recorder shared by the dispatcher and every
+    /// submitted search ([`RuntimeConfig::trace`]).
     trace: Option<Arc<TraceBuffer>>,
-    /// Stop flag + thread of the background gauge sampler
-    /// ([`RuntimeConfig::gauge_period`]); joined on shutdown.
-    gauge_stop: Option<Arc<AtomicBool>>,
-    gauge_thread: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -1407,13 +1360,14 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("workers", &self.config.workers)
             .field("policy", &self.policy_name)
+            .field("pool", &self.pool)
             .finish()
     }
 }
 
 impl Runtime {
     /// Start a runtime with the default [`Fifo`] scheduling policy — one
-    /// search at a time over the whole pool, exactly the PR 4 behaviour.
+    /// search at a time over the whole pool.
     pub fn new(config: RuntimeConfig) -> Self {
         Runtime::with_policy(config, Box::new(Fifo))
     }
@@ -1422,8 +1376,8 @@ impl Runtime {
     /// [`FairShare`](crate::schedule::FairShare) to multiplex concurrent
     /// searches over disjoint worker subsets).
     pub fn with_policy(config: RuntimeConfig, policy: Box<dyn SchedulePolicy>) -> Self {
-        let pool = Arc::new(WorkerPool::new(config.workers.saturating_sub(1)));
-        let (tx, rx) = bounded::<Control>(config.queue_capacity.max(1));
+        let pool = Arc::new(WorkerPool::new(config.workers));
+        let (tx, rx) = bounded::<Control>(QUEUE_CAPACITY);
         let gauges = Arc::new(PoolGauges::default());
         let policy_name = policy.name();
         let trace = config
@@ -1440,31 +1394,17 @@ impl Runtime {
             ledger: Ledger::new(config.workers),
             epoch: Instant::now(),
             free_slots: (0..pool.size()).collect(),
-            drivers: HashMap::new(),
-            elastic: HashMap::new(),
+            active: HashMap::new(),
             pool: Arc::clone(&pool),
             replan_period: config.replan_period,
             gauges: Arc::clone(&gauges),
             draining: None,
-            tracer: tracer.clone(),
+            tracer,
         };
         let dispatcher = std::thread::Builder::new()
             .name("yewpar-dispatch".into())
             .spawn(move || dispatcher_state.run())
             .expect("spawn runtime dispatcher");
-        let (gauge_stop, gauge_thread) = match (trace.is_some(), config.gauge_period) {
-            (true, Some(period)) => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let thread_stop = Arc::clone(&stop);
-                let thread_gauges = Arc::clone(&gauges);
-                let handle = std::thread::Builder::new()
-                    .name("yewpar-gauges".into())
-                    .spawn(move || gauge_sampler(thread_stop, thread_gauges, tracer, period))
-                    .expect("spawn gauge sampler");
-                (Some(stop), Some(handle))
-            }
-            _ => (None, None),
-        };
         Runtime {
             control: Some(tx),
             dispatcher: Some(dispatcher),
@@ -1475,8 +1415,6 @@ impl Runtime {
             next_search_id: AtomicU64::new(1),
             policy_name,
             trace,
-            gauge_stop,
-            gauge_thread,
         }
     }
 
@@ -1626,7 +1564,6 @@ impl Runtime {
         let mut skeleton = Skeleton::from_config(config.clone())
             .cancel_token(cancel.clone())
             .attach_progress(progress_tx)
-            .attach_pool(Arc::clone(&self.pool))
             .attach_stats_probe(crate::lifecycle::StatsProbe(Arc::new(move || {
                 probe_gauges.snapshot()
             })));
@@ -1642,8 +1579,8 @@ impl Runtime {
         }
         // Count the submission as queued from the moment it is sent — not
         // from dispatcher receipt — so a backlog sitting in the control
-        // channel while a FIFO job runs inline is visible in `stats()`,
-        // matching the queue-wait semantics (channel time counts).
+        // channel is visible in `stats()`, matching the queue-wait
+        // semantics (channel time counts).
         // ordering: advisory telemetry gauge; snapshots tolerate skew.
         self.gauges.queued_searches.fetch_add(1, Ordering::Relaxed);
         let job_state = Arc::clone(&shared);
@@ -1696,23 +1633,15 @@ impl Runtime {
             return; // Already shut down explicitly; Drop becomes a no-op.
         };
         if matches!(mode, ShutdownMode::Now) {
-            // Root-scope cancel reaches running searches immediately (the
-            // dispatcher may be busy running one inline) and pre-cancels
-            // everything still queued.
+            // Root-scope cancel reaches running searches immediately and
+            // pre-cancels everything still queued, even those still in the
+            // control channel.
             self.root.cancel();
         }
         let _ = control.send(Control::Shutdown(mode));
         drop(control);
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
-        }
-        if let Some(stop) = self.gauge_stop.take() {
-            // ordering: shutdown flag guarding no data; the join below is
-            // the synchronisation point with the sampler thread.
-            stop.store(true, Ordering::Relaxed);
-        }
-        if let Some(sampler) = self.gauge_thread.take() {
-            let _ = sampler.join();
         }
         // The pool joins its threads in its own drop.
     }
@@ -2237,7 +2166,7 @@ mod tests {
                 .wait();
             assert!(out.status.is_complete());
         }
-        assert_eq!(runtime.pool.size(), 2, "workers-1 persistent threads");
+        assert_eq!(runtime.pool.size(), 3, "one persistent thread per worker");
     }
 
     #[test]
@@ -2354,10 +2283,10 @@ mod tests {
         assert_eq!(out.metrics.outstanding_tasks, 0);
     }
 
-    /// Regression: a workers=1 runtime (zero pool threads — also the
-    /// default on a single-core machine) asked to run a multi-worker
-    /// search must fall back to scoped threads, not divide by zero in the
-    /// pool's round-robin dispatch.
+    /// Regression: a workers=1 runtime (one pool thread, which worker 0
+    /// occupies — also the default on a single-core machine) asked to run a
+    /// multi-worker search must fall back to scoped threads for its
+    /// helpers, not divide by zero in the pool's round-robin dispatch.
     #[test]
     fn single_worker_runtime_runs_multi_worker_searches() {
         let runtime = Runtime::new(RuntimeConfig::default().workers(1));
@@ -2421,8 +2350,16 @@ mod tests {
             Runtime::with_policy(RuntimeConfig::default().workers(8), Box::new(FairShare));
         assert_eq!(runtime.policy_name(), "fair-share");
         let cfg = config(Coordination::depth_bounded(2), 4);
-        let handles: Vec<_> = (0..2)
-            .map(|_| runtime.enumerate(Irregular { depth: 9 }, &cfg))
+        // Sessions capped at the request keep FairShare from growing the
+        // first search into the idle half of the pool: grown, it could take
+        // every slot, finish, and hand the second search its first slots
+        // again before the two ever overlap.
+        let sessions: Vec<_> = (0..2)
+            .map(|_| runtime.session().with_max_workers(4))
+            .collect();
+        let handles: Vec<_> = sessions
+            .iter()
+            .map(|session| session.enumerate(Irregular { depth: 9 }, &cfg))
             .collect();
         let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
         for out in &outcomes {
@@ -2434,7 +2371,11 @@ mod tests {
                 "a 4-worker request on an 8-worker pool is granted in full"
             );
             assert_eq!(out.metrics.workers, 4, "the engine ran the granted count");
-            assert_eq!(out.metrics.granted_slots.len(), 3, "worker 0 is the driver");
+            assert_eq!(
+                out.metrics.granted_slots.len(),
+                4,
+                "one slot per worker, worker 0's home slot included"
+            );
         }
         assert_ne!(outcomes[0].metrics.search_id, outcomes[1].metrics.search_id);
         assert!(
@@ -2714,9 +2655,6 @@ mod tests {
             fn name(&self) -> &'static str {
                 "preempt-everything"
             }
-            fn concurrent(&self) -> bool {
-                true
-            }
             fn plan(
                 &mut self,
                 pending: &[PendingRequest],
@@ -2792,17 +2730,106 @@ mod tests {
         );
     }
 
+    /// Records the name of every thread that expands a node.
+    struct ThreadNames {
+        inner: Irregular,
+        names: Arc<Mutex<std::collections::BTreeSet<String>>>,
+    }
+
+    impl SearchProblem for ThreadNames {
+        type Node = (usize, u64);
+        type Gen<'a> = std::vec::IntoIter<(usize, u64)>;
+        fn root(&self) -> (usize, u64) {
+            self.inner.root()
+        }
+        fn generator(&self, node: &(usize, u64)) -> Self::Gen<'_> {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            self.names.lock().unwrap().insert(name);
+            self.inner.generator(node)
+        }
+    }
+
+    impl Enumerate for ThreadNames {
+        type Value = Sum<u64>;
+        fn value(&self, _n: &(usize, u64)) -> Sum<u64> {
+            Sum(1)
+        }
+    }
+
+    /// One launch path: under Fifo and FairShare alike, every worker that
+    /// expands a node — worker 0 included — runs on a pool thread of its
+    /// own lease, and a grant within the pool leases one slot per worker.
+    #[test]
+    fn every_expanding_worker_runs_on_a_leased_pool_thread() {
+        use crate::schedule::FairShare;
+        let expected = {
+            let p = Irregular { depth: 8 };
+            crate::node::subtree_size(&p, &p.root())
+        };
+        for fair in [false, true] {
+            for (coordination, workers) in [
+                (Coordination::Sequential, 1),
+                (Coordination::depth_bounded(2), 2),
+                (Coordination::stack_stealing(), 4),
+            ] {
+                // A fresh runtime per search: a handle resolves before the
+                // dispatcher reclaims its lease, so a shared one could
+                // admit the next search into what is left of the pool.
+                let policy: Box<dyn SchedulePolicy> = match fair {
+                    false => Box::new(Fifo),
+                    true => Box::new(FairShare),
+                };
+                let runtime = Runtime::with_policy(RuntimeConfig::default().workers(4), policy);
+                let names = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
+                let problem = ThreadNames {
+                    inner: Irregular { depth: 8 },
+                    names: Arc::clone(&names),
+                };
+                // A session capped at the request keeps FairShare from
+                // growing the lease into idle slots mid-run.
+                let out = runtime
+                    .session()
+                    .with_max_workers(workers)
+                    .enumerate(problem, &config(coordination, workers))
+                    .wait();
+                let label = format!("{} {coordination} workers={workers}", runtime.policy_name());
+                assert_eq!(out.value.0, expected, "{label}");
+                assert_eq!(out.metrics.granted_workers, workers, "{label}");
+                assert_eq!(
+                    out.metrics.granted_slots.len(),
+                    workers,
+                    "{label}: one leased slot per granted worker"
+                );
+                let leased: Vec<String> = out
+                    .metrics
+                    .granted_slots
+                    .iter()
+                    .map(|s| format!("yewpar-pool-{s}"))
+                    .collect();
+                let names = names.lock().unwrap();
+                assert!(!names.is_empty(), "{label}: nothing was expanded");
+                for name in names.iter() {
+                    assert!(
+                        leased.contains(name),
+                        "{label}: a worker expanded on {name:?}, outside its lease {leased:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// A ternary tree of depth 8 whose only decision witness is the node
-    /// ⟨1.0.2.1.0⟩.  With a `core`, the first depth-1 expansion on a pool
+    /// ⟨1.0.2.1.0⟩.  With a `lease`, the first depth-1 expansion on a pool
     /// thread — the start of that worker's first in-place task — requests
-    /// one revocation, so it is pending at the task's first poll; the
-    /// calling thread's worker 0 holds its own depth-1 expansion until the
-    /// pool worker has acknowledged the revocation, so no witness can
-    /// commit (and stop the search) before the pool worker reaches its
-    /// between-tasks claim.
+    /// one revocation from the lease's core, so it is pending at the task's
+    /// first poll; the calling thread's worker 0 holds its own depth-1
+    /// expansion until the pool worker has acknowledged the revocation, so
+    /// no witness can commit (and stop the search) before the pool worker
+    /// reaches its between-tasks claim.
     struct RevokeMidTask {
-        core: Option<Arc<GrantCore>>,
-        caller: std::thread::ThreadId,
+        /// The lease's core and the calling thread; `None` for the
+        /// Sequential reference run, which revokes nothing.
+        lease: Option<(Arc<GrantCore>, std::thread::ThreadId)>,
         requested: AtomicBool,
     }
 
@@ -2813,8 +2840,8 @@ mod tests {
             Vec::new()
         }
         fn generator(&self, node: &Vec<u8>) -> Self::Gen<'_> {
-            if let (Some(core), 1) = (&self.core, node.len()) {
-                if std::thread::current().id() != self.caller {
+            if let (Some((core, caller)), 1) = (&self.lease, node.len()) {
+                if std::thread::current().id() != *caller {
                     // ordering: a one-shot test latch on one thread's path.
                     if !self.requested.swap(true, Ordering::Relaxed) {
                         assert_eq!(core.request_revoke(1), 1);
@@ -2870,30 +2897,30 @@ mod tests {
     #[test]
     fn ordered_worker_revoked_mid_task_leaves_between_tasks() {
         let plain = RevokeMidTask {
-            core: None,
-            caller: std::thread::current().id(),
+            lease: None,
             requested: AtomicBool::new(false),
         };
         let seq = Skeleton::new(Coordination::Sequential).decide(&plain);
         assert!(seq.found());
 
-        let pool = Arc::new(WorkerPool::new(1));
+        // Worker 0 runs on this thread in place of the home slot 0; the
+        // helper runs on pool slot 1.
         let (released_tx, _released_rx) = bounded::<Control>(4);
-        let core = Arc::new(GrantCore::new(1, 2, &[0], released_tx));
+        let core = Arc::new(GrantCore::new(1, 2, &[0, 1], released_tx));
         let grant = ExecutionGrant {
             search_id: 1,
             workers: 2,
-            slots: vec![0],
+            slots: vec![0, 1],
             queue_wait: Duration::ZERO,
-            core: Some(Arc::clone(&core)),
+            pool: Arc::new(WorkerPool::new(2)),
+            core: Arc::clone(&core),
         };
         let problem = RevokeMidTask {
-            core: Some(core),
+            lease: Some((core, std::thread::current().id())),
             ..plain
         };
         let out = Skeleton::new(Coordination::ordered(1))
             .workers(2)
-            .attach_pool(pool)
             .attach_grant(grant)
             .decide(&problem);
         // ordering: read after the run joined every worker.

@@ -194,20 +194,15 @@ pub enum Adjustment {
 /// A [`Ledger`] calls [`plan`](SchedulePolicy::plan) whenever the scheduler
 /// state changes (a submission arrives, a search finishes) and carries out
 /// the returned admissions; the runtime then leases disjoint pool-thread
-/// slots, dispatches the search, and reclaims the lease when it finishes.
-/// Under a concurrent policy the ledger additionally calls
-/// [`replan`](SchedulePolicy::replan) on a short periodic tick.  See the
-/// [module docs](self) for the built-in policies.
+/// slots, one per granted worker, sends the search to the first of them,
+/// and reclaims the lease when it finishes.  While searches are running the
+/// ledger additionally calls [`replan`](SchedulePolicy::replan) on a short
+/// periodic tick.  Every policy runs searches the same way; what tells
+/// [`Fifo`] apart is only its decisions.  See the [module docs](self) for
+/// the built-in policies.
 pub trait SchedulePolicy: Send + 'static {
     /// Short policy name for logs, metrics and benchmark tables.
     fn name(&self) -> &'static str;
-
-    /// May several searches run concurrently under this policy?  When
-    /// `false` the runtime executes admitted jobs inline on the dispatcher
-    /// thread (the PR 4 fast path: zero handoff latency, submission-to-start
-    /// identical to the FIFO runtime); when `true` each admitted search gets
-    /// its own driver thread so the dispatcher stays free to admit more.
-    fn concurrent(&self) -> bool;
 
     /// Plan admissions for the current scheduler state.
     ///
@@ -228,9 +223,9 @@ pub trait SchedulePolicy: Send + 'static {
     /// Renegotiate the leases of running searches.
     ///
     /// Called by the [`Ledger`] *after* [`plan`](SchedulePolicy::plan) on every
-    /// scheduling tick while searches are active under a concurrent policy
-    /// (serial policies are never replanned — [`Fifo`] keeps its exact
-    /// fixed-grant semantics).  `running` is a snapshot of the active
+    /// scheduling tick while searches are active.  [`Fifo`] keeps the
+    /// default, which returns no adjustments, so its grants stay fixed for
+    /// life.  `running` is a snapshot of the active
     /// searches in search-id order; `pending` is whatever the preceding
     /// `plan` left unadmitted; `free_workers`/`capacity` as in `plan`.
     ///
@@ -267,18 +262,15 @@ pub trait SchedulePolicy: Send + 'static {
 /// One search at a time over the whole pool — the PR 4 scheduler and the
 /// default.  The head of the queue is admitted only when the pool is fully
 /// free and is granted exactly the worker count it requested, even beyond
-/// the pool size (oversubscribed workers round-robin onto the leased
-/// threads, exactly as before).  Grants are never renegotiated.
+/// the pool size (the grant leases the whole pool, and the helpers
+/// round-robin over its threads after the home one).  It keeps the default
+/// [`replan`](SchedulePolicy::replan), so grants are never renegotiated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Fifo;
 
 impl SchedulePolicy for Fifo {
     fn name(&self) -> &'static str {
         "fifo"
-    }
-
-    fn concurrent(&self) -> bool {
-        false
     }
 
     fn plan(
@@ -436,10 +428,6 @@ impl SchedulePolicy for FairShare {
         "fair-share"
     }
 
-    fn concurrent(&self) -> bool {
-        true
-    }
-
     fn plan(
         &mut self,
         pending: &[PendingRequest],
@@ -518,10 +506,6 @@ fn priority_order(pending: &[PendingRequest]) -> Vec<usize> {
 impl SchedulePolicy for DeadlineShare {
     fn name(&self) -> &'static str {
         "deadline-share"
-    }
-
-    fn concurrent(&self) -> bool {
-        true
     }
 
     fn plan(
@@ -1008,11 +992,8 @@ mod tests {
     #[test]
     fn policy_names_and_modes() {
         assert_eq!(Fifo.name(), "fifo");
-        assert!(!Fifo.concurrent());
         assert_eq!(FairShare.name(), "fair-share");
-        assert!(FairShare.concurrent());
         assert_eq!(DeadlineShare.name(), "deadline-share");
-        assert!(DeadlineShare.concurrent());
         assert!(Priority::Low < Priority::Normal);
         assert!(Priority::Normal < Priority::High);
         assert!(Priority::High < Priority::Urgent);

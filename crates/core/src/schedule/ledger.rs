@@ -202,15 +202,14 @@ impl<J> Ledger<J> {
     /// `workers − pending_revocations − 1`, and zero-worker results are
     /// dropped.  Shrinks and preemptions are booked here; a grow is booked
     /// by the caller through [`grow`](Self::grow) once it is carried out.
-    /// Serial policies are never replanned.  `cap` as in
-    /// [`plan`](Self::plan).
+    /// `cap` as in [`plan`](Self::plan).
     pub fn replan(
         &mut self,
         policy: &mut dyn SchedulePolicy,
         now: Duration,
         mut cap: impl FnMut(&mut J, usize) -> Option<usize>,
     ) -> Vec<Adjustment> {
-        if !policy.concurrent() || self.running.is_empty() {
+        if self.running.is_empty() {
             return Vec::new();
         }
         let running: Vec<RunningSearch> = self
@@ -316,9 +315,6 @@ mod tests {
     impl SchedulePolicy for Script {
         fn name(&self) -> &'static str {
             "script"
-        }
-        fn concurrent(&self) -> bool {
-            true
         }
         fn plan(
             &mut self,

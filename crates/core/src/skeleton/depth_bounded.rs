@@ -43,7 +43,7 @@ where
     D: Driver<P>,
 {
     let workers = lifecycle.worker_count(config);
-    // Shard the pool for every worker id an elastic grant could mint, not
+    // Shard the pool for every worker id a runtime grant could mint, not
     // just the initial count, so grown workers get their own shard.
     let capacity = lifecycle.worker_capacity(config);
     engine::run(

@@ -31,7 +31,6 @@ use crate::metrics::{Metrics, WorkerMetrics};
 use crate::node::SearchProblem;
 use crate::objective::{Decide, Enumerate, Optimise};
 use crate::params::{Coordination, SearchConfig};
-use crate::runtime::WorkerPool;
 use crate::termination::{StopCause, Termination};
 use crate::trace::{TraceBuffer, TraceRecord, Tracer};
 
@@ -118,11 +117,8 @@ pub struct Skeleton {
     /// Progress sink for incumbent updates, heartbeats and the final
     /// status (runtime submissions attach one; the plain facade has none).
     progress: Option<ProgressSender>,
-    /// Persistent pool to run workers on instead of spawning scoped
-    /// threads (runtime submissions only).
-    pool: Option<Arc<WorkerPool>>,
-    /// The scheduler's worker allotment (runtime submissions only): the
-    /// effective worker count and the leased pool-thread slots, granted at
+    /// The scheduler's worker lease (runtime submissions only): the
+    /// effective worker count and the pool threads it runs on, granted at
     /// dispatch time rather than config time.
     grant: Option<crate::runtime::ExecutionGrant>,
     /// The flight recorder's store, present when
@@ -150,7 +146,6 @@ impl Skeleton {
             config,
             cancel: None,
             progress: None,
-            pool: None,
             grant: None,
             trace,
             stats_probe: None,
@@ -247,15 +242,9 @@ impl Skeleton {
         self
     }
 
-    /// Attach a persistent worker pool (runtime submissions).
-    pub(crate) fn attach_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// Attach the scheduler's worker grant (runtime submissions): the
-    /// engine then runs with the granted worker count on the leased slots
-    /// instead of the configured count on the whole pool.
+    /// engine then runs with the granted worker count on the leased pool
+    /// slots instead of the configured count on scoped threads.
     pub(crate) fn attach_grant(mut self, grant: crate::runtime::ExecutionGrant) -> Self {
         self.grant = Some(grant);
         self
@@ -272,7 +261,6 @@ impl Skeleton {
         let mut lifecycle = Lifecycle {
             cancel: self.cancel.clone(),
             progress: self.progress.clone(),
-            pool: self.pool.clone(),
             grant: self.grant.clone(),
             tracer: match &self.trace {
                 Some(buffer) => Tracer::new(Arc::clone(buffer)),
@@ -390,21 +378,20 @@ where
         metrics.granted_workers = grant.workers;
         metrics.granted_slots = grant.slots.clone();
         metrics.queue_wait = grant.queue_wait;
-        // Elastic grants can change the live worker set mid-run, so the
+        // A lease can change the live worker set mid-run, so the
         // per-worker vec length is scheduling-dependent; report the
         // *granted* count (deterministic) plus the lease-change counters.
-        if let Some(core) = &grant.core {
-            use crate::sync::Ordering;
-            metrics.workers = grant.workers.max(1);
-            // ordering: read after every worker joined (the scoped run has
-            // returned), so the join supplies the happens-before; the
-            // counters themselves are advisory tallies.
-            metrics.grant_changes = core.grant_changes.load(Ordering::Relaxed);
-            metrics.workers_preempted = core.workers_preempted.load(Ordering::Relaxed);
-            // ordering: as above — post-join advisory read.
-            metrics.revocation_latency =
-                Duration::from_nanos(core.revocation_ns.load(Ordering::Relaxed));
-        }
+        use crate::sync::Ordering;
+        let core = &grant.core;
+        metrics.workers = grant.workers.max(1);
+        // ordering: read after every worker joined (the scoped run has
+        // returned), so the join supplies the happens-before; the
+        // counters themselves are advisory tallies.
+        metrics.grant_changes = core.grant_changes.load(Ordering::Relaxed);
+        metrics.workers_preempted = core.workers_preempted.load(Ordering::Relaxed);
+        // ordering: as above — post-join advisory read.
+        metrics.revocation_latency =
+            Duration::from_nanos(core.revocation_ns.load(Ordering::Relaxed));
     }
     RunOutput { metrics, status }
 }

@@ -401,7 +401,7 @@ where
     D: Driver<P>,
 {
     let workers = lifecycle.worker_count(config);
-    // Under an elastic grant the dispatcher can lease extra workers onto the
+    // Under a runtime grant the dispatcher can lease extra workers onto the
     // live search, so shared structures are sized for every worker id the
     // grant could ever mint, not just the initial count.
     let capacity = lifecycle.worker_capacity(config);

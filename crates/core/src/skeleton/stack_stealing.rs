@@ -516,7 +516,7 @@ where
     D: Driver<P>,
 {
     let workers = lifecycle.worker_count(config);
-    // Channels, hints and locals exist for every worker id an elastic grant
+    // Channels, hints and locals exist for every worker id a runtime grant
     // could mint, not just the initial count.
     let capacity = lifecycle.worker_capacity(config);
     engine::run(

@@ -7,7 +7,7 @@
 //! missing time axis: every worker appends timestamped [`TraceRecord`]s
 //! (task boundaries, steal traffic, incumbent updates, speculation
 //! outcomes, lifecycle polls) into its own bounded ring buffer, and the
-//! dispatcher and gauge sampler append runtime-level events into a shared
+//! dispatcher appends runtime-level events and gauge snapshots into a shared
 //! control ring.  A drained trace can be exported (see [`sink`]), replayed
 //! through the anomaly analyzer (see [`analyze`]), and — the property the
 //! test suite pins down — *reconstructs the exact run-task

@@ -146,8 +146,9 @@ impl<R> Running<R> {
 /// [`Runtime::with_policy`](yewpar::Runtime::with_policy).  Search ids are
 /// assigned on arrival, in arrival order, as the runtime numbers
 /// submissions.  At every scheduler event the [`Ledger`] plans admissions
-/// and (under a concurrent policy) replans the running leases, and the
-/// clamped [`Adjustment`]s take effect in virtual time:
+/// and replans the running leases (a no-op for [`Fifo`](yewpar::Fifo),
+/// whose `replan` returns no adjustments), and the clamped
+/// [`Adjustment`]s take effect in virtual time:
 ///
 /// * **Grow** takes effect immediately: the job's remaining work replays at
 ///   the wider width from the current tick.

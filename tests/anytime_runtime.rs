@@ -8,7 +8,11 @@
 //!
 //! [`Runtime`]: yewpar::Runtime
 
+use std::sync::Arc;
 use std::time::Duration;
+
+mod common;
+use common::{Latch, OpenAtExpansion, ParkAtExpansion};
 
 use yewpar::{Coordination, ProgressEvent, Runtime, RuntimeConfig, SearchConfig, SearchStatus};
 
@@ -69,14 +73,20 @@ fn config(coordination: Coordination, workers: usize) -> SearchConfig {
     }
 }
 
+/// Each search parks at its first expansion for one whole budget (see
+/// [`ParkAtExpansion`]): the root is scored first, and the deadline expires
+/// while the worker is parked, however the threads are scheduled.
 #[test]
 fn ten_ms_deadline_returns_partial_incumbent_across_the_whole_matrix() {
     let runtime = Runtime::new(RuntimeConfig::default().workers(8));
+    let budget = Duration::from_millis(10);
     for coordination in every_coordination() {
         for workers in [1usize, 4, 8] {
             let mut cfg = config(coordination, workers);
-            cfg.deadline = Some(Duration::from_millis(10));
-            let out = runtime.maximise(Endless, &cfg).wait();
+            cfg.deadline = Some(budget);
+            let out = runtime
+                .maximise(ParkAtExpansion::new(Endless, 1, budget), &cfg)
+                .wait();
             let label = format!("{coordination} workers={workers}");
             assert_eq!(out.status, SearchStatus::DeadlineExceeded, "{label}");
             assert!(
@@ -92,16 +102,21 @@ fn ten_ms_deadline_returns_partial_incumbent_across_the_whole_matrix() {
     }
 }
 
+/// The canceller waits for the search's first expansion (see
+/// [`OpenAtExpansion`]), so it cancels a running search whose root is
+/// already scored, however the threads are scheduled.
 #[test]
 fn cross_thread_cancel_resolves_the_whole_matrix() {
     let runtime = Runtime::new(RuntimeConfig::default().workers(8));
     for coordination in every_coordination() {
         for workers in [1usize, 4, 8] {
-            let handle = runtime.maximise(Endless, &config(coordination, workers));
+            let latch = Arc::new(Latch::default());
+            let problem = OpenAtExpansion::new(Endless, Arc::clone(&latch));
+            let handle = runtime.maximise(problem, &config(coordination, workers));
             assert!(!handle.is_finished());
             let token = handle.cancel_token();
             let canceller = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
+                latch.wait();
                 token.cancel();
             });
             let out = handle.wait();
@@ -188,10 +203,15 @@ fn queued_submissions_respect_their_own_deadlines() {
     // Three deadline-bounded searches queued FIFO on one runtime: each
     // budget starts when its job starts executing, so all three resolve
     // with DeadlineExceeded rather than the queue wait eating the budgets.
+    // Each parks at its first expansion, after scoring its root, until its
+    // own budget is spent.
     let runtime = Runtime::new(RuntimeConfig::default().workers(4));
+    let budget = Duration::from_millis(15);
     let mut cfg = config(Coordination::budget(100), 4);
-    cfg.deadline = Some(Duration::from_millis(15));
-    let handles: Vec<_> = (0..3).map(|_| runtime.maximise(Endless, &cfg)).collect();
+    cfg.deadline = Some(budget);
+    let handles: Vec<_> = (0..3)
+        .map(|_| runtime.maximise(ParkAtExpansion::new(Endless, 1, budget), &cfg))
+        .collect();
     for (i, handle) in handles.into_iter().enumerate() {
         let out = handle.wait();
         assert_eq!(out.status, SearchStatus::DeadlineExceeded, "search {i}");

@@ -5,6 +5,9 @@
 
 use std::time::Duration;
 
+mod common;
+use common::{CancelAtExpansion, ParkAtExpansion};
+
 use yewpar::error::Error;
 use yewpar::{CancelToken, Coordination, SearchConfig, SearchStatus, Skeleton};
 use yewpar_apps::kclique::KClique;
@@ -401,120 +404,6 @@ fn pre_expired_deadline_exits_cleanly_with_an_empty_best() {
             out.try_node().is_none() && out.try_score().is_none(),
             "{coordination}: nothing was searched, so there is no incumbent"
         );
-    }
-}
-
-/// An instance wrapper that truncates a search by construction: its `k`-th
-/// expansion parks the expanding worker for one whole deadline budget.  The
-/// deadline clock starts before the first expansion, so the budget has
-/// provably run out when the worker resumes, and that worker observes it at
-/// its next poll (at most one poll stride later, or between tasks) — the
-/// outcome is `DeadlineExceeded` however fast the machine is.
-struct ParkAtExpansion<P> {
-    inner: P,
-    park_at: u64,
-    budget: Duration,
-    expansions: std::sync::atomic::AtomicU64,
-}
-
-impl<P> ParkAtExpansion<P> {
-    fn new(inner: P, park_at: u64, budget: Duration) -> Self {
-        ParkAtExpansion {
-            inner,
-            park_at,
-            budget,
-            expansions: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-}
-
-impl<P: yewpar::SearchProblem> yewpar::SearchProblem for ParkAtExpansion<P> {
-    type Node = P::Node;
-    type Gen<'a>
-        = P::Gen<'a>
-    where
-        P: 'a;
-    fn root(&self) -> P::Node {
-        self.inner.root()
-    }
-    fn generator(&self, node: &P::Node) -> Self::Gen<'_> {
-        let nth = self
-            .expansions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            + 1;
-        if nth == self.park_at {
-            std::thread::sleep(self.budget);
-        }
-        self.inner.generator(node)
-    }
-}
-
-impl<P: yewpar::Optimise> yewpar::Optimise for ParkAtExpansion<P> {
-    type Score = P::Score;
-    fn objective(&self, node: &P::Node) -> P::Score {
-        self.inner.objective(node)
-    }
-    fn bound(&self, node: &P::Node) -> Option<P::Score> {
-        self.inner.bound(node)
-    }
-    fn prune_level(&self) -> yewpar::PruneLevel {
-        self.inner.prune_level()
-    }
-}
-
-/// An instance wrapper that cancels its own search from inside: every
-/// expansion pulls `token` (only the first pull has an effect).  The root
-/// is scored before it is expanded, so a cancelled optimisation holds an
-/// incumbent by construction, and no watchdog thread races the root task.
-struct CancelAtExpansion<P> {
-    inner: P,
-    token: CancelToken,
-}
-
-impl<P> CancelAtExpansion<P> {
-    fn new(inner: P, token: CancelToken) -> Self {
-        CancelAtExpansion { inner, token }
-    }
-}
-
-impl<P: yewpar::SearchProblem> yewpar::SearchProblem for CancelAtExpansion<P> {
-    type Node = P::Node;
-    type Gen<'a>
-        = P::Gen<'a>
-    where
-        P: 'a;
-    fn root(&self) -> P::Node {
-        self.inner.root()
-    }
-    fn generator(&self, node: &P::Node) -> Self::Gen<'_> {
-        self.token.cancel();
-        self.inner.generator(node)
-    }
-}
-
-impl<P: yewpar::Enumerate> yewpar::Enumerate for CancelAtExpansion<P> {
-    type Value = P::Value;
-    fn value(&self, node: &P::Node) -> P::Value {
-        self.inner.value(node)
-    }
-}
-
-impl<P: yewpar::Optimise> yewpar::Optimise for CancelAtExpansion<P> {
-    type Score = P::Score;
-    fn objective(&self, node: &P::Node) -> P::Score {
-        self.inner.objective(node)
-    }
-    fn bound(&self, node: &P::Node) -> Option<P::Score> {
-        self.inner.bound(node)
-    }
-    fn prune_level(&self) -> yewpar::PruneLevel {
-        self.inner.prune_level()
-    }
-}
-
-impl<P: yewpar::Decide> yewpar::Decide for CancelAtExpansion<P> {
-    fn target(&self) -> P::Score {
-        self.inner.target()
     }
 }
 

@@ -165,7 +165,7 @@ fn two_fair_share_searches_run_concurrently_on_disjoint_subsets() {
         );
         assert_eq!(out.metrics.outstanding_tasks, 0);
         assert_eq!(out.metrics.granted_workers, 4);
-        assert_eq!(out.metrics.granted_slots.len(), 3);
+        assert_eq!(out.metrics.granted_slots.len(), 4);
     }
     assert!(
         outcomes[0]

@@ -223,31 +223,33 @@ fn strip_mining_fires_on_threaded_and_simulated_traces_alike() {
 
 #[test]
 fn runtime_trace_records_the_search_lifecycle_and_gauges() {
-    let runtime = Runtime::new(
-        RuntimeConfig::default()
-            .workers(2)
-            .trace(true)
-            .gauge_period(Duration::from_millis(2)),
-    );
+    let runtime = Runtime::new(RuntimeConfig::default().workers(2).trace(true));
     let mut cfg = SearchConfig::new(Coordination::depth_bounded(2));
     cfg.workers = 2;
     cfg.deadline = Some(Duration::from_millis(40));
-    // A tree far too large for 40 ms: the run is deadline-truncated, which
-    // guarantees the gauge sampler several periods of a busy pool.
+    // A tree far too large for 40 ms: the run is deadline-truncated.
     let out = runtime.enumerate(Irregular::new(16, 1), &cfg).wait();
     let id = out.metrics.search_id;
     // `wait()` resolves on result delivery, a beat *before* the dispatcher
-    // records `SearchFinished` and reclaims the lease — drain until the
-    // control plane catches up rather than racing it.
+    // records `SearchFinished`, reclaims the lease and ends its round with a
+    // gauge snapshot — drain until the control plane catches up rather
+    // than racing it.
+    let finished_and_gauged = |records: &[TraceRecord]| {
+        records
+            .iter()
+            .position(|r| r.event == TraceEvent::SearchFinished { search_id: id })
+            .is_some_and(|at| {
+                records[at..]
+                    .iter()
+                    .any(|r| matches!(r.event, TraceEvent::RuntimeGauge { .. }))
+            })
+    };
     let mut records = runtime.drain_trace();
     let started = std::time::Instant::now();
-    while !records
-        .iter()
-        .any(|r| r.event == TraceEvent::SearchFinished { search_id: id })
-    {
+    while !finished_and_gauged(&records) {
         assert!(
             started.elapsed() < Duration::from_secs(5),
-            "dispatcher never recorded SearchFinished for {id}"
+            "dispatcher never recorded SearchFinished and a gauge after it for {id}"
         );
         std::thread::sleep(Duration::from_millis(1));
         records.extend(runtime.drain_trace());
@@ -285,7 +287,7 @@ fn runtime_trace_records_the_search_lifecycle_and_gauges() {
         .count();
     assert!(
         gauges >= 2,
-        "a 2 ms sampler must snapshot a 40 ms search several times, got {gauges}"
+        "the dispatcher snapshots the gauges after the grant and after the finish, got {gauges}"
     );
     // Drained means drained: a second drain only sees newer events, and
     // this runtime is idle now.
