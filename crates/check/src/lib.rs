@@ -6,12 +6,12 @@
 //! 1. **Model checking** ([`sched`], [`sync`], [`models`]): a loom-style
 //!    deterministic-interleaving explorer.  The five protocols the paper's
 //!    replicability and termination guarantees rest on — `Termination`
-//!    accounting, the `GrantCore` revocation lease, `CancelToken` trees,
-//!    the `TraceBuffer` ring, and `OrderedPool` shard drain — are extracted
-//!    into small models written against shimmed primitives and explored
-//!    exhaustively at bounded configurations (2-3 threads).  Counterexamples
-//!    print the full interleaving schedule and a replayable choice
-//!    sequence.  Injected known-bad mutations (see each model's `Mutation`
+//!    accounting, the `GrantCore` revocation lease (`runtime/grant.rs`),
+//!    `CancelToken` trees, the `TraceBuffer` ring, and `OrderedPool` shard
+//!    drain — are extracted into small models written against shimmed
+//!    primitives and explored exhaustively at bounded configurations (2-3
+//!    threads).  Counterexamples print the full interleaving schedule and a
+//!    replayable choice sequence.  Injected known-bad mutations (see each model's `Mutation`
 //!    enum) prove the checker actually catches the bug classes it claims.
 //!
 //! 2. **Source lint** ([`lint`], `src/bin/lint.rs`): repo-invariant checks

@@ -1,21 +1,20 @@
-//! Model of `yewpar_core::runtime`'s `GrantCore` — the versioned worker
-//! lease with cooperative revocation (request → claim under lock →
+//! Model of `yewpar_core::runtime`'s `GrantCore` — the worker lease with
+//! cooperative revocation (request → compare-and-swap claim →
 //! `ack_retire` → `Released`).
 //!
-//! Mirrored structure (see `GrantCore` in `crates/core/src/runtime.rs`):
-//! a lock-free `revoke_pending` mirror read with `Relaxed` on the worker
-//! fast path, a `Mutex`-protected authoritative `pending`/`retiring`
-//! count re-checked under the lock before claiming, a monotone `version`
-//! counter bumped `AcqRel` per grant change, and an ack published
-//! `Release` so the dispatcher observing it also observes the release
-//! payload.
+//! Mirrored structure (see `GrantCore` in `crates/core/src/runtime/grant.rs`):
+//! a request queues its timestamp under the lease lock, then adds itself
+//! to `revoke_pending` with `Release`; a worker claims one request with a
+//! single `Acquire` compare-and-swap decrement of `revoke_pending`, taking
+//! no lock; its ack pops the timestamp under the lock and publishes the
+//! `Released` flag with `Release`, so the dispatcher observing it also
+//! observes the release payload.
 //!
 //! Checked invariants:
 //! * **never lost, never double-acked**: one requested revocation is
 //!   claimed and acked exactly once across racing workers;
 //! * **ack visibility**: a dispatcher that observes the ack flag observes
-//!   the released payload;
-//! * **version monotonicity**: no worker ever sees the version decrease.
+//!   the released payload.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -29,25 +28,19 @@ use crate::thread;
 pub enum Mutation {
     /// The faithful protocol.
     None,
-    /// Workers claim a revocation trusting the `Relaxed` fast-path mirror
-    /// without re-checking the authoritative count under the lock: two
-    /// racing workers both claim the single pending revocation.
-    UnlockedClaim,
-    /// The ack flag is published `Relaxed` instead of `Release` (the
-    /// "dropped Release on ack_retire" bug from the issue): the
+    /// The claim is a load and a separate store instead of one
+    /// compare-and-swap: two racing workers both read the single pending
+    /// revocation and both claim it.
+    SplitClaim,
+    /// The ack flag is published `Relaxed` instead of `Release`: the
     /// dispatcher can observe the ack while reading a stale payload.
     AckFlagRelaxed,
 }
 
-struct Inner {
-    pending: u64,
-    retiring: u64,
-}
-
 struct GrantModel {
-    version: AtomicU64,
     revoke_pending: AtomicUsize,
-    inner: Mutex<Inner>,
+    /// The queued request timestamps, as a count.
+    revocations: Mutex<u64>,
     acked: AtomicU64,
     ack_payload: AtomicU64,
     ack_flag: AtomicBool,
@@ -57,15 +50,8 @@ struct GrantModel {
 impl GrantModel {
     fn new(mutation: Mutation) -> Self {
         GrantModel {
-            version: AtomicU64::named("version", 0),
             revoke_pending: AtomicUsize::named("revoke_pending", 0),
-            inner: Mutex::named(
-                "grant_inner",
-                Inner {
-                    pending: 0,
-                    retiring: 0,
-                },
-            ),
+            revocations: Mutex::named("grant_inner", 0),
             acked: AtomicU64::named("acked", 0),
             ack_payload: AtomicU64::named("ack_payload", 0),
             ack_flag: AtomicBool::named("ack_flag", false),
@@ -73,49 +59,41 @@ impl GrantModel {
         }
     }
 
-    fn request_revoke(&self, n: u64) {
-        {
-            let mut inner = self.inner.lock();
-            inner.pending += n;
-            self.revoke_pending
-                .store(inner.pending as usize, Ordering::Release);
-        }
-        self.version.fetch_add(1, Ordering::AcqRel);
+    fn request_revoke(&self, n: usize) {
+        *self.revocations.lock() += n as u64;
+        self.revoke_pending.fetch_add(n, Ordering::Release);
     }
 
     /// Worker side: claim one pending revocation if any.
     fn try_claim_retire(&self) -> bool {
-        if self.revoke_pending.load(Ordering::Relaxed) == 0 {
-            // Fast path: the mirror is advisory; a stale zero just means a
-            // later scheduling round claims instead.
-            return false;
-        }
-        let mut inner = self.inner.lock();
-        if self.mutation == Mutation::UnlockedClaim {
-            // Bug: trust the fast-path read; skip the authoritative
-            // re-check, so both racing workers decrement.
-            assert!(
-                inner.pending > 0,
-                "grant: revocation claimed twice (double-claim of a single request)"
-            );
-            inner.pending -= 1;
-        } else {
-            if inner.pending == 0 {
-                return false;
+        let mut pending = self.revoke_pending.load(Ordering::Relaxed);
+        while pending > 0 {
+            if self.mutation == Mutation::SplitClaim {
+                // Bug: decrement by a plain store of the value loaded above.
+                self.revoke_pending.store(pending - 1, Ordering::Release);
+                return true;
             }
-            inner.pending -= 1;
+            match self.revoke_pending.compare_exchange_weak(
+                pending,
+                pending - 1,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(current) => pending = current,
+            }
         }
-        self.revoke_pending
-            .store(inner.pending as usize, Ordering::Relaxed);
-        inner.retiring += 1;
-        true
+        false
     }
 
     fn ack_retire(&self) {
         {
-            let mut inner = self.inner.lock();
-            assert!(inner.retiring > 0, "grant: ack without a claimed retire");
-            inner.retiring -= 1;
+            let mut revocations = self.revocations.lock();
+            assert!(
+                *revocations > 0,
+                "grant: revocation claimed twice (its ack found no request left)"
+            );
+            *revocations -= 1;
         }
         // The Released control message: payload first, flag last.
         self.ack_payload.store(7, Ordering::Relaxed);
@@ -132,19 +110,16 @@ fn scenario(mutation: Mutation) {
     let g = Arc::new(GrantModel::new(mutation));
     // The dispatcher requests the revocation before the racing workers
     // start (the race under test is claim/ack, not request/claim — the
-    // spawn edge makes the pending mirror visible to both workers).
+    // spawn edge makes the pending count visible to both workers).
     g.request_revoke(1);
 
     let workers: Vec<_> = (0..2)
         .map(|i| {
             let g = Arc::clone(&g);
             thread::spawn_named(if i == 0 { "worker0" } else { "worker1" }, move || {
-                let v1 = g.version.load(Ordering::Acquire);
                 if g.try_claim_retire() {
                     g.ack_retire();
                 }
-                let v2 = g.version.load(Ordering::Acquire);
-                assert!(v2 >= v1, "grant: version went backwards ({v1} -> {v2})");
             })
         })
         .collect();
@@ -162,10 +137,13 @@ fn scenario(mutation: Mutation) {
     for worker in workers {
         worker.join();
     }
-    let inner = g.inner.lock();
-    assert_eq!(inner.pending, 0, "grant: revocation lost (never claimed)");
-    assert_eq!(inner.retiring, 0, "grant: claimed retire never acked");
-    drop(inner);
+    let pending = g.revoke_pending.load(Ordering::Acquire);
+    assert_eq!(pending, 0, "grant: revocation lost (never claimed)");
+    assert_eq!(
+        *g.revocations.lock(),
+        0,
+        "grant: claimed retire never acked"
+    );
     let acks = g.acked.load(Ordering::Acquire);
     assert_eq!(acks, 1, "grant: single revocation acked {acks} times");
 }

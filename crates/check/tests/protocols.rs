@@ -65,8 +65,8 @@ fn termination_latch_lost_wakeup_is_caught_as_deadlock() {
 }
 
 #[test]
-fn grant_unlocked_claim_double_ack_is_caught() {
-    let report = grant::check(grant::Mutation::UnlockedClaim, Strategy::Dfs, &bounded());
+fn grant_split_claim_double_ack_is_caught() {
+    let report = grant::check(grant::Mutation::SplitClaim, Strategy::Dfs, &bounded());
     let failure = report.assert_caught();
     assert!(
         failure.message.contains("claimed twice") || failure.message.contains("acked"),

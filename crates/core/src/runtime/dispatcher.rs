@@ -1,7 +1,11 @@
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+//! The allocator loop: it carries out the schedule policy's decisions
+//! through the [`Ledger`], leases pool slots to admitted searches and
+//! keeps the pool-wide gauges.
+
+use crate::sync::Ordering;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
@@ -62,44 +66,11 @@ pub(super) enum Control {
     Shutdown(ShutdownMode),
 }
 
-/// Pool-wide scheduler gauges, updated by the dispatcher and snapshotted by
-/// [`Runtime::stats`](super::Runtime::stats).
-#[derive(Debug, Default)]
-pub(super) struct PoolGauges {
-    pub(super) active_searches: AtomicUsize,
-    pub(super) peak_active_searches: AtomicUsize,
-    pub(super) granted_workers: AtomicUsize,
-    pub(super) queued_searches: AtomicUsize,
-    pub(super) completed_searches: AtomicU64,
-    pub(super) total_queue_wait_micros: AtomicU64,
-    pub(super) grant_changes: AtomicU64,
-    pub(super) workers_preempted: AtomicU64,
-    pub(super) revocation_ns: AtomicU64,
-}
-
-impl PoolGauges {
-    pub(super) fn snapshot(&self) -> RuntimeStats {
-        RuntimeStats {
-            // ordering: advisory gauges — each field is an independent
-            // relaxed tally and the snapshot may be skewed across fields;
-            // acceptable for telemetry, nothing is published through them.
-            active_searches: self.active_searches.load(Ordering::Relaxed),
-            peak_active_searches: self.peak_active_searches.load(Ordering::Relaxed),
-            granted_workers: self.granted_workers.load(Ordering::Relaxed),
-            // ordering: as above — independent advisory telemetry reads.
-            queued_searches: self.queued_searches.load(Ordering::Relaxed),
-            completed_searches: self.completed_searches.load(Ordering::Relaxed),
-            // ordering: as above — independent advisory telemetry reads.
-            total_queue_wait: Duration::from_micros(
-                self.total_queue_wait_micros.load(Ordering::Relaxed),
-            ),
-            grant_changes: self.grant_changes.load(Ordering::Relaxed),
-            workers_preempted: self.workers_preempted.load(Ordering::Relaxed),
-            // ordering: as above — independent advisory telemetry read.
-            revocation_latency: Duration::from_nanos(self.revocation_ns.load(Ordering::Relaxed)),
-        }
-    }
-}
+/// The pool-wide scheduler gauges behind
+/// [`Runtime::stats`](super::Runtime::stats).  Each event's updates are
+/// made under one acquisition of the lock, so every snapshot is
+/// consistent across fields.
+pub(super) type Gauges = Arc<Mutex<RuntimeStats>>;
 
 /// A submission the dispatcher has received but not yet granted workers:
 /// the payload it keeps in its [`Ledger`].
@@ -180,7 +151,7 @@ pub(super) struct Dispatcher {
     pub(super) pool: Arc<WorkerPool>,
     /// Re-planning tick ([`RuntimeConfig::replan_period`](super::RuntimeConfig::replan_period)).
     pub(super) replan_period: Duration,
-    pub(super) gauges: Arc<PoolGauges>,
+    pub(super) gauges: Gauges,
     pub(super) draining: Option<ShutdownMode>,
     /// Flight recorder for queue/grant/finish transitions and gauge
     /// snapshots (off by default).
@@ -239,14 +210,18 @@ impl Dispatcher {
         if !self.tracer.enabled() {
             return;
         }
-        let stats = self.gauges.snapshot();
+        let snapshot = *self.gauges();
         self.tracer.control(TraceEvent::RuntimeGauge {
-            active: stats.active_searches as u32,
-            granted: stats.granted_workers as u32,
-            queued: stats.queued_searches as u32,
-            completed: stats.completed_searches,
-            peak: stats.peak_active_searches as u32,
+            active: snapshot.active_searches as u32,
+            granted: snapshot.granted_workers as u32,
+            queued: snapshot.queued_searches as u32,
+            completed: snapshot.completed_searches,
+            peak: snapshot.peak_active_searches as u32,
         });
+    }
+
+    fn gauges(&self) -> MutexGuard<'_, RuntimeStats> {
+        self.gauges.lock().expect("gauge lock")
     }
 
     fn handle(&mut self, msg: Control) {
@@ -280,12 +255,11 @@ impl Dispatcher {
                     .control(TraceEvent::SearchFinished { search_id });
                 if let Some(entry) = self.active.remove(&search_id) {
                     // The launch-time grant is stale after grows/shrinks —
-                    // reclaim what the core still holds.  Every
-                    // acknowledgement happens-before this message, so the
-                    // teardown numbers are settled.
-                    let (workers, slots) = entry.core.teardown();
-                    let leased = self.reclaim(search_id, slots);
-                    debug_assert_eq!(workers, leased, "ledger and grant core disagree");
+                    // reclaim the slots the core still holds.  Every
+                    // acknowledgement happens-before this message, so they
+                    // are settled.
+                    let slots = entry.core.teardown();
+                    self.reclaim(search_id, slots);
                 }
             }
             Control::Released {
@@ -298,16 +272,11 @@ impl Dispatcher {
                 // double-count against the search's finish-time reclaim.
                 self.free_slots.push(slot);
                 self.ledger.release(search_id, 1);
-                // ordering: advisory telemetry gauges; snapshot() reads them
-                // relaxed and tolerates skew.
-                self.gauges.granted_workers.fetch_sub(1, Ordering::Relaxed);
-                self.gauges
-                    .workers_preempted
-                    .fetch_add(1, Ordering::Relaxed);
-                self.gauges
-                    .revocation_ns
-                    // ordering: advisory telemetry tally, as above.
-                    .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
+                let mut gauges = self.gauges();
+                gauges.granted_workers -= 1;
+                gauges.workers_preempted += 1;
+                gauges.revocation_latency += latency;
+                drop(gauges);
                 self.tracer.control(TraceEvent::WorkerRevoked {
                     search_id,
                     slot: slot as u32,
@@ -340,21 +309,14 @@ impl Dispatcher {
     }
 
     /// Close a finished search's lease: its workers return to the ledger's
-    /// budget, its slots to the free pool.  Returns the lease's final
-    /// worker count.
-    fn reclaim(&mut self, search_id: u64, mut slots: Vec<usize>) -> usize {
+    /// budget, its slots to the free pool.
+    fn reclaim(&mut self, search_id: u64, mut slots: Vec<usize>) {
         let workers = self.ledger.finish(search_id).map_or(0, |l| l.workers);
         self.free_slots.append(&mut slots);
-        // ordering: advisory telemetry gauges; snapshots tolerate skew.
-        self.gauges.active_searches.fetch_sub(1, Ordering::Relaxed);
-        self.gauges
-            .granted_workers
-            .fetch_sub(workers, Ordering::Relaxed);
-        self.gauges
-            .completed_searches
-            // ordering: advisory telemetry tally, as above.
-            .fetch_add(1, Ordering::Relaxed);
-        workers
+        let mut gauges = self.gauges();
+        gauges.active_searches -= 1;
+        gauges.granted_workers -= workers;
+        gauges.completed_searches += 1;
     }
 
     /// Let the ledger plan admissions and launch them, repeating until the
@@ -412,22 +374,13 @@ impl Dispatcher {
             pool: Arc::clone(&self.pool),
             core,
         };
-        // ordering: advisory telemetry gauges; snapshots tolerate skew.  The
-        // peak update is a lock-free max over the RMW-atomic running count.
-        self.gauges.queued_searches.fetch_sub(1, Ordering::Relaxed);
-        self.gauges
-            .granted_workers
-            .fetch_add(workers, Ordering::Relaxed);
-        // ordering: advisory gauges, as above; the peak is a lock-free max
-        // over this RMW-atomic running count.
-        let active_now = self.gauges.active_searches.fetch_add(1, Ordering::Relaxed) + 1;
-        self.gauges
-            .peak_active_searches
-            .fetch_max(active_now, Ordering::Relaxed);
-        self.gauges
-            .total_queue_wait_micros
-            // ordering: advisory telemetry tally, as above.
-            .fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
+        let mut gauges = self.gauges();
+        gauges.queued_searches -= 1;
+        gauges.granted_workers += workers;
+        gauges.active_searches += 1;
+        gauges.peak_active_searches = gauges.peak_active_searches.max(gauges.active_searches);
+        gauges.total_queue_wait += queue_wait;
+        drop(gauges);
         self.tracer.control(TraceEvent::SearchGranted {
             search_id,
             workers: workers as u32,
@@ -466,10 +419,8 @@ impl Dispatcher {
                     let Some(entry) = self.active.get(&search) else {
                         continue;
                     };
-                    let issued = entry.core.request_revoke(workers);
-                    debug_assert_eq!(issued, workers, "ledger and grant core disagree");
-                    // ordering: advisory telemetry tally; snapshots tolerate skew.
-                    self.gauges.grant_changes.fetch_add(1, Ordering::Relaxed);
+                    entry.core.request_revoke(workers);
+                    self.bump_grant_changes(&entry.core, 0);
                     let lease = self.ledger.lease(search);
                     self.tracer.control(TraceEvent::GrantShrunk {
                         search_id: search,
@@ -513,16 +464,22 @@ impl Dispatcher {
         }
         if grown > 0 {
             let workers = self.ledger.grow(search, grown);
-            // ordering: advisory telemetry tallies; snapshots tolerate skew.
-            entry.core.grant_changes.fetch_add(1, Ordering::Relaxed);
-            self.gauges
-                .granted_workers
-                .fetch_add(grown, Ordering::Relaxed);
-            self.gauges.grant_changes.fetch_add(1, Ordering::Relaxed);
+            self.bump_grant_changes(&entry.core, grown);
             self.tracer.control(TraceEvent::GrantGrown {
                 search_id: search,
                 workers: workers as u32,
             });
         }
+    }
+
+    /// Count one executed `Grow` (of `grown` workers) or `Shrink` (`grown`
+    /// = 0) on the lease, for its outcome's metrics, and on the gauges.
+    fn bump_grant_changes(&self, core: &GrantCore, grown: usize) {
+        // ordering: advisory tally, read by the search's outcome after its
+        // workers have joined.
+        core.grant_changes.fetch_add(1, Ordering::Relaxed);
+        let mut gauges = self.gauges();
+        gauges.grant_changes += 1;
+        gauges.granted_workers += grown;
     }
 }

@@ -1,3 +1,7 @@
+//! The lease one search holds: its slots, worker ids and revocation
+//! requests ([`GrantCore`]), and the grant handed to the engine
+//! ([`ExecutionGrant`]).
+
 use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -9,11 +13,10 @@ use super::dispatcher::Control;
 use super::pool::{ElasticHook, ScopedState};
 use super::WorkerPool;
 
-/// Mutexed bookkeeping of one lease (see [`GrantCore`]).
+/// Mutexed bookkeeping of one lease (see [`GrantCore`]).  How many
+/// workers the lease holds is the [`Ledger`](crate::schedule::Ledger)'s
+/// count, not this one's.
 struct GrantInner {
-    /// Live workers, *including* worker 0 on the home slot and workers
-    /// that claimed a revocation but have not acknowledged it yet.
-    worker_count: usize,
     /// Next fresh worker id; ids freed by revocation are recycled first, so
     /// this never exceeds the larger of the pool capacity and the grant.
     next_worker_id: usize,
@@ -26,14 +29,10 @@ struct GrantInner {
     /// Issue timestamps of unacknowledged revocation requests (FIFO); the
     /// front one is consumed at each acknowledgement for its latency.
     revocations: VecDeque<Instant>,
-    /// Workers that claimed a revocation and are on their way out — they no
-    /// longer count against new revocation requests but still hold their
-    /// slot until the acknowledgement.
-    retiring: usize,
     hook: Option<ElasticHook>,
 }
 
-/// The shared, versioned state of one lease — the renegotiable half of an
+/// The shared state of one lease — the renegotiable half of an
 /// [`ExecutionGrant`].  The dispatcher grows the lease through
 /// [`try_attach`](GrantCore::try_attach) and shrinks it through
 /// [`request_revoke`](GrantCore::request_revoke); engine workers observe
@@ -46,10 +45,8 @@ struct GrantInner {
 /// `revoke_pending` per lifecycle poll.
 pub(crate) struct GrantCore {
     pub(crate) search_id: u64,
-    /// Bumped on every lease change (attach, revocation request, ack).
-    pub(crate) version: AtomicU64,
-    /// Unclaimed revocation requests — the cheap worker-side poll reads
-    /// this before ever touching the mutex.
+    /// Unclaimed revocation requests; a worker claims one by decrementing
+    /// it, without the lock.
     revoke_pending: AtomicUsize,
     /// Executed adjustments (`Grow`/`Shrink`) against this lease.
     pub(crate) grant_changes: AtomicU64,
@@ -66,9 +63,7 @@ impl std::fmt::Debug for GrantCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GrantCore")
             .field("search_id", &self.search_id)
-            // ordering: diagnostic display of the change tick; staleness ok.
-            .field("version", &self.version.load(Ordering::Relaxed))
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -86,14 +81,12 @@ impl GrantCore {
     ) -> Self {
         GrantCore {
             search_id,
-            version: AtomicU64::new(0),
             revoke_pending: AtomicUsize::new(0),
             grant_changes: AtomicU64::new(0),
             workers_preempted: AtomicU64::new(0),
             revocation_ns: AtomicU64::new(0),
             released_tx,
             inner: Mutex::new(GrantInner {
-                worker_count: workers,
                 next_worker_id: workers,
                 free_ids: Vec::new(),
                 held_slots: slots.to_vec(),
@@ -101,7 +94,6 @@ impl GrantCore {
                     .zip(slots.iter().skip(1).copied().cycle())
                     .collect(),
                 revocations: VecDeque::new(),
-                retiring: 0,
                 hook: None,
             }),
         }
@@ -161,67 +153,47 @@ impl GrantCore {
             inner.free_ids.push(worker_id);
             return false;
         }
-        inner.worker_count += 1;
         inner.held_slots.push(slot);
         inner.assignments.push((worker_id, slot));
-        // ordering: advisory change tick; lease state mutates under the
-        // grant lock above, which provides the real ordering.
-        self.version.fetch_add(1, Ordering::Relaxed);
         true
     }
 
-    /// Issue up to `want` cooperative revocation requests, never shrinking
-    /// the lease below one worker (worker 0, on the home slot, never
+    /// Issue `n` cooperative revocation requests.  The
+    /// [`Ledger`](crate::schedule::Ledger) has already clamped `n` so the
+    /// lease keeps at least one worker (worker 0, on the home slot, never
     /// claims).
-    /// Returns how many were actually issued.
-    pub(super) fn request_revoke(&self, want: usize) -> usize {
-        let mut inner = self.inner.lock().expect("grant lock");
-        // ordering: relaxed mirror of lock-protected state — only ever
-        // written under the grant lock held here, so this read is exact.
-        let pending = self.revoke_pending.load(Ordering::Relaxed);
-        let committed = inner
-            .worker_count
-            .saturating_sub(1)
-            .saturating_sub(pending + inner.retiring);
-        let take = want.min(committed);
-        if take == 0 {
-            return 0;
-        }
+    pub(super) fn request_revoke(&self, n: usize) {
         let now = Instant::now();
-        for _ in 0..take {
-            inner.revocations.push_back(now);
-        }
-        // ordering: mirror store under the grant lock; unlocked readers
-        // (the try_claim_retire fast path) re-check under the lock, so a
-        // stale view only delays a claim (model-checked: models/grant.rs).
-        self.revoke_pending.store(pending + take, Ordering::Relaxed);
-        self.version.fetch_add(1, Ordering::Relaxed);
-        self.grant_changes.fetch_add(1, Ordering::Relaxed);
-        take
+        let mut inner = self.inner.lock().expect("grant lock");
+        inner.revocations.extend(std::iter::repeat(now).take(n));
+        drop(inner);
+        // ordering: Release pairs with the claim's Acquire, so a worker that
+        // claims one of these requests finds its timestamp queued when it
+        // acknowledges (model-checked: models/grant.rs).
+        self.revoke_pending.fetch_add(n, Ordering::Release);
     }
 
-    /// Worker-side: claim one pending revocation request, if any.  The
-    /// fast path is a single relaxed load; the claim itself is taken under
-    /// the lock so two workers can never claim the same request and a
-    /// racing [`request_revoke`](GrantCore::request_revoke) always sees an
-    /// accurate committed-worker count.
+    /// Worker-side: claim one pending revocation request, if any — one
+    /// compare-and-swap decrement, so two workers can never claim the same
+    /// request.  With none pending (always, under a fixed grant) this is a
+    /// single relaxed load.
     pub(crate) fn try_claim_retire(&self) -> bool {
-        // ordering: unlocked fast-path peek at the lock-protected mirror; a
-        // stale zero just skips this poll and a stale non-zero falls through
-        // to the locked re-check below (model-checked: models/grant.rs,
-        // whose UnlockedClaim mutation shows the lock re-check is load-bearing).
-        if self.revoke_pending.load(Ordering::Relaxed) == 0 {
-            return false;
+        // ordering: a stale count only fails the CAS below, which retries
+        // with the fresh one; a stale zero skips this poll.
+        let mut pending = self.revoke_pending.load(Ordering::Relaxed);
+        while pending > 0 {
+            // Acquire pairs with request_revoke's Release.
+            match self.revoke_pending.compare_exchange_weak(
+                pending,
+                pending - 1,
+                Ordering::Acquire,
+                Ordering::Relaxed, // ordering: a failed exchange only reloads.
+            ) {
+                Ok(_) => return true,
+                Err(current) => pending = current,
+            }
         }
-        let mut inner = self.inner.lock().expect("grant lock");
-        // ordering: exact — the mirror is only written under the grant lock.
-        let pending = self.revoke_pending.load(Ordering::Relaxed);
-        if pending == 0 {
-            return false;
-        }
-        self.revoke_pending.store(pending - 1, Ordering::Relaxed);
-        inner.retiring += 1;
-        true
+        false
     }
 
     /// Worker-side: acknowledge a claimed revocation after the worker has
@@ -241,20 +213,17 @@ impl GrantCore {
             inner.held_slots.retain(|&s| s != slot);
         }
         inner.free_ids.push(worker_id);
-        inner.worker_count = inner.worker_count.saturating_sub(1);
-        inner.retiring = inner.retiring.saturating_sub(1);
         let latency = inner
             .revocations
             .pop_front()
             .map(|requested| requested.elapsed())
             .unwrap_or_default();
         drop(inner);
-        // ordering: advisory telemetry tallies (and the change tick); read
-        // by metrics snapshots that tolerate skew, publish nothing.
+        // ordering: advisory telemetry tallies, read by metrics snapshots
+        // that tolerate skew; they publish nothing.
         self.workers_preempted.fetch_add(1, Ordering::Relaxed);
         self.revocation_ns
             .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
-        self.version.fetch_add(1, Ordering::Relaxed);
         if let Some(slot) = slot {
             let _ = self.released_tx.send(Control::Released {
                 search_id: self.search_id,
@@ -265,17 +234,17 @@ impl GrantCore {
     }
 
     /// Dispatcher-side teardown at search finish: clear any unclaimed
-    /// revocation requests and return the remaining lease
-    /// `(workers, slots)` for reclamation.  Every acknowledgement
-    /// happens-before the search job's `Finished` message, so the returned
-    /// numbers are settled.
-    pub(super) fn teardown(&self) -> (usize, Vec<usize>) {
+    /// revocation requests and return the slots the lease still holds.
+    /// Every acknowledgement happens-before the search job's `Finished`
+    /// message, so they are settled.
+    pub(super) fn teardown(&self) -> Vec<usize> {
         let mut inner = self.inner.lock().expect("grant lock");
         inner.hook = None;
         inner.revocations.clear();
-        // ordering: mirror reset under the grant lock, like every write.
+        // ordering: no worker of the search is left to claim; the Finished
+        // message orders this before any later use of the core.
         self.revoke_pending.store(0, Ordering::Relaxed);
-        (inner.worker_count, std::mem::take(&mut inner.held_slots))
+        std::mem::take(&mut inner.held_slots)
     }
 }
 
@@ -303,7 +272,7 @@ pub(crate) struct ExecutionGrant {
     /// The pool the lease's slots belong to; the engine runs the search's
     /// workers on it through [`WorkerPool::scoped_run`].
     pub(crate) pool: Arc<WorkerPool>,
-    /// The shared, versioned lease state: the dispatcher renegotiates the
+    /// The shared lease state: the dispatcher renegotiates the
     /// lease through it, and the engine polls it for revocations.
     pub(crate) core: Arc<GrantCore>,
 }

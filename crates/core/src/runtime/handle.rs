@@ -1,12 +1,10 @@
+//! Search handles: the anytime interface to one submitted search.
+
 use crate::sync::{AtomicBool, Ordering};
 use std::panic::resume_unwind;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::lifecycle::{CancelToken, ProgressStream};
-
-// ---------------------------------------------------------------------------
-// Search handles
-// ---------------------------------------------------------------------------
 
 /// Result slot shared between a runtime job and its [`SearchHandle`].
 pub(super) struct HandleState<T> {

@@ -1,3 +1,6 @@
+//! The persistent worker pool: one parked thread per runtime worker, and
+//! the scoped runner that executes a search's workers on its lease.
+
 use crate::sync::{AtomicBool, Ordering};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -7,10 +10,6 @@ use crossbeam_channel::{bounded, Receiver, Sender};
 
 use super::GrantCore;
 use crate::metrics::WorkerMetrics;
-
-// ---------------------------------------------------------------------------
-// Persistent worker pool
-// ---------------------------------------------------------------------------
 
 /// A search-worker closure with its lifetime erased so it can cross into a
 /// persistent pool thread.  Soundness rests on the latch protocol of

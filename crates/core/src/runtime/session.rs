@@ -1,5 +1,8 @@
+//! Sessions: cancellation scopes over groups of searches, with status
+//! aggregation and worker quotas.
+
 use crate::sync::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use super::{Runtime, SearchHandle};
@@ -8,47 +11,9 @@ use crate::objective::{Decide, Enumerate, Optimise};
 use crate::params::SearchConfig;
 use crate::skeleton::{DecideOutcome, EnumOutcome, OptimOutcome};
 
-// ---------------------------------------------------------------------------
-// Sessions
-// ---------------------------------------------------------------------------
-
-/// Per-session terminal-status counters (see [`Session::status`]).
-#[derive(Debug, Default)]
-pub(super) struct SessionState {
-    pub(super) submitted: AtomicU64,
-    complete: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    panicked: AtomicU64,
-}
-
-impl SessionState {
-    /// Record one search's terminal status (`None` = the search panicked).
-    pub(super) fn record(&self, status: Option<SearchStatus>) {
-        let counter = match status {
-            Some(SearchStatus::Complete) => &self.complete,
-            Some(SearchStatus::Cancelled) => &self.cancelled,
-            Some(SearchStatus::DeadlineExceeded) => &self.deadline_exceeded,
-            None => &self.panicked,
-        };
-        // ordering: advisory session tally; status() tolerates skew.
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> SessionStatus {
-        SessionStatus {
-            // ordering: advisory counters — status() is documented as a
-            // snapshot, not a live view; fields may be mutually skewed.
-            submitted: self.submitted.load(Ordering::Relaxed),
-            complete: self.complete.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            // ordering: as above — advisory snapshot read.
-            panicked: self.panicked.load(Ordering::Relaxed),
-            throttled: Duration::ZERO,
-        }
-    }
-}
+/// Per-session terminal-status counters (see [`Session::status`]), one
+/// lock for all of them so every snapshot is consistent.
+pub(super) type SessionState = Mutex<SessionStatus>;
 
 /// Aggregated terminal statuses of the searches submitted through one
 /// [`Session`] — a snapshot, not a live view.
@@ -73,6 +38,17 @@ pub struct SessionStatus {
 }
 
 impl SessionStatus {
+    /// Record one search's terminal status (`None` = the search panicked).
+    pub(super) fn record(&mut self, status: Option<SearchStatus>) {
+        let counter = match status {
+            Some(SearchStatus::Complete) => &mut self.complete,
+            Some(SearchStatus::Cancelled) => &mut self.cancelled,
+            Some(SearchStatus::DeadlineExceeded) => &mut self.deadline_exceeded,
+            None => &mut self.panicked,
+        };
+        *counter += 1;
+    }
+
     /// Searches that have reached *any* terminal state.
     pub fn finished(&self) -> u64 {
         self.complete + self.cancelled + self.deadline_exceeded + self.panicked
@@ -226,7 +202,7 @@ impl Session<'_> {
 
     /// Snapshot of the session's aggregated search statuses.
     pub fn status(&self) -> SessionStatus {
-        let mut status = self.state.snapshot();
+        let mut status = *self.state.lock().expect("session lock");
         if let Some(quota) = &self.quota {
             status.throttled = quota.throttled();
         }

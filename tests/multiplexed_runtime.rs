@@ -18,6 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::{Latch, OpenAtExpansion};
+
 use yewpar::{
     Coordination, DeadlineShare, FairShare, Fifo, Priority, Runtime, RuntimeConfig, SchedulePolicy,
     SearchConfig, SearchStatus, Skeleton,
@@ -141,6 +144,7 @@ fn subtree_size(p: &Irregular) -> u64 {
 #[test]
 fn two_fair_share_searches_run_concurrently_on_disjoint_subsets() {
     let runtime = Runtime::with_policy(RuntimeConfig::default().workers(8), Box::new(FairShare));
+    assert_eq!(runtime.policy_name(), "fair-share");
     let gate = Arc::new(AtomicUsize::new(0));
     let problems: Vec<Rendezvous> = [1u64, 7]
         .into_iter()
@@ -152,9 +156,16 @@ fn two_fair_share_searches_run_concurrently_on_disjoint_subsets() {
         .collect();
     let expected: Vec<u64> = problems.iter().map(|r| subtree_size(&r.inner)).collect();
     let cfg = config(Coordination::depth_bounded(2), 4);
+    // Sessions capped at the request keep FairShare from growing the first
+    // search into the idle half of the pool before the second arrives, and
+    // so from admitting the second on a partial grant.
+    let sessions: Vec<_> = (0..2)
+        .map(|_| runtime.session().with_max_workers(4))
+        .collect();
     let handles: Vec<_> = problems
         .iter()
-        .map(|p| runtime.enumerate(p.clone(), &cfg))
+        .zip(&sessions)
+        .map(|(p, session)| session.enumerate(p.clone(), &cfg))
         .collect();
     let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
     for (out, expected) in outcomes.iter().zip(&expected) {
@@ -165,8 +176,10 @@ fn two_fair_share_searches_run_concurrently_on_disjoint_subsets() {
         );
         assert_eq!(out.metrics.outstanding_tasks, 0);
         assert_eq!(out.metrics.granted_workers, 4);
+        assert_eq!(out.metrics.workers, 4, "the engine ran the granted count");
         assert_eq!(out.metrics.granted_slots.len(), 4);
     }
+    assert_ne!(outcomes[0].metrics.search_id, outcomes[1].metrics.search_id);
     assert!(
         outcomes[0]
             .metrics
@@ -182,6 +195,81 @@ fn two_fair_share_searches_run_concurrently_on_disjoint_subsets() {
         stats.peak_active_searches >= 2,
         "the pool must actually have multiplexed: {stats:?}"
     );
+    // The dispatcher reclaims a lease *after* the handle resolves, so give
+    // the gauges a moment to catch up.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = runtime.stats();
+        if stats.completed_searches == 2 || Instant::now() > deadline {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    };
+    assert_eq!(stats.completed_searches, 2);
+    assert_eq!(stats.active_searches, 0);
+    assert_eq!(stats.granted_workers, 0, "all leases reclaimed");
+}
+
+/// `Runtime::stats` is one consistent snapshot: a watcher polling it while
+/// FairShare admits, runs and reclaims a burst of searches never sees a
+/// submission counted twice or not at all, more active searches than the
+/// peak, or granted workers without an active search (or the reverse).
+#[test]
+fn stats_snapshots_are_consistent_across_fields() {
+    const SEARCHES: u64 = 12;
+    let runtime = Runtime::with_policy(
+        RuntimeConfig::default()
+            .workers(4)
+            .replan_period(Duration::from_millis(1)),
+        Box::new(FairShare),
+    );
+    let handles: Vec<_> = (0..SEARCHES)
+        .map(|seed| {
+            runtime.enumerate(
+                Irregular { depth: 7, seed },
+                &config(Coordination::depth_bounded(2), 2),
+            )
+        })
+        .collect();
+    let snapshots = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut snapshots = 0u64;
+            loop {
+                let stats = runtime.stats();
+                snapshots += 1;
+                assert_eq!(
+                    stats.queued_searches as u64
+                        + stats.active_searches as u64
+                        + stats.completed_searches,
+                    SEARCHES,
+                    "every submission is queued, active or completed: {stats:?}"
+                );
+                assert!(
+                    stats.active_searches <= stats.peak_active_searches,
+                    "{stats:?}"
+                );
+                assert_eq!(
+                    stats.granted_workers == 0,
+                    stats.active_searches == 0,
+                    "workers are granted exactly while a search is active: {stats:?}"
+                );
+                if stats.completed_searches == SEARCHES {
+                    return snapshots;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "leases never reclaimed: {stats:?}"
+                );
+                std::thread::yield_now();
+            }
+        });
+        for handle in handles {
+            assert_eq!(handle.wait().status, SearchStatus::Complete);
+        }
+        watcher.join().expect("watcher")
+    });
+    assert!(snapshots >= 1);
 }
 
 /// The scheduler matrix: 3 concurrent submissions × {Fifo, FairShare} ×
@@ -446,8 +534,11 @@ fn urgent_arrival_overtakes_a_saturating_background() {
             .replan_period(Duration::from_millis(1)),
         Box::new(DeadlineShare),
     );
+    // The urgent job arrives once the background is running and has
+    // scored its root.
+    let running = Arc::new(Latch::default());
     let background = runtime.maximise(
-        endless(1),
+        OpenAtExpansion::new(endless(1), Arc::clone(&running)),
         &priority_config(
             Coordination::depth_bounded(3),
             8,
@@ -455,7 +546,7 @@ fn urgent_arrival_overtakes_a_saturating_background() {
             Some(Duration::from_millis(400)),
         ),
     );
-    std::thread::sleep(Duration::from_millis(20));
+    running.wait();
     let urgent = runtime.enumerate(
         Irregular { depth: 8, seed: 7 },
         &priority_config(Coordination::depth_bounded(2), 4, Priority::High, None),
@@ -497,8 +588,11 @@ fn urgent_arrival_preempts_an_unshrinkable_background() {
             .replan_period(Duration::from_millis(1)),
         Box::new(DeadlineShare),
     );
+    // The urgent job arrives once the background is running and has
+    // scored its root, so a preemption cannot strand it without one.
+    let running = Arc::new(Latch::default());
     let background = runtime.maximise(
-        endless(1),
+        OpenAtExpansion::new(endless(1), Arc::clone(&running)),
         &priority_config(
             Coordination::depth_bounded(3),
             4,
@@ -506,7 +600,7 @@ fn urgent_arrival_preempts_an_unshrinkable_background() {
             Some(Duration::from_secs(10)),
         ),
     );
-    std::thread::sleep(Duration::from_millis(20));
+    running.wait();
     // Wants the whole pool: shrinking leaves the background one worker,
     // so DeadlineShare must preempt it to make room.
     let urgent = runtime.enumerate(
