@@ -5,8 +5,8 @@
 //! thread configuration that exercises its races.  Each exposes:
 //!
 //! * a `Mutation` enum: `None` is the faithful protocol; the other
-//!   variants are known-bad weakenings (a dropped `Release`, a skipped
-//!   lock re-check, …) that the checker must catch, and
+//!   variants are known-bad weakenings (a dropped `Release`, a claim
+//!   split into a load and a store, …) that the checker must catch, and
 //! * `check(mutation, strategy, &config) -> Report`.
 //!
 //! [`suite`] runs the faithful version of every model exhaustively with

@@ -316,7 +316,8 @@ impl Runtime {
 
     /// A snapshot of the pool-wide scheduler gauges: active searches,
     /// granted workers, queue depth, peak concurrency and cumulative
-    /// queue-wait.
+    /// queue-wait.  Consistent across fields: every submission is counted
+    /// exactly once as queued, active or completed.
     pub fn stats(&self) -> RuntimeStats {
         *self.gauges.lock().expect("gauge lock")
     }
