@@ -6,16 +6,22 @@ use crate::sync::Ordering;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 use super::pool::PoolTask;
-use super::{ExecutionGrant, GrantCore, SessionQuota, ShutdownMode, WorkerPool};
+use super::{ExecutionGrant, GrantCore, RuntimeConfig, SessionQuota, ShutdownMode, WorkerPool};
 use crate::lifecycle::CancelToken;
 use crate::metrics::RuntimeStats;
 use crate::schedule::{Adjustment, Admitted, Ledger, Priority, SchedulePolicy};
 use crate::trace::{TraceEvent, Tracer};
+
+/// Capacity of the dispatcher's control channel.  Submitting beyond it
+/// blocks the submitter until the dispatcher catches up (backpressure, not
+/// an error).
+const QUEUE_CAPACITY: usize = 256;
 
 /// A submitted search job: runs once the scheduler grants it workers.
 pub(super) type Job = Box<dyn FnOnce(ExecutionGrant) + Send + 'static>;
@@ -74,7 +80,7 @@ pub(super) type Gauges = Arc<Mutex<RuntimeStats>>;
 
 /// A submission the dispatcher has received but not yet granted workers:
 /// the payload it keeps in its [`Ledger`].
-pub(super) struct QueuedSearch {
+struct QueuedSearch {
     submission: Submission,
     /// When (on the ledger's clock) the submission last became quota-held;
     /// taken (and accumulated into the session's throttled time) the moment
@@ -122,7 +128,7 @@ fn quota_cap(
 /// Dispatcher-side state of one running search: the lease's shared core
 /// plus what preemption and quotas need.  What the policy sees of the lease
 /// lives in the [`Ledger`].
-pub(super) struct ActiveSearch {
+struct ActiveSearch {
     core: Arc<GrantCore>,
     cancel: CancelToken,
     quota: Option<Arc<SessionQuota>>,
@@ -132,34 +138,67 @@ pub(super) struct ActiveSearch {
 /// [`Ledger`] and owns what is physically the runtime's — the free
 /// pool-thread slots and the grant cores.
 pub(super) struct Dispatcher {
-    pub(super) rx: Receiver<Control>,
+    rx: Receiver<Control>,
     /// Clone handed to each search job for its `Finished` notification
     /// (and to each grant core for its `Released` ones).
-    pub(super) finished_tx: Sender<Control>,
-    pub(super) policy: Box<dyn SchedulePolicy>,
+    finished_tx: Sender<Control>,
+    policy: Box<dyn SchedulePolicy>,
     /// The pending queue, the free worker budget and the running leases,
     /// on a clock that reads the time since `epoch`.
-    pub(super) ledger: Ledger<QueuedSearch>,
-    pub(super) epoch: Instant,
+    ledger: Ledger<QueuedSearch>,
+    epoch: Instant,
     /// Unleased pool-thread indices: one per free worker of the ledger's
     /// budget.
-    pub(super) free_slots: Vec<usize>,
+    free_slots: Vec<usize>,
     /// Leases of the currently running searches.
-    pub(super) active: HashMap<u64, ActiveSearch>,
+    active: HashMap<u64, ActiveSearch>,
     /// The pool, for sending search jobs to their home slots and grown
     /// workers onto newly leased slots.
-    pub(super) pool: Arc<WorkerPool>,
+    pool: Arc<WorkerPool>,
     /// Re-planning tick ([`RuntimeConfig::replan_period`](super::RuntimeConfig::replan_period)).
-    pub(super) replan_period: Duration,
-    pub(super) gauges: Gauges,
-    pub(super) draining: Option<ShutdownMode>,
+    replan_period: Duration,
+    gauges: Gauges,
+    draining: Option<ShutdownMode>,
     /// Flight recorder for queue/grant/finish transitions and gauge
     /// snapshots (off by default).
-    pub(super) tracer: Tracer,
+    tracer: Tracer,
 }
 
 impl Dispatcher {
-    pub(super) fn run(mut self) {
+    /// Start the allocator loop on its own thread, leasing `pool`'s
+    /// slots; returns the sending half of its control channel and the
+    /// thread.
+    pub(super) fn spawn(
+        config: &RuntimeConfig,
+        policy: Box<dyn SchedulePolicy>,
+        pool: Arc<WorkerPool>,
+        gauges: Gauges,
+        tracer: Tracer,
+    ) -> (Sender<Control>, JoinHandle<()>) {
+        let (finished_tx, rx) = bounded(QUEUE_CAPACITY);
+        let control = finished_tx.clone();
+        let dispatcher = Dispatcher {
+            rx,
+            finished_tx,
+            policy,
+            ledger: Ledger::new(pool.size()),
+            epoch: Instant::now(),
+            free_slots: (0..pool.size()).collect(),
+            active: HashMap::new(),
+            pool,
+            replan_period: config.replan_period,
+            gauges,
+            draining: None,
+            tracer,
+        };
+        let thread = std::thread::Builder::new()
+            .name("yewpar-dispatch".into())
+            .spawn(move || dispatcher.run())
+            .expect("spawn runtime dispatcher");
+        (control, thread)
+    }
+
+    fn run(mut self) {
         loop {
             if self.draining.is_some() && self.ledger.is_idle() {
                 break;

@@ -97,22 +97,22 @@
 //! incumbent preserved.
 //!
 //! [`Skeleton`]: crate::skeleton::Skeleton
+//! [`Ledger`]: crate::schedule::Ledger
 //! [`SearchConfig::deadline`]: crate::params::SearchConfig::deadline
 
 use crate::sync::{AtomicU64, Ordering};
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, Sender};
+use crossbeam_channel::Sender;
 
 use crate::lifecycle::{progress_channel, CancelToken, SearchStatus};
 use crate::metrics::RuntimeStats;
 use crate::objective::{Decide, Enumerate, Optimise};
 use crate::params::SearchConfig;
-use crate::schedule::{Fifo, Ledger, SchedulePolicy};
+use crate::schedule::{Fifo, SchedulePolicy};
 use crate::skeleton::{DecideOutcome, EnumOutcome, OptimOutcome, Skeleton};
 use crate::trace::{TraceBuffer, TraceRecord, Tracer};
 
@@ -129,11 +129,6 @@ pub use handle::SearchHandle;
 pub use pool::WorkerPool;
 pub use session::{Session, SessionStatus};
 use session::{SessionQuota, SessionState};
-
-/// Capacity of the dispatcher's control channel.  Submitting beyond it
-/// blocks the submitter until the dispatcher catches up (backpressure, not
-/// an error).
-const QUEUE_CAPACITY: usize = 256;
 
 /// Configuration of a [`Runtime`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -263,7 +258,6 @@ impl Runtime {
     /// searches over disjoint worker subsets).
     pub fn with_policy(config: RuntimeConfig, policy: Box<dyn SchedulePolicy>) -> Self {
         let pool = Arc::new(WorkerPool::new(config.workers));
-        let (tx, rx) = bounded::<Control>(QUEUE_CAPACITY);
         let gauges = Gauges::default();
         let policy_name = policy.name();
         let trace = config
@@ -273,26 +267,15 @@ impl Runtime {
             .as_ref()
             .map(|buffer| Tracer::new(Arc::clone(buffer)))
             .unwrap_or_else(Tracer::off);
-        let dispatcher_state = Dispatcher {
-            rx,
-            finished_tx: tx.clone(),
+        let (control, dispatcher) = Dispatcher::spawn(
+            &config,
             policy,
-            ledger: Ledger::new(config.workers),
-            epoch: Instant::now(),
-            free_slots: (0..pool.size()).collect(),
-            active: HashMap::new(),
-            pool: Arc::clone(&pool),
-            replan_period: config.replan_period,
-            gauges: Arc::clone(&gauges),
-            draining: None,
+            Arc::clone(&pool),
+            Arc::clone(&gauges),
             tracer,
-        };
-        let dispatcher = std::thread::Builder::new()
-            .name("yewpar-dispatch".into())
-            .spawn(move || dispatcher_state.run())
-            .expect("spawn runtime dispatcher");
+        );
         Runtime {
-            control: Some(tx),
+            control: Some(control),
             dispatcher: Some(dispatcher),
             pool,
             config,
@@ -547,6 +530,7 @@ mod tests {
     use crate::node::SearchProblem;
     use crate::params::Coordination;
     use crate::sync::AtomicBool;
+    use crossbeam_channel::bounded;
     use std::sync::Mutex;
     use std::time::Duration;
 
