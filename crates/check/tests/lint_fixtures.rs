@@ -266,6 +266,21 @@ fn shipped_config_flags_unwrap_in_the_runtime_dispatcher() {
     );
 }
 
+/// The shipped hot-path rule covers the generator stack, the traversal
+/// step both engines run per node.
+#[test]
+fn shipped_config_flags_unwrap_in_the_generator_stack() {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/lint.toml"));
+    let cfg = parse_config(&text.expect("lint.toml")).expect("shipped lint.toml must parse");
+    let src = "fn top(frames: &[usize]) -> usize {\n    *frames.last().unwrap()\n}\n";
+    let violations = lint_file("crates/core/src/genstack.rs", src, &cfg);
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert_eq!(
+        (violations[0].rule, violations[0].line),
+        ("hot-path-unwrap", 2)
+    );
+}
+
 #[test]
 fn shipped_lint_toml_parses_and_workspace_is_clean() {
     // The real config must stay parseable, and the workspace must stay

@@ -373,21 +373,32 @@ pub(crate) struct Lifecycle {
     pub(crate) stats_probe: Option<StatsProbe>,
 }
 
-/// Per-worker lifecycle state: a step counter plus the adaptive poll stride,
-/// so the per-node cost of the anytime machinery is a decrement and a
-/// branch.
+/// Per-worker lifecycle state, built around one countdown: `until_event`
+/// counts the quiet steps left before the next poll or heartbeat,
+/// whichever is nearer, so the per-step cost of the anytime machinery is
+/// an inlined decrement and a branch.  Only the step the countdown stops
+/// at takes the out-of-line slow path, which runs the per-step rule on
+/// that step's `steps` and `until_poll` and re-arms the countdown,
+/// advancing both counters past the quiet steps it arms for.  Polls and
+/// heartbeats therefore fall on exactly the steps a per-step check of both
+/// counters picks.
 ///
 /// The poll stride *adapts*: every poll that finds nothing doubles the
 /// stride (up to [`Lifecycle::MAX_POLL_STRIDE`]), so a long quiet search
 /// pays for `Instant::now` and the cancel-token walk once per ~512 nodes
 /// instead of once per 64; a poll that observes a stop collapses the stride
 /// back to [`Lifecycle::MIN_POLL_STRIDE`].  The first step always polls
-/// (`until_poll` starts at zero), so an already-expired deadline or
+/// (every count starts at zero), so an already-expired deadline or
 /// pre-pulled token is observed before any real work happens.
 #[derive(Debug, Default)]
 pub(crate) struct LifecycleLocal {
+    /// Quiet steps left before the next event step, which takes the slow
+    /// path.
+    until_event: u32,
+    /// Steps taken, counted through the armed quiet steps.
     steps: u64,
-    /// Steps remaining until the next external-stop poll.
+    /// Steps remaining until the next external-stop poll, as the next
+    /// event step sees it.
     until_poll: u32,
     /// Current poll stride (doubles while quiet, collapses on a stop).
     stride: u32,
@@ -448,9 +459,9 @@ impl Lifecycle {
 
     /// Acknowledge a claimed revocation: returns the worker's leased slot to
     /// the dispatcher and records the revocation latency.  Must only be
-    /// called after a successful [`try_claim_retire`]
-    /// (Lifecycle::try_claim_retire) and after the worker's local work has
-    /// been rehomed.
+    /// called after a successful
+    /// [`try_claim_retire`](Lifecycle::try_claim_retire) and after the
+    /// worker's local work has been rehomed.
     pub(crate) fn ack_retire(&self, worker: usize) {
         if let Some(grant) = &self.grant {
             grant.core.ack_retire(worker);
@@ -495,41 +506,75 @@ impl Lifecycle {
     /// can piggyback its own stop checks (short-circuit propagation,
     /// coordination-specific cancellation) on the same gate instead of
     /// loading shared atomics on every node.
-    #[inline]
+    ///
+    /// Every step but an event step is the countdown's decrement; the
+    /// event step runs [`on_event`](Lifecycle::on_event).
+    #[inline(always)]
     pub(crate) fn on_step(&self, local: &mut LifecycleLocal, term: &Termination) -> bool {
-        local.steps = local.steps.wrapping_add(1);
-        if local.steps % Self::HEARTBEAT_STRIDE == 0 {
-            if let Some(progress) = &self.progress {
-                // ordering: advisory progress tally; heartbeat consumers
-                // tolerate skew and nothing is published through it.
-                let nodes = self
-                    .nodes_seen
-                    .fetch_add(Self::HEARTBEAT_STRIDE, Ordering::Relaxed)
-                    + Self::HEARTBEAT_STRIDE;
-                progress.emit(ProgressEvent::Heartbeat {
-                    nodes,
-                    elapsed: self.elapsed(),
-                });
-                if let Some(probe) = &self.stats_probe {
-                    progress.emit(ProgressEvent::Stats {
-                        stats: (probe.0)(),
-                        elapsed: self.elapsed(),
-                    });
-                }
-            }
-        }
-        if local.until_poll > 0 {
-            local.until_poll -= 1;
+        if local.until_event > 0 {
+            local.until_event -= 1;
             return false;
         }
-        self.poll(term);
-        local.stride = if term.short_circuited() {
-            Self::MIN_POLL_STRIDE
+        self.on_event(local, term)
+    }
+
+    /// The slow path of [`on_step`](Lifecycle::on_step), taken on an event
+    /// step: the per-step rule — a heartbeat on every
+    /// `HEARTBEAT_STRIDE`-th step, then a poll once `until_poll` has run out
+    /// — followed by arming the countdown.  The quiet steps the countdown
+    /// skips would each only add one to `steps` and take one from
+    /// `until_poll`, so arming does that for all of them at once.
+    #[cold]
+    #[inline(never)]
+    fn on_event(&self, local: &mut LifecycleLocal, term: &Termination) -> bool {
+        local.steps = local.steps.wrapping_add(1);
+        if local.steps % Self::HEARTBEAT_STRIDE == 0 {
+            self.heartbeat();
+        }
+        let polled = if local.until_poll > 0 {
+            local.until_poll -= 1;
+            false
         } else {
-            (local.stride * 2).clamp(Self::MIN_POLL_STRIDE, Self::MAX_POLL_STRIDE)
+            self.poll(term);
+            local.stride = if term.short_circuited() {
+                Self::MIN_POLL_STRIDE
+            } else {
+                (local.stride * 2).clamp(Self::MIN_POLL_STRIDE, Self::MAX_POLL_STRIDE)
+            };
+            local.until_poll = local.stride;
+            true
         };
-        local.until_poll = local.stride;
-        true
+        // Quiet steps until the nearer of the next poll and the next
+        // heartbeat.
+        let to_heartbeat = Self::HEARTBEAT_STRIDE - 1 - local.steps % Self::HEARTBEAT_STRIDE;
+        let quiet = local.until_poll.min(to_heartbeat as u32);
+        local.steps = local.steps.wrapping_add(u64::from(quiet));
+        local.until_poll -= quiet;
+        local.until_event = quiet;
+        polled
+    }
+
+    /// Emit one heartbeat (and a stats snapshot when probed) to a
+    /// subscribed progress stream.
+    fn heartbeat(&self) {
+        if let Some(progress) = &self.progress {
+            // ordering: advisory progress tally; heartbeat consumers
+            // tolerate skew and nothing is published through it.
+            let nodes = self
+                .nodes_seen
+                .fetch_add(Self::HEARTBEAT_STRIDE, Ordering::Relaxed)
+                + Self::HEARTBEAT_STRIDE;
+            progress.emit(ProgressEvent::Heartbeat {
+                nodes,
+                elapsed: self.elapsed(),
+            });
+            if let Some(probe) = &self.stats_probe {
+                progress.emit(ProgressEvent::Stats {
+                    stats: (probe.0)(),
+                    elapsed: self.elapsed(),
+                });
+            }
+        }
     }
 
     /// Announce the end of the search on the progress stream.
@@ -834,6 +879,101 @@ mod tests {
             );
         }
         assert_eq!(local.stride, Lifecycle::MIN_POLL_STRIDE);
+    }
+
+    /// The per-step rule, checked on every step: a heartbeat on every
+    /// `HEARTBEAT_STRIDE`-th step, then a poll once `until_poll` has run
+    /// out.  The reference for `the_countdown_polls_and_heartbeats_on_the_per_step_rule`.
+    #[derive(Default)]
+    struct PerStepModel {
+        steps: u64,
+        until_poll: u32,
+        stride: u32,
+    }
+
+    impl PerStepModel {
+        fn on_step(&mut self, lc: &Lifecycle, term: &Termination) -> bool {
+            self.steps += 1;
+            if self.steps % Lifecycle::HEARTBEAT_STRIDE == 0 {
+                lc.heartbeat();
+            }
+            if self.until_poll > 0 {
+                self.until_poll -= 1;
+                return false;
+            }
+            lc.poll(term);
+            self.stride = if term.short_circuited() {
+                Lifecycle::MIN_POLL_STRIDE
+            } else {
+                (self.stride * 2).clamp(Lifecycle::MIN_POLL_STRIDE, Lifecycle::MAX_POLL_STRIDE)
+            };
+            self.until_poll = self.stride;
+            true
+        }
+    }
+
+    /// The single countdown changes no observable: over 100 k+ steps with
+    /// a progress sink and a stats probe, it polls, heartbeats and returns
+    /// `true` on exactly the steps the per-step model does, before and
+    /// after a cancel pulled at a seeded step.
+    #[test]
+    fn the_countdown_polls_and_heartbeats_on_the_per_step_rule() {
+        use crate::metrics::RuntimeStats;
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // One probed lifecycle with its own stream, token and termination.
+        let probed = || {
+            let (tx, rx) = progress_channel(64);
+            let token = CancelToken::new();
+            let mut lc = Lifecycle {
+                cancel: Some(token.clone()),
+                progress: Some(tx),
+                stats_probe: Some(StatsProbe(Arc::new(RuntimeStats::default))),
+                ..Lifecycle::inert()
+            };
+            lc.begin(None);
+            (lc, rx, token, Termination::new(1))
+        };
+        // What a step left on a stream, without the timestamps.
+        let drained = |rx: &ProgressStream| -> Vec<String> {
+            rx.drain()
+                .into_iter()
+                .map(|e| match e {
+                    ProgressEvent::Heartbeat { nodes, .. } => format!("heartbeat {nodes}"),
+                    ProgressEvent::Stats { .. } => "stats".to_string(),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        };
+        let mut rng = SmallRng::seed_from_u64(0x11fe);
+        for _ in 0..3 {
+            let cancel_at = rng.gen_range(1..120_000u64);
+            let (lc, rx, token, term) = probed();
+            let (model_lc, model_rx, model_token, model_term) = probed();
+            let mut local = LifecycleLocal::default();
+            let mut model = PerStepModel::default();
+            let (mut polls, mut heartbeats) = (0, 0);
+            for step in 1..=130_000u64 {
+                if step == cancel_at {
+                    token.cancel();
+                    model_token.cancel();
+                }
+                let polled = lc.on_step(&mut local, &term);
+                let events = drained(&rx);
+                assert_eq!(polled, model.on_step(&model_lc, &model_term), "step {step}");
+                assert_eq!(events, drained(&model_rx), "step {step}");
+                assert_eq!(term.stop_cause(), model_term.stop_cause(), "step {step}");
+                polls += polled as u32;
+                heartbeats += events.len();
+            }
+            assert_eq!(local.stride, model.stride);
+            assert_eq!(term.stop_cause(), Some(StopCause::Cancelled));
+            assert_eq!(
+                heartbeats,
+                2 * 15,
+                "a heartbeat and a stats snapshot per stride"
+            );
+            assert!(polls > 130_000 / 512, "{polls} polls");
+        }
     }
 
     #[test]

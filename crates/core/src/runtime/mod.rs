@@ -831,14 +831,59 @@ mod tests {
         }
     }
 
+    /// [`Endless`], parked at its root expansion: it reports `reached`,
+    /// then waits for `release`.
+    struct ParkedEndless {
+        reached: crossbeam_channel::Sender<()>,
+        release: Mutex<crossbeam_channel::Receiver<()>>,
+    }
+
+    impl SearchProblem for ParkedEndless {
+        type Node = (u32, u64);
+        type Gen<'a> = std::vec::IntoIter<(u32, u64)>;
+        fn root(&self) -> (u32, u64) {
+            Endless.root()
+        }
+        fn generator(&self, node: &(u32, u64)) -> Self::Gen<'_> {
+            if *node == Endless.root() {
+                let _ = self.reached.send(());
+                let _ = self.release.lock().expect("release").recv();
+            }
+            Endless.generator(node)
+        }
+    }
+
+    impl Optimise for ParkedEndless {
+        type Score = u64;
+        fn objective(&self, node: &(u32, u64)) -> u64 {
+            Endless.objective(node)
+        }
+    }
+
     #[test]
     fn fifo_queue_wait_is_recorded_at_grant_time() {
         let runtime = Runtime::new(RuntimeConfig::default().workers(2));
         let mut first_cfg = config(Coordination::depth_bounded(2), 2);
         first_cfg.deadline = Some(Duration::from_millis(50));
-        let first = runtime.maximise(Endless, &first_cfg);
+        // The first search parks at its root expansion until 40 ms after
+        // the second was submitted, so the second queues behind it for at
+        // least that long, however late the submitting thread runs.
+        let (reached_tx, reached) = bounded(1);
+        let (release, release_rx) = bounded(1);
+        let first = runtime.maximise(
+            ParkedEndless {
+                reached: reached_tx,
+                release: Mutex::new(release_rx),
+            },
+            &first_cfg,
+        );
+        reached
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the first search reaches its root expansion");
         let second =
             runtime.enumerate(Irregular { depth: 6 }, &config(Coordination::Sequential, 1));
+        std::thread::sleep(Duration::from_millis(40));
+        release.send(()).expect("the first search is parked");
         let first_out = first.wait();
         let second_out = second.wait();
         assert_eq!(

@@ -189,3 +189,45 @@ impl<P: yewpar::Optimise> yewpar::Optimise for OpenAtExpansion<P> {
         self.inner.prune_level()
     }
 }
+
+/// An instance wrapper whose first expansion waits on `latch`, so a search
+/// holds at a known point until the test has seen what it waits for.
+pub struct WaitAtExpansion<P> {
+    inner: P,
+    latch: Arc<Latch>,
+    waited: std::sync::atomic::AtomicBool,
+}
+
+impl<P> WaitAtExpansion<P> {
+    pub fn new(inner: P, latch: Arc<Latch>) -> Self {
+        WaitAtExpansion {
+            inner,
+            latch,
+            waited: std::sync::atomic::AtomicBool::new(false),
+        }
+    }
+}
+
+impl<P: yewpar::SearchProblem> yewpar::SearchProblem for WaitAtExpansion<P> {
+    type Node = P::Node;
+    type Gen<'a>
+        = P::Gen<'a>
+    where
+        P: 'a;
+    fn root(&self) -> P::Node {
+        self.inner.root()
+    }
+    fn generator(&self, node: &P::Node) -> Self::Gen<'_> {
+        if !self.waited.swap(true, std::sync::atomic::Ordering::Relaxed) {
+            self.latch.wait();
+        }
+        self.inner.generator(node)
+    }
+}
+
+impl<P: yewpar::Enumerate> yewpar::Enumerate for WaitAtExpansion<P> {
+    type Value = P::Value;
+    fn value(&self, node: &P::Node) -> P::Value {
+        self.inner.value(node)
+    }
+}

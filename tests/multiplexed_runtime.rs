@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::{Latch, OpenAtExpansion};
+use common::{Latch, OpenAtExpansion, WaitAtExpansion};
 
 use yewpar::{
     Coordination, DeadlineShare, FairShare, Fifo, Priority, Runtime, RuntimeConfig, SchedulePolicy,
@@ -441,9 +441,6 @@ fn endless(seed: u64) -> Irregular {
 /// records the lease change.
 #[test]
 fn grown_search_produces_solo_results() {
-    // Deep enough that the search spans many 1 ms replan periods even in
-    // a release build — a depth-10 run finishes in ~200 µs, before the
-    // replanner ever fires, and the grow assertion below goes flaky.
     let problem = Irregular { depth: 13, seed: 1 };
     let expected = subtree_size(&problem);
     let runtime = Runtime::with_policy(
@@ -453,10 +450,20 @@ fn grown_search_produces_solo_results() {
         Box::new(FairShare),
     );
     // Requested 2 of 8: the replanner grows the lease into the 6 idle
-    // workers within a few ticks of admission.
-    let out = runtime
-        .enumerate(problem.clone(), &config(Coordination::depth_bounded(3), 2))
-        .wait();
+    // workers within a few ticks of admission.  The search holds at its
+    // first expansion until the grow is recorded, so it cannot finish
+    // before the replanner fires, however fast it runs.
+    let latch = Arc::new(Latch::default());
+    let handle = runtime.enumerate(
+        WaitAtExpansion::new(problem.clone(), Arc::clone(&latch)),
+        &config(Coordination::depth_bounded(3), 2),
+    );
+    let safety = Instant::now() + Duration::from_secs(20);
+    while runtime.stats().grant_changes == 0 && Instant::now() < safety {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    latch.open();
+    let out = handle.wait();
     assert_eq!(out.status, SearchStatus::Complete);
     assert_eq!(
         out.value.0, expected,
