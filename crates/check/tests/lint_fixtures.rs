@@ -281,6 +281,41 @@ fn shipped_config_flags_unwrap_in_the_generator_stack() {
     );
 }
 
+/// The shipped layering bans keep the spawn rules stated once: the
+/// simulator may ask `Coordination::spawns_children` and
+/// `Coordination::backtrack_budget`, but restating either rule from the
+/// variant's fields is flagged, while core (where the rules live) is not.
+#[test]
+fn shipped_config_bans_restating_the_spawn_rules_in_the_simulator() {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/lint.toml"));
+    let cfg = parse_config(&text.expect("lint.toml")).expect("shipped lint.toml must parse");
+    let src = "\
+fn start(coord: Coordination, depth: usize) -> bool {
+    coord.spawns_children(depth) && coord.backtrack_budget() > 0
+}
+fn restated(coord: Coordination, depth: usize) -> bool {
+    match coord {
+        Coordination::DepthBounded { dcutoff } => depth < dcutoff,
+        Coordination::Ordered { spawn_depth } => depth < spawn_depth,
+        Coordination::Budget { backtracks } => backtracks == 0,
+        _ => false,
+    }
+}
+";
+    let violations = lint_file("crates/sim/src/engine.rs", src, &cfg);
+    let flagged: Vec<_> = violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(
+        flagged,
+        [
+            ("layering-ban", 6),
+            ("layering-ban", 7),
+            ("layering-ban", 8)
+        ],
+        "{violations:?}"
+    );
+    assert!(lint_file("crates/core/src/params.rs", src, &cfg).is_empty());
+}
+
 #[test]
 fn shipped_lint_toml_parses_and_workspace_is_clean() {
     // The real config must stay parseable, and the workspace must stay

@@ -3,14 +3,16 @@
 //! Historically each parallel coordination (Depth-Bounded, Stack-Stealing,
 //! Budget) carried its own copy of the worker-spawn loop, termination
 //! polling, panic ("poison") handling and metrics plumbing. This module
-//! owns all of that exactly once. A coordination is now just a pair of
-//! small strategy objects plugged into the engine's `run` entry point:
+//! owns all of that exactly once. A coordination is now a work source plus
+//! a [`Coordination`] value, both handed to the engine's `run` entry point:
 //!
 //! * a `WorkSource` — where a worker's next task comes from and where
 //!   tasks it gives up go (a sharded depth pool, per-worker steal channels,
 //!   or a one-shot root holder for the Sequential case);
-//! * a `SpawnPolicy` — *when* the traversal splits off work for others
-//!   (eagerly above a depth cutoff, after a backtrack budget, or never).
+//! * the [`Coordination`] — *when* the traversal splits off work for others:
+//!   eagerly above a depth cutoff ([`Coordination::spawns_children`]),
+//!   after a backtrack budget ([`Coordination::backtrack_budget`]), or
+//!   never.  The simulator asks the same two methods.
 //!
 //! The engine drives the shared depth-first traversal (the (expand),
 //! (backtrack), (prune) and (shortcircuit) rules) through the search-type
@@ -35,6 +37,7 @@ use crate::genstack::{Action, GenStack};
 use crate::lifecycle::{Lifecycle, LifecycleLocal};
 use crate::metrics::WorkerMetrics;
 use crate::node::SearchProblem;
+use crate::params::Coordination;
 use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, TraceHandle, Tracer, UNKNOWN_VICTIM};
@@ -98,12 +101,11 @@ pub(crate) trait WorkSource<P: SearchProblem>: Sync {
 
     /// Publish `tasks` so other workers can pick them up, draining the
     /// vector. Callers must have registered the tasks with the termination
-    /// counter *before* calling this (see [`StepEnv::spawn`], which does
-    /// both).  Taking `&mut Vec` instead of `Vec` lets the engine reuse one
-    /// spawn buffer per worker for every generator burst, so the eager
-    /// spawn path allocates nothing in steady state; implementations must
-    /// leave the vector empty (e.g. via `drain(..)` or a batched pool
-    /// push).
+    /// counter *before* calling this (see [`spawn`], which does both).
+    /// Taking `&mut Vec` instead of `Vec` lets the engine reuse one spawn
+    /// buffer per worker for every generator burst, so the eager spawn path
+    /// allocates nothing in steady state; implementations must leave the
+    /// vector empty (e.g. via `drain(..)` or a batched pool push).
     fn release(&self, local: &mut Self::Local, tasks: &mut Vec<Task<P::Node>>);
 
     /// Per-expansion-step hook, called with the live generator stack of the
@@ -198,40 +200,6 @@ pub(crate) trait WorkSource<P: SearchProblem>: Sync {
     fn retire(&self, _local: &mut Self::Local) {}
 }
 
-/// When the depth-first traversal splits off work for other workers.
-///
-/// The two hooks mirror the paper's spawn rules: [`spawn_children`]
-/// implements eager, placement-time splitting ((spawn-depth), Listing 2 of
-/// the Depth-Bounded coordination) and [`on_step`] implements splitting
-/// *during* a task's traversal ((spawn-budget), Listing 4).  On-demand
-/// splitting on behalf of a thief ((spawn-stack), Listing 3) is the work
-/// source's business, not the policy's, because it is driven by the thief's
-/// request rather than by the victim's traversal state.
-///
-/// [`spawn_children`]: SpawnPolicy::spawn_children
-/// [`on_step`]: SpawnPolicy::on_step
-pub(crate) trait SpawnPolicy<P: SearchProblem, S: WorkSource<P>>: Sync {
-    /// Should a task rooted at `depth` have its children spawned as tasks
-    /// instead of being explored in place?
-    fn spawn_children(&self, depth: usize) -> bool {
-        let _ = depth;
-        false
-    }
-
-    /// Called once per traversal step of an executing task, before the next
-    /// child is generated. `task_backtracks` counts the backtracks this
-    /// task performed since the policy last reset it — the Budget policy's
-    /// spawn trigger.
-    fn on_step(
-        &self,
-        env: &mut StepEnv<'_, P, S>,
-        stack: &mut GenStack<'_, P>,
-        task_backtracks: &mut u64,
-    ) {
-        let _ = (env, stack, task_backtracks);
-    }
-}
-
 /// If a worker unwinds (a panicking search problem or driver), stop the
 /// whole search so surviving workers exit their loops — otherwise the
 /// panicked task is never marked completed, the outstanding-task counter
@@ -299,41 +267,50 @@ impl IdleBackoff {
     }
 }
 
-/// The policy that never spawns: Sequential, and Stack-Stealing (where all
-/// splitting happens in the source's steal-request hook).
-pub(crate) struct NoSpawn;
-
-impl<P: SearchProblem, S: WorkSource<P>> SpawnPolicy<P, S> for NoSpawn {}
-
-/// What a [`SpawnPolicy`] sees on each step: enough to hand tasks to the
-/// work source with correct termination/metrics accounting.
-pub(crate) struct StepEnv<'e, P: SearchProblem, S: WorkSource<P>> {
-    source: &'e S,
-    local: &'e mut S::Local,
-    term: &'e Termination,
-    metrics: &'e mut WorkerMetrics,
+/// Spawn `tasks` into the work source, draining the vector: registers them
+/// with the termination counter first (so the outstanding count can never
+/// reach zero while they are in flight), then releases the whole burst for
+/// other workers in a single source operation.  The caller keeps the
+/// vector's capacity, so a reused spawn buffer makes this path
+/// allocation-free.  Serves the eager (spawn-depth) split, the
+/// (spawn-budget) split and the revocation offload.
+///
+/// Returns how many tasks were spawned; the caller counts them as spawns
+/// in one batched push.  Taking `metrics` here instead would, through the
+/// out-of-line budget split, make the compiler keep the task's counters in
+/// memory on every step of the per-node loop.
+fn spawn<P: SearchProblem, S: WorkSource<P>>(
+    source: &S,
+    local: &mut S::Local,
+    term: &Termination,
+    tasks: &mut Vec<Task<P::Node>>,
+) -> u64 {
+    let spawned = tasks.len() as u64;
+    if spawned > 0 {
+        term.task_spawned(spawned);
+        source.release(local, tasks);
+    }
+    spawned
 }
 
-impl<P: SearchProblem, S: WorkSource<P>> StepEnv<'_, P, S> {
-    /// Spawn `tasks` into the work source, draining the vector: registers
-    /// them with the termination counter first (so the outstanding count can
-    /// never reach zero while they are in flight), records them as spawns
-    /// and one batched push, then releases the whole burst for other workers
-    /// in a single source operation.  The caller keeps the vector's
-    /// capacity, so a reused spawn buffer makes this path allocation-free.
-    pub(crate) fn spawn(&mut self, tasks: &mut Vec<Task<P::Node>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        self.term.task_spawned(tasks.len() as u64);
-        self.metrics.spawns += tasks.len() as u64;
-        self.metrics.batch_pushes += 1;
-        self.source.release(self.local, tasks);
-    }
+/// The (spawn-budget) split, out of line because it runs once per
+/// [`Coordination::backtrack_budget`] backtracks: spawn all unexplored
+/// subtrees at the lowest depth of the task's stack, in heuristic order,
+/// and return how many.
+#[cold]
+#[inline(never)]
+fn split_budget<P: SearchProblem, S: WorkSource<P>>(
+    source: &S,
+    local: &mut S::Local,
+    term: &Termination,
+    stack: &mut GenStack<'_, P>,
+) -> u64 {
+    spawn(source, local, term, &mut stack.split_lowest(true))
 }
 
 /// Run a search: spawn `workers` workers over `source`, splitting per
-/// `policy`, and collect per-worker metrics and the elapsed wall-clock time.
+/// `coordination`'s spawn rules, and collect per-worker metrics and the
+/// elapsed wall-clock time.
 ///
 /// A single worker runs inline on the calling thread — no spawn/join cost,
 /// so `Skeleton` overhead measurements (the Table 1 experiment) compare the
@@ -347,12 +324,12 @@ impl<P: SearchProblem, S: WorkSource<P>> StepEnv<'_, P, S> {
 /// stop conditions (cancel token, deadline), the progress sink, and an
 /// optional persistent worker pool to run on instead of spawning scoped
 /// threads.
-pub(crate) fn run<P, D, S, Y>(
+pub(crate) fn run<P, D, S>(
     problem: &P,
     driver: &D,
     workers: usize,
     source: &S,
-    policy: Y,
+    coordination: Coordination,
     term: &Termination,
     lifecycle: &Lifecycle,
 ) -> (Vec<WorkerMetrics>, Duration)
@@ -360,13 +337,20 @@ where
     P: SearchProblem,
     D: Driver<P>,
     S: WorkSource<P>,
-    Y: SpawnPolicy<P, S>,
 {
     let start = Instant::now();
     let workers = workers.max(1);
     source.seed(Task::new(problem.root(), 0));
     let all_metrics = spawn_and_join(lifecycle, workers, |worker| {
-        worker_loop(problem, driver, source, &policy, term, lifecycle, worker)
+        worker_loop(
+            problem,
+            driver,
+            source,
+            coordination,
+            term,
+            lifecycle,
+            worker,
+        )
     });
     // Stragglers: a worker can release spawned tasks after another worker's
     // short-circuit already discarded the source, and then exit on the stop
@@ -446,11 +430,11 @@ where
 
 /// One worker: pop/steal tasks until the search completes, short-circuits,
 /// is cancelled, or times out.
-fn worker_loop<P, D, S, Y>(
+fn worker_loop<P, D, S>(
     problem: &P,
     driver: &D,
     source: &S,
-    policy: &Y,
+    coordination: Coordination,
     term: &Termination,
     lifecycle: &Lifecycle,
     worker: usize,
@@ -459,7 +443,6 @@ where
     P: SearchProblem,
     D: Driver<P>,
     S: WorkSource<P>,
-    Y: SpawnPolicy<P, S>,
 {
     let _guard = UnwindGuard(term);
 
@@ -520,7 +503,7 @@ where
                     &mut lstate,
                     source,
                     &mut local,
-                    policy,
+                    coordination,
                     task,
                     &mut spawn_buf,
                     trace.as_ref(),
@@ -574,8 +557,10 @@ where
 }
 
 /// Execute one task: process its root node, then either spawn its children
-/// (eager policies) or explore its subtree depth-first, giving the source
-/// and policy a chance to split work on every expansion step.
+/// ([`Coordination::spawns_children`]) or explore its subtree depth-first,
+/// giving the source a chance to split work on every expansion step and
+/// splitting off the lowest-depth subtrees every
+/// [`Coordination::backtrack_budget`] backtracks.
 ///
 /// A stop flag raised by a decision short-circuit returns
 /// [`Flow::ShortCircuited`]; one raised externally (cancel token, deadline)
@@ -593,7 +578,7 @@ where
 /// sets the flag and offloads the task's entire remaining subtree to the
 /// source (so the survivors pick it up) before returning a completed flow.
 #[allow(clippy::too_many_arguments)]
-fn run_task<P, D, S, Y>(
+fn run_task<P, D, S>(
     problem: &P,
     driver: &D,
     partial: &mut D::Partial,
@@ -603,7 +588,7 @@ fn run_task<P, D, S, Y>(
     lstate: &mut LifecycleLocal,
     source: &S,
     local: &mut S::Local,
-    policy: &Y,
+    coordination: Coordination,
     task: Task<P::Node>,
     spawn_buf: &mut Vec<Task<P::Node>>,
     trace: Option<&TraceHandle>,
@@ -614,7 +599,6 @@ where
     P: SearchProblem,
     D: Driver<P>,
     S: WorkSource<P>,
-    Y: SpawnPolicy<P, S>,
 {
     metrics.nodes += 1;
     metrics.max_depth = metrics.max_depth.max(task.depth as u64);
@@ -627,7 +611,7 @@ where
         Action::ShortCircuit => return Flow::ShortCircuited,
     }
 
-    if policy.spawn_children(task.depth) {
+    if coordination.spawns_children(task.depth) {
         // Eager splitting: every child becomes a task, queued in heuristic
         // order and released as one batch. Register the spawns before
         // releasing so the termination counter can never observe an empty
@@ -638,19 +622,17 @@ where
                 .generator(&task.node)
                 .map(|child| Task::new(child, task.depth + 1)),
         );
-        StepEnv {
-            source,
-            local,
-            term,
-            metrics,
-        }
-        .spawn(spawn_buf);
+        let spawned = spawn(source, local, term, spawn_buf);
+        metrics.spawns += spawned;
+        metrics.batch_pushes += (spawned > 0) as u64;
         return Flow::Completed;
     }
 
     let mut stack = GenStack::new();
     stack.push(problem, &task.node, task.depth);
-    let mut task_backtracks: u64 = 0;
+    // The (spawn-budget) countdown: backtracks left before the next split.
+    let budget = coordination.backtrack_budget();
+    let mut until_split = budget;
 
     while !stack.is_empty() {
         // External lifecycle: adaptively stride-gated cancel-token/deadline
@@ -692,38 +674,21 @@ where
             // the unexplored children of one frame; looping drains the whole
             // stack, so nothing is stranded — the nodes already processed
             // are counted, so dropping the stack completes this task.
-            // The counters are bumped here rather than through
-            // `StepEnv::spawn`: an out-of-line call taking `metrics` on this
-            // rarely taken path makes the compiler store the task's counters
-            // to memory on every step of the per-node loop.
             if S::OFFLOADS_ON_REVOKE && lifecycle.try_claim_retire(worker) {
                 *retiring = true;
                 loop {
-                    let mut tasks = stack.split_lowest(true);
-                    if tasks.is_empty() {
+                    let spawned = spawn(source, local, term, &mut stack.split_lowest(true));
+                    if spawned == 0 {
                         return Flow::Completed;
                     }
-                    term.task_spawned(tasks.len() as u64);
-                    metrics.spawns += tasks.len() as u64;
+                    metrics.spawns += spawned;
                     metrics.batch_pushes += 1;
-                    source.release(local, &mut tasks);
                 }
             }
         }
         // Give the source a chance to serve a thief (at most one steal
-        // request per expansion step, mirroring Listing 3), then the policy
-        // a chance to offload (the budget rule of Listing 4).
+        // request per expansion step, mirroring Listing 3).
         source.poll(local, &mut stack, term, metrics);
-        policy.on_step(
-            &mut StepEnv {
-                source,
-                local,
-                term,
-                metrics,
-            },
-            &mut stack,
-            &mut task_backtracks,
-        );
         let step = stack.step(problem, |child| driver.process(problem, child, partial));
         if let Some(depth) = step.node_depth {
             metrics.nodes += 1;
@@ -735,7 +700,17 @@ where
         metrics.prunes += step.pruned as u64;
         if step.popped {
             metrics.backtracks += 1;
-            task_backtracks += 1;
+            // The budget rule of Listing 4, applied at the same point of
+            // the step sequence as a check before the next step: only the
+            // poll gate and `source.poll` (a no-op for the pool source)
+            // lie between the two.
+            until_split -= 1;
+            if until_split == 0 {
+                let spawned = split_budget(source, local, term, &mut stack);
+                metrics.spawns += spawned;
+                metrics.batch_pushes += (spawned > 0) as u64;
+                until_split = budget;
+            }
         }
     }
     Flow::Completed
@@ -786,7 +761,8 @@ impl<P: SearchProblem> WorkSource<P> for RootSource<P::Node> {
     }
 
     fn release(&self, _local: &mut Self::Local, tasks: &mut Vec<Task<P::Node>>) {
-        // Only reachable if a spawning policy is paired with this source;
+        // Only reachable if a spawning coordination is paired with this
+        // source;
         // keep every task (in heuristic order) so none is lost while
         // registered with the termination counter.
         self.queue.lock().extend(tasks.drain(..));
@@ -950,26 +926,33 @@ mod tests {
     use super::*;
     use crate::monoid::Sum;
     use crate::objective::Enumerate;
-    use crate::skeleton::driver::{DecideDriver, EnumDriver};
+    use crate::skeleton::driver::{DecideDriver, EnumDriver, OptimDriver};
 
     /// Drive [`run`] with a fresh termination handle and an inert lifecycle,
     /// as the pre-anytime engine did.
-    fn run_plain<P, D, S, Y>(
+    fn run_plain<P, D, S>(
         problem: &P,
         driver: &D,
         workers: usize,
         source: S,
-        policy: Y,
+        coordination: Coordination,
     ) -> (Vec<WorkerMetrics>, Duration)
     where
         P: SearchProblem,
         D: Driver<P>,
         S: WorkSource<P>,
-        Y: SpawnPolicy<P, S>,
     {
         let term = Termination::new(1);
         let lifecycle = Lifecycle::inert();
-        run(problem, driver, workers, &source, policy, &term, &lifecycle)
+        run(
+            problem,
+            driver,
+            workers,
+            &source,
+            coordination,
+            &term,
+            &lifecycle,
+        )
     }
 
     /// Complete binary tree of a fixed depth; node = (depth, label).
@@ -1016,7 +999,7 @@ mod tests {
     fn engine_with_root_source_is_a_full_traversal() {
         let p = Bin { depth: 10 };
         let driver = EnumDriver::<Bin>::new();
-        let (metrics, _) = run_plain(&p, &driver, 1, RootSource::new(), NoSpawn);
+        let (metrics, _) = run_plain(&p, &driver, 1, RootSource::new(), Coordination::Sequential);
         assert_eq!(driver.into_value(), Sum(2u64.pow(11) - 1));
         assert_eq!(metrics.len(), 1);
         assert_eq!(metrics[0].nodes, 2u64.pow(11) - 1);
@@ -1045,7 +1028,7 @@ mod tests {
             &mut lstate,
             &source,
             &mut (),
-            &NoSpawn,
+            Coordination::Sequential,
             Task::new(p.root(), 0),
             &mut Vec::new(),
             None,
@@ -1058,17 +1041,18 @@ mod tests {
 
     #[test]
     fn decision_short_circuit_discards_pool_tasks() {
-        // An always-spawning policy floods the pool; the short-circuit on a
-        // decision target must stop the engine without draining the tree.
-        struct AlwaysSpawn;
-        impl<P: SearchProblem, S: WorkSource<P>> SpawnPolicy<P, S> for AlwaysSpawn {
-            fn spawn_children(&self, depth: usize) -> bool {
-                depth < 6
-            }
-        }
+        // Eager spawning down to depth 6 floods the pool; the short-circuit
+        // on a decision target must stop the engine without draining the
+        // tree.
         let p = Bin { depth: 14 };
         let driver = DecideDriver::<Bin>::new(6);
-        let (metrics, _) = run_plain(&p, &driver, 2, PoolSource::new(2), AlwaysSpawn);
+        let (metrics, _) = run_plain(
+            &p,
+            &driver,
+            2,
+            PoolSource::new(2),
+            Coordination::depth_bounded(6),
+        );
         let witness = driver.into_witness().expect("label 6 exists");
         assert!(witness.1 >= 6);
         let nodes: u64 = metrics.iter().map(|m| m.nodes).sum();
@@ -1106,14 +1090,14 @@ mod tests {
                 Sum(1)
             }
         }
-        struct SpawnRoot;
-        impl<P: SearchProblem, S: WorkSource<P>> SpawnPolicy<P, S> for SpawnRoot {
-            fn spawn_children(&self, depth: usize) -> bool {
-                depth == 0
-            }
-        }
         let driver = EnumDriver::<PartialBomb>::new();
-        let _ = run_plain(&PartialBomb, &driver, 4, PoolSource::new(4), SpawnRoot);
+        let _ = run_plain(
+            &PartialBomb,
+            &driver,
+            4,
+            PoolSource::new(4),
+            Coordination::depth_bounded(1),
+        );
     }
 
     /// With several workers, worker 0 runs on the calling thread, which is
@@ -1134,7 +1118,7 @@ mod tests {
         }
     }
 
-    /// Seven of eight workers never receive a task (a never-spawning policy
+    /// Seven of eight workers never receive a task (a never-spawning rule
     /// leaves the whole tree to whoever pops the root): the idle backoff
     /// must keep them from hot-spinning the steal path, so the run finishes
     /// in the same order of magnitude as the single-worker traversal rather
@@ -1144,7 +1128,7 @@ mod tests {
         let p = Bin { depth: 15 }; // ~65k nodes, a few ms of real work
         let driver = EnumDriver::<Bin>::new();
         let start = std::time::Instant::now();
-        let (metrics, _) = run_plain(&p, &driver, 8, PoolSource::new(8), NoSpawn);
+        let (metrics, _) = run_plain(&p, &driver, 8, PoolSource::new(8), Coordination::Sequential);
         let elapsed = start.elapsed();
         assert_eq!(driver.into_value(), Sum(2u64.pow(16) - 1));
         assert_eq!(
@@ -1196,6 +1180,220 @@ mod tests {
             }
         }
         let driver = EnumDriver::<Bomb>::new();
-        let _ = run_plain(&Bomb, &driver, 1, RootSource::new(), NoSpawn);
+        let _ = run_plain(
+            &Bomb,
+            &driver,
+            1,
+            RootSource::new(),
+            Coordination::Sequential,
+        );
+    }
+
+    // -- Sequential: one worker, the root source, no spawn rule -------------
+
+    #[test]
+    fn sequential_counts_complete_binary_tree() {
+        let p = Bin { depth: 10 };
+        let driver = EnumDriver::<Bin>::new();
+        let (metrics, _) = run_plain(&p, &driver, 1, RootSource::new(), Coordination::Sequential);
+        assert_eq!(driver.into_value(), Sum(2u64.pow(11) - 1));
+        assert_eq!(metrics[0].nodes, 2u64.pow(11) - 1);
+        assert_eq!(metrics[0].max_depth, 10);
+        assert!(metrics[0].backtracks > 0);
+    }
+
+    #[test]
+    fn sequential_finds_the_maximum_label() {
+        let p = Bin { depth: 6 };
+        let driver = OptimDriver::<Bin>::new();
+        let (_, _) = run_plain(&p, &driver, 1, RootSource::new(), Coordination::Sequential);
+        // Deepest-rightmost label is 2^(d+1) - 1.
+        assert_eq!(driver.into_best().map(|(_, s)| s), Some(2u64.pow(7) - 1));
+    }
+
+    #[test]
+    fn sequential_decision_short_circuits_before_visiting_everything() {
+        let p = Bin { depth: 12 };
+        let driver = DecideDriver::<Bin>::new(6);
+        let (metrics, _) = run_plain(&p, &driver, 1, RootSource::new(), Coordination::Sequential);
+        let witness = driver.into_witness().expect("label 6 exists in the tree");
+        assert!(witness.1 >= 6);
+        // Label 6 is found on the left-ish side of the tree quickly: the
+        // short-circuit must avoid exploring the vast majority of nodes.
+        assert!(
+            metrics[0].nodes < 100,
+            "expected early termination, visited {} nodes",
+            metrics[0].nodes
+        );
+    }
+
+    #[test]
+    fn sequential_never_spawns_or_steals() {
+        let p = Bin { depth: 8 };
+        let driver = EnumDriver::<Bin>::new();
+        let (metrics, _) = run_plain(&p, &driver, 1, RootSource::new(), Coordination::Sequential);
+        assert_eq!(metrics[0].spawns, 0);
+        assert_eq!(metrics[0].steals, 0);
+    }
+
+    // -- Depth-Bounded: the pool source and the (spawn-depth) rule ----------
+
+    struct Fanout {
+        depth: usize,
+        width: usize,
+    }
+
+    impl SearchProblem for Fanout {
+        type Node = usize;
+        type Gen<'a> = std::vec::IntoIter<usize>;
+        fn root(&self) -> usize {
+            0
+        }
+        fn generator(&self, node: &usize) -> Self::Gen<'_> {
+            if *node < self.depth {
+                vec![node + 1; self.width].into_iter()
+            } else {
+                vec![].into_iter()
+            }
+        }
+    }
+
+    impl Enumerate for Fanout {
+        type Value = Sum<u64>;
+        fn value(&self, _n: &usize) -> Sum<u64> {
+            Sum(1)
+        }
+    }
+
+    fn expected_nodes(depth: usize, width: usize) -> u64 {
+        (0..=depth).map(|d| (width as u64).pow(d as u32)).sum()
+    }
+
+    /// Run the Depth-Bounded coordination on `workers` workers.
+    fn run_depth_bounded<D: Driver<Fanout>>(
+        p: &Fanout,
+        driver: &D,
+        workers: usize,
+        dcutoff: usize,
+    ) -> Vec<WorkerMetrics> {
+        let coordination = Coordination::depth_bounded(dcutoff);
+        run_plain(p, driver, workers, PoolSource::new(workers), coordination).0
+    }
+
+    #[test]
+    fn counts_match_for_various_cutoffs() {
+        let p = Fanout { depth: 5, width: 3 };
+        for dcutoff in [0, 1, 2, 5, 10] {
+            let driver = EnumDriver::<Fanout>::new();
+            let metrics = run_depth_bounded(&p, &driver, 3, dcutoff);
+            assert_eq!(
+                driver.into_value(),
+                Sum(expected_nodes(5, 3)),
+                "dcutoff={dcutoff}"
+            );
+            let total: u64 = metrics.iter().map(|m| m.nodes).sum();
+            assert_eq!(total, expected_nodes(5, 3));
+        }
+    }
+
+    #[test]
+    fn cutoff_zero_spawns_nothing() {
+        let p = Fanout { depth: 4, width: 2 };
+        let driver = EnumDriver::<Fanout>::new();
+        let metrics = run_depth_bounded(&p, &driver, 2, 0);
+        assert_eq!(metrics.iter().map(|m| m.spawns).sum::<u64>(), 0);
+        assert_eq!(driver.into_value(), Sum(expected_nodes(4, 2)));
+    }
+
+    #[test]
+    fn deep_cutoff_spawns_every_internal_node_expansion() {
+        let p = Fanout { depth: 3, width: 2 };
+        let driver = EnumDriver::<Fanout>::new();
+        let metrics = run_depth_bounded(&p, &driver, 2, 100);
+        // Every node except the root is spawned as a task.
+        assert_eq!(
+            metrics.iter().map(|m| m.spawns).sum::<u64>(),
+            expected_nodes(3, 2) - 1
+        );
+        assert_eq!(driver.into_value(), Sum(expected_nodes(3, 2)));
+    }
+
+    // -- Budget: the pool source and the (spawn-budget) rule ----------------
+
+    /// Left-heavy irregular tree to force mid-task splitting.
+    struct Skewed {
+        depth: usize,
+    }
+
+    impl SearchProblem for Skewed {
+        type Node = (usize, u32);
+        type Gen<'a> = std::vec::IntoIter<(usize, u32)>;
+        fn root(&self) -> (usize, u32) {
+            (0, 0)
+        }
+        fn generator(&self, node: &(usize, u32)) -> Self::Gen<'_> {
+            let (depth, kind) = *node;
+            if depth >= self.depth {
+                return vec![].into_iter();
+            }
+            // The leftmost child is "heavy" (kind 0 keeps branching), the
+            // others are lighter.
+            let width = if kind == 0 { 4 } else { 2 };
+            (0..width)
+                .map(|i| (depth + 1, i))
+                .collect::<Vec<_>>()
+                .into_iter()
+        }
+    }
+
+    impl Enumerate for Skewed {
+        type Value = Sum<u64>;
+        fn value(&self, _n: &(usize, u32)) -> Sum<u64> {
+            Sum(1)
+        }
+    }
+
+    /// Run the Budget coordination on `workers` workers.
+    fn run_budget<D: Driver<Skewed>>(
+        p: &Skewed,
+        driver: &D,
+        workers: usize,
+        budget: u64,
+    ) -> Vec<WorkerMetrics> {
+        let coordination = Coordination::budget(budget);
+        run_plain(p, driver, workers, PoolSource::new(workers), coordination).0
+    }
+
+    #[test]
+    fn counts_match_sequential_for_various_budgets() {
+        let p = Skewed { depth: 7 };
+        let expected = crate::node::subtree_size(&p, &p.root());
+        for budget in [1, 5, 50, 10_000] {
+            let driver = EnumDriver::<Skewed>::new();
+            let metrics = run_budget(&p, &driver, 3, budget);
+            assert_eq!(driver.into_value(), Sum(expected), "budget={budget}");
+            let total: u64 = metrics.iter().map(|m| m.nodes).sum();
+            assert_eq!(total, expected);
+        }
+    }
+
+    #[test]
+    fn small_budget_spawns_more_tasks_than_large_budget() {
+        let p = Skewed { depth: 7 };
+        let spawns_for = |budget| {
+            let driver = EnumDriver::<Skewed>::new();
+            let metrics = run_budget(&p, &driver, 2, budget);
+            metrics.iter().map(|m| m.spawns).sum::<u64>()
+        };
+        let small = spawns_for(2);
+        let large = spawns_for(1_000_000);
+        assert!(
+            small > large,
+            "budget 2 spawned {small}, budget 1e6 spawned {large}"
+        );
+        assert_eq!(
+            large, 0,
+            "a budget larger than the tree never triggers a spawn"
+        );
     }
 }

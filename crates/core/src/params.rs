@@ -82,6 +82,35 @@ impl Coordination {
         }
     }
 
+    /// The (spawn-depth) rule, shared by Depth-Bounded (paper Listing 2's
+    /// eager placement-time split) and Ordered: should a task rooted at
+    /// `depth` have its children spawned as tasks instead of being explored
+    /// in place?  True when `depth < dcutoff` (Depth-Bounded) or
+    /// `depth < spawn_depth` (Ordered, whose children are then
+    /// sequence-keyed); never for the other coordinations.  Both engines
+    /// ask this once per task, after its root node expands.
+    pub fn spawns_children(self, depth: usize) -> bool {
+        match self {
+            Coordination::DepthBounded { dcutoff } => depth < dcutoff,
+            Coordination::Ordered { spawn_depth } => depth < spawn_depth,
+            _ => false,
+        }
+    }
+
+    /// The (spawn-budget) rule of paper Listing 4: how many backtracks a
+    /// task may perform before it splits off all of its lowest-depth
+    /// unexplored subtrees (in heuristic order) and starts counting afresh.
+    /// `backtracks` for Budget; `u64::MAX`, i.e. never, for every other
+    /// coordination.  On-demand splitting on behalf of a thief
+    /// ((spawn-stack), Listing 3) is not a rule of the traversal but of the
+    /// work source, because the thief's request drives it.
+    pub fn backtrack_budget(self) -> u64 {
+        match self {
+            Coordination::Budget { backtracks } => backtracks,
+            _ => u64::MAX,
+        }
+    }
+
     /// Whether this coordination can use more than one worker.
     pub fn is_parallel(&self) -> bool {
         !matches!(self, Coordination::Sequential)
@@ -242,6 +271,24 @@ mod tests {
         assert!(Coordination::stack_stealing().is_parallel());
         assert_eq!(Coordination::ordered(2).name(), "Ordered");
         assert!(Coordination::ordered(2).is_parallel());
+    }
+
+    #[test]
+    fn spawn_rules_belong_to_their_coordinations() {
+        for coord in [Coordination::depth_bounded(2), Coordination::ordered(2)] {
+            assert!(coord.spawns_children(1), "{coord}");
+            assert!(!coord.spawns_children(2), "{coord}");
+            assert_eq!(coord.backtrack_budget(), u64::MAX, "{coord}");
+        }
+        assert_eq!(Coordination::budget(7).backtrack_budget(), 7);
+        for coord in [
+            Coordination::Sequential,
+            Coordination::stack_stealing(),
+            Coordination::budget(7),
+        ] {
+            assert!(!coord.spawns_children(0), "{coord}");
+        }
+        assert_eq!(Coordination::Sequential.backtrack_budget(), u64::MAX);
     }
 
     #[test]

@@ -1156,8 +1156,7 @@ mod tests {
             ) -> Vec<Adjustment> {
                 running
                     .iter()
-                    // Let the search run long enough to establish an
-                    // incumbent before the axe falls.
+                    // Let the search run a while before the axe falls.
                     .filter(|s| !s.preempted && s.running_for >= Duration::from_millis(20))
                     .map(|s| Adjustment::Preempt {
                         search: s.search_id,
@@ -1171,9 +1170,25 @@ mod tests {
                 .replan_period(Duration::from_millis(2)),
             Box::new(PreemptEverything),
         );
-        let out = runtime
-            .maximise(Endless, &config(Coordination::depth_bounded(3), 4))
-            .wait();
+        // The search parks at its root expansion, after scoring the root,
+        // until released, so whenever the preemption lands there is an
+        // incumbent to keep — however late the search's worker starts.
+        let (reached_tx, reached) = bounded(1);
+        let (release, release_rx) = bounded(1);
+        let handle = runtime.maximise(
+            ParkedEndless {
+                reached: reached_tx,
+                release: Mutex::new(release_rx),
+            },
+            &config(Coordination::depth_bounded(3), 4),
+        );
+        reached
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the search scores and expands its root");
+        release
+            .send(())
+            .expect("the parked search waits for release");
+        let out = handle.wait();
         assert_eq!(out.status, crate::lifecycle::SearchStatus::Cancelled);
         assert!(
             out.try_score().is_some(),

@@ -16,16 +16,14 @@
 //! [`SearchProblem`] impl) and chooses the search type; everything else is
 //! generic library code.
 
-pub(crate) mod budget;
-pub(crate) mod depth_bounded;
 pub(crate) mod driver;
 pub(crate) mod ordered;
-pub(crate) mod sequential;
 pub(crate) mod stack_stealing;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::engine::{self, PoolSource, RootSource};
 use crate::lifecycle::{CancelToken, Lifecycle, ProgressSender, SearchStatus};
 use crate::metrics::{Metrics, WorkerMetrics};
 use crate::node::SearchProblem;
@@ -35,6 +33,7 @@ use crate::termination::{StopCause, Termination};
 use crate::trace::{TraceBuffer, TraceRecord, Tracer};
 
 use driver::{DecideDriver, Driver, EnumDriver, OptimDriver};
+use stack_stealing::StealSource;
 
 /// Result of an enumeration search.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,7 +330,9 @@ struct RunOutput {
 }
 
 /// Dispatch a driver over the configured coordination, under the given
-/// lifecycle (external stops, progress, pool).
+/// lifecycle (external stops, progress, pool): pick the coordination's work
+/// source and run the engine with it.  The coordination value itself
+/// carries the spawn rules.
 fn run_coordination<P, D>(
     problem: &P,
     driver: &D,
@@ -348,20 +349,48 @@ where
     // any worker starts; the seeded root is then drained by the source
     // discard, so even a zero-budget run exits with clean accounting.
     lifecycle.poll(&term);
-    let (workers, elapsed): (Vec<WorkerMetrics>, Duration) = match config.coordination {
-        Coordination::Sequential => sequential::run(problem, driver, &term, lifecycle),
-        Coordination::DepthBounded { dcutoff } => {
-            depth_bounded::run(problem, driver, config, dcutoff, &term, lifecycle)
-        }
-        Coordination::StackStealing { chunked } => {
-            stack_stealing::run(problem, driver, config, chunked, &term, lifecycle)
-        }
-        Coordination::Budget { backtracks } => {
-            budget::run(problem, driver, config, backtracks, &term, lifecycle)
-        }
-        Coordination::Ordered { spawn_depth } => {
-            ordered::run(problem, driver, config, spawn_depth, &term, lifecycle)
-        }
+    let coordination = config.coordination;
+    let count = lifecycle.worker_count(config);
+    // Shared structures (pool shards, steal channels) exist for every worker
+    // id a runtime grant could mint, not just the initial count, so grown
+    // workers get their own.
+    let capacity = lifecycle.worker_capacity(config);
+    let (workers, elapsed): (Vec<WorkerMetrics>, Duration) = match coordination {
+        // One worker over a source holding just the root: the engine's task
+        // loop then *is* the classic depth-first traversal (Listing 2).
+        Coordination::Sequential => engine::run(
+            problem,
+            driver,
+            1,
+            &RootSource::new(),
+            coordination,
+            &term,
+            lifecycle,
+        ),
+        Coordination::DepthBounded { .. } | Coordination::Budget { .. } => engine::run(
+            problem,
+            driver,
+            count,
+            &PoolSource::traced(capacity, lifecycle.tracer.clone()),
+            coordination,
+            &term,
+            lifecycle,
+        ),
+        Coordination::StackStealing { chunked } => engine::run(
+            problem,
+            driver,
+            count,
+            &StealSource::new(
+                capacity,
+                config.steal_seed,
+                chunked,
+                lifecycle.tracer.clone(),
+            ),
+            coordination,
+            &term,
+            lifecycle,
+        ),
+        Coordination::Ordered { .. } => ordered::run(problem, driver, config, &term, lifecycle),
     };
     let status = match term.stop_cause() {
         Some(StopCause::Cancelled) => SearchStatus::Cancelled,

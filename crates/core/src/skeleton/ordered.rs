@@ -11,14 +11,16 @@
 //!
 //! Three mechanisms cooperate:
 //!
-//! 1. **Sequence-keyed spawning** ([`OrderedPolicy`] + [`OrderedSource`]):
-//!    the children of every node shallower than `spawn_depth` become tasks
-//!    tagged with their [`SeqKey`] (path of heuristic child indices).  The
-//!    tasks live in a global [`OrderedPool`], and every pop takes the
-//!    smallest key — so the leftmost (sequential-order) frontier task is
-//!    always the next one issued, and the worker holding the smallest
-//!    in-flight key plays the role of the pinned sequential worker at any
-//!    instant.  With one worker the pop sequence *is* depth-first preorder.
+//! 1. **Sequence-keyed spawning** ([`OrderedSource`] with the
+//!    [`spawns_children`](crate::params::Coordination::spawns_children)
+//!    rule): the children of every node shallower than the spawn depth
+//!    become tasks tagged with their [`SeqKey`] (path of heuristic child
+//!    indices).  The tasks live in a global [`OrderedPool`], and every pop
+//!    takes the smallest key — so the leftmost (sequential-order) frontier
+//!    task is always the next one issued, and the worker holding the
+//!    smallest in-flight key plays the role of the pinned sequential worker
+//!    at any instant.  With one worker the pop sequence *is* depth-first
+//!    preorder.
 //! 2. **Speculation with in-order commit**: spare workers run later subtrees
 //!    speculatively.  A witness found by a task does **not** stop the search
 //!    immediately; it is recorded, and the stop is committed only once every
@@ -65,7 +67,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::engine::{self, Flow, SpawnPolicy, WorkSource};
+use crate::engine::{self, Flow, WorkSource};
 use crate::lifecycle::Lifecycle;
 use crate::metrics::WorkerMetrics;
 use crate::node::SearchProblem;
@@ -74,19 +76,6 @@ use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, TraceHandle, Tracer};
 use crate::workpool::{CommitLog, KeyArena, OrderedPool, SeqKey, Task};
-
-/// Spawn the children of every node shallower than `spawn_depth`, exactly
-/// like the Depth-Bounded policy — the ordering lives in the source, not
-/// the policy.
-pub(crate) struct OrderedPolicy {
-    spawn_depth: usize,
-}
-
-impl<P: SearchProblem, S: WorkSource<P>> SpawnPolicy<P, S> for OrderedPolicy {
-    fn spawn_children(&self, depth: usize) -> bool {
-        depth < self.spawn_depth
-    }
-}
 
 /// Per-worker state of the ordered source.
 pub(crate) struct OrderedLocal {
@@ -384,15 +373,16 @@ impl<P: SearchProblem> WorkSource<P> for OrderedSource<P::Node> {
     }
 }
 
-/// Run the Ordered coordination with the given spawn depth.  The caller's
-/// `term` can be read afterwards: every spawned task is drained —
+/// Run the Ordered coordination of `config`, whose spawn depth bounds the
+/// eager sequence-keyed spawning exactly like Depth-Bounded's cutoff — the
+/// ordering lives in the source, not the spawn rule.  The caller's `term`
+/// can be read afterwards: every spawned task is drained —
 /// completed, purged, skipped or cleared — even when the commit
 /// short-circuits the search.
 pub(crate) fn run<P, D>(
     problem: &P,
     driver: &D,
     config: &SearchConfig,
-    spawn_depth: usize,
     term: &Termination,
     lifecycle: &Lifecycle,
 ) -> (Vec<WorkerMetrics>, Duration)
@@ -411,7 +401,7 @@ where
         driver,
         workers,
         &source,
-        OrderedPolicy { spawn_depth },
+        config.coordination,
         term,
         lifecycle,
     );
@@ -709,14 +699,8 @@ mod tests {
                 workers,
                 ..SearchConfig::default()
             };
-            let (_metrics, _elapsed) = run(
-                &LeftWitness,
-                &driver,
-                &config,
-                2,
-                &term,
-                &Lifecycle::inert(),
-            );
+            let (_metrics, _elapsed) =
+                run(&LeftWitness, &driver, &config, &term, &Lifecycle::inert());
             assert_eq!(
                 term.outstanding(),
                 0,

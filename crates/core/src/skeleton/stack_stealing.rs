@@ -29,13 +29,10 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::engine::{self, NoSpawn, WorkSource};
+use crate::engine::WorkSource;
 use crate::genstack::GenStack;
-use crate::lifecycle::Lifecycle;
 use crate::metrics::WorkerMetrics;
 use crate::node::SearchProblem;
-use crate::params::SearchConfig;
-use crate::skeleton::driver::Driver;
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, TraceHandle, Tracer, UNKNOWN_VICTIM};
 use crate::workpool::{pick_shallowest, Task};
@@ -502,45 +499,15 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
     }
 }
 
-/// Run the Stack-Stealing coordination.
-pub(crate) fn run<P, D>(
-    problem: &P,
-    driver: &D,
-    config: &SearchConfig,
-    chunked: bool,
-    term: &Termination,
-    lifecycle: &Lifecycle,
-) -> (Vec<WorkerMetrics>, Duration)
-where
-    P: SearchProblem,
-    D: Driver<P>,
-{
-    let workers = lifecycle.worker_count(config);
-    // Channels, hints and locals exist for every worker id a runtime grant
-    // could mint, not just the initial count.
-    let capacity = lifecycle.worker_capacity(config);
-    engine::run(
-        problem,
-        driver,
-        workers,
-        &StealSource::new(
-            capacity,
-            config.steal_seed,
-            chunked,
-            lifecycle.tracer.clone(),
-        ),
-        NoSpawn,
-        term,
-        lifecycle,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
+    use crate::lifecycle::Lifecycle;
     use crate::monoid::Sum;
     use crate::objective::{Decide, Enumerate, Optimise};
-    use crate::skeleton::driver::{DecideDriver, EnumDriver};
+    use crate::params::{Coordination, SearchConfig};
+    use crate::skeleton::driver::{DecideDriver, Driver, EnumDriver};
 
     struct Wide {
         depth: usize,
@@ -608,11 +575,13 @@ mod tests {
         P: SearchProblem,
         D: Driver<P>,
     {
-        run(
+        let source = StealSource::new(config.workers, config.steal_seed, chunked, Tracer::off());
+        engine::run(
             problem,
             driver,
-            config,
-            chunked,
+            config.workers,
+            &source,
+            Coordination::StackStealing { chunked },
             &Termination::new(1),
             &Lifecycle::inert(),
         )

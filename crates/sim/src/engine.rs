@@ -464,11 +464,10 @@ where
         // A sequence-keyed global pool with in-order commit semantics cannot
         // be approximated by the per-locality depth pools without losing the
         // replicability guarantee.
-        Coordination::Ordered { spawn_depth } => {
+        Coordination::Ordered { .. } => {
             let pool = OrderedPool::new();
             pool.push(SeqKey::root(), root);
             let ordered = Ordered {
-                spawn_depth,
                 pool,
                 log: CommitLog::new(),
             };
@@ -481,7 +480,6 @@ where
             // Budget and Sequential; Stack-Stealing steals directly from
             // worker stacks).
             let pools = Pools {
-                coordination,
                 pools: (0..config.localities).map(|_| DepthPool::new()).collect(),
                 rng: SmallRng::seed_from_u64(config.seed),
                 scratch: Vec::new(),
@@ -719,7 +717,6 @@ fn pick_outside(n: usize, own: Range<usize>, rng: &mut SmallRng) -> Option<usize
 /// one depth pool per locality (unused by Stack-Stealing, whose thieves
 /// split other workers' stacks) and seeded random victim selection.
 struct Pools<N> {
-    coordination: Coordination,
     pools: Vec<DepthPool<N>>,
     rng: SmallRng,
     /// Reused tie buffer for [`pick_shallowest`].
@@ -733,7 +730,7 @@ impl<'p, P: SearchProblem, D: SimDriver<P>> Rules<'p, P, D> for Pools<P::Node> {
             let task = sim.workers[w].backlog.remove(0);
             return now + sim.start_task(w, task, now);
         }
-        now + match sim.coord.coordination {
+        now + match sim.config.coordination {
             Coordination::StackStealing { chunked } => sim.steal_stack(w, now, chunked),
             _ => sim.pop_or_steal_pool(w, now),
         }
@@ -741,15 +738,13 @@ impl<'p, P: SearchProblem, D: SimDriver<P>> Rules<'p, P, D> for Pools<P::Node> {
 
     fn step(sim: &mut Sim<'_, 'p, P, D, Self>, w: usize, now: u64) -> u64 {
         let mut clock = now;
-        // Budget coordination: split before the next step if the budget is
-        // exhausted.
-        if let Coordination::Budget { backtracks } = sim.coord.coordination {
-            if sim.workers[w].backtracks_since_split >= backtracks {
-                let offload = sim.workers[w].stack.split_lowest(true);
-                clock += sim.release(offload.len());
-                sim.coord.pools[sim.workers[w].locality].push_all(offload);
-                sim.workers[w].backtracks_since_split = 0;
-            }
+        // The (spawn-budget) rule: split before the next step if the budget
+        // is exhausted (never, for coordinations without a budget).
+        if sim.workers[w].backtracks_since_split >= sim.config.coordination.backtrack_budget() {
+            let offload = sim.workers[w].stack.split_lowest(true);
+            clock += sim.release(offload.len());
+            sim.coord.pools[sim.workers[w].locality].push_all(offload);
+            sim.workers[w].backtracks_since_split = 0;
         }
         let step = sim.advance(w, &mut clock);
         sim.stats.nodes += step.node_depth.is_some() as u64;
@@ -776,18 +771,16 @@ impl<'p, P: SearchProblem, D: SimDriver<P>> Sim<'_, 'p, P, D, Pools<P::Node>> {
                 self.retire(w, at);
             }
             Action::ShortCircuit => self.short_circuit(w, at),
-            // Eager placement-time spawning: the Depth-Bounded cutoff.
-            Action::Expand => match self.coord.coordination {
-                Coordination::DepthBounded { dcutoff } if task.depth < dcutoff => {
-                    let (children, cost) = self.spawn_children(&task);
-                    at += cost;
-                    self.coord.pools[self.workers[w].locality].push_all(children);
-                    self.retire(w, at);
-                }
-                _ => self.workers[w]
-                    .stack
-                    .push(self.problem, &task.node, task.depth),
-            },
+            // Eager placement-time spawning: the (spawn-depth) rule.
+            Action::Expand if self.config.coordination.spawns_children(task.depth) => {
+                let (children, cost) = self.spawn_children(&task);
+                at += cost;
+                self.coord.pools[self.workers[w].locality].push_all(children);
+                self.retire(w, at);
+            }
+            Action::Expand => self.workers[w]
+                .stack
+                .push(self.problem, &task.node, task.depth),
         }
         at - now
     }
@@ -952,7 +945,6 @@ impl<'p, P: SearchProblem, D: SimDriver<P>> Sim<'_, 'p, P, D, Pools<P::Node>> {
 /// of the instance and spawn depth: identical across worker counts and
 /// equal to the threaded Ordered skeleton's committed counts.
 struct Ordered<N> {
-    spawn_depth: usize,
     pool: OrderedPool<Task<N>>,
     /// Per-task `(nodes, prunes)`, classified by the log at the end.
     log: CommitLog<(u64, u64)>,
@@ -980,7 +972,7 @@ impl<'p, P: SearchProblem, D: SimDriver<P>> Rules<'p, P, D> for Ordered<P::Node>
             clock += costs.pop_cost + costs.node_cost;
             sim.workers[w].key = Some(key.clone());
             match sim.begin(w, &task, now, clock) {
-                Action::Expand if task.depth >= sim.coord.spawn_depth => {
+                Action::Expand if !sim.config.coordination.spawns_children(task.depth) => {
                     sim.workers[w]
                         .stack
                         .push(sim.problem, &task.node, task.depth);

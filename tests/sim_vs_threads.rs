@@ -4,6 +4,7 @@
 //! scaling figures are regenerated from it.
 
 use yewpar::{Coordination, Skeleton};
+use yewpar_apps::irregular::Irregular;
 use yewpar_apps::kclique::KClique;
 use yewpar_apps::knapsack::Knapsack;
 use yewpar_apps::maxclique::MaxClique;
@@ -221,5 +222,35 @@ fn adding_workers_never_changes_the_answer_and_speeds_up_enumeration() {
             out.makespan,
             single.makespan
         );
+    }
+}
+
+/// Both engines apply one split rule: on one worker there is no steal and
+/// no race, so the threaded engine and a 1×1 simulated cluster must split
+/// the same tree into the same tasks — equal `spawns` for the (spawn-depth)
+/// rule of Depth-Bounded and Ordered and for the (spawn-budget) rule of
+/// Budget, and equal `nodes`.  A rule restated in one engine with a
+/// different boundary (a cutoff off by one, a budget re-armed one short)
+/// changes the spawn count here.
+#[test]
+fn one_worker_engines_split_alike() {
+    let coordinations = [
+        Coordination::depth_bounded(2),
+        Coordination::depth_bounded(4),
+        Coordination::budget(7),
+        Coordination::budget(30),
+        Coordination::budget(500),
+        Coordination::ordered(2),
+        Coordination::ordered(3),
+    ];
+    for (depth, seed) in [(8, 58), (10, 7), (12, 3)] {
+        let p = Irregular::new(depth, seed);
+        for coord in coordinations {
+            let threaded = Skeleton::new(coord).workers(1).enumerate(&p);
+            let sim = simulate_enumerate(&p, &SimConfig::new(coord, 1, 1));
+            let case = format!("{coord} on Irregular::new({depth}, {seed})");
+            assert_eq!(sim.spawns, threaded.metrics.totals.spawns, "{case}");
+            assert_eq!(sim.nodes, threaded.metrics.nodes(), "{case}");
+        }
     }
 }

@@ -7,6 +7,8 @@
 //! pathology on a live *threaded* trace and a recorded *simulated*
 //! reconstruction alike.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -172,6 +174,73 @@ impl Enumerate for WideRoot {
     }
 }
 
+/// Bushes the thief must have begun before worker 0 runs at full speed:
+/// the analyzer's strip-mining rule needs `AnalyzeConfig::min_steals` (8)
+/// steal hits, and every bush the thief begins is one it stole.
+const THIEF_BUSHES: u64 = 8;
+
+/// Most yields worker 0 spends waiting for the thief.  The thief needs a
+/// few per bush, so the bound is generous; it exists so that a thief that
+/// never gets a core cannot keep worker 0 yielding on every node of the
+/// tree — the run then ends at full speed and the assertion reports it.
+const MAX_YIELDS: u64 = 50_000;
+
+/// [`WideRoot`] with worker 0 slowed down until the thief is under way.
+/// Worker 0 answers steal requests only between its own steps, so it must
+/// not be parked on a latch the thief opens: it yields once per generator
+/// call instead, while the thief has begun fewer than [`THIEF_BUSHES`]
+/// bushes.  Without this, a descheduled thief can wake to find worker 0
+/// has walked the whole tree alone.
+struct PacedWideRoot {
+    tree: WideRoot,
+    /// Worker 0's thread: the facade runs worker 0 inline on the caller's.
+    home: ThreadId,
+    /// Bushes begun on another thread, i.e. by the thief.
+    thief_bushes: AtomicU64,
+    /// Yields worker 0 has spent.
+    yields: AtomicU64,
+}
+
+impl PacedWideRoot {
+    fn new(tree: WideRoot) -> Self {
+        PacedWideRoot {
+            tree,
+            home: std::thread::current().id(),
+            thief_bushes: AtomicU64::new(0),
+            yields: AtomicU64::new(0),
+        }
+    }
+}
+
+impl SearchProblem for PacedWideRoot {
+    type Node = Option<u8>;
+    type Gen<'a> = std::vec::IntoIter<Option<u8>>;
+    fn root(&self) -> Option<u8> {
+        self.tree.root()
+    }
+    fn generator(&self, node: &Option<u8>) -> Self::Gen<'_> {
+        // ordering: test-only pacing counters; a stale read only changes
+        // how many times worker 0 yields.
+        if std::thread::current().id() != self.home {
+            if *node == Some(self.tree.bush_depth) {
+                self.thief_bushes.fetch_add(1, Ordering::Relaxed);
+            }
+        } else if self.thief_bushes.load(Ordering::Relaxed) < THIEF_BUSHES
+            && self.yields.fetch_add(1, Ordering::Relaxed) < MAX_YIELDS
+        {
+            std::thread::yield_now();
+        }
+        self.tree.generator(node)
+    }
+}
+
+impl Enumerate for PacedWideRoot {
+    type Value = Sum<u64>;
+    fn value(&self, _n: &Option<u8>) -> Sum<u64> {
+        Sum(1)
+    }
+}
+
 /// The simulated strip-mining reconstruction, recorded as JSONL: stack
 /// stealing with one-child splits on 8 localities × 1 worker over
 /// `WideRoot { arms: 60, bush_depth: 6 }`, with *remote* victims chosen by
@@ -192,11 +261,12 @@ fn strip_mining_fires_on_threaded_and_simulated_traces_alike() {
     );
 
     // Bushes of 2^11−1 nodes keep the threaded run alive for milliseconds —
-    // long enough for the thief to cycle through dozens of real steals.
-    let p = WideRoot {
+    // long enough for the thief to cycle through dozens of real steals once
+    // it is under way, which the pacing waits for.
+    let p = PacedWideRoot::new(WideRoot {
         arms: 60,
         bush_depth: 10,
-    };
+    });
 
     // Threaded: two workers, one-child splits.  The lone thief keeps
     // returning to worker 0's 60-wide root frame, so the victim histogram
