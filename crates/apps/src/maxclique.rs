@@ -62,10 +62,12 @@ pub fn greedy_colour(graph: &Graph, candidates: &BitSet) -> (Vec<u32>, Vec<u32>)
     let mut order = Vec::with_capacity(candidates.count());
     let mut colours = Vec::with_capacity(candidates.count());
     let mut uncoloured = candidates.clone();
+    // One scratch set for every colour class, refilled in place.
+    let mut colourable = BitSet::new(candidates.capacity());
     let mut colour = 0u32;
     while !uncoloured.is_empty() {
         colour += 1;
-        let mut colourable = uncoloured.clone();
+        colourable.clone_from(&uncoloured);
         while let Some(v) = colourable.pop_first() {
             uncoloured.remove(v);
             // No neighbour of v may share v's colour class.
@@ -218,6 +220,58 @@ mod tests {
         }
         // colours is non-decreasing.
         assert!(colours.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// The clone-per-class colouring, a fresh `colourable` set for every
+    /// colour class: the reference the one-scratch-set version must match.
+    fn clone_per_class_colour(graph: &Graph, candidates: &BitSet) -> (Vec<u32>, Vec<u32>) {
+        let mut order = Vec::new();
+        let mut colours = Vec::new();
+        let mut uncoloured = candidates.clone();
+        let mut colour = 0u32;
+        while !uncoloured.is_empty() {
+            colour += 1;
+            let mut colourable = uncoloured.clone();
+            while let Some(v) = colourable.pop_first() {
+                uncoloured.remove(v);
+                colourable.difference_with(graph.neighbours(v));
+                order.push(v as u32);
+                colours.push(colour);
+            }
+        }
+        (order, colours)
+    }
+
+    #[test]
+    fn greedy_colour_matches_the_clone_per_class_colouring() {
+        // splitmix64: a seeded stream of candidate subsets.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for n in [1usize, 63, 64, 65, 130, 260] {
+            for density in [0.3, 0.7] {
+                let g = graph::gnp(n, density, n as u64);
+                let mut subsets = vec![BitSet::new(n), BitSet::full(n)];
+                for keep_one_in in [2u64, 3, 8] {
+                    subsets.push(BitSet::from_iter(
+                        n,
+                        (0..n).filter(|_| next() % keep_one_in == 0),
+                    ));
+                }
+                for cands in &subsets {
+                    assert_eq!(
+                        greedy_colour(&g, cands),
+                        clone_per_class_colour(&g, cands),
+                        "n = {n}, density {density}, candidates {cands:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -338,3 +338,32 @@ fn shipped_lint_toml_parses_and_workspace_is_clean() {
             .join("\n")
     );
 }
+
+/// The shipped layering ban keeps the apps' node generators lazy: a
+/// `SearchProblem::Gen` that is a `Vec`'s iterator (every child collected
+/// per node) is flagged under `crates/apps/src`, a lazy generator type is
+/// not, and neither is the same line in a test region.
+#[test]
+fn shipped_config_bans_vec_collected_generators_in_the_apps() {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/lint.toml"));
+    let cfg = parse_config(&text.expect("lint.toml")).expect("shipped lint.toml must parse");
+    let src = "\
+impl SearchProblem for Eager {
+    type Gen<'a> = std::vec::IntoIter<(usize, u64)>;
+}
+impl SearchProblem for Lazy {
+    type Gen<'a> = LazyGen;
+}
+
+#[cfg(test)]
+mod tests {
+    impl SearchProblem for Reference {
+        type Gen<'a> = std::vec::IntoIter<(usize, u64)>;
+    }
+}
+";
+    let violations = lint_file("crates/apps/src/tree.rs", src, &cfg);
+    let flagged: Vec<_> = violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(flagged, [("layering-ban", 2)], "{violations:?}");
+    assert!(violations[0].message.contains("§4.1"), "{violations:?}");
+}

@@ -297,7 +297,9 @@ fn runtime_trace_records_the_search_lifecycle_and_gauges() {
     let mut cfg = SearchConfig::new(Coordination::depth_bounded(2));
     cfg.workers = 2;
     cfg.deadline = Some(Duration::from_millis(40));
-    // A tree far too large for 40 ms: the run is deadline-truncated.
+    // 1 447 550 nodes under a 40 ms deadline: a debug build is cut by the
+    // deadline, a release build may finish first.  Either way the search
+    // passes through the lifecycle checked below, so no status is asserted.
     let out = runtime.enumerate(Irregular::new(16, 1), &cfg).wait();
     let id = out.metrics.search_id;
     // `wait()` resolves on result delivery, a beat *before* the dispatcher
