@@ -4,7 +4,7 @@
 //! it counts the nodes of a synthetic, highly irregular tree whose shape is
 //! determined entirely by a cryptographic-style hash of each node's path from
 //! the root.  This implementation uses a SplitMix64 hash instead of SHA-1
-//! (the substitution is documented in DESIGN.md); like the original it is
+//! (so node hashes differ from the reference UTS trees); like the original it is
 //! fully deterministic in the root seed, supports the *geometric* and
 //! *binomial* tree shapes, and produces trees whose subtree sizes vary by
 //! orders of magnitude — exactly the irregularity that stresses the parallel

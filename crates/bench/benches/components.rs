@@ -322,8 +322,7 @@ fn bench_runtime_multiplexing(c: &mut Criterion) {
 /// all); the two FairShare rows vary the replanning period, which bounds
 /// how quickly revocations are *issued* — the revocation-latency half of
 /// the cycle (how quickly workers *acknowledge*) is bounded by the
-/// engine's poll stride and is reported by `RuntimeStats` in the
-/// `table2 --elastic` smoke.
+/// engine's poll stride and is reported by `RuntimeStats::revocation_latency`.
 fn bench_elastic_regrant(c: &mut Criterion) {
     use yewpar::schedule::{FairShare, Fifo, SchedulePolicy};
 

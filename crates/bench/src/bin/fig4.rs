@@ -7,25 +7,22 @@
 //! cluster simulator: the workload is the k-clique decision search with
 //! `k = ω + 1` on the registry's `spreads_H(4,4)` stand-in (an exhaustive
 //! unsatisfiability proof, giving a deterministic, large, prunable search),
-//! and "runtime" is virtual makespan.
-//!
-//! Environment variables: `YEWPAR_FIG4_BUDGET` (default 1000).
+//! and "runtime" is virtual makespan.  The series are also written to
+//! `results/fig4.json`.
 
 use yewpar::{Coordination, Skeleton};
 use yewpar_apps::kclique::KClique;
 use yewpar_apps::maxclique::MaxClique;
-use yewpar_bench::{fmt_ticks, TableWriter};
+use yewpar_bench::{fmt_ticks, write_report, TableWriter};
 use yewpar_instances::registry;
 use yewpar_sim::{simulate_decide, SimConfig};
 
+/// The Budget skeleton's backtrack budget.  The paper uses 10^7 backtracks
+/// on an instance of ~10^10 nodes; the registry stand-in is roughly five
+/// orders of magnitude smaller, so the budget is scaled down accordingly.
+const BUDGET: u64 = 200;
+
 fn main() {
-    // The paper uses a 10^7-backtrack budget on an instance of ~10^10 nodes;
-    // the registry stand-in is roughly five orders of magnitude smaller, so
-    // the default budget is scaled down accordingly.
-    let budget: u64 = std::env::var("YEWPAR_FIG4_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
     let named = registry::fig4_kclique_instance();
     let graph = named.graph.clone();
 
@@ -54,7 +51,7 @@ fn main() {
             "Stack-Stealing (chunked)".to_string(),
             Coordination::stack_stealing_chunked(),
         ),
-        (format!("Budget (b={budget})"), Coordination::budget(budget)),
+        (format!("Budget (b={BUDGET})"), Coordination::budget(BUDGET)),
     ];
 
     let mut results = Vec::new();
@@ -120,14 +117,4 @@ fn main() {
         "series": results,
     });
     write_report("fig4.json", &report);
-}
-
-fn write_report(name: &str, value: &serde_json::Value) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(name);
-        if std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()).is_ok() {
-            println!("(wrote {})", path.display());
-        }
-    }
 }

@@ -17,7 +17,7 @@
 
 use yewpar::{Coordination, Skeleton};
 use yewpar_apps::maxclique::{baseline, MaxClique};
-use yewpar_bench::{fmt_secs, geometric_mean, slowdown_pct, time_mean, TableWriter};
+use yewpar_bench::{fmt_secs, geometric_mean, slowdown_pct, time_mean, write_report, TableWriter};
 use yewpar_instances::registry;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -142,14 +142,4 @@ fn main() {
         "geomean_par_slowdown_pct": par_geo,
     });
     write_report("table1.json", &report);
-}
-
-fn write_report(name: &str, value: &serde_json::Value) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(name);
-        if std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()).is_ok() {
-            println!("(wrote {})", path.display());
-        }
-    }
 }

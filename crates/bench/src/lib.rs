@@ -1,32 +1,27 @@
 //! Shared harness utilities for the benchmark binaries that regenerate the
-//! paper's tables and figures (see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded results).
+//! paper's tables and figures: `table1`, `table2` and `fig4` (each writes
+//! its JSON report under `results/`), plus `perfgate` and `tracecat`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod gate;
 
-use std::time::{Duration, Instant};
-
-/// Measure the wall-clock time of a closure, returning its result and the
-/// elapsed time in seconds.
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let start = Instant::now();
-    let r = f();
-    (r, start.elapsed().as_secs_f64())
-}
+use std::time::Instant;
 
 /// Run a closure `reps` times and return the mean runtime in seconds of the
 /// result-producing runs (the first run's result is returned).
 pub fn time_mean<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     assert!(reps >= 1);
-    let (first, mut total) = time(&mut f);
-    for _ in 1..reps {
-        let (_, t) = time(&mut f);
-        total += t;
+    let mut first = None;
+    let mut total = 0.0;
+    for _ in 0..reps {
+        let start = Instant::now();
+        let r = f();
+        total += start.elapsed().as_secs_f64();
+        first.get_or_insert(r);
     }
-    (first, total / reps as f64)
+    (first.expect("reps >= 1"), total / reps as f64)
 }
 
 /// Geometric mean of a slice of positive numbers (0.0 for an empty slice).
@@ -96,9 +91,17 @@ impl TableWriter {
     }
 }
 
-/// Clamp the duration to a human-friendly precision for reporting.
-pub fn round_duration(d: Duration) -> Duration {
-    Duration::from_micros(d.as_micros() as u64)
+/// Write `value` as pretty-printed JSON to `results/<name>` and print the
+/// path.  The table on stdout is the harness's result, so a report that
+/// cannot be written is skipped rather than failing the run.
+pub fn write_report(name: &str, value: &serde_json::Value) {
+    let dir = std::path::Path::new("results");
+    if std::fs::create_dir_all(dir).is_ok() {
+        let path = dir.join(name);
+        if std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()).is_ok() {
+            println!("(wrote {})", path.display());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -142,9 +145,6 @@ mod tests {
 
     #[test]
     fn timing_helpers_return_results() {
-        let (v, secs) = time(|| 21 * 2);
-        assert_eq!(v, 42);
-        assert!(secs >= 0.0);
         let (v, mean) = time_mean(3, || 7);
         assert_eq!(v, 7);
         assert!(mean >= 0.0);

@@ -367,3 +367,25 @@ mod tests {
     assert_eq!(flagged, [("layering-ban", 2)], "{violations:?}");
     assert!(violations[0].message.contains("§4.1"), "{violations:?}");
 }
+
+#[test]
+fn shipped_config_bans_sleeping_in_the_harnesses() {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/lint.toml"));
+    let cfg = parse_config(&text.expect("lint.toml")).expect("shipped lint.toml must parse");
+    let src = "\
+fn main() {
+    let background = runtime.maximise(problem, &cfg);
+    std::thread::sleep(Duration::from_millis(20));
+    // thread::sleep in a comment is prose, not a bet
+    let urgent = runtime.enumerate(other, &cfg).wait();
+}
+";
+    let violations = lint_file("crates/bench/src/bin/table2.rs", src, &cfg);
+    let flagged: Vec<_> = violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(flagged, [("layering-ban", 3)], "{violations:?}");
+    assert!(
+        violations[0].message.contains("ROADMAP item 1"),
+        "{violations:?}"
+    );
+    assert!(lint_file("tests/multiplexed_runtime.rs", src, &cfg).is_empty());
+}

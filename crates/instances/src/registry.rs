@@ -4,7 +4,7 @@
 //! graphs, a finite-geometry k-clique instance, around 20 instances per
 //! application for Table 2).  This module fixes a *named*, seeded set of
 //! synthetic stand-ins so that the benchmark harnesses, the tests and
-//! EXPERIMENTS.md all refer to the same instances.
+//! README's recorded results all refer to the same instances.
 //!
 //! Naming convention: `<family>-<n>-<variant>`, e.g. `brock-90-1` is the
 //! first planted-clique ("brock-like") graph on 90 vertices.

@@ -5,7 +5,8 @@
 //! round-trip; the runtime's control-plane and gauge events must appear;
 //! and the search-anomaly analyzer must flag the PR 6 steal strip-mining
 //! pathology on a live *threaded* trace and a recorded *simulated*
-//! reconstruction alike.
+//! reconstruction alike, while the default blind-random remote stealing
+//! on the 8×15 virtual cluster shows neither it nor a locality imbalance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::ThreadId;
@@ -291,6 +292,41 @@ fn strip_mining_fires_on_threaded_and_simulated_traces_alike() {
     );
 }
 
+/// The converse of the strip-mining test: remote victims are chosen
+/// blind-random, so chunked stack stealing over the 8×15 virtual cluster
+/// concentrates steals on no victim and loads no locality unevenly.
+#[test]
+fn default_remote_stealing_shows_no_strip_mining_or_locality_imbalance() {
+    let p = Irregular::new(12, 1);
+    let baseline_nodes =
+        simulate_enumerate(&p, &SimConfig::new(Coordination::Sequential, 1, 1)).nodes;
+    let mut cfg = SimConfig::new(Coordination::stack_stealing_chunked(), 8, 15);
+    cfg.trace = true;
+    let out = simulate_enumerate(&p, &cfg);
+    assert_eq!(
+        out.nodes, baseline_nodes,
+        "enumeration expands every node once"
+    );
+    let findings = analyze(
+        &out.trace,
+        &AnalyzeConfig {
+            baseline_nodes: Some(baseline_nodes),
+            workers_per_locality: 15,
+            ..AnalyzeConfig::default()
+        },
+    );
+    for kind in [
+        FindingKind::StealStripMining,
+        FindingKind::LocalityImbalance,
+    ] {
+        assert!(
+            findings.iter().all(|f| f.kind != kind),
+            "blind-random remote stealing must not show {kind:?}; findings: {findings:?}\n{}",
+            summarize(&out.trace)
+        );
+    }
+}
+
 #[test]
 fn runtime_trace_records_the_search_lifecycle_and_gauges() {
     let runtime = Runtime::new(RuntimeConfig::default().workers(2).trace(true));
@@ -371,33 +407,51 @@ fn runtime_trace_records_the_search_lifecycle_and_gauges() {
 
 #[test]
 fn exported_traces_round_trip_and_malformed_lines_fail_loudly() {
-    let p = WideRoot {
-        arms: 8,
-        bush_depth: 2,
-    };
+    // A virtual-tick simulator trace and a nanosecond threaded one: the
+    // exporters must round-trip the records of both engines.
     let mut cfg = SimConfig::new(Coordination::depth_bounded(1), 2, 2);
     cfg.trace = true;
-    let out = simulate_enumerate(&p, &cfg);
-    assert!(!out.trace.is_empty());
+    let sim = simulate_enumerate(
+        &WideRoot {
+            arms: 8,
+            bush_depth: 2,
+        },
+        &cfg,
+    );
+    let skel = Skeleton::new(Coordination::stack_stealing_chunked())
+        .workers(4)
+        .trace(true);
+    skel.enumerate(&Irregular::new(12, 1));
+    let traces = [("sim", sim.trace), ("threaded", skel.take_trace())];
 
     let dir = std::env::temp_dir().join(format!("yewpar_trace_rt_{}", std::process::id()));
-    let jsonl = write_trace_file(&dir, "roundtrip", &JsonlSink, &out.trace).unwrap();
-    let text = std::fs::read_to_string(&jsonl).unwrap();
-    assert_eq!(read_jsonl(&text).unwrap(), out.trace, "lossless round-trip");
+    for (name, trace) in &traces {
+        assert!(!trace.is_empty(), "{name}: empty trace");
+        let jsonl = write_trace_file(&dir, name, &JsonlSink, trace).unwrap();
+        let text = std::fs::read_to_string(&jsonl).unwrap();
+        assert_eq!(
+            &read_jsonl(&text).unwrap(),
+            trace,
+            "{name}: lossless round-trip"
+        );
 
-    // The Chrome exporter shares the stem but not the extension, so both
-    // files coexist; the output must at least be one JSON array.
-    let chrome = write_trace_file(&dir, "roundtrip", &ChromeTraceSink, &out.trace).unwrap();
-    assert_ne!(jsonl, chrome);
-    let ctext = std::fs::read_to_string(&chrome).unwrap();
-    assert!(ctext.trim_start().starts_with('['));
-    assert!(ctext.trim_end().ends_with(']'));
+        // The Chrome exporter shares the stem but not the extension, so
+        // both files coexist; the output must at least be one JSON array.
+        let chrome = write_trace_file(&dir, name, &ChromeTraceSink, trace).unwrap();
+        assert_ne!(jsonl, chrome);
+        let ctext = std::fs::read_to_string(&chrome).unwrap();
+        assert!(ctext.trim_start().starts_with('['), "{name}");
+        assert!(ctext.trim_end().ends_with(']'), "{name}");
 
-    // Strictness: corrupt one line and the parser must name it.
-    let mut corrupted: Vec<&str> = text.lines().collect();
-    corrupted[1] = "{\"ts\":0,\"worker\":0,\"event\":\"no_such_event\"}";
-    let err = read_jsonl(&corrupted.join("\n")).unwrap_err();
-    assert_eq!(err.line, 2, "the diagnostic must point at the bad line");
+        // Strictness: corrupt one line and the parser must name it.
+        let mut corrupted: Vec<&str> = text.lines().collect();
+        corrupted[1] = "{\"ts\":0,\"worker\":0,\"event\":\"no_such_event\"}";
+        let err = read_jsonl(&corrupted.join("\n")).unwrap_err();
+        assert_eq!(
+            err.line, 2,
+            "{name}: the diagnostic must point at the bad line"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
