@@ -53,30 +53,32 @@ impl MaxClique {
 
 /// Greedy colouring of the subgraph induced by `candidates`.
 ///
-/// Returns `(order, colours)`: `order` lists the candidate vertices grouped
-/// by colour class (class 1 first) and `colours[i]` is the number of colour
-/// classes used for `order[0..=i]` — an upper bound on the clique size within
-/// `{order[0], …, order[i]}`.  Branching iterates `order` in reverse, so the
-/// last (highest-colour) vertex is tried first.
-pub fn greedy_colour(graph: &Graph, candidates: &BitSet) -> (Vec<u32>, Vec<u32>) {
-    let mut order = Vec::with_capacity(candidates.count());
-    let mut colours = Vec::with_capacity(candidates.count());
+/// Returns the candidate vertices grouped by colour class (class 1 first),
+/// each paired with its colour bound: for the `i`-th pair, the number of
+/// colour classes used for the first `i + 1` vertices — an upper bound on
+/// the clique size within them.  Branching walks the pairs in reverse, so
+/// the last (highest-colour) vertex is tried first.
+///
+/// Each class is one [`BitSet::pop_independent_set`], which walks the
+/// words of a scratch copy once: it takes the lowest remaining vertex and
+/// strikes out its neighbours from that vertex's word onwards, since every
+/// earlier word is already empty.  For graphs of up to 512 vertices the
+/// sets are inline, so the returned vector is the colouring's only
+/// allocation.
+pub fn greedy_colour(graph: &Graph, candidates: &BitSet) -> Vec<(u32, u32)> {
+    let total = candidates.count();
+    let mut coloured = Vec::with_capacity(total);
     let mut uncoloured = candidates.clone();
-    // One scratch set for every colour class, refilled in place.
-    let mut colourable = BitSet::new(candidates.capacity());
     let mut colour = 0u32;
-    while !uncoloured.is_empty() {
+    while coloured.len() < total {
         colour += 1;
-        colourable.clone_from(&uncoloured);
-        while let Some(v) = colourable.pop_first() {
-            uncoloured.remove(v);
+        uncoloured.pop_independent_set(|v| {
+            coloured.push((v as u32, colour));
             // No neighbour of v may share v's colour class.
-            colourable.difference_with(graph.neighbours(v));
-            order.push(v as u32);
-            colours.push(colour);
-        }
+            graph.neighbours(v)
+        });
     }
-    (order, colours)
+    coloured
 }
 
 /// The lazy node generator for Maximum Clique (the paper's `Gen` struct).
@@ -85,8 +87,8 @@ pub struct CliqueGen<'a> {
     parent_clique: BitSet,
     parent_size: u32,
     remaining: BitSet,
-    order: Vec<u32>,
-    colours: Vec<u32>,
+    /// The parent's colouring, `(vertex, colour bound)` pairs.
+    coloured: Vec<(u32, u32)>,
     /// Index one past the next candidate to branch on (walks downwards).
     k: usize,
 }
@@ -99,7 +101,8 @@ impl Iterator for CliqueGen<'_> {
             return None;
         }
         self.k -= 1;
-        let v = self.order[self.k] as usize;
+        let (v, colour) = self.coloured[self.k];
+        let v = v as usize;
         self.remaining.remove(v);
         let mut clique = self.parent_clique.clone();
         clique.insert(v);
@@ -109,12 +112,12 @@ impl Iterator for CliqueGen<'_> {
             clique,
             size: self.parent_size + 1,
             candidates,
-            // At most `colours[k] - 1` candidates can still be added: a clique
-            // extending this child lives inside `{order[0..=k]}`, its members
+            // At most `colour - 1` candidates can still be added: a clique
+            // extending this child lives inside `coloured[0..=k]`, its members
             // have pairwise distinct colours, and v's own colour class is
             // excluded from the candidates — the classic MCSa1 bound, chosen
             // so the skeleton prunes exactly like the hand-written baseline.
-            bound: self.colours[self.k] - 1,
+            bound: colour - 1,
         })
     }
 }
@@ -125,26 +128,24 @@ impl SearchProblem for MaxClique {
 
     fn root(&self) -> CliqueNode {
         let candidates = BitSet::full(self.graph.order());
-        let (_, colours) = greedy_colour(&self.graph, &candidates);
+        let coloured = greedy_colour(&self.graph, &candidates);
         CliqueNode {
             clique: BitSet::new(self.graph.order()),
             size: 0,
-            bound: colours.last().copied().unwrap_or(0),
+            bound: coloured.last().map_or(0, |&(_, colour)| colour),
             candidates,
         }
     }
 
     fn generator<'a>(&'a self, node: &CliqueNode) -> CliqueGen<'a> {
-        let (order, colours) = greedy_colour(&self.graph, &node.candidates);
-        let k = order.len();
+        let coloured = greedy_colour(&self.graph, &node.candidates);
         CliqueGen {
             problem: self,
             parent_clique: node.clique.clone(),
             parent_size: node.size,
             remaining: node.candidates.clone(),
-            order,
-            colours,
-            k,
+            k: coloured.len(),
+            coloured,
         }
     }
 
@@ -208,25 +209,25 @@ mod tests {
     fn greedy_colouring_is_a_proper_colouring() {
         let g = graph::gnp(30, 0.5, 42);
         let cands = BitSet::full(30);
-        let (order, colours) = greedy_colour(&g, &cands);
-        assert_eq!(order.len(), 30);
+        let coloured = greedy_colour(&g, &cands);
+        assert_eq!(coloured.len(), 30);
         // Vertices with the same colour must be pairwise non-adjacent.
-        for i in 0..order.len() {
-            for j in (i + 1)..order.len() {
-                if colours[i] == colours[j] {
-                    assert!(!g.has_edge(order[i] as usize, order[j] as usize));
+        for (i, &(u, cu)) in coloured.iter().enumerate() {
+            for &(v, cv) in &coloured[i + 1..] {
+                if cu == cv {
+                    assert!(!g.has_edge(u as usize, v as usize));
                 }
             }
         }
-        // colours is non-decreasing.
-        assert!(colours.windows(2).all(|w| w[0] <= w[1]));
+        // Colours are non-decreasing.
+        assert!(coloured.windows(2).all(|w| w[0].1 <= w[1].1));
     }
 
     /// The clone-per-class colouring, a fresh `colourable` set for every
-    /// colour class: the reference the one-scratch-set version must match.
-    fn clone_per_class_colour(graph: &Graph, candidates: &BitSet) -> (Vec<u32>, Vec<u32>) {
-        let mut order = Vec::new();
-        let mut colours = Vec::new();
+    /// colour class that `pop_first` rescans from word 0: the reference the
+    /// word-wise colouring must match.
+    fn clone_per_class_colour(graph: &Graph, candidates: &BitSet) -> Vec<(u32, u32)> {
+        let mut coloured = Vec::new();
         let mut uncoloured = candidates.clone();
         let mut colour = 0u32;
         while !uncoloured.is_empty() {
@@ -235,11 +236,10 @@ mod tests {
             while let Some(v) = colourable.pop_first() {
                 uncoloured.remove(v);
                 colourable.difference_with(graph.neighbours(v));
-                order.push(v as u32);
-                colours.push(colour);
+                coloured.push((v as u32, colour));
             }
         }
-        (order, colours)
+        coloured
     }
 
     #[test]
@@ -253,7 +253,7 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^ (z >> 31)
         };
-        for n in [1usize, 63, 64, 65, 130, 260] {
+        for n in [1usize, 63, 64, 65, 130, 260, 513, 600] {
             for density in [0.3, 0.7] {
                 let g = graph::gnp(n, density, n as u64);
                 let mut subsets = vec![BitSet::new(n), BitSet::full(n)];
@@ -316,6 +316,23 @@ mod tests {
                 expected,
                 "{coord} disagrees with sequential"
             );
+            assert!(p.verify(out.try_node().unwrap()));
+        }
+    }
+
+    #[test]
+    fn graphs_beyond_512_vertices_solve_through_the_spill_path() {
+        // 600 vertices: every bitset of this search keeps its words on the
+        // heap instead of inline.
+        let g = graph::gnp(600, 0.2, 3);
+        let expected = baseline::sequential_max_clique(&g).size;
+        let p = MaxClique::new(g);
+        for skeleton in [
+            Skeleton::new(Coordination::Sequential),
+            Skeleton::new(Coordination::depth_bounded(2)).workers(2),
+        ] {
+            let out = skeleton.maximise(&p);
+            assert_eq!(*out.try_score().unwrap(), expected);
             assert!(p.verify(out.try_node().unwrap()));
         }
     }

@@ -66,15 +66,14 @@ fn expand(
     if candidates.is_empty() {
         return;
     }
-    let (order, colours) = greedy_colour(graph, candidates);
     let mut remaining = candidates.clone();
-    for k in (0..order.len()).rev() {
-        // Colour-bound cut: everything from position k downwards can add at
-        // most colours[k] vertices.
-        if current.len() as u32 + colours[k] <= *best_size {
+    for &(v, colour) in greedy_colour(graph, candidates).iter().rev() {
+        // Colour-bound cut: everything from this position downwards can add
+        // at most `colour` vertices.
+        if current.len() as u32 + colour <= *best_size {
             return;
         }
-        let v = order[k] as usize;
+        let v = v as usize;
         remaining.remove(v);
         let mut next = remaining.clone();
         next.intersect_with(graph.neighbours(v));
@@ -90,14 +89,14 @@ fn expand(
 pub fn parallel_max_clique_depth1(graph: &Graph, workers: usize) -> CliqueResult {
     let workers = workers.max(1);
     let all = BitSet::full(graph.order());
-    let (order, _colours) = greedy_colour(graph, &all);
+    let coloured = greedy_colour(graph, &all);
 
     // Build the depth-1 branches exactly as the sequential solver would
     // (reverse colouring order, shrinking candidate sets).
     let mut branches = Vec::new();
     let mut remaining = all;
-    for k in (0..order.len()).rev() {
-        let v = order[k] as usize;
+    for &(v, _) in coloured.iter().rev() {
+        let v = v as usize;
         remaining.remove(v);
         let mut cands = remaining.clone();
         cands.intersect_with(graph.neighbours(v));
@@ -172,15 +171,14 @@ fn par_expand(
     if candidates.is_empty() {
         return;
     }
-    let (order, colours) = greedy_colour(graph, candidates);
     let mut remaining = candidates.clone();
-    for k in (0..order.len()).rev() {
+    for &(v, colour) in greedy_colour(graph, candidates).iter().rev() {
         // ordering: pruning against a possibly-stale bound is sound — it
         // can only fail to prune, never cut a live branch.
-        if current.len() as u32 + colours[k] <= best_size.load(Ordering::Relaxed) {
+        if current.len() as u32 + colour <= best_size.load(Ordering::Relaxed) {
             return;
         }
-        let v = order[k] as usize;
+        let v = v as usize;
         remaining.remove(v);
         let mut next = remaining.clone();
         next.intersect_with(graph.neighbours(v));

@@ -83,27 +83,38 @@ impl Semigroups {
     /// number (the children-defining set).  For genus `genus_max` nodes this
     /// is empty (the tree is cut off at the target genus).
     pub fn effective_generators(&self, node: &SemigroupNode) -> Vec<u32> {
-        if node.genus >= self.genus_max {
-            return Vec::new();
-        }
+        self.effective_generators_of(*node).collect()
+    }
+
+    /// The effective generators in increasing order, computed lazily.
+    fn effective_generators_of(&self, node: SemigroupNode) -> impl Iterator<Item = u32> + '_ {
         let lo = (node.frobenius + 1).max(1) as u32;
-        (lo..self.limit)
-            .filter(|&x| self.is_minimal_generator(node, x))
-            .collect()
+        let hi = if node.genus >= self.genus_max {
+            lo
+        } else {
+            self.limit
+        };
+        (lo..hi).filter(move |&x| self.is_minimal_generator(&node, x))
     }
 }
 
-/// Lazy node generator: remove one effective generator per child.
+/// Lazy node generator: remove one effective generator per child, smallest
+/// first.
 pub struct SemigroupGen {
     parent: SemigroupNode,
-    generators: std::vec::IntoIter<u32>,
+    /// The effective generators not yet branched on, as a bit mask.
+    generators: u64,
 }
 
 impl Iterator for SemigroupGen {
     type Item = SemigroupNode;
 
     fn next(&mut self) -> Option<SemigroupNode> {
-        let g = self.generators.next()?;
+        if self.generators == 0 {
+            return None;
+        }
+        let g = self.generators.trailing_zeros();
+        self.generators &= self.generators - 1; // clear the lowest set bit
         Some(SemigroupNode {
             members: self.parent.members & !(1 << g),
             frobenius: g as i32,
@@ -131,7 +142,10 @@ impl SearchProblem for Semigroups {
     fn generator(&self, node: &SemigroupNode) -> SemigroupGen {
         SemigroupGen {
             parent: *node,
-            generators: self.effective_generators(node).into_iter(),
+            // A mask over `0..limit`, `limit` ≤ 62: no allocation per node.
+            generators: self
+                .effective_generators_of(*node)
+                .fold(0, |mask, g| mask | 1 << g),
         }
     }
 
@@ -174,6 +188,29 @@ mod tests {
         assert!(!p.contains(&child, 1));
         // <2, 3> minus {1}: minimal generators above Frobenius 1 are 2 and 3.
         assert_eq!(p.effective_generators(&child), vec![2, 3]);
+    }
+
+    #[test]
+    fn children_remove_the_effective_generators_in_increasing_order() {
+        let p = Semigroups::new(10);
+        let mut stack = vec![p.root()];
+        let mut nodes = 0u64;
+        while let Some(node) = stack.pop() {
+            nodes += 1;
+            let children: Vec<SemigroupNode> = p.generator(&node).collect();
+            let expected: Vec<SemigroupNode> = p
+                .effective_generators(&node)
+                .into_iter()
+                .map(|g| SemigroupNode {
+                    members: node.members & !(1 << g),
+                    frobenius: g as i32,
+                    genus: node.genus + 1,
+                })
+                .collect();
+            assert_eq!(children, expected, "children of {node:?}");
+            stack.extend(children);
+        }
+        assert_eq!(nodes, SEMIGROUPS_PER_GENUS[..=10].iter().sum::<u64>());
     }
 
     #[test]

@@ -77,52 +77,67 @@ impl<T: Numeric> Monoid for Max<T> {
 /// Histogram monoid: counts nodes per depth.  Used by the enumeration
 /// applications that report per-depth counts (e.g. Numerical Semigroups
 /// counts semigroups of every genus up to the target genus).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// A [`singleton`](Self::singleton), one node's value, holds only its
+/// depth, so an enumeration makes one per node without allocating; folding
+/// it into an accumulator bumps one count.
+#[derive(Debug, Clone, Default)]
 pub struct DepthHistogram {
+    /// `counts[d]` observations at depth `d`, besides `lone`.
     counts: Vec<u64>,
+    /// The depth of one more observation (a singleton's).
+    lone: Option<usize>,
 }
 
 impl DepthHistogram {
     /// A histogram with a single observation at `depth`.
     pub fn singleton(depth: usize) -> Self {
-        let mut counts = vec![0; depth + 1];
-        counts[depth] = 1;
-        DepthHistogram { counts }
+        DepthHistogram {
+            counts: Vec::new(),
+            lone: Some(depth),
+        }
     }
 
     /// Number of observations at `depth` (0 if never observed).
     pub fn count_at(&self, depth: usize) -> u64 {
-        self.counts.get(depth).copied().unwrap_or(0)
+        self.counts.get(depth).copied().unwrap_or(0) + u64::from(self.lone == Some(depth))
     }
 
     /// Total number of observations across all depths.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().sum::<u64>() + u64::from(self.lone.is_some())
     }
 
     /// The deepest observed depth, if any observation exists.
     pub fn max_depth(&self) -> Option<usize> {
-        self.counts.iter().rposition(|&c| c > 0)
-    }
-
-    /// Per-depth counts as a slice (index = depth).
-    pub fn as_slice(&self) -> &[u64] {
-        &self.counts
+        self.counts.iter().rposition(|&c| c > 0).max(self.lone)
     }
 }
 
+/// Equal when every depth has the same count, however each was built.
+impl PartialEq for DepthHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        let depths = self.max_depth().max(other.max_depth()).map_or(0, |d| d + 1);
+        (0..depths).all(|d| self.count_at(d) == other.count_at(d))
+    }
+}
+
+impl Eq for DepthHistogram {}
+
 impl Monoid for DepthHistogram {
     fn empty() -> Self {
-        DepthHistogram { counts: Vec::new() }
+        DepthHistogram::default()
     }
-    fn combine(mut self, other: Self) -> Self {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
+    fn combine(self, other: Self) -> Self {
+        let mut counts = self.counts;
+        let lones = self.lone.into_iter().chain(other.lone).map(|d| (d, 1));
+        for (depth, n) in other.counts.into_iter().enumerate().chain(lones) {
+            if counts.len() <= depth {
+                counts.resize(depth + 1, 0);
+            }
+            counts[depth] += n;
         }
-        for (i, c) in other.counts.into_iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self
+        DepthHistogram { counts, lone: None }
     }
 }
 
@@ -165,6 +180,26 @@ mod tests {
         assert_eq!(h.count_at(0), 0);
         assert_eq!(h.total(), 2);
         assert_eq!(h.max_depth(), Some(3));
+    }
+
+    #[test]
+    fn histograms_with_equal_counts_are_equal_however_built() {
+        let folded = [2, 0, 2]
+            .into_iter()
+            .fold(DepthHistogram::empty(), |acc, d| {
+                acc.combine(DepthHistogram::singleton(d))
+            });
+        let merged = DepthHistogram::singleton(2)
+            .combine(DepthHistogram::singleton(0))
+            .combine(DepthHistogram::singleton(2).combine(DepthHistogram::empty()));
+        assert_eq!(folded, merged);
+        assert_eq!((folded.count_at(2), folded.count_at(1)), (2, 0));
+        assert_eq!(
+            DepthHistogram::singleton(4),
+            DepthHistogram::empty().combine(DepthHistogram::singleton(4))
+        );
+        assert_ne!(DepthHistogram::singleton(4), DepthHistogram::singleton(3));
+        assert_ne!(DepthHistogram::singleton(0), DepthHistogram::empty());
     }
 
     #[test]

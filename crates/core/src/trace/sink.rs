@@ -24,8 +24,8 @@ pub trait TraceSink {
 }
 
 /// One compact JSON object per line; the canonical on-disk format, parsed
-/// back by [`read_jsonl`] and consumed by the `tracecat` CLI and the
-/// `table2 --trace-dir` smoke step.
+/// back by [`read_jsonl`], read by the `tracecat` CLI and round-tripped by
+/// `tests/trace_observability.rs`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JsonlSink;
 
