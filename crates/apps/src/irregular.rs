@@ -142,6 +142,7 @@ impl Decide for Irregular {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{walk_checking_size_hints, Hint};
     use yewpar::node::subtree_size;
     use yewpar::{Coordination, Skeleton};
 
@@ -264,5 +265,14 @@ mod tests {
             .workers(3)
             .enumerate(&p);
         assert_eq!(out.value.0, expected);
+    }
+
+    #[test]
+    fn size_hints_are_exact() {
+        for seed in [1, 7, 42] {
+            let p = Irregular::new(8, seed);
+            let nodes = walk_checking_size_hints(&p, Hint::Exact);
+            assert_eq!(nodes, subtree_size(&p, &p.root()));
+        }
     }
 }

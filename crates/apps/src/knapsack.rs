@@ -112,6 +112,12 @@ impl Iterator for KnapsackGen<'_> {
         }
         None
     }
+
+    /// At most one child per item left to try; those that do not fit are
+    /// skipped, so only the upper bound is known.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(self.problem.order.len() - self.next_pos))
+    }
 }
 
 impl SearchProblem for Knapsack {
@@ -155,6 +161,7 @@ impl Optimise for Knapsack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{walk_checking_size_hints, Hint};
     use yewpar::{Coordination, Skeleton};
     use yewpar_instances::knapsack::KnapsackClass;
 
@@ -254,5 +261,14 @@ mod tests {
             capacity: 10,
         };
         let _ = Knapsack::new(inst);
+    }
+
+    #[test]
+    fn size_hints_bound_the_children_from_above() {
+        for seed in [1, 2] {
+            let inst = KnapsackInstance::generate(KnapsackClass::WeaklyCorrelated, 12, 50, seed);
+            let p = Knapsack::new(inst);
+            assert!(walk_checking_size_hints(&p, Hint::UpperBound) > 100);
+        }
     }
 }

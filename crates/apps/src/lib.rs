@@ -30,3 +30,55 @@ pub mod semigroups;
 pub mod sip;
 pub mod tsp;
 pub mod uts;
+
+/// Test support shared by the applications' unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use yewpar::SearchProblem;
+
+    /// What a generator's `size_hint` promises about its children.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Hint {
+        /// Lower and upper bound both equal the number of children left.
+        Exact,
+        /// A stated upper bound no smaller than the number of children left.
+        UpperBound,
+    }
+
+    /// Walk every node of `problem`'s tree, without pruning, and check each
+    /// generator's `size_hint` before each `next` and after the last one:
+    /// lower ≤ children left ≤ upper, and both equal to it for
+    /// [`Hint::Exact`].  Also check that an exhausted generator keeps
+    /// returning `None`.  Returns the number of nodes.
+    pub(crate) fn walk_checking_size_hints<P: SearchProblem>(problem: &P, hint: Hint) -> u64 {
+        let mut nodes = 0;
+        let mut todo = vec![problem.root()];
+        while let Some(node) = todo.pop() {
+            nodes += 1;
+            let mut gen = problem.generator(&node);
+            let mut hints = vec![gen.size_hint()];
+            let mut children = Vec::new();
+            while let Some(child) = gen.next() {
+                children.push(child);
+                hints.push(gen.size_hint());
+            }
+            assert!(
+                gen.next().is_none(),
+                "an exhausted generator stays exhausted"
+            );
+            for (i, (lower, upper)) in hints.into_iter().enumerate() {
+                let left = children.len() - i;
+                let at = format!("node {nodes}, after {i} children, {left} left");
+                match hint {
+                    Hint::Exact => assert_eq!((lower, upper), (left, Some(left)), "{at}"),
+                    Hint::UpperBound => {
+                        assert!(lower <= left, "{at}: lower bound {lower}");
+                        assert!(upper.is_some_and(|u| left <= u), "{at}: upper {upper:?}");
+                    }
+                }
+            }
+            todo.extend(children);
+        }
+        nodes
+    }
+}

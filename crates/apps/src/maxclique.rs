@@ -120,6 +120,11 @@ impl Iterator for CliqueGen<'_> {
             bound: colour - 1,
         })
     }
+
+    /// Exact: one child per remaining coloured candidate.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.k, Some(self.k))
+    }
 }
 
 impl SearchProblem for MaxClique {
@@ -176,6 +181,7 @@ impl Optimise for MaxClique {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{walk_checking_size_hints, Hint};
     use yewpar::{Coordination, Skeleton};
     use yewpar_instances::graph;
 
@@ -384,5 +390,13 @@ mod tests {
         let mut best = 0;
         check(&p, &p.root(), &mut best);
         assert!(best >= 2);
+    }
+
+    #[test]
+    fn size_hints_are_exact() {
+        for seed in [3, 4] {
+            let p = MaxClique::new(graph::gnp(30, 0.5, seed));
+            assert!(walk_checking_size_hints(&p, Hint::Exact) > 1000);
+        }
     }
 }

@@ -121,6 +121,12 @@ impl Iterator for SemigroupGen {
             genus: self.parent.genus + 1,
         })
     }
+
+    /// Exact: one child per effective generator not yet branched on.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.generators.count_ones() as usize;
+        (left, Some(left))
+    }
 }
 
 impl SearchProblem for Semigroups {
@@ -165,6 +171,7 @@ impl Enumerate for Semigroups {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{walk_checking_size_hints, Hint};
     use yewpar::{Coordination, Skeleton};
 
     #[test]
@@ -253,5 +260,14 @@ mod tests {
     #[should_panic(expected = "genus at most 30")]
     fn genus_beyond_mask_capacity_is_rejected() {
         let _ = Semigroups::new(31);
+    }
+
+    #[test]
+    fn size_hints_are_exact() {
+        // 1 + 1 + 2 + 4 + 7 + 12 + 23 + 39 + 67 semigroups of genus 0 to 8.
+        assert_eq!(
+            walk_checking_size_hints(&Semigroups::new(8), Hint::Exact),
+            156
+        );
     }
 }

@@ -112,6 +112,16 @@ impl Iterator for SipGen<'_> {
         }
         None
     }
+
+    /// At most one child per target vertex left to try; inconsistent ones
+    /// are skipped, so only the upper bound is known.  A complete mapping
+    /// has no children.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        if self.parent.mapping.len() >= self.problem.instance.pattern.order() {
+            return (0, Some(0));
+        }
+        (0, Some(self.problem.val_order.len() - self.next_val))
+    }
 }
 
 impl SearchProblem for Sip {
@@ -155,6 +165,7 @@ impl Decide for Sip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{walk_checking_size_hints, Hint};
     use yewpar::{Coordination, Skeleton};
     use yewpar_instances::graph::{gnp, Graph};
 
@@ -244,5 +255,19 @@ mod tests {
         });
         let out = Skeleton::new(Coordination::Sequential).decide(&p);
         assert!(out.found());
+    }
+
+    #[test]
+    fn size_hints_bound_the_children_from_above() {
+        for seed in [1, 2] {
+            let p = Sip::new(SipInstance::with_embedding(12, 5, 0.4, seed));
+            assert!(walk_checking_size_hints(&p, Hint::UpperBound) > 100);
+            // A complete mapping says it has no children.
+            let witness = Skeleton::new(Coordination::Sequential)
+                .decide(&p)
+                .witness
+                .expect("the planted embedding");
+            assert_eq!(p.generator(&witness).size_hint(), (0, Some(0)));
+        }
     }
 }

@@ -130,6 +130,11 @@ impl Iterator for TourGen<'_> {
             path,
         })
     }
+
+    /// Exact: one child per unvisited city not yet branched on.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.order.size_hint()
+    }
 }
 
 impl SearchProblem for Tsp {
@@ -183,6 +188,7 @@ impl Optimise for Tsp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{walk_checking_size_hints, Hint};
     use yewpar::{Coordination, Skeleton};
 
     fn square() -> TspInstance {
@@ -280,5 +286,15 @@ mod tests {
         let p = Tsp::new(inst);
         let out = Skeleton::new(Coordination::Sequential).maximise(&p);
         assert_eq!(out.try_score().unwrap().0, 10);
+    }
+
+    #[test]
+    fn size_hints_are_exact() {
+        for seed in [1, 2] {
+            let p = Tsp::new(TspInstance::random_euclidean(7, 100.0, seed));
+            // Every ordering of the six cities after the start, and each prefix.
+            let tours: u64 = (0..=6).map(|k| (7 - k..=6).product::<u64>()).sum();
+            assert_eq!(walk_checking_size_hints(&p, Hint::Exact), tours);
+        }
     }
 }

@@ -161,6 +161,12 @@ impl Iterator for UtsGen {
             state: splitmix64(self.parent.state ^ (i + 1).wrapping_mul(0xA24BAED4963EE407)),
         })
     }
+
+    /// Exact: one child per index not yet yielded.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.count - self.next;
+        (left, Some(left))
+    }
 }
 
 impl SearchProblem for Uts {
@@ -199,6 +205,7 @@ impl Enumerate for Uts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{walk_checking_size_hints, Hint};
     use yewpar::{Coordination, Skeleton};
 
     #[test]
@@ -275,6 +282,14 @@ mod tests {
         ] {
             let out = Skeleton::new(coord).workers(3).enumerate(&p);
             assert_eq!(out.value, expected, "{coord}");
+        }
+    }
+
+    #[test]
+    fn size_hints_are_exact() {
+        for p in [Uts::geometric_small(1), Uts::binomial_small(3)] {
+            let Pair(Sum(nodes), _) = Skeleton::new(Coordination::Sequential).enumerate(&p).value;
+            assert_eq!(walk_checking_size_hints(&p, Hint::Exact), nodes);
         }
     }
 }

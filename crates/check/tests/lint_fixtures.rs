@@ -389,3 +389,34 @@ fn main() {
     );
     assert!(lint_file("tests/multiplexed_runtime.rs", src, &cfg).is_empty());
 }
+
+/// The shipped layering ban keeps the generator stack's frames peek-free:
+/// a `Peekable` generator in `genstack.rs` is flagged, the same line in its
+/// test region (where the reference stack peeks) is not, and neither is a
+/// peeking iterator elsewhere.
+#[test]
+fn shipped_config_bans_peeking_frames_in_the_generator_stack() {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/lint.toml"));
+    let cfg = parse_config(&text.expect("lint.toml")).expect("shipped lint.toml must parse");
+    let src = "\
+struct Frame<'p, P: SearchProblem + 'p> {
+    gen: std::iter::Peekable<P::Gen<'p>>,
+    child_depth: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    struct EveryFrame<'p, P: SearchProblem + 'p> {
+        frames: Vec<(std::iter::Peekable<P::Gen<'p>>, usize)>,
+    }
+}
+";
+    let violations = lint_file("crates/core/src/genstack.rs", src, &cfg);
+    let flagged: Vec<_> = violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(flagged, [("layering-ban", 2)], "{violations:?}");
+    assert!(
+        violations[0].message.contains("per-node path"),
+        "{violations:?}"
+    );
+    assert!(lint_file("crates/sim/src/multiplex.rs", src, &cfg).is_empty());
+}

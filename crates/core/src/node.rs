@@ -29,6 +29,20 @@ pub trait SearchProblem: Send + Sync {
 
     /// The lazy node generator: an iterator over the children of a node, in
     /// the order in which they are to be traversed.
+    ///
+    /// The skeletons' generator stack ([`crate::genstack::GenStack`])
+    /// relies on two more things:
+    ///
+    /// - Once a generator has returned `None`, it keeps returning `None`.
+    ///   A stack may call an exhausted generator again: a split that takes
+    ///   a frame's last children leaves it in place for the next step, and
+    ///   a steal scan asks every exhausted frame below the work it finds.
+    /// - An upper bound of `Some(0)` from `Iterator::size_hint` means the
+    ///   generator yields nothing.  The stack then stores no frame for it,
+    ///   which makes a leaf cheap.  The default `(0, None)` is always
+    ///   correct: the stack stores the generator and finds it empty on the
+    ///   next step.  A generator that knows its number of children cheaply
+    ///   should report it.
     type Gen<'a>: Iterator<Item = Self::Node> + 'a
     where
         Self: 'a;
