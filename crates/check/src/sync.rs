@@ -1,5 +1,5 @@
-//! Shimmed synchronisation primitives mirroring the std / parking_lot /
-//! crossbeam APIs the core crate uses.
+//! Shimmed synchronisation primitives mirroring the `core::sync` and
+//! `std::sync::mpsc` APIs the core crate uses.
 //!
 //! Outside a model execution every shim forwards straight to the real std
 //! primitive (the `Real` arm below), so the same model source can run as an
@@ -8,9 +8,9 @@
 //! and explores all orderings the memory model allows.
 //!
 //! Production code never pays for any of this: `yewpar-core` re-exports
-//! these types only under its `model-check` feature (see
+//! the atomics only under its `model-check` feature (see
 //! `crates/core/src/sync.rs`); the default build aliases the real
-//! primitives directly.
+//! primitives directly, and core's locks are std-backed in both builds.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -283,8 +283,8 @@ enum MutexInner {
     Model(usize),
 }
 
-/// Shimmed mutex; `lock()` returns a guard like parking_lot (no poison
-/// result — the workspace treats poisoning as a bug anyway).
+/// Shimmed mutex; `lock()` returns a guard like `core::sync::Mutex` (no
+/// poison result — the workspace treats poisoning as a bug anyway).
 pub struct Mutex<T> {
     inner: MutexInner,
     data: UnsafeCell<T>,
@@ -447,7 +447,7 @@ impl Default for Condvar {
 }
 
 // ---------------------------------------------------------------------------
-// Channels (crossbeam-style unbounded / bounded)
+// Channels (unbounded / bounded, like std's `channel` / `sync_channel`)
 // ---------------------------------------------------------------------------
 
 struct ChanShared<T> {

@@ -720,8 +720,8 @@ where
 // Shared sources
 // ---------------------------------------------------------------------------
 
+use crate::sync::Mutex;
 use crate::workpool::{ShardedPool, POP_BATCH, STEAL_BATCH};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 
 /// The degenerate source of the Sequential coordination: a single shared
@@ -1106,12 +1106,12 @@ mod tests {
     #[test]
     fn worker_zero_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let ran_on = std::sync::Mutex::new(vec![None; 4]);
+        let ran_on = Mutex::new(vec![None; 4]);
         spawn_and_join(&Lifecycle::inert(), 4, |worker| {
-            ran_on.lock().unwrap()[worker] = Some(std::thread::current().id());
+            ran_on.lock()[worker] = Some(std::thread::current().id());
             WorkerMetrics::default()
         });
-        let ran_on = ran_on.into_inner().unwrap();
+        let ran_on = ran_on.into_inner();
         assert_eq!(ran_on[0], Some(caller));
         for id in &ran_on[1..] {
             assert!(id.is_some() && *id != Some(caller), "{ran_on:?}");

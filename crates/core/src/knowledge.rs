@@ -8,14 +8,13 @@
 //! Management").
 //!
 //! In this shared-memory implementation the incumbent lives behind a
-//! [`parking_lot::RwLock`] guarded by a cheap atomic *version* counter:
-//! workers keep a [`BoundCache`] holding the last score they saw and refresh
-//! it only when the version changes, so the hot pruning path is a single
-//! relaxed atomic load.  Exactly like the paper's design, a stale cache never
-//! affects correctness — only pruning opportunity.
+//! [`RwLock`] guarded by a cheap atomic *version* counter: workers keep a
+//! [`BoundCache`] holding the last score they saw and refresh it only when
+//! the version changes, so the hot pruning path is a single relaxed atomic
+//! load.  Exactly like the paper's design, a stale cache never affects
+//! correctness — only pruning opportunity.
 
-use crate::sync::{AtomicU64, Ordering};
-use parking_lot::RwLock;
+use crate::sync::{AtomicU64, Ordering, RwLock};
 
 /// The shared incumbent of an optimisation or decision search.
 #[derive(Debug)]

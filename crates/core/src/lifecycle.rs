@@ -34,11 +34,10 @@
 //! [`Termination`]: crate::termination::Termination
 //! [`StopCause`]: crate::termination::StopCause
 
-use crate::sync::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crossbeam_channel::{Receiver, Sender, TrySendError};
 
 use crate::termination::{StopCause, Termination};
 
@@ -216,9 +215,11 @@ pub enum ProgressEvent {
 /// incumbent updates are lossy; the terminal `Finished` marker is not — it
 /// travels through a dedicated slot, so a consumer that lagged the bounded
 /// channel still receives it (after the buffered events drain).
+/// [`dropped`](ProgressStream::dropped) counts the events lost to a full
+/// channel.
 pub struct ProgressStream {
     rx: Receiver<ProgressEvent>,
-    terminal: Arc<Mutex<Option<SearchStatus>>>,
+    shared: Arc<ProgressShared>,
     /// The `Finished` event has been handed to the consumer (from either
     /// the channel or the terminal slot); never yield it twice.
     finished_seen: std::cell::Cell<bool>,
@@ -249,7 +250,7 @@ impl ProgressStream {
             // only written after every worker has stopped emitting, so the
             // buffered prefix has already been drained at this point.
             None => {
-                let status = (*self.terminal.lock().expect("terminal slot")).take()?;
+                let status = (*self.shared.terminal.lock()).take()?;
                 self.finished_seen.set(true);
                 Some(ProgressEvent::Finished { status })
             }
@@ -274,6 +275,21 @@ impl ProgressStream {
         }
         events
     }
+
+    /// How many events the producers dropped so far because the channel
+    /// was full.  A `Finished` event that reaches the consumer through the
+    /// terminal slot is not counted: it is not lost.
+    pub fn dropped(&self) -> u64 {
+        // ordering: an advisory tally; it publishes nothing.
+        self.shared.dropped.load(Ordering::Relaxed)
+    }
+}
+
+/// The state a progress stream shares with its producers: the terminal
+/// slot and the count of dropped events.
+struct ProgressShared {
+    terminal: Mutex<Option<SearchStatus>>,
+    dropped: AtomicU64,
 }
 
 /// The producing half of a progress stream.  Cloneable (one per driver plus
@@ -284,8 +300,8 @@ impl ProgressStream {
 /// channel.
 #[derive(Clone)]
 pub(crate) struct ProgressSender {
-    tx: Sender<ProgressEvent>,
-    terminal: Arc<Mutex<Option<SearchStatus>>>,
+    tx: SyncSender<ProgressEvent>,
+    shared: Arc<ProgressShared>,
 }
 
 impl std::fmt::Debug for ProgressSender {
@@ -296,30 +312,40 @@ impl std::fmt::Debug for ProgressSender {
 
 impl ProgressSender {
     /// Best-effort send: never blocks, drops the event if the stream is
-    /// full or the consumer is gone.  A [`ProgressEvent::Finished`] is
-    /// also written to the guaranteed terminal slot.
+    /// full (counting it) or the consumer is gone.  A
+    /// [`ProgressEvent::Finished`] is also written to the guaranteed
+    /// terminal slot, so a full channel does not lose it.
     pub(crate) fn emit(&self, event: ProgressEvent) {
         if let ProgressEvent::Finished { status } = &event {
-            *self.terminal.lock().expect("terminal slot") = Some(*status);
+            *self.shared.terminal.lock() = Some(*status);
         }
         match self.tx.try_send(event) {
-            Ok(()) | Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {}
+            // The terminal slot delivers it instead: not a loss.
+            Err(TrySendError::Full(ProgressEvent::Finished { .. })) => {}
+            Err(TrySendError::Full(_)) => {
+                // ordering: an advisory tally; it publishes nothing.
+                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(()) | Err(TrySendError::Disconnected(_)) => {}
         }
     }
 }
 
 /// Create a bounded progress channel of the given capacity.
 pub(crate) fn progress_channel(capacity: usize) -> (ProgressSender, ProgressStream) {
-    let (tx, rx) = crossbeam_channel::bounded(capacity.max(1));
-    let terminal = Arc::new(Mutex::new(None));
+    let (tx, rx) = sync_channel(capacity.max(1));
+    let shared = Arc::new(ProgressShared {
+        terminal: Mutex::new(None),
+        dropped: AtomicU64::new(0),
+    });
     (
         ProgressSender {
             tx,
-            terminal: Arc::clone(&terminal),
+            shared: Arc::clone(&shared),
         },
         ProgressStream {
             rx,
-            terminal,
+            shared,
             finished_seen: std::cell::Cell::new(false),
         },
     )
@@ -715,6 +741,7 @@ mod tests {
             });
         }
         // Capacity 2: the third emit was dropped, not blocked on.
+        assert_eq!(rx.dropped(), 1);
         let drained = rx.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(
@@ -758,6 +785,7 @@ mod tests {
             }
         );
         assert!(rx.try_next().is_none(), "Finished is yielded exactly once");
+        assert_eq!(rx.dropped(), 1, "the third heartbeat, not the Finished");
     }
 
     /// When the channel had room, the Finished event arrives through it —

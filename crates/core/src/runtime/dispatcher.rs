@@ -2,14 +2,13 @@
 //! through the [`Ledger`], leases pool slots to admitted searches and
 //! keeps the pool-wide gauges.
 
-use crate::sync::Ordering;
+use crate::sync::{Mutex, MutexGuard, Ordering};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 use super::pool::PoolTask;
 use super::{ExecutionGrant, GrantCore, RuntimeConfig, SessionQuota, ShutdownMode, WorkerPool};
@@ -141,7 +140,7 @@ pub(super) struct Dispatcher {
     rx: Receiver<Control>,
     /// Clone handed to each search job for its `Finished` notification
     /// (and to each grant core for its `Released` ones).
-    finished_tx: Sender<Control>,
+    finished_tx: SyncSender<Control>,
     policy: Box<dyn SchedulePolicy>,
     /// The pending queue, the free worker budget and the running leases,
     /// on a clock that reads the time since `epoch`.
@@ -174,8 +173,8 @@ impl Dispatcher {
         pool: Arc<WorkerPool>,
         gauges: Gauges,
         tracer: Tracer,
-    ) -> (Sender<Control>, JoinHandle<()>) {
-        let (finished_tx, rx) = bounded(QUEUE_CAPACITY);
+    ) -> (SyncSender<Control>, JoinHandle<()>) {
+        let (finished_tx, rx) = sync_channel(QUEUE_CAPACITY);
         let control = finished_tx.clone();
         let dispatcher = Dispatcher {
             rx,
@@ -260,7 +259,7 @@ impl Dispatcher {
     }
 
     fn gauges(&self) -> MutexGuard<'_, RuntimeStats> {
-        self.gauges.lock().expect("gauge lock")
+        self.gauges.lock()
     }
 
     fn handle(&mut self, msg: Control) {

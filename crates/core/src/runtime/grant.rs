@@ -2,12 +2,11 @@
 //! requests ([`GrantCore`]), and the grant handed to the engine
 //! ([`ExecutionGrant`]).
 
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::SyncSender;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use crossbeam_channel::Sender;
 
 use super::dispatcher::Control;
 use super::pool::{ElasticHook, ScopedState};
@@ -55,7 +54,7 @@ pub(crate) struct GrantCore {
     /// Summed request → acknowledgement latency, nanoseconds.
     pub(crate) revocation_ns: AtomicU64,
     /// Dispatcher control channel for `Released` notifications.
-    released_tx: Sender<Control>,
+    released_tx: SyncSender<Control>,
     inner: Mutex<GrantInner>,
 }
 
@@ -77,7 +76,7 @@ impl GrantCore {
         search_id: u64,
         workers: usize,
         slots: &[usize],
-        released_tx: Sender<Control>,
+        released_tx: SyncSender<Control>,
     ) -> Self {
         GrantCore {
             search_id,
@@ -100,7 +99,7 @@ impl GrantCore {
     }
 
     pub(super) fn arm(&self, hook: ElasticHook) {
-        let mut inner = self.inner.lock().expect("grant lock");
+        let mut inner = self.inner.lock();
         inner.hook = Some(hook);
     }
 
@@ -108,8 +107,8 @@ impl GrantCore {
     /// the number of worker-id slots ever used.  `None` means a grow raced
     /// in after the latch was observed zero — wait again.
     pub(super) fn try_disarm(&self, state: &Arc<ScopedState>) -> Option<usize> {
-        let mut inner = self.inner.lock().expect("grant lock");
-        let remaining = state.remaining.lock().expect("latch lock");
+        let mut inner = self.inner.lock();
+        let remaining = state.remaining.lock();
         if *remaining > 0 {
             return None;
         }
@@ -123,7 +122,7 @@ impl GrantCore {
     /// caller — when the run is not live (hook unarmed: the search has not
     /// started or is finishing) or the pool is shutting down.
     pub(super) fn try_attach(&self, slot: usize, pool: &WorkerPool) -> bool {
-        let mut inner = self.inner.lock().expect("grant lock");
+        let mut inner = self.inner.lock();
         let (state, f) = match &inner.hook {
             Some(hook) => (Arc::clone(&hook.state), hook.f),
             None => return false,
@@ -137,14 +136,14 @@ impl GrantCore {
             }
         };
         {
-            let mut remaining = state.remaining.lock().expect("latch lock");
+            let mut remaining = state.remaining.lock();
             *remaining += 1;
         }
         if pool
             .send_to_slot(slot, f.task(worker_id, Arc::clone(&state)))
             .is_err()
         {
-            let mut remaining = state.remaining.lock().expect("latch lock");
+            let mut remaining = state.remaining.lock();
             *remaining -= 1;
             if *remaining == 0 {
                 state.done.notify_all();
@@ -164,7 +163,7 @@ impl GrantCore {
     /// claims).
     pub(super) fn request_revoke(&self, n: usize) {
         let now = Instant::now();
-        let mut inner = self.inner.lock().expect("grant lock");
+        let mut inner = self.inner.lock();
         inner.revocations.extend(std::iter::repeat(now).take(n));
         drop(inner);
         // ordering: Release pairs with the claim's Acquire, so a worker that
@@ -203,7 +202,7 @@ impl GrantCore {
     /// out again without racing the search's own teardown — and records
     /// the request → acknowledgement latency.
     pub(crate) fn ack_retire(&self, worker_id: usize) {
-        let mut inner = self.inner.lock().expect("grant lock");
+        let mut inner = self.inner.lock();
         let slot = inner
             .assignments
             .iter()
@@ -238,7 +237,7 @@ impl GrantCore {
     /// Every acknowledgement happens-before the search job's `Finished`
     /// message, so they are settled.
     pub(super) fn teardown(&self) -> Vec<usize> {
-        let mut inner = self.inner.lock().expect("grant lock");
+        let mut inner = self.inner.lock();
         inner.hook = None;
         inner.revocations.clear();
         // ordering: no worker of the search is left to claim; the Finished

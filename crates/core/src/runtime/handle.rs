@@ -1,8 +1,8 @@
 //! Search handles: the anytime interface to one submitted search.
 
-use crate::sync::{AtomicBool, Ordering};
+use crate::sync::{AtomicBool, Condvar, Mutex, Ordering};
 use std::panic::resume_unwind;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use crate::lifecycle::{CancelToken, ProgressStream};
 
@@ -32,7 +32,7 @@ impl<T> HandleState<T> {
     }
 
     pub(super) fn complete(&self, outcome: Result<T, Box<dyn std::any::Any + Send>>) {
-        let mut slot = self.slot.lock().expect("handle lock");
+        let mut slot = self.slot.lock();
         *slot = match outcome {
             Ok(value) => SlotState::Done(value),
             Err(payload) => SlotState::Panicked(payload),
@@ -78,7 +78,7 @@ impl<T> SearchHandle<T> {
     /// Block until the search finishes and return its outcome.  A panic
     /// inside the search is re-raised here.
     pub fn wait(self) -> T {
-        let mut slot = self.state.slot.lock().expect("handle lock");
+        let mut slot = self.state.slot.lock();
         loop {
             match std::mem::replace(&mut *slot, SlotState::Taken) {
                 SlotState::Done(value) => return value,
@@ -89,7 +89,7 @@ impl<T> SearchHandle<T> {
                 SlotState::Taken => unreachable!("wait consumes the handle"),
                 SlotState::Pending => {
                     *slot = SlotState::Pending;
-                    slot = self.state.ready.wait(slot).expect("handle wait");
+                    slot = self.state.ready.wait(slot);
                 }
             }
         }
@@ -102,7 +102,7 @@ impl<T> SearchHandle<T> {
         if !self.is_finished() {
             return None;
         }
-        let mut slot = self.state.slot.lock().expect("handle lock");
+        let mut slot = self.state.slot.lock();
         match std::mem::replace(&mut *slot, SlotState::Taken) {
             SlotState::Done(value) => Some(value),
             SlotState::Panicked(payload) => {

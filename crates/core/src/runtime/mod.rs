@@ -102,11 +102,10 @@
 
 use crate::sync::{AtomicU64, Ordering};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam_channel::Sender;
 
 use crate::lifecycle::{progress_channel, CancelToken, SearchStatus};
 use crate::metrics::RuntimeStats;
@@ -218,7 +217,7 @@ pub enum ShutdownMode {
 /// policy-driven multiplexing scheduler.  See the [module docs](self) for
 /// the full model.
 pub struct Runtime {
-    control: Option<Sender<Control>>,
+    control: Option<SyncSender<Control>>,
     dispatcher: Option<JoinHandle<()>>,
     /// Dropped after the dispatcher has joined, so the pool's threads are
     /// joined on the thread that drops the runtime.
@@ -302,7 +301,7 @@ impl Runtime {
     /// queue-wait.  Consistent across fields: every submission is counted
     /// exactly once as queued, active or completed.
     pub fn stats(&self) -> RuntimeStats {
-        *self.gauges.lock().expect("gauge lock")
+        *self.gauges.lock()
     }
 
     /// Drain the runtime-wide flight recorder: every event recorded since
@@ -435,7 +434,7 @@ impl Runtime {
             .cancel_token(cancel.clone())
             .attach_progress(progress_tx)
             .attach_stats_probe(crate::lifecycle::StatsProbe(Arc::new(move || {
-                *probe_gauges.lock().expect("gauge lock")
+                *probe_gauges.lock()
             })));
         if let Some(buffer) = &self.trace {
             // Runtime searches record into the runtime-wide buffer (one
@@ -444,20 +443,20 @@ impl Runtime {
             skeleton = skeleton.attach_trace_buffer(Arc::clone(buffer));
         }
         if let Some(state) = &session {
-            state.lock().expect("session lock").submitted += 1;
+            state.lock().submitted += 1;
         }
         // Count the submission as queued from the moment it is sent — not
         // from dispatcher receipt — so a backlog sitting in the control
         // channel is visible in `stats()`, matching the queue-wait
         // semantics (channel time counts).
-        self.gauges.lock().expect("gauge lock").queued_searches += 1;
+        self.gauges.lock().queued_searches += 1;
         let job_state = Arc::clone(&shared);
         let job: Job = Box::new(move |grant: ExecutionGrant| {
             let skeleton = skeleton.attach_grant(grant);
             let outcome = catch_unwind(AssertUnwindSafe(|| run(&skeleton, &problem)));
             if let Some(state) = &session {
                 let status = outcome.as_ref().map(status_of).ok();
-                state.lock().expect("session lock").record(status);
+                state.lock().record(status);
             }
             job_state.complete(outcome);
         });
@@ -529,9 +528,8 @@ mod tests {
     use crate::monoid::Sum;
     use crate::node::SearchProblem;
     use crate::params::Coordination;
-    use crate::sync::AtomicBool;
-    use crossbeam_channel::bounded;
-    use std::sync::Mutex;
+    use crate::sync::{AtomicBool, Mutex};
+    use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
 
     /// Deterministic irregular tree; node = (depth, seed).
@@ -834,8 +832,8 @@ mod tests {
     /// [`Endless`], parked at its root expansion: it reports `reached`,
     /// then waits for `release`.
     struct ParkedEndless {
-        reached: crossbeam_channel::Sender<()>,
-        release: Mutex<crossbeam_channel::Receiver<()>>,
+        reached: SyncSender<()>,
+        release: Mutex<Receiver<()>>,
     }
 
     impl SearchProblem for ParkedEndless {
@@ -847,7 +845,7 @@ mod tests {
         fn generator(&self, node: &(u32, u64)) -> Self::Gen<'_> {
             if *node == Endless.root() {
                 let _ = self.reached.send(());
-                let _ = self.release.lock().expect("release").recv();
+                let _ = self.release.lock().recv();
             }
             Endless.generator(node)
         }
@@ -868,8 +866,8 @@ mod tests {
         // The first search parks at its root expansion until 40 ms after
         // the second was submitted, so the second queues behind it for at
         // least that long, however late the submitting thread runs.
-        let (reached_tx, reached) = bounded(1);
-        let (release, release_rx) = bounded(1);
+        let (reached_tx, reached) = sync_channel(1);
+        let (release, release_rx) = sync_channel(1);
         let first = runtime.maximise(
             ParkedEndless {
                 reached: reached_tx,
@@ -1173,8 +1171,8 @@ mod tests {
         // The search parks at its root expansion, after scoring the root,
         // until released, so whenever the preemption lands there is an
         // incumbent to keep — however late the search's worker starts.
-        let (reached_tx, reached) = bounded(1);
-        let (release, release_rx) = bounded(1);
+        let (reached_tx, reached) = sync_channel(1);
+        let (release, release_rx) = sync_channel(1);
         let handle = runtime.maximise(
             ParkedEndless {
                 reached: reached_tx,
@@ -1232,7 +1230,7 @@ mod tests {
         }
         fn generator(&self, node: &(usize, u64)) -> Self::Gen<'_> {
             let name = std::thread::current().name().unwrap_or("").to_string();
-            self.names.lock().unwrap().insert(name);
+            self.names.lock().insert(name);
             self.inner.generator(node)
         }
     }
@@ -1294,7 +1292,7 @@ mod tests {
                     .iter()
                     .map(|s| format!("yewpar-pool-{s}"))
                     .collect();
-                let names = names.lock().unwrap();
+                let names = names.lock();
                 assert!(!names.is_empty(), "{label}: nothing was expanded");
                 for name in names.iter() {
                     assert!(
@@ -1393,7 +1391,7 @@ mod tests {
 
         // Worker 0 runs on this thread in place of the home slot 0; the
         // helper runs on pool slot 1.
-        let (released_tx, _released_rx) = bounded::<Control>(4);
+        let (released_tx, _released_rx) = sync_channel::<Control>(4);
         let core = Arc::new(GrantCore::new(1, 2, &[0, 1], released_tx));
         let grant = ExecutionGrant {
             search_id: 1,

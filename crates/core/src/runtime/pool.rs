@@ -1,12 +1,11 @@
 //! The persistent worker pool: one parked thread per runtime worker, and
 //! the scoped runner that executes a search's workers on its lease.
 
-use crate::sync::{AtomicBool, Ordering};
+use crate::sync::{AtomicBool, Condvar, Mutex, Ordering};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-
-use crossbeam_channel::{bounded, Receiver, Sender};
 
 use super::GrantCore;
 use crate::metrics::WorkerMetrics;
@@ -58,9 +57,9 @@ pub(super) struct ScopedState {
 /// their lease and their workers through the one runner, `scoped_run`.
 /// Public only to the crate; the public API is `Runtime`.
 pub struct WorkerPool {
-    /// One task channel per thread: the vendored channel shim is single-
+    /// One task channel per thread: std's mpsc `Receiver` is single-
     /// consumer, and per-thread queues also keep dispatch deterministic.
-    senders: Vec<Sender<PoolTask>>,
+    senders: Vec<SyncSender<PoolTask>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -81,7 +80,7 @@ impl WorkerPool {
             // Deep enough that an oversubscribed search (more workers than
             // pool threads) can queue all its extra jobs without blocking
             // the dispatching thread.
-            let (tx, rx) = bounded::<PoolTask>(1024);
+            let (tx, rx) = sync_channel::<PoolTask>(1024);
             senders.push(tx);
             handles.push(
                 std::thread::Builder::new()
@@ -191,16 +190,16 @@ impl WorkerPool {
         // same lock, so after a zero-latch re-check with the lock held no
         // new worker can exist.
         let used = loop {
-            let mut remaining = state.remaining.lock().expect("latch lock");
+            let mut remaining = state.remaining.lock();
             while *remaining > 0 {
-                remaining = state.done.wait(remaining).expect("latch wait");
+                remaining = state.done.wait(remaining);
             }
             drop(remaining);
             if let Some(used) = core.try_disarm(&state) {
                 break used;
             }
         };
-        let mut results = state.results.lock().expect("results lock");
+        let mut results = state.results.lock();
         if let (Some(slot), Some(metrics)) = (results.get_mut(0), inline) {
             match slot {
                 Some(existing) => existing.merge(&metrics),
@@ -261,7 +260,7 @@ fn run_scoped_inline(f: ErasedWorker, index: usize, state: &Arc<ScopedState>) {
             None
         }
     };
-    let mut results = state.results.lock().expect("results lock");
+    let mut results = state.results.lock();
     // Merge rather than overwrite: elastic runs recycle worker indices
     // (retire → re-grow), so one slot can accumulate several stints.  For
     // fixed grants every index runs exactly once and merge ≡ assign.
@@ -271,7 +270,7 @@ fn run_scoped_inline(f: ErasedWorker, index: usize, state: &Arc<ScopedState>) {
         (_, None) => {}
     }
     drop(results);
-    let mut remaining = state.remaining.lock().expect("latch lock");
+    let mut remaining = state.remaining.lock();
     *remaining -= 1;
     if *remaining == 0 {
         state.done.notify_all();

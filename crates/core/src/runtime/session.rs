@@ -1,8 +1,8 @@
 //! Sessions: cancellation scopes over groups of searches, with status
 //! aggregation and worker quotas.
 
-use crate::sync::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::sync::{AtomicU64, Mutex, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use super::{Runtime, SearchHandle};
@@ -202,7 +202,7 @@ impl Session<'_> {
 
     /// Snapshot of the session's aggregated search statuses.
     pub fn status(&self) -> SessionStatus {
-        let mut status = *self.state.lock().expect("session lock");
+        let mut status = *self.state.lock();
         if let Some(quota) = &self.quota {
             status.throttled = quota.throttled();
         }

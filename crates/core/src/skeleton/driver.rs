@@ -7,14 +7,13 @@
 
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::genstack::Action;
 use crate::knowledge::{BoundCache, Incumbent};
 use crate::lifecycle::{ProgressEvent, ProgressSender};
 use crate::monoid::Monoid;
 use crate::node::SearchProblem;
 use crate::objective::{Decide, Enumerate, Optimise};
+use crate::sync::Mutex;
 use crate::trace::{TraceEvent, Tracer};
 
 /// Shared helper: report a successful incumbent strengthening on the

@@ -62,10 +62,8 @@
 //! the spot, the pop skips tasks keyed after a pending witness, and a
 //! revoked worker never offloads mid-task.
 
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::{AtomicU64, Mutex, Ordering};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::engine::{self, Flow, WorkSource};
 use crate::lifecycle::Lifecycle;

@@ -20,12 +20,11 @@
 //! count is non-zero.  A step with no thief asking is one load and a
 //! branch.
 
-use crate::sync::{AtomicUsize, Ordering};
+use crate::sync::{AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -45,7 +44,7 @@ const STEAL_REPLY_TIMEOUT: Duration = Duration::from_micros(200);
 
 /// A steal request carrying the channel on which the victim should reply.
 struct StealRequest<N> {
-    reply: Sender<Vec<Task<N>>>,
+    reply: SyncSender<Vec<Task<N>>>,
 }
 
 /// Per-worker state: the request receiver, the private task backlog and the
@@ -73,8 +72,8 @@ pub(crate) struct StealLocal<N> {
 const NO_WORK_HINT: usize = usize::MAX;
 
 /// One worker slot's shared steal state, padded to a cache line so thieves
-/// scanning the slots never false-share with other victims' updates.  (The
-/// vendored crossbeam shim has no `CachePadded`, hence the local wrapper.)
+/// scanning the slots never false-share with other victims' updates.  (std
+/// has no `CachePadded`, hence the local wrapper.)
 ///
 /// * `hint` — the slot's published steal depth: `NO_WORK_HINT` when idle,
 ///   otherwise the depth of the bottom of its generator stack (a lower
@@ -124,7 +123,7 @@ pub(crate) struct StealSource<N> {
     /// *re*-registering a slot vacated by a retired worker (elastic grants
     /// recycle worker ids) can swap in a fresh channel; the steal path locks
     /// per attempt, never per step.
-    senders: Vec<Mutex<Sender<StealRequest<N>>>>,
+    senders: Vec<Mutex<SyncSender<StealRequest<N>>>>,
     locals: Mutex<Vec<Option<StealLocal<N>>>>,
     slots: Vec<Slot>,
     /// Backlogs handed back by retiring workers (cooperative revocation):
@@ -146,7 +145,7 @@ impl<N> StealSource<N> {
         let mut senders = Vec::with_capacity(workers);
         let mut locals = Vec::with_capacity(workers);
         for id in 0..workers {
-            let (tx, rx) = bounded::<StealRequest<N>>(workers);
+            let (tx, rx) = sync_channel::<StealRequest<N>>(workers);
             senders.push(Mutex::new(tx));
             locals.push(Some(Self::fresh_local(id, rx, seed, workers)));
         }
@@ -224,7 +223,7 @@ impl<N> StealSource<N> {
     /// the victim's sender lock, which `register` also holds when it swaps
     /// in a fresh channel and resets the count.
     fn send_request(&self, victim: usize) -> Option<Receiver<Vec<Task<N>>>> {
-        let (reply, reply_rx) = bounded(1);
+        let (reply, reply_rx) = sync_channel(1);
         let sender = self.senders[victim].lock();
         let pending = &self.slots[victim].pending;
         // ordering: Release pairs with the victim's Acquire gate load in
@@ -284,7 +283,7 @@ impl<N> StealSource<N> {
             // keep them in our own backlog; they remain registered as
             // outstanding tasks and will be completed when we execute them
             // ourselves.
-            local.backlog.extend(send_err.into_inner());
+            local.backlog.extend(send_err.0);
         }
     }
 
@@ -366,7 +365,7 @@ impl<P: SearchProblem> WorkSource<P> for StealSource<P::Node> {
                 // channel; the retiree's last decrement (its `retire`
                 // drain) preceded its revocation ack, hence this reset.
                 let workers = self.senders.len();
-                let (tx, rx) = bounded::<StealRequest<P::Node>>(workers);
+                let (tx, rx) = sync_channel::<StealRequest<P::Node>>(workers);
                 let mut sender = self.senders[worker].lock();
                 *sender = tx;
                 // ordering: published to thieves by the sender lock they
@@ -738,7 +737,7 @@ mod tests {
         source.slots[0].pending.fetch_add(1, Ordering::Relaxed);
         poll(&source, &mut recycled, &mut stack, &term);
         assert_eq!(pending(&source, 0), 1);
-        let (reply, reply_rx) = bounded(1);
+        let (reply, reply_rx) = sync_channel(1);
         assert!(source.senders[0]
             .lock()
             .try_send(StealRequest { reply })

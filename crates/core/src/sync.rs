@@ -1,18 +1,25 @@
-//! Cfg-gated synchronisation-primitive selection.
+//! The one place core takes its synchronisation primitives from.
 //!
-//! The runtime's concurrency protocols import their atomics from this
-//! module instead of `std::sync::atomic` directly.  In the default build
-//! these are plain re-exports — zero indirection, zero overhead (the
-//! `components/check_shim` benchmark pins this).  Under the `model-check`
-//! feature they resolve to the `yewpar-check` shims, whose operations are
-//! handed to the deterministic-interleaving scheduler when executed inside
-//! `yewpar_check::sched::run` and fall back to the real std primitives
-//! otherwise.
+//! **Atomics.**  The runtime's concurrency protocols import their atomics
+//! from this module instead of `std::sync::atomic` directly.  In the
+//! default build these are plain re-exports — zero indirection, zero
+//! overhead (the `components/check_shim` benchmark pins this).  Under the
+//! `model-check` feature they resolve to the `yewpar-check` shims, whose
+//! operations are handed to the deterministic-interleaving scheduler when
+//! executed inside `yewpar_check::sched::run` and fall back to the real std
+//! primitives otherwise.
 //!
-//! Lock-based protocol state (`Mutex`/`Condvar`) stays on std throughout:
-//! those protocols are verified through the extracted models in
+//! **Locks.**  [`Mutex`], [`RwLock`] and [`Condvar`] are thin wrappers over
+//! their `std::sync` namesakes in both builds, with only the methods core
+//! calls.  They do not poison: a guard taken after a thread panicked while
+//! holding the lock still returns the data.  The engine relies on this — a
+//! search's panic reaches its caller as a payload (through the runtime's
+//! handle or the engine's join), not through a poisoned lock.  The
+//! lock-based protocols are verified through the extracted models in
 //! `crates/check/src/models/`, which mirror the lock choreography against
-//! the shimmed `check::sync::{Mutex, Condvar}` instead.
+//! the shimmed `check::sync::{Mutex, Condvar}`.
+//!
+//! Channels are `std::sync::mpsc`, used directly under std's own names.
 
 #[cfg(feature = "model-check")]
 pub use yewpar_check::sync::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
@@ -21,3 +28,141 @@ pub use yewpar_check::sync::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
 pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
 
 pub use std::sync::atomic::Ordering;
+
+use std::sync::{PoisonError, RwLockReadGuard, RwLockWriteGuard};
+
+/// The guard of a locked [`Mutex`]: std's guard, so [`Condvar::wait`] can
+/// hand it to std's condition variable.
+pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+
+/// A non-poisoning mutual-exclusion lock over [`std::sync::Mutex`].
+#[derive(Debug, Default)]
+pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    /// A new unlocked mutex holding `value`.
+    pub const fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    /// Consume the mutex and return its data.
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> Mutex<T> {
+    /// Block until the lock is held.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A non-poisoning reader-writer lock over [`std::sync::RwLock`].
+#[derive(Debug)]
+pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    /// A new unlocked reader-writer lock holding `value`.
+    pub const fn new(value: T) -> Self {
+        RwLock(std::sync::RwLock::new(value))
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    /// Block until a shared read guard is held.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Block until the exclusive write guard is held.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A condition variable over [`std::sync::Condvar`] whose wait does not
+/// poison.
+#[derive(Debug, Default)]
+pub struct Condvar(std::sync::Condvar);
+
+impl Condvar {
+    /// A new condition variable.
+    pub const fn new() -> Self {
+        Condvar(std::sync::Condvar::new())
+    }
+
+    /// Release `guard`'s lock, block until notified, and take the lock
+    /// again.  Spurious wake-ups happen: wait in a loop over the condition.
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wake every waiter.
+    pub fn notify_all(&self) {
+        self.0.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use std::thread;
+
+    /// Run `f` on its own thread, which it ends by panicking: whatever
+    /// guard `f` holds is dropped while unwinding, which poisons a std lock.
+    fn panic_on_a_thread(f: impl FnOnce() + Send + 'static) {
+        let joined = thread::spawn(f).join();
+        assert!(joined.is_err(), "the thread must end by panicking");
+    }
+
+    #[test]
+    fn mutex_survives_a_panic_while_locked() {
+        let m = Arc::new(Mutex::new(1));
+        let held = Arc::clone(&m);
+        panic_on_a_thread(move || {
+            let mut guard = held.lock();
+            *guard = 2;
+            panic!("panic while holding the mutex");
+        });
+        assert!(m.0.is_poisoned(), "std marks the lock poisoned");
+        assert_eq!(*m.lock(), 2);
+        *m.lock() += 1;
+        let m = Arc::into_inner(m).expect("the thread has ended");
+        assert_eq!(m.into_inner(), 3);
+    }
+
+    #[test]
+    fn rwlock_survives_a_panic_while_write_locked() {
+        let l = Arc::new(RwLock::new(10));
+        let held = Arc::clone(&l);
+        panic_on_a_thread(move || {
+            let mut guard = held.write();
+            *guard = 11;
+            panic!("panic while holding the write guard");
+        });
+        assert!(l.0.is_poisoned(), "std marks the lock poisoned");
+        assert_eq!(*l.read(), 11);
+        *l.write() = 12;
+        assert_eq!(*l.read(), 12);
+    }
+
+    #[test]
+    fn condvar_wait_returns_after_notify_all() {
+        let state = Arc::new((Mutex::new(false), Condvar::new()));
+        let notifier = Arc::clone(&state);
+        let t = thread::spawn(move || {
+            let (flag, ready) = &*notifier;
+            *flag.lock() = true;
+            ready.notify_all();
+        });
+        let (flag, ready) = &*state;
+        let mut set = flag.lock();
+        while !*set {
+            set = ready.wait(set);
+        }
+        drop(set);
+        t.join().expect("the notifier does not panic");
+    }
+}

@@ -38,10 +38,10 @@
 pub mod analyze;
 pub mod sink;
 
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Worker id used for events that are not attributable to a search worker:
@@ -341,7 +341,7 @@ impl std::fmt::Debug for TraceBuffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceBuffer")
             .field("capacity", &self.capacity)
-            .field("workers", &self.rings.lock().expect("trace rings").len())
+            .field("workers", &self.rings.lock().len())
             .finish()
     }
 }
@@ -369,7 +369,7 @@ impl TraceBuffer {
 
     /// Register (or look up) worker `worker`'s ring.
     fn ring(&self, worker: u32) -> Arc<WorkerRing> {
-        let mut rings = self.rings.lock().expect("trace rings");
+        let mut rings = self.rings.lock();
         if let Some((_, ring)) = rings.iter().find(|(w, _)| *w == worker) {
             return Arc::clone(ring);
         }
@@ -382,7 +382,7 @@ impl TraceBuffer {
     /// buffer's epoch clock and [`CONTROL_WORKER`].
     pub fn control(&self, event: TraceEvent) {
         let ts = self.epoch.elapsed().as_nanos() as u64;
-        let mut control = self.control.lock().expect("trace control ring");
+        let mut control = self.control.lock();
         if control.records.len() < self.capacity {
             control.records.push(TraceRecord {
                 ts,
@@ -401,13 +401,13 @@ impl TraceBuffer {
     /// have been joined (the engine joins before the skeleton returns, so
     /// draining between searches is always safe).
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let rings = self.rings.lock().expect("trace rings");
+        let rings = self.rings.lock();
         let mut all: Vec<TraceRecord> = Vec::new();
         for (_, ring) in rings.iter() {
             all.extend(ring.drain());
         }
         drop(rings);
-        let mut control = self.control.lock().expect("trace control ring");
+        let mut control = self.control.lock();
         all.append(&mut control.records);
         drop(control);
         all.sort_by_key(|r| (r.ts, r.worker));
@@ -418,7 +418,7 @@ impl TraceBuffer {
     /// control ring).  Not reset by [`drain`](TraceBuffer::drain): a
     /// non-zero value permanently marks the trace as lossy.
     pub fn dropped(&self) -> u64 {
-        let rings = self.rings.lock().expect("trace rings");
+        let rings = self.rings.lock();
         let mut dropped: u64 = rings
             .iter()
             .map(|(_, ring)| {
@@ -434,7 +434,7 @@ impl TraceBuffer {
             })
             .sum();
         drop(rings);
-        dropped += self.control.lock().expect("trace control ring").dropped;
+        dropped += self.control.lock().dropped;
         dropped
     }
 }

@@ -52,8 +52,7 @@ pub mod ordered;
 pub use arena::KeyArena;
 pub use ordered::{CommitLog, OrderedPool, Retired, SeqKey};
 
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
-use parking_lot::{Mutex, MutexGuard};
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
 use std::collections::{BTreeMap, VecDeque};
 
 /// How many tasks an owner moves from its shard into its private buffer per

@@ -47,8 +47,7 @@
 //! happening slightly later, which is within the pool's documented
 //! "empty/minimum at this instant" concurrency contract.
 
-use crate::sync::{AtomicBool, AtomicU64, Ordering};
-use parking_lot::Mutex;
+use crate::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
