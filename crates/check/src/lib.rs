@@ -3,16 +3,16 @@
 //! Two independent verification passes over the runtime's hand-rolled
 //! concurrency protocols, both zero-dependency and CI-enforced:
 //!
-//! 1. **Model checking** ([`sched`], [`sync`], [`models`]): a loom-style
-//!    deterministic-interleaving explorer.  The five protocols the paper's
-//!    replicability and termination guarantees rest on — `Termination`
-//!    accounting, the `GrantCore` revocation lease (`runtime/grant.rs`),
-//!    `CancelToken` trees, the `TraceBuffer` ring, and `OrderedPool` shard
-//!    drain — are extracted into small models written against shimmed
-//!    primitives and explored exhaustively at bounded configurations (2-3
-//!    threads).  Counterexamples print the full interleaving schedule and a
-//!    replayable choice sequence.  Injected known-bad mutations (see each model's `Mutation`
-//!    enum) prove the checker actually catches the bug classes it claims.
+//! 1. **Model checking** ([`sched`], [`sync`], [`thread`]): a loom-style
+//!    deterministic-interleaving explorer.  Under `yewpar-core`'s
+//!    `model-check` feature, core's atomics, `Mutex`, `MutexGuard` and
+//!    `Condvar` are this crate's shims, so core's own tests drive the
+//!    shipped protocol types under [`sched::run`], each in a
+//!    `model_check` test module beside its type.  This crate knows
+//!    nothing of them.  Exploration is exhaustive at bounded configurations (2-3 threads);
+//!    counterexamples print the full interleaving schedule and a
+//!    replayable choice sequence.  `tests/protocols.rs` shows, on small
+//!    litmus programs, that the checker catches each bug class it claims.
 //!
 //! 2. **Source lint** ([`lint`], `src/bin/lint.rs`): repo-invariant checks
 //!    that every `Ordering::Relaxed` site carries a `// ordering:`
@@ -25,13 +25,12 @@
 //!
 //! ```text
 //! cargo run -p yewpar-check --bin lint
-//! cargo run -p yewpar-check --release --bin modelcheck
 //! cargo test -p yewpar-check --release
+//! cargo test -p yewpar-core --release --features model-check
 //! ```
 
 pub mod clock;
 pub mod lint;
-pub mod models;
 pub mod sched;
 pub mod sync;
 pub mod thread;

@@ -9,7 +9,8 @@
 //!    justification.
 //! 2. **`hot-path-unwrap`** — `.unwrap()` is banned in the configured
 //!    hot-path files; `.expect("invariant message")` is the sanctioned
-//!    replacement.  Test regions (`#[cfg(test)]` onwards) are exempt.
+//!    replacement.  Test regions (`#[cfg(test)]` or `#[cfg(all(test, …))]`
+//!    onwards) are exempt.
 //! 3. **`trace-paired`** — every `TraceEvent` emission
 //!    (`emit(TraceEvent::X)` / `control(TraceEvent::X)`) of a variant in
 //!    the configured pairing map must have its counter token within ±10
@@ -281,10 +282,14 @@ fn extract_variant(line: &str) -> Option<&str> {
 pub fn lint_file(file: &str, content: &str, cfg: &LintConfig) -> Vec<Violation> {
     let lines: Vec<&str> = content.lines().collect();
     // Test modules sit at the end of files in this workspace; everything
-    // from the first `#[cfg(test)]` on is exempt from all four rules.
+    // from the first `#[cfg(test)]` or `#[cfg(all(test, …))]` on is exempt
+    // from all four rules.
     let test_start = lines
         .iter()
-        .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
+        .position(|l| {
+            let l = l.trim_start();
+            l.starts_with("#[cfg(test)]") || l.starts_with("#[cfg(all(test,")
+        })
         .unwrap_or(lines.len());
     let hot = cfg.hot_paths.iter().any(|p| file.starts_with(p.as_str()));
     let mut violations = Vec::new();

@@ -1,4 +1,4 @@
-//! Shimmed synchronisation primitives mirroring the `core::sync` and
+//! Shimmed synchronisation primitives mirroring the atomics, locks and
 //! `std::sync::mpsc` APIs the core crate uses.
 //!
 //! Outside a model execution every shim forwards straight to the real std
@@ -8,14 +8,15 @@
 //! and explores all orderings the memory model allows.
 //!
 //! Production code never pays for any of this: `yewpar-core` re-exports
-//! the atomics only under its `model-check` feature (see
-//! `crates/core/src/sync.rs`); the default build aliases the real
-//! primitives directly, and core's locks are std-backed in both builds.
+//! the atomics, `Mutex`, `MutexGuard` and `Condvar` only under its
+//! `model-check` feature (see `crates/core/src/sync.rs`); the default build
+//! uses the std primitives directly.  The channels are not wired into core
+//! yet: core's channels are std's.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 use crate::sched::{in_model, perform, Op, Reply, RmwKind};
 
@@ -283,8 +284,8 @@ enum MutexInner {
     Model(usize),
 }
 
-/// Shimmed mutex; `lock()` returns a guard like `core::sync::Mutex` (no
-/// poison result — the workspace treats poisoning as a bug anyway).
+/// Shimmed mutex, drop-in for yewpar-core's own: `lock()` returns the
+/// guard and never poisons, in a model run or out of one.
 pub struct Mutex<T> {
     inner: MutexInner,
     data: UnsafeCell<T>,
@@ -325,13 +326,32 @@ impl<T> Mutex<T> {
 
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let real = match &self.inner {
-            MutexInner::Real(m) => Some(m.lock().expect("shim mutex poisoned")),
+            MutexInner::Real(m) => Some(m.lock().unwrap_or_else(PoisonError::into_inner)),
             MutexInner::Model(id) => {
                 perform(Op::MutexLock { mutex: *id });
                 None
             }
         };
         MutexGuard { mutex: self, real }
+    }
+
+    /// Consume the mutex and return its data.
+    pub fn into_inner(self) -> T {
+        self.data.into_inner()
+    }
+}
+
+// `Debug` never performs a model operation (it may run on a thread outside
+// the schedule, e.g. a panic formatter), so it does not show the data.
+impl<T> std::fmt::Debug for Mutex<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Mutex { .. }")
+    }
+}
+
+impl<T: Default> Default for Mutex<T> {
+    fn default() -> Self {
+        Mutex::new(T::default())
     }
 }
 
@@ -402,7 +422,7 @@ impl Condvar {
         match (&self.inner, &guard.mutex.inner) {
             (CondvarInner::Real(cv), MutexInner::Real(_)) => {
                 let real = guard.real.take().expect("real guard missing");
-                guard.real = Some(cv.wait(real).expect("shim condvar poisoned"));
+                guard.real = Some(cv.wait(real).unwrap_or_else(PoisonError::into_inner));
                 guard
             }
             (CondvarInner::Model(cv), MutexInner::Model(m)) => {
@@ -443,6 +463,12 @@ impl Condvar {
 impl Default for Condvar {
     fn default() -> Self {
         Condvar::new()
+    }
+}
+
+impl std::fmt::Debug for Condvar {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Condvar { .. }")
     }
 }
 

@@ -129,6 +129,24 @@ mod tests {
     .is_empty());
 }
 
+#[test]
+fn a_feature_gated_test_module_is_a_test_region() {
+    let src = "\
+fn tick(c: &A) { c.fetch_add(1, Ordering::AcqRel); }
+
+#[cfg(all(test, feature = \"model-check\"))]
+mod model_check {
+    fn t(c: &A) { c.load(Ordering::Relaxed); Some(1).unwrap(); }
+}
+";
+    assert!(lint_file(
+        "crates/core/src/runtime/pool.rs",
+        src,
+        &cfg_with(&["crates/core/src/runtime/"])
+    )
+    .is_empty());
+}
+
 // ---------------------------------------------------------------------------
 // trace-paired
 // ---------------------------------------------------------------------------

@@ -1,213 +1,218 @@
-//! The verification gate's own acceptance tests:
+//! The checker's self-tests, on litmus programs: minimal programs, each
+//! with one concurrency bug class the checker claims to catch, written
+//! here in a correct and a broken form.
 //!
-//! * every faithful protocol model passes an **exhaustive** bounded DFS;
-//! * every catalogued known-bad mutation produces a counterexample whose
-//!   printed interleaving is non-empty (the checker catches the bug
-//!   classes it claims to catch);
-//! * a recorded counterexample replays deterministically.
+//! * every correct litmus program passes an **exhaustive** DFS;
+//! * every broken one produces a counterexample with a printed
+//!   interleaving: a `Relaxed` publish read stale, a compare-and-swap
+//!   split into a load and a store, and a notify without the lock
+//!   (reported as a deadlock);
+//! * a recorded counterexample replays deterministically, and seeded
+//!   random exploration is deterministic per seed.
+//!
+//! The shipped protocol types are checked by core's own `model_check`
+//! test modules (`cargo test -p yewpar-core --features model-check`).
 
-use yewpar_check::models::{bounded, cancel, grant, ordered_pool, termination, trace_ring};
-use yewpar_check::{Config, Strategy};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-fn cfg() -> Config {
-    Config::default()
+use yewpar_check::sched::run;
+use yewpar_check::sync::{channel, AtomicBool, AtomicU64, Condvar, Mutex};
+use yewpar_check::thread;
+use yewpar_check::{Config, Report, Strategy};
+
+/// A writer stores `data`, then publishes `flag` with `publish`; a reader
+/// that sees the flag must see the data.
+fn publish(publish: Ordering, strategy: Strategy) -> Report {
+    run("publish", strategy, &Config::default(), move || {
+        let data = Arc::new(AtomicU64::named("data", 0));
+        let flag = Arc::new(AtomicBool::named("flag", false));
+        let writer = {
+            let (data, flag) = (Arc::clone(&data), Arc::clone(&flag));
+            thread::spawn_named("writer", move || {
+                data.store(1, Ordering::Relaxed);
+                flag.store(true, publish);
+            })
+        };
+        if flag.load(Ordering::Acquire) {
+            let seen = data.load(Ordering::Relaxed);
+            assert_eq!(seen, 1, "flag seen but data read stale ({seen})");
+        }
+        writer.join();
+    })
+}
+
+/// Two threads race to claim one token; a claim is one compare-and-swap
+/// decrement, or (broken) a load and a separate store.
+fn claim(split: bool, strategy: Strategy) -> Report {
+    run("claim", strategy, &Config::default(), move || {
+        let tokens = Arc::new(AtomicU64::named("tokens", 1));
+        let claims = Arc::new(AtomicU64::named("claims", 0));
+        let claimers: Vec<_> = (0..2)
+            .map(|_| {
+                let (tokens, claims) = (Arc::clone(&tokens), Arc::clone(&claims));
+                thread::spawn_named("claimer", move || {
+                    let pending = tokens.load(Ordering::Acquire);
+                    let won = pending > 0
+                        && if split {
+                            tokens.store(pending - 1, Ordering::Release);
+                            true
+                        } else {
+                            tokens
+                                .compare_exchange(
+                                    pending,
+                                    pending - 1,
+                                    Ordering::AcqRel,
+                                    Ordering::Acquire,
+                                )
+                                .is_ok()
+                        };
+                    if won {
+                        claims.fetch_add(1, Ordering::AcqRel);
+                    }
+                })
+            })
+            .collect();
+        for claimer in claimers {
+            claimer.join();
+        }
+        let claims = claims.load(Ordering::Acquire);
+        assert!(claims <= 1, "one token claimed {claims} times");
+    })
+}
+
+/// A completer clears a latch and notifies a waiter parked on it; the
+/// notify is made holding the latch's lock, or (broken) without it.
+fn latch(notify_under_lock: bool, strategy: Strategy) -> Report {
+    run("latch", strategy, &Config::default(), move || {
+        let open = Arc::new(AtomicBool::named("open", false));
+        let gate = Arc::new(Mutex::named("gate", ()));
+        let opened = Arc::new(Condvar::named("opened"));
+        let completer = {
+            let (open, gate, opened) = (Arc::clone(&open), Arc::clone(&gate), Arc::clone(&opened));
+            thread::spawn_named("completer", move || {
+                open.store(true, Ordering::Release);
+                if notify_under_lock {
+                    let _gate = gate.lock();
+                    opened.notify_all();
+                } else {
+                    opened.notify_all();
+                }
+            })
+        };
+        let mut guard = gate.lock();
+        while !open.load(Ordering::Acquire) {
+            guard = opened.wait(guard);
+        }
+        drop(guard);
+        completer.join();
+    })
 }
 
 #[test]
-fn all_faithful_models_pass_exhaustively() {
-    for report in yewpar_check::models::suite() {
+fn correct_litmus_programs_pass_exhaustively() {
+    for report in [
+        publish(Ordering::Release, Strategy::Dfs),
+        claim(false, Strategy::Dfs),
+        latch(true, Strategy::Dfs),
+    ] {
         report.assert_ok();
         assert!(
             report.schedules > 1,
-            "model `{}` explored a single schedule: no concurrency exercised",
+            "`{}` explored a single schedule: no concurrency exercised",
             report.name
         );
     }
 }
 
 #[test]
-fn termination_relaxed_done_publish_is_caught() {
-    let report = termination::check(
-        termination::Mutation::DoneStoreRelaxed,
-        Strategy::Dfs,
-        &cfg(),
-    );
+fn a_relaxed_publish_is_caught_reading_stale() {
+    let report = publish(Ordering::Relaxed, Strategy::Dfs);
     let failure = report.assert_caught();
     assert!(
-        failure.message.contains("done observed with outstanding"),
-        "unexpected counterexample: {}",
+        failure.message.contains("read stale"),
+        "{}",
         failure.message
     );
     assert!(
-        !failure.schedule.is_empty(),
-        "counterexample lacks an interleaving"
+        failure
+            .schedule
+            .iter()
+            .any(|line| line.contains("stale by")),
+        "the interleaving should show the stale load:\n{failure}"
     );
 }
 
 #[test]
-fn termination_latch_lost_wakeup_is_caught_as_deadlock() {
-    let report = termination::check_latch(
-        termination::Mutation::LatchNotifyWithoutLock,
-        Strategy::Dfs,
-        &cfg(),
-    );
+fn a_claim_split_into_load_and_store_is_caught() {
+    let report = claim(true, Strategy::Dfs);
     let failure = report.assert_caught();
     assert!(
-        failure.message.contains("deadlock"),
-        "lost wakeup should surface as a deadlock, got: {}",
+        failure.message.contains("claimed 2 times"),
+        "{}",
         failure.message
     );
+}
+
+#[test]
+fn a_notify_without_the_lock_is_caught_as_a_deadlock() {
+    let report = latch(false, Strategy::Dfs);
+    let failure = report.assert_caught();
+    assert!(failure.message.contains("deadlock"), "{}", failure.message);
     assert!(
         failure.message.contains("lost wakeup"),
-        "deadlock report should identify the condvar waiter, got: {}",
+        "{}",
         failure.message
     );
 }
 
+/// A channel send happens-before its receive: data stored `Relaxed` before
+/// the send is visible after the receive.
 #[test]
-fn grant_split_claim_double_ack_is_caught() {
-    let report = grant::check(grant::Mutation::SplitClaim, Strategy::Dfs, &bounded());
-    let failure = report.assert_caught();
-    assert!(
-        failure.message.contains("claimed twice") || failure.message.contains("acked"),
-        "unexpected counterexample: {}",
-        failure.message
-    );
-}
-
-#[test]
-fn grant_relaxed_ack_publish_is_caught() {
-    let report = grant::check(grant::Mutation::AckFlagRelaxed, Strategy::Dfs, &bounded());
-    let failure = report.assert_caught();
-    assert!(
-        failure.message.contains("payload stale"),
-        "unexpected counterexample: {}",
-        failure.message
-    );
-}
-
-#[test]
-fn cancel_skipping_ancestor_walk_is_caught() {
-    let report = cancel::check(cancel::Mutation::NoAncestorWalk, Strategy::Dfs, &cfg());
-    report.assert_caught();
-}
-
-#[test]
-fn cancel_orphan_child_snapshot_is_caught() {
-    let report = cancel::check(
-        cancel::Mutation::SnapshotParentAtCreation,
-        Strategy::Dfs,
-        &cfg(),
-    );
-    let failure = report.assert_caught();
-    assert!(
-        failure.message.contains("orphan child"),
-        "unexpected counterexample: {}",
-        failure.message
-    );
-}
-
-#[test]
-fn trace_drain_without_quiescence_is_caught() {
-    let report = trace_ring::check(
-        trace_ring::Mutation::DrainWithoutQuiescence,
-        Strategy::Dfs,
-        &cfg(),
-    );
-    let failure = report.assert_caught();
-    assert!(
-        failure.message.contains("torn record") || failure.message.contains("uninitialised"),
-        "unexpected counterexample: {}",
-        failure.message
-    );
-}
-
-#[test]
-fn trace_dropped_counter_reset_is_caught() {
-    let report = trace_ring::check(
-        trace_ring::Mutation::DroppedResetOnDrain,
-        Strategy::Dfs,
-        &cfg(),
-    );
-    let failure = report.assert_caught();
-    assert!(
-        failure.message.contains("went backwards"),
-        "unexpected counterexample: {}",
-        failure.message
-    );
-}
-
-#[test]
-fn ordered_pool_unpublished_push_is_caught() {
-    let report = ordered_pool::check(
-        ordered_pool::Mutation::SkipOccupiedPublish,
-        Strategy::Dfs,
-        &bounded(),
-    );
-    let failure = report.assert_caught();
-    assert!(
-        failure.message.contains("lost or duplicated"),
-        "unexpected counterexample: {}",
-        failure.message
-    );
-}
-
-#[test]
-fn ordered_pool_lifo_drain_is_caught() {
-    let report = ordered_pool::check(
-        ordered_pool::Mutation::PopNewestFirst,
-        Strategy::Dfs,
-        &bounded(),
-    );
-    let failure = report.assert_caught();
-    assert!(
-        failure.message.contains("out of arrival order"),
-        "unexpected counterexample: {}",
-        failure.message
-    );
+fn a_channel_send_happens_before_its_receive() {
+    let report = run("send-recv", Strategy::Dfs, &Config::default(), || {
+        let data = Arc::new(AtomicU64::named("data", 0));
+        let (tx, rx) = channel();
+        let sender = {
+            let data = Arc::clone(&data);
+            thread::spawn_named("sender", move || {
+                data.store(1, Ordering::Relaxed);
+                tx.send(());
+            })
+        };
+        rx.recv();
+        assert_eq!(
+            data.load(Ordering::Relaxed),
+            1,
+            "data read stale after recv"
+        );
+        sender.join();
+    });
+    report.assert_ok();
 }
 
 #[test]
 fn counterexamples_replay_deterministically() {
-    let first = termination::check(
-        termination::Mutation::DoneStoreRelaxed,
-        Strategy::Dfs,
-        &cfg(),
-    );
+    let first = publish(Ordering::Relaxed, Strategy::Dfs);
     let failure = first.assert_caught().clone();
-
-    let replayed = termination::check(
-        termination::Mutation::DoneStoreRelaxed,
-        Strategy::Replay(failure.choices.clone()),
-        &cfg(),
-    );
+    let replayed = publish(Ordering::Relaxed, Strategy::Replay(failure.choices.clone()));
     let refailure = replayed.assert_caught();
-    assert_eq!(
-        replayed.schedules, 1,
-        "replay must execute exactly one schedule"
-    );
+    assert_eq!(replayed.schedules, 1, "a replay runs exactly one schedule");
     assert_eq!(refailure.message, failure.message);
     assert_eq!(refailure.schedule, failure.schedule);
 }
 
 #[test]
 fn random_strategy_is_deterministic_per_seed() {
-    let a = grant::check(
-        grant::Mutation::None,
-        Strategy::Random {
-            seed: 0xA11CE,
-            iterations: 200,
-        },
-        &cfg(),
-    );
-    let b = grant::check(
-        grant::Mutation::None,
-        Strategy::Random {
-            seed: 0xA11CE,
-            iterations: 200,
-        },
-        &cfg(),
-    );
-    assert!(a.failure.is_none() && b.failure.is_none());
+    let random = || Strategy::Random {
+        seed: 0xA11CE,
+        iterations: 200,
+    };
+    let (a, b) = (claim(true, random()), claim(true, random()));
     assert_eq!(a.schedules, b.schedules);
+    assert_eq!(
+        a.failure.map(|f| f.choices),
+        b.failure.map(|f| f.choices),
+        "one seed, one sequence of schedules"
+    );
 }

@@ -234,11 +234,8 @@ impl std::fmt::Debug for ProgressStream {
 impl ProgressStream {
     fn note(&self, event: Option<ProgressEvent>) -> Option<ProgressEvent> {
         if self.finished_seen.get() {
-            // The stream is over; drop any duplicate terminal event.
-            return match event {
-                Some(ProgressEvent::Finished { .. }) | None => None,
-                other => other,
-            };
+            // The stream is over; drop anything after `Finished`.
+            return None;
         }
         match event {
             Some(ProgressEvent::Finished { status }) => {
@@ -247,12 +244,19 @@ impl ProgressStream {
             }
             Some(other) => Some(other),
             // Channel empty: fall back to the terminal slot.  The slot is
-            // only written after every worker has stopped emitting, so the
-            // buffered prefix has already been drained at this point.
+            // written after the producers' last emits, but those can land
+            // between the empty receive and this lock
+            // (model-checked: `model_check::no_event_follows_finished`),
+            // so a set slot first drains the channel.
             None => {
-                let status = (*self.shared.terminal.lock()).take()?;
-                self.finished_seen.set(true);
-                Some(ProgressEvent::Finished { status })
+                let status = (*self.shared.terminal.lock())?;
+                match self.rx.try_recv() {
+                    Ok(event) => self.note(Some(event)),
+                    Err(_) => {
+                        self.finished_seen.set(true);
+                        Some(ProgressEvent::Finished { status })
+                    }
+                }
             }
         }
     }
@@ -1013,6 +1017,124 @@ mod tests {
         assert_eq!(
             SearchStatus::DeadlineExceeded.to_string(),
             "deadline-exceeded"
+        );
+    }
+}
+
+/// [`CancelToken`] trees and the progress stream under the interleaving
+/// model checker.
+#[cfg(all(test, feature = "model-check"))]
+mod model_check {
+    use super::*;
+    use std::sync::atomic::{AtomicBool as Witness, Ordering as StdOrdering};
+    use yewpar_check::sched::{run, Config, Strategy};
+    use yewpar_check::thread;
+
+    /// A root is cancelled while a leaf is created under it: once the
+    /// cancel happens-before a check, the leaf reports cancelled, whether
+    /// it was created before, between or after the canceller's steps.
+    #[test]
+    fn an_ancestor_cancel_is_always_seen() {
+        let saw_cancel = Arc::new(Witness::new(false));
+        let witness = Arc::clone(&saw_cancel);
+        let report = run("cancel", Strategy::Dfs, &Config::default(), move || {
+            let root = CancelToken::new();
+            let session = root.child();
+            // Published after the cancel: a prober that sees it is ordered
+            // after the cancel without touching the token's flags.
+            let announced = Arc::new(AtomicU64::new(0));
+            let canceller = {
+                let announced = Arc::clone(&announced);
+                thread::spawn_named("canceller", move || {
+                    root.cancel();
+                    announced.store(1, Ordering::Release);
+                })
+            };
+            let prober = {
+                let witness = Arc::clone(&witness);
+                let session = session.clone();
+                thread::spawn_named("prober", move || {
+                    let leaf = session.child();
+                    if announced.load(Ordering::Acquire) == 1 {
+                        assert!(leaf.is_cancelled(), "a root cancel did not reach a leaf");
+                        witness.store(true, StdOrdering::Relaxed);
+                    }
+                })
+            };
+            canceller.join();
+            prober.join();
+            assert!(
+                session.is_cancelled(),
+                "a root cancel did not reach its child"
+            );
+        });
+        report.assert_ok();
+        assert!(
+            saw_cancel.load(StdOrdering::Relaxed),
+            "no schedule saw the cancel"
+        );
+    }
+
+    fn is_finished(event: &ProgressEvent) -> bool {
+        matches!(event, ProgressEvent::Finished { .. })
+    }
+
+    fn push_unless_finished(events: &mut Vec<ProgressEvent>, event: ProgressEvent) {
+        assert!(
+            !events.last().is_some_and(is_finished),
+            "event after Finished: {event:?}"
+        );
+        events.push(event);
+    }
+
+    /// A producer emits a heartbeat and then `Finished` while the consumer
+    /// polls: nothing follows `Finished`, and every event arrives once.
+    #[test]
+    fn no_event_follows_finished() {
+        let raced = Arc::new(Witness::new(false));
+        let witness = Arc::clone(&raced);
+        let report = run("progress", Strategy::Dfs, &Config::default(), move || {
+            let (tx, stream) = progress_channel(4);
+            let producer = thread::spawn_named("producer", move || {
+                thread::yield_now();
+                tx.emit(ProgressEvent::Heartbeat {
+                    nodes: 1,
+                    elapsed: Duration::ZERO,
+                });
+                tx.emit(ProgressEvent::Finished {
+                    status: SearchStatus::Complete,
+                });
+            });
+            let mut events = Vec::new();
+            for _ in 0..2 {
+                if let Some(event) = stream.try_next() {
+                    push_unless_finished(&mut events, event);
+                }
+            }
+            if events.iter().any(is_finished) {
+                witness.store(true, StdOrdering::Relaxed);
+            }
+            producer.join();
+            for event in stream.drain() {
+                push_unless_finished(&mut events, event);
+            }
+            assert_eq!(
+                events,
+                [
+                    ProgressEvent::Heartbeat {
+                        nodes: 1,
+                        elapsed: Duration::ZERO
+                    },
+                    ProgressEvent::Finished {
+                        status: SearchStatus::Complete
+                    }
+                ]
+            );
+        });
+        report.assert_ok();
+        assert!(
+            raced.load(StdOrdering::Relaxed),
+            "no schedule delivered Finished to the racing consumer"
         );
     }
 }

@@ -168,7 +168,8 @@ impl GrantCore {
         drop(inner);
         // ordering: Release pairs with the claim's Acquire, so a worker that
         // claims one of these requests finds its timestamp queued when it
-        // acknowledges (model-checked: models/grant.rs).
+        // acknowledges (model-checked:
+        // `model_check::a_revocation_is_claimed_and_acknowledged_exactly_once`).
         self.revoke_pending.fetch_add(n, Ordering::Release);
     }
 
@@ -274,4 +275,70 @@ pub(crate) struct ExecutionGrant {
     /// The shared lease state: the dispatcher renegotiates the
     /// lease through it, and the engine polls it for revocations.
     pub(crate) core: Arc<GrantCore>,
+}
+
+/// [`GrantCore`]'s revocation handshake under the interleaving model
+/// checker.
+#[cfg(all(test, feature = "model-check"))]
+mod model_check {
+    use super::*;
+    use std::sync::atomic::Ordering as StdOrdering;
+    use std::sync::atomic::{AtomicBool as Witness, AtomicUsize as Tally};
+    use std::sync::mpsc::sync_channel;
+    use yewpar_check::sched::{run, Config, Strategy};
+    use yewpar_check::thread;
+
+    /// The dispatcher requests one revocation while two workers poll for
+    /// one: it is claimed at most once, and a claim is acknowledged exactly
+    /// once; an unclaimed request is still pending with its timestamp.
+    #[test]
+    fn a_revocation_is_claimed_and_acknowledged_exactly_once() {
+        let claimed_once = Arc::new(Witness::new(false));
+        let witness = Arc::clone(&claimed_once);
+        let config = Config {
+            preemption_bound: Some(3),
+            ..Config::default()
+        };
+        let report = run("grant", Strategy::Dfs, &config, move || {
+            let (released_tx, released_rx) = sync_channel::<Control>(2);
+            let core = Arc::new(GrantCore::new(1, 3, &[0, 1, 2], released_tx));
+            let claims = Arc::new(Tally::new(0));
+            let workers: Vec<_> = [1, 2]
+                .into_iter()
+                .map(|worker_id| {
+                    let core = Arc::clone(&core);
+                    let claims = Arc::clone(&claims);
+                    thread::spawn_named("worker", move || {
+                        if core.try_claim_retire() {
+                            claims.fetch_add(1, StdOrdering::Relaxed);
+                            core.ack_retire(worker_id);
+                        }
+                    })
+                })
+                .collect();
+            core.request_revoke(1);
+            for worker in workers {
+                worker.join();
+            }
+            let claims = claims.load(StdOrdering::Relaxed);
+            assert!(claims <= 1, "one revocation claimed {claims} times");
+            let pending = core.revoke_pending.load(Ordering::Acquire);
+            assert_eq!(claims + pending, 1, "a revocation was lost");
+            let released = released_rx.try_iter().count();
+            assert_eq!(released, claims, "{claims} claims, {released} Released");
+            assert_eq!(
+                core.workers_preempted.load(Ordering::Acquire),
+                claims as u64
+            );
+            assert_eq!(core.inner.lock().revocations.len(), pending);
+            if claims == 1 {
+                witness.store(true, StdOrdering::Relaxed);
+            }
+        });
+        report.assert_ok();
+        assert!(
+            claimed_once.load(StdOrdering::Relaxed),
+            "no schedule claimed the revocation"
+        );
+    }
 }

@@ -297,3 +297,77 @@ pub(super) struct ElasticHook {
     pub(super) state: Arc<ScopedState>,
     pub(super) f: ErasedWorker,
 }
+
+/// The completion latch of [`WorkerPool::scoped_run`] under the
+/// interleaving model checker.
+#[cfg(all(test, feature = "model-check"))]
+mod model_check {
+    use super::super::dispatcher::Control;
+    use super::*;
+    use std::sync::atomic::{AtomicBool as Witness, Ordering as StdOrdering};
+    use std::sync::mpsc::TryRecvError;
+    use yewpar_check::sched::{run, Config, Strategy};
+    use yewpar_check::thread;
+
+    /// A two-worker scoped run: worker 0 inline on the caller, worker 1 on
+    /// a model thread standing in for the pool thread.  A lost wakeup of
+    /// the latch shows as a deadlock; the caller must not return before
+    /// worker 1 has finished.
+    #[test]
+    fn the_latch_wakes_the_caller_exactly_when_the_helper_finishes() {
+        let woke_waiter = Arc::new(Witness::new(false));
+        let witness = Arc::clone(&woke_waiter);
+        let report = run(
+            "scoped-latch",
+            Strategy::Dfs,
+            &Config::default(),
+            move || {
+                let (released_tx, _released_rx) = sync_channel::<Control>(1);
+                let core = GrantCore::new(1, 2, &[0, 1], released_tx);
+                let (task_tx, task_rx) = sync_channel::<PoolTask>(1);
+                let pool = WorkerPool {
+                    senders: vec![task_tx],
+                    threads: Vec::new(),
+                };
+                // The helper's task is queued before worker 0 runs, so the
+                // stand-in pool thread, started by worker 0, finds it at once.
+                let task_rx = std::sync::Mutex::new(Some(task_rx));
+                let inline_done = Witness::new(false);
+                let helper_done = Witness::new(false);
+                let worker = |index: usize| {
+                    if index == 0 {
+                        let rx = task_rx.lock().expect("uncontended").take();
+                        let rx = rx.expect("worker 0 runs once");
+                        thread::spawn_named("pool", move || match rx.try_recv() {
+                            Ok(task) => task(),
+                            Err(TryRecvError::Empty | TryRecvError::Disconnected) => {
+                                panic!("the helper task was sent before worker 0 ran")
+                            }
+                        });
+                        inline_done.store(true, StdOrdering::Relaxed);
+                    } else {
+                        // A scheduling point, so worker 1 may finish after
+                        // worker 0 and the caller waits on the latch.
+                        thread::yield_now();
+                        if inline_done.load(StdOrdering::Relaxed) {
+                            witness.store(true, StdOrdering::Relaxed);
+                        }
+                        helper_done.store(true, StdOrdering::Relaxed);
+                    }
+                    WorkerMetrics::default()
+                };
+                let metrics = pool.scoped_run(&core, &[0], 2, &worker);
+                assert!(
+                    helper_done.load(StdOrdering::Relaxed),
+                    "scoped_run returned before its helper finished"
+                );
+                assert_eq!(metrics.len(), 2);
+            },
+        );
+        report.assert_ok();
+        assert!(
+            woke_waiter.load(StdOrdering::Relaxed),
+            "no schedule ran the helper after worker 0 finished"
+        );
+    }
+}

@@ -3,21 +3,25 @@
 //! **Atomics.**  The runtime's concurrency protocols import their atomics
 //! from this module instead of `std::sync::atomic` directly.  In the
 //! default build these are plain re-exports — zero indirection, zero
-//! overhead (the `components/check_shim` benchmark pins this).  Under the
-//! `model-check` feature they resolve to the `yewpar-check` shims, whose
-//! operations are handed to the deterministic-interleaving scheduler when
-//! executed inside `yewpar_check::sched::run` and fall back to the real std
-//! primitives otherwise.
+//! overhead (the `components/check_shim` benchmark pins this).
 //!
-//! **Locks.**  [`Mutex`], [`RwLock`] and [`Condvar`] are thin wrappers over
-//! their `std::sync` namesakes in both builds, with only the methods core
-//! calls.  They do not poison: a guard taken after a thread panicked while
-//! holding the lock still returns the data.  The engine relies on this — a
-//! search's panic reaches its caller as a payload (through the runtime's
-//! handle or the engine's join), not through a poisoned lock.  The
-//! lock-based protocols are verified through the extracted models in
-//! `crates/check/src/models/`, which mirror the lock choreography against
-//! the shimmed `check::sync::{Mutex, Condvar}`.
+//! **Locks.**  [`Mutex`] and [`Condvar`] are thin wrappers over their
+//! `std::sync` namesakes, with only the methods core calls.  They do not
+//! poison: a guard taken after a thread panicked while holding the lock
+//! still returns the data.  The engine relies on this — a search's panic
+//! reaches its caller as a payload (through the runtime's handle or the
+//! engine's join), not through a poisoned lock.  [`RwLock`] is the same
+//! kind of wrapper; only the incumbent uses it.
+//!
+//! **Under `model-check`.**  The atomics, [`Mutex`], [`MutexGuard`] and
+//! [`Condvar`] resolve to the `yewpar-check` shims, with the same
+//! non-poisoning contract.  Inside `yewpar_check::sched::run` their
+//! operations are handed to the deterministic-interleaving scheduler;
+//! outside one they fall back to the real std primitives, so every unit
+//! test still runs.  This is how the protocol types themselves are model
+//! checked: each has a `model_check` test module beside it that drives the
+//! real type under the scheduler.  [`RwLock`] stays std-backed in both
+//! builds: no checked protocol takes it.
 //!
 //! Channels are `std::sync::mpsc`, used directly under std's own names.
 
@@ -29,16 +33,22 @@ pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
 
 pub use std::sync::atomic::Ordering;
 
+#[cfg(feature = "model-check")]
+pub use yewpar_check::sync::{Condvar, Mutex, MutexGuard};
+
 use std::sync::{PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
 /// The guard of a locked [`Mutex`]: std's guard, so [`Condvar::wait`] can
 /// hand it to std's condition variable.
+#[cfg(not(feature = "model-check"))]
 pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 /// A non-poisoning mutual-exclusion lock over [`std::sync::Mutex`].
+#[cfg(not(feature = "model-check"))]
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
+#[cfg(not(feature = "model-check"))]
 impl<T> Mutex<T> {
     /// A new unlocked mutex holding `value`.
     pub const fn new(value: T) -> Self {
@@ -51,6 +61,7 @@ impl<T> Mutex<T> {
     }
 }
 
+#[cfg(not(feature = "model-check"))]
 impl<T: ?Sized> Mutex<T> {
     /// Block until the lock is held.
     pub fn lock(&self) -> MutexGuard<'_, T> {
@@ -83,9 +94,11 @@ impl<T: ?Sized> RwLock<T> {
 
 /// A condition variable over [`std::sync::Condvar`] whose wait does not
 /// poison.
+#[cfg(not(feature = "model-check"))]
 #[derive(Debug, Default)]
 pub struct Condvar(std::sync::Condvar);
 
+#[cfg(not(feature = "model-check"))]
 impl Condvar {
     /// A new condition variable.
     pub const fn new() -> Self {
@@ -126,6 +139,7 @@ mod tests {
             *guard = 2;
             panic!("panic while holding the mutex");
         });
+        #[cfg(not(feature = "model-check"))]
         assert!(m.0.is_poisoned(), "std marks the lock poisoned");
         assert_eq!(*m.lock(), 2);
         *m.lock() += 1;

@@ -289,3 +289,53 @@ mod tests {
         assert!(t.all_done());
     }
 }
+
+/// [`Termination`] itself under the interleaving model checker.
+#[cfg(all(test, feature = "model-check"))]
+mod model_check {
+    use super::*;
+    use std::sync::atomic::{AtomicBool as Witness, Ordering as StdOrdering};
+    use std::sync::Arc;
+    use yewpar_check::sched::{run, Config, Strategy};
+    use yewpar_check::thread;
+
+    /// A worker spawns and completes tasks while a watcher polls: a watcher
+    /// that sees `all_done` also sees `outstanding() == 0`.
+    #[test]
+    fn done_implies_nothing_outstanding() {
+        let saw_done = Arc::new(Witness::new(false));
+        let witness = Arc::clone(&saw_done);
+        let report = run(
+            "termination",
+            Strategy::Dfs,
+            &Config::default(),
+            move || {
+                let term = Arc::new(Termination::new(1));
+                let worker = {
+                    let term = Arc::clone(&term);
+                    thread::spawn_named("worker", move || {
+                        term.task_spawned(1);
+                        term.task_completed();
+                        term.task_completed();
+                    })
+                };
+                let watcher = {
+                    let term = Arc::clone(&term);
+                    let witness = Arc::clone(&witness);
+                    thread::spawn_named("watcher", move || {
+                        if term.all_done() {
+                            let outstanding = term.outstanding();
+                            assert_eq!(outstanding, 0, "done seen with {outstanding} outstanding");
+                            witness.store(true, StdOrdering::Relaxed);
+                        }
+                    })
+                };
+                worker.join();
+                watcher.join();
+                assert!(term.all_done(), "every task completed but done is unset");
+            },
+        );
+        report.assert_ok();
+        assert!(saw_done.load(StdOrdering::Relaxed), "no schedule saw done");
+    }
+}

@@ -282,16 +282,16 @@ impl WorkerRing {
     fn push(&self, record: TraceRecord) {
         // ordering: only the RMW's atomicity matters for the claim — record
         // visibility to readers comes from producer quiescence (join/park)
-        // before drain (model-checked: models/trace_ring.rs, whose
-        // DrainWithoutQuiescence mutation shows torn reads otherwise).
+        // before drain (model-checked:
+        // `model_check::drop_counts_are_exact_and_dropped_is_monotone`).
         let claim = self.len.fetch_add(1, Ordering::Relaxed);
         if claim < self.slots.len() {
             // SAFETY: `claim` was handed out exactly once, so no other
             // writer touches this slot; readers wait for quiescence.
             unsafe { (*self.slots[claim].get()).write(record) };
         } else {
-            // ordering: advisory loss tally, monotone per the model's
-            // dropped-counter invariant; readers tolerate staleness.
+            // ordering: advisory loss tally, monotone (model-checked with
+            // the claims above); readers tolerate staleness.
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -627,5 +627,51 @@ mod tests {
         for w in 0..4u32 {
             assert_eq!(records.iter().filter(|r| r.worker == w).count(), 512);
         }
+    }
+}
+
+/// [`WorkerRing`]'s claims under the interleaving model checker.
+#[cfg(all(test, feature = "model-check"))]
+mod model_check {
+    use super::*;
+    use std::sync::atomic::{AtomicBool as Witness, Ordering as StdOrdering};
+    use yewpar_check::sched::{run, Config, Strategy};
+    use yewpar_check::thread;
+
+    /// A worker emits twice into a one-record ring while the main thread
+    /// reads `dropped()` twice: the count never goes backwards, and after
+    /// the quiescent drain exactly one record was kept and one dropped.
+    /// (There is one producer, as the ring's discipline asks, and the
+    /// drain does not race the reads: either makes the schedule space too
+    /// large to exhaust.)
+    #[test]
+    fn drop_counts_are_exact_and_dropped_is_monotone() {
+        let saw_drop = Arc::new(Witness::new(false));
+        let witness = Arc::clone(&saw_drop);
+        let report = run("trace-ring", Strategy::Dfs, &Config::default(), move || {
+            let buffer = Arc::new(TraceBuffer::new(1));
+            let handle = Tracer::new(Arc::clone(&buffer))
+                .handle(0)
+                .expect("tracing is on");
+            let producer = thread::spawn_named("producer", move || {
+                handle.emit(TraceEvent::TaskStart { depth: 0 });
+                handle.emit(TraceEvent::TaskStart { depth: 1 });
+            });
+            // The main thread is the monitor.
+            let first = buffer.dropped();
+            let second = buffer.dropped();
+            assert!(second >= first, "dropped() went from {first} to {second}");
+            if first > 0 {
+                witness.store(true, StdOrdering::Relaxed);
+            }
+            producer.join();
+            assert_eq!(buffer.drain().len(), 1, "one record fits the ring");
+            assert_eq!(buffer.dropped(), 1, "the other emit is counted as dropped");
+        });
+        report.assert_ok();
+        assert!(
+            saw_drop.load(StdOrdering::Relaxed),
+            "no schedule showed the monitor a drop"
+        );
     }
 }

@@ -200,7 +200,8 @@ impl<T> OrderedPool<T> {
     fn stamp(&self) -> u64 {
         // ordering: only the RMW's atomicity matters (unique, monotone
         // stamps); the stamped entry is published under the buffer lock
-        // (model-checked: models/ordered_pool.rs).
+        // (model-checked:
+        // `model_check::equal_keys_pop_in_arrival_order_and_every_entry_is_accounted`).
         self.arrivals.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -927,5 +928,79 @@ mod tests {
             }
             prop_assert_eq!(popped, single_popped);
         }
+    }
+}
+
+/// [`OrderedPool`]'s sharded push, pop and purge under the interleaving
+/// model checker.
+#[cfg(all(test, feature = "model-check"))]
+mod model_check {
+    use super::*;
+    use std::sync::atomic::Ordering as StdOrdering;
+    use std::sync::atomic::{AtomicBool as Witness, AtomicUsize as Tally};
+    use std::sync::Arc;
+    use yewpar_check::sched::{run, Config, Strategy};
+    use yewpar_check::thread;
+
+    /// Entry 0 is queued under key `k` before the race; a pusher then
+    /// queues entry 1 under `k` and entry 2 under a later key on another
+    /// shard, while a purger cuts everything after `k` and the main thread
+    /// pops.
+    /// Entries 0 and 1 pop in arrival order, and every entry is popped or
+    /// purged exactly once.
+    #[test]
+    fn equal_keys_pop_in_arrival_order_and_every_entry_is_accounted() {
+        let raced = Arc::new(Witness::new(false));
+        let witness = Arc::clone(&raced);
+        let config = Config {
+            preemption_bound: Some(3),
+            ..Config::default()
+        };
+        let report = run("ordered-pool", Strategy::Dfs, &config, move || {
+            let k = SeqKey::root().child(0);
+            let pool = Arc::new(OrderedPool::with_shards(2));
+            pool.push_from(0, k.clone(), 0u32);
+            let pusher = {
+                let pool = Arc::clone(&pool);
+                let k = k.clone();
+                thread::spawn_named("pusher", move || {
+                    pool.push_from(1, k.clone(), 1);
+                    pool.push_from(1, k.child(0), 2);
+                })
+            };
+            let purged = Arc::new(Tally::new(0));
+            let purger = {
+                let pool = Arc::clone(&pool);
+                let purged = Arc::clone(&purged);
+                thread::spawn_named("purger", move || {
+                    purged.store(pool.purge_after(&k), StdOrdering::Relaxed);
+                })
+            };
+            // The main thread is the racing consumer.
+            let first = pool.pop();
+            pusher.join();
+            purger.join();
+            let purged = purged.load(StdOrdering::Relaxed);
+            if first.is_some() && purged == 1 {
+                witness.store(true, StdOrdering::Relaxed);
+            }
+            let popped: Vec<u32> = first
+                .into_iter()
+                .chain(std::iter::from_fn(|| pool.pop()))
+                .map(|(_, item)| item)
+                .collect();
+            let equal_keys: Vec<u32> = popped.iter().copied().filter(|&i| i < 2).collect();
+            assert_eq!(equal_keys, [0, 1], "equal keys popped out of arrival order");
+            assert_eq!(
+                popped.len() + purged,
+                3,
+                "popped {popped:?} and purged {purged} of three entries"
+            );
+        });
+        report.assert_ok();
+        assert!(
+            raced.load(StdOrdering::Relaxed),
+            "no schedule had both a racing pop and a purge"
+        );
     }
 }
