@@ -8,12 +8,11 @@
 //! and explores all orderings the memory model allows.
 //!
 //! Production code never pays for any of this: `yewpar-core` re-exports
-//! the atomics, `Mutex`, `MutexGuard` and `Condvar` only under its
-//! `model-check` feature (see `crates/core/src/sync.rs`); the default build
-//! uses the std primitives directly.  The channels are not wired into core
-//! yet: core's channels are std's.
+//! the atomics, `Mutex`, `MutexGuard`, `Condvar` and `UnsafeCell` only
+//! under its `model-check` feature (see `crates/core/src/sync.rs`); the
+//! default build uses the std primitives directly.  The channels are not
+//! wired into core yet: core's channels are std's.
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
@@ -288,7 +287,7 @@ enum MutexInner {
 /// guard and never poisons, in a model run or out of one.
 pub struct Mutex<T> {
     inner: MutexInner,
-    data: UnsafeCell<T>,
+    data: std::cell::UnsafeCell<T>,
 }
 
 // Safety: access to `data` is serialised by the real lock or by the model
@@ -320,7 +319,7 @@ impl<T> Mutex<T> {
         };
         Mutex {
             inner,
-            data: UnsafeCell::new(data),
+            data: std::cell::UnsafeCell::new(data),
         }
     }
 
@@ -469,6 +468,84 @@ impl Default for Condvar {
 impl std::fmt::Debug for Condvar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("Condvar { .. }")
+    }
+}
+
+// ---------------------------------------------------------------------------
+// UnsafeCell
+// ---------------------------------------------------------------------------
+
+/// Shimmed cell for data that a protocol hands from thread to thread (an
+/// atomic flag publishes it, a queue transfers its ownership) instead of a
+/// lock guarding it.
+///
+/// In a model run every access is checked to happen after the previous
+/// one.  The check rides on the memory model itself: the cell keeps a
+/// version atom that each access loads and then advances with `Relaxed`
+/// operations, so the load returns the newest version only when the
+/// previous access happens-before this one.  An access that does not — a
+/// reader that saw a `Relaxed` publish, two owners at once — may load a
+/// stale version, the exploration picks that value, and the execution
+/// fails as a data race with its interleaving.  Every access counts as a
+/// write: the API only lends the contents mutably.  Like std's cell it is
+/// not `Sync`: the type embedding it states why sharing it is sound.
+pub struct UnsafeCell<T> {
+    data: std::cell::UnsafeCell<T>,
+    /// Model only: the version atom each access loads and advances.
+    version: AtomInner,
+    /// How many accesses ran, in real memory: exact, because the model
+    /// runs one thread at a time and hands control over through the
+    /// controller's channels.
+    accesses: std::sync::atomic::AtomicU64,
+}
+
+impl<T> UnsafeCell<T> {
+    pub fn new(data: T) -> Self {
+        Self::named("UnsafeCell", data)
+    }
+
+    pub fn named(name: &str, data: T) -> Self {
+        UnsafeCell {
+            data: std::cell::UnsafeCell::new(data),
+            version: new_atom(name, 0),
+            accesses: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
+    /// Lend the contents to `f`.  In a model run, fail the execution when
+    /// this access does not happen after the previous one.
+    ///
+    /// # Safety
+    ///
+    /// No other access may run at the same time: the caller's protocol
+    /// must own the cell, as for [`std::cell::UnsafeCell::get`].
+    pub unsafe fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        if let AtomInner::Model(_) = self.version {
+            // ordering: the real counter is only touched by the one model
+            // thread the controller lets run.
+            let accesses = self.accesses.load(Ordering::Relaxed);
+            // ordering: Relaxed on purpose — the load may return the
+            // newest version only if the previous access happens-before
+            // this one; that is the whole check.
+            let seen = self.version.load(Ordering::Relaxed);
+            assert_eq!(
+                seen, accesses,
+                "data race on a cell: this access does not happen after the previous one"
+            );
+            // ordering: as above, the controller serialises model threads.
+            self.accesses.store(accesses + 1, Ordering::Relaxed);
+            // ordering: Relaxed like the load: the caller's protocol, not
+            // the checker, must order the next access after this one.
+            self.version.store(accesses + 1, Ordering::Relaxed);
+        }
+        // SAFETY: the caller owns the cell for this access (see above).
+        f(unsafe { &mut *self.data.get() })
+    }
+}
+
+impl<T> std::fmt::Debug for UnsafeCell<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("UnsafeCell { .. }")
     }
 }
 

@@ -5,8 +5,9 @@
 //! * every correct litmus program passes an **exhaustive** DFS;
 //! * every broken one produces a counterexample with a printed
 //!   interleaving: a `Relaxed` publish read stale, a compare-and-swap
-//!   split into a load and a store, and a notify without the lock
-//!   (reported as a deadlock);
+//!   split into a load and a store, a notify without the lock
+//!   (reported as a deadlock), and a cell handed over by a `Relaxed` flag
+//!   (reported as a data race on the cell);
 //! * a recorded counterexample replays deterministically, and seeded
 //!   random exploration is deterministic per seed.
 //!
@@ -17,7 +18,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use yewpar_check::sched::run;
-use yewpar_check::sync::{channel, AtomicBool, AtomicU64, Condvar, Mutex};
+use yewpar_check::sync::{channel, AtomicBool, AtomicU64, Condvar, Mutex, UnsafeCell};
 use yewpar_check::thread;
 use yewpar_check::{Config, Report, Strategy};
 
@@ -37,6 +38,39 @@ fn publish(publish: Ordering, strategy: Strategy) -> Report {
         if flag.load(Ordering::Acquire) {
             let seen = data.load(Ordering::Relaxed);
             assert_eq!(seen, 1, "flag seen but data read stale ({seen})");
+        }
+        writer.join();
+    })
+}
+
+/// A cell handed from a writer to a reader by a flag, as a reply buffer is:
+/// the writer fills the cell and sets the flag with `publish`; a reader
+/// that sees the flag takes the cell over.
+fn handover(publish: Ordering, strategy: Strategy) -> Report {
+    struct Shared {
+        cell: UnsafeCell<Vec<u32>>,
+        flag: AtomicBool,
+    }
+    // SAFETY: the flag hands the cell from the writer to the reader; the
+    // broken form is exactly what the checker must reject.
+    unsafe impl Sync for Shared {}
+    run("handover", strategy, &Config::default(), move || {
+        let shared = Arc::new(Shared {
+            cell: UnsafeCell::named("cell", Vec::new()),
+            flag: AtomicBool::named("flag", false),
+        });
+        let writer = {
+            let shared = Arc::clone(&shared);
+            thread::spawn_named("writer", move || {
+                // SAFETY: the writer owns the cell until it sets the flag.
+                unsafe { shared.cell.with_mut(|cell| cell.push(1)) };
+                shared.flag.store(true, publish);
+            })
+        };
+        if shared.flag.load(Ordering::Acquire) {
+            // SAFETY: the flag handed the cell over.
+            let taken = unsafe { shared.cell.with_mut(std::mem::take) };
+            assert_eq!(taken, [1]);
         }
         writer.join();
     })
@@ -115,6 +149,7 @@ fn correct_litmus_programs_pass_exhaustively() {
         publish(Ordering::Release, Strategy::Dfs),
         claim(false, Strategy::Dfs),
         latch(true, Strategy::Dfs),
+        handover(Ordering::Release, Strategy::Dfs),
     ] {
         report.assert_ok();
         assert!(
@@ -161,6 +196,17 @@ fn a_notify_without_the_lock_is_caught_as_a_deadlock() {
     assert!(failure.message.contains("deadlock"), "{}", failure.message);
     assert!(
         failure.message.contains("lost wakeup"),
+        "{}",
+        failure.message
+    );
+}
+
+#[test]
+fn a_cell_handed_over_by_a_relaxed_flag_is_caught_as_a_data_race() {
+    let report = handover(Ordering::Relaxed, Strategy::Dfs);
+    let failure = report.assert_caught();
+    assert!(
+        failure.message.contains("data race on a cell"),
         "{}",
         failure.message
     );

@@ -277,18 +277,23 @@ impl<'p, P: SearchProblem + 'p> GenStack<'p, P> {
     /// Returns an empty vector when the stack holds no unexplored children.
     /// (An empty-top marker holds none, so the scan never reaches it.)
     pub fn split_lowest(&mut self, chunked: bool) -> Vec<Task<P::Node>> {
+        let mut tasks = Vec::new();
+        self.split_lowest_into(chunked, &mut tasks);
+        tasks
+    }
+
+    /// [`split_lowest`](Self::split_lowest), appending the split to `tasks`
+    /// instead of a new vector, so a caller that reuses its buffer splits
+    /// without allocating once the buffer has grown.
+    pub fn split_lowest_into(&mut self, chunked: bool, tasks: &mut Vec<Task<P::Node>>) {
         let Some((at, first)) = self.look_ahead().and_then(|_| self.take_ahead()) else {
-            return Vec::new();
+            return;
         };
         let frame = &mut self.frames[at];
         let depth = frame.child_depth;
-        let first = Task::new(first, depth);
+        tasks.push(Task::new(first, depth));
         if chunked {
-            std::iter::once(first)
-                .chain(frame.gen.by_ref().map(|n| Task::new(n, depth)))
-                .collect()
-        } else {
-            vec![first]
+            tasks.extend(frame.gen.by_ref().map(|n| Task::new(n, depth)));
         }
     }
 

@@ -13,10 +13,17 @@
 //! engine's join), not through a poisoned lock.  [`RwLock`] is the same
 //! kind of wrapper; only the incumbent uses it.
 //!
-//! **Under `model-check`.**  The atomics, [`Mutex`], [`MutexGuard`] and
-//! [`Condvar`] resolve to the `yewpar-check` shims, with the same
-//! non-poisoning contract.  Inside `yewpar_check::sched::run` their
-//! operations are handed to the deterministic-interleaving scheduler;
+//! **Cells.**  [`UnsafeCell`] holds data that a protocol hands from thread
+//! to thread instead of a lock guarding it (the Stack-Stealing reply
+//! buffer, published by an atomic flag).  It lends its contents through an
+//! `unsafe` [`UnsafeCell::with_mut`] whose caller states why it owns them.
+//!
+//! **Under `model-check`.**  The atomics, [`Mutex`], [`MutexGuard`],
+//! [`Condvar`] and [`UnsafeCell`] resolve to the `yewpar-check` shims, with
+//! the same non-poisoning contract; the cell shim fails an execution in
+//! which one access does not happen after the previous one.  Inside
+//! `yewpar_check::sched::run` their operations are handed to the
+//! deterministic-interleaving scheduler;
 //! outside one they fall back to the real std primitives, so every unit
 //! test still runs.  This is how the protocol types themselves are model
 //! checked: each has a `model_check` test module beside it that drives the
@@ -34,7 +41,7 @@ pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
 pub use std::sync::atomic::Ordering;
 
 #[cfg(feature = "model-check")]
-pub use yewpar_check::sync::{Condvar, Mutex, MutexGuard};
+pub use yewpar_check::sync::{Condvar, Mutex, MutexGuard, UnsafeCell};
 
 use std::sync::{PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
@@ -114,6 +121,34 @@ impl Condvar {
     /// Wake every waiter.
     pub fn notify_all(&self) {
         self.0.notify_all();
+    }
+}
+
+/// A cell whose contents a protocol hands between threads: std's
+/// [`UnsafeCell`](std::cell::UnsafeCell), lent out only through
+/// [`with_mut`](UnsafeCell::with_mut).  Like std's it is not `Sync`; the
+/// type that embeds it states why sharing it is sound.
+#[cfg(not(feature = "model-check"))]
+#[derive(Debug)]
+pub struct UnsafeCell<T>(std::cell::UnsafeCell<T>);
+
+#[cfg(not(feature = "model-check"))]
+impl<T> UnsafeCell<T> {
+    /// A new cell holding `value`.
+    pub const fn new(value: T) -> Self {
+        UnsafeCell(std::cell::UnsafeCell::new(value))
+    }
+
+    /// Lend the contents to `f`.
+    ///
+    /// # Safety
+    ///
+    /// No other access may run at the same time: the caller's protocol
+    /// must own the cell for the duration of the call.
+    #[inline]
+    pub unsafe fn with_mut<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        // SAFETY: the caller owns the cell for this access.
+        f(unsafe { &mut *self.0.get() })
     }
 }
 

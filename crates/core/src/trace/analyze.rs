@@ -26,6 +26,8 @@ pub struct AnalyzeConfig {
     pub starvation_fraction: f64,
     /// Share of steal hits absorbed by one victim at or above which a
     /// [`StealStripMining`](FindingKind::StealStripMining) finding fires.
+    /// When only two workers take part in stealing (each thief has one
+    /// possible victim), the rule asks for `(1 + share) / 2` instead.
     pub strip_mine_share: f64,
     /// Minimum number of steal hits before the strip-mining rule applies
     /// (a two-steal trace trivially has a 100% victim).
@@ -293,11 +295,11 @@ fn work_inflation(summary: &TraceSummary, config: &AnalyzeConfig) -> Option<Find
 }
 
 fn strip_mining(records: &[TraceRecord], config: &AnalyzeConfig) -> Option<Finding> {
-    let hits: Vec<(u32, bool)> = records
+    let hits: Vec<(u32, u32, bool)> = records
         .iter()
         .filter_map(|r| match r.event {
             TraceEvent::StealHit { victim, remote, .. } if victim != UNKNOWN_VICTIM => {
-                Some((victim, remote))
+                Some((r.worker, victim, remote))
             }
             _ => None,
         })
@@ -305,20 +307,20 @@ fn strip_mining(records: &[TraceRecord], config: &AnalyzeConfig) -> Option<Findi
     // When the trace distinguishes remote steals (the simulator's
     // multi-locality model), the rule is about *remote* traffic — that is
     // the PR 6 failure mode.  Single-locality traces use all hits.
-    let any_remote = hits.iter().any(|(_, remote)| *remote);
-    let pool: Vec<u32> = hits
+    let any_remote = hits.iter().any(|&(_, _, remote)| remote);
+    let pool: Vec<(u32, u32)> = hits
         .iter()
-        .filter(|(_, remote)| !any_remote || *remote)
-        .map(|(victim, _)| *victim)
+        .filter(|&&(_, _, remote)| !any_remote || remote)
+        .map(|&(thief, victim, _)| (thief, victim))
         .collect();
     if (pool.len() as u64) < config.min_steals {
         return None;
     }
     let mut counts: Vec<(u32, u64)> = Vec::new();
-    for victim in &pool {
-        match counts.iter_mut().find(|(v, _)| v == victim) {
+    for &(_, victim) in &pool {
+        match counts.iter_mut().find(|(v, _)| *v == victim) {
             Some((_, n)) => *n += 1,
-            None => counts.push((*victim, 1)),
+            None => counts.push((victim, 1)),
         }
     }
     let (victim, absorbed) = counts
@@ -327,7 +329,22 @@ fn strip_mining(records: &[TraceRecord], config: &AnalyzeConfig) -> Option<Findi
         .max_by_key(|(_, n)| *n)
         .expect("pool is non-empty");
     let share = absorbed as f64 / pool.len() as f64;
-    (share >= config.strip_mine_share).then(|| Finding {
+    // A thief can only pick among the other workers that take part in
+    // stealing.  With two of them each thief has one possible victim, so
+    // the histogram only mirrors how often each worker stole: two workers
+    // stealing evenly from each other already give one victim half the
+    // hits.  The rule then asks for a share halfway between the configured
+    // one and all of them, which a lone thief stripping one victim still
+    // reaches.
+    let mut workers: Vec<u32> = pool.iter().flat_map(|&(t, v)| [t, v]).collect();
+    workers.sort_unstable();
+    workers.dedup();
+    let needed = if workers.len() < 3 {
+        (1.0 + config.strip_mine_share) / 2.0
+    } else {
+        config.strip_mine_share
+    };
+    (share >= needed).then(|| Finding {
         kind: FindingKind::StealStripMining,
         value: share,
         summary: format!(
@@ -640,6 +657,56 @@ mod tests {
             .expect("80% share must fire");
         assert!((finding.value - 0.8).abs() < 1e-9);
         assert!(finding.summary.contains("victim 0"));
+    }
+
+    /// Steal hits `(ts, thief, victim)`, all local.
+    fn hits(steals: &[(u64, u32, u32)]) -> Vec<TraceRecord> {
+        steals
+            .iter()
+            .map(|&(ts, thief, victim)| {
+                rec(
+                    ts,
+                    thief,
+                    TraceEvent::StealHit {
+                        victim,
+                        tasks: 1,
+                        remote: false,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    fn strip_mining_share(records: &[TraceRecord]) -> Option<f64> {
+        analyze(records, &AnalyzeConfig::default())
+            .iter()
+            .find(|f| f.kind == FindingKind::StealStripMining)
+            .map(|f| f.value)
+    }
+
+    #[test]
+    fn strip_mining_does_not_fire_when_two_workers_steal_from_each_other() {
+        // Two workers, nine hits: each thief's only victim is the other
+        // worker, so 5/9 on victim 0 says nothing about victim choice.
+        let mut steals: Vec<_> = (0..5).map(|i| (i * 10, 1, 0)).collect();
+        steals.extend((0..4).map(|i| (i * 10 + 5, 0, 1)));
+        assert_eq!(strip_mining_share(&hits(&steals)), None);
+        // Nor does a 70/30 split between the two.
+        let mut steals: Vec<_> = (0..14).map(|i| (i * 10, 1, 0)).collect();
+        steals.extend((0..6).map(|i| (i * 10 + 5, 0, 1)));
+        assert_eq!(strip_mining_share(&hits(&steals)), None);
+        // The same 5/9 share over three workers is a dominant victim.
+        let mut steals: Vec<_> = (0..5).map(|i| (i * 10, 1 + i as u32 % 2, 0)).collect();
+        steals.extend((0..4).map(|i| (i * 10 + 5, 0, 1 + i as u32 % 2)));
+        let share = strip_mining_share(&hits(&steals)).expect("three workers: 5/9 fires");
+        assert!((share - 5.0 / 9.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn strip_mining_fires_on_a_lone_thief_between_two_workers() {
+        // One thief returning to the same victim for every steal.
+        let steals: Vec<_> = (0..12).map(|i| (i * 10, 1, 0)).collect();
+        assert_eq!(strip_mining_share(&hits(&steals)), Some(1.0));
     }
 
     #[test]
